@@ -32,8 +32,12 @@ worst = 0.0
 for ti, t in enumerate(times):
     st = encoding.evolve_exact(state0, bh, t)
     ref = encoding.prepare_standard(sys, traj.x[ti], traj.xdot[ti])
-    worst = max(worst, float(np.abs(st.tensor - ref.tensor).max()))
+    worst = max(worst, float(np.abs(st.amps - ref.amps).max()))
 print(f"amplitudes vs (sqrt(M) xdot, i mu)/sqrt(2E): max deviation {worst:.2e}")
+degrees = [encoding.series_degree(bh.scale * t) for t in times]
+print(f"e^(-iHt) as a Jacobi-Anger series in H/{bh.scale:.4f}: degree "
+      f"{min(degrees)}..{max(degrees)} ({sum(degrees)} block-encoding queries in all), "
+      f"truncation error <= {encoding.SERIES_EPS:g}")
 
 # subset energies read straight off the state as probabilities
 ti = 12

@@ -22,6 +22,7 @@ Exit codes: 0 ok, 1 validation failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys as _sys
 from pathlib import Path
@@ -74,20 +75,20 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def resolve_config(args) -> dict:
-    cfg = dict(DEFAULTS)
+    file_cfg = {}
     if args.config:
         try:
             with open(args.config) as fh:
-                cfg = _merge(cfg, json.load(fh))
+                file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ConfigError("config file must hold a JSON object")
+    cfg = _merge(copy.deepcopy(DEFAULTS), file_cfg)
     if cfg["physics"].get("units") == "physical":
         phys_defaults = {"mass": 12.0, "k_B": K_B_PHYSICAL, "temperature": 300.0}
+        file_phys = file_cfg.get("physics", {})
         for key, val in phys_defaults.items():
-            file_phys = {}
-            if args.config:
-                with open(args.config) as fh:
-                    file_phys = json.load(fh).get("physics", {})
             if key not in file_phys:
                 cfg["physics"][key] = val
         if cfg.get("window") is None:
@@ -334,7 +335,7 @@ def cmd_simulate(cfg) -> int:
             for ti, t in enumerate(times):
                 st = encoding.evolve_exact(st0, bh, t)
                 ref = encoding.prepare_standard(sys, traj.x[ti], traj.xdot[ti])
-                dev = float(np.abs(st.tensor - ref.tensor).max())
+                dev = float(np.abs(st.amps - ref.amps).max())
                 kin = measure.energy_fraction(
                     st, measure.SubsetSelector("kinetic", all_nodes)).estimate
                 pot = measure.energy_fraction(

@@ -3,25 +3,43 @@
 Register ledger
 ---------------
 An encoded state lives on ``axis (x) part (x) j (x) k`` with ``n`` address
-bits per node register, stored as a dense tensor of shape (D, 2, N, N):
+bits per node register.  Only N + P of the 2 N^2 ``part (x) j (x) k`` slots
+per axis can be nonzero, so a state is stored compactly as ``amps`` of shape
+(D, N + P), one column per active slot (``active_slots``):
 
-* part 0, slot (j, 0): velocity block, amplitude sqrt(m_j) xdot_j / sqrt(2E)
-* part 1, slot (j, k), j < k: bond block, amplitude
-  i sqrt(kappa_jk) (x_j - x_k) / sqrt(2E)
+* column j < N, slot (part 0, j, 0): velocity block, amplitude
+  sqrt(m_j) xdot_j / sqrt(2E)
+* column N + c, slot (part 1, j, k) for bonded pair c = (j, k), j < k, of
+  ``sys.pairs``: bond block, amplitude i sqrt(kappa_jk) (x_j - x_k) / sqrt(2E)
 
-The alternative encoding reuses the same layout for one axis: part 0 holds
-P y (null-space-projected mass-weighted displacements), part 1 holds
--i B^+ y_dot scattered over the bonded pairs, normalized by sqrt(2F).
+``EncodedState.tensor`` scatters ``amps`` into the padded (D, 2, N, N)
+register layout on access, for structure checks.
+
+The alternative encoding reuses the same layout for one axis: the node
+columns hold P y (null-space-projected mass-weighted displacements), the
+pair columns hold -i B^+ y_dot, normalized by sqrt(2F).
 
 Both are solutions of d/dt psi = -i H psi for the block Hamiltonian
 
     H = -[[0, B'], [B'^T, 0]]
 
 acting on the part (x) j (x) k space of dimension 2 N^2, where B' is the
-incidence matrix padded with zero columns on non-bonded pairs.  Exact
-evolution diagonalizes the dense H; the gate-level block encoding below is
-verified against H / sqrt(2 kappa/m d) by amplitude extraction and is never
-used for time evolution.
+incidence matrix padded with zero columns on non-bonded pairs.  The active
+slots span an invariant subspace and H is zero on the rest, so H acts on
+``amps`` as the (N + P)-square sparse matrix -[[0, B], [B^T, 0]].
+
+Evolution (``evolve_exact``) applies e^{-iHt} as the Jacobi-Anger series
+
+    e^{-i tau x} = J_0(tau) + 2 sum_{k>=1} (-i)^k J_k(tau) T_k(x),
+
+in x = H / alpha with tau = alpha t and alpha = sqrt(2 kappa d / m) >= ||H||,
+truncated at the degree ``series_degree(tau)`` whose tail is at most
+``SERIES_EPS`` in operator norm.  Each degree costs one sparse matvec, the
+query count of a block encoding of H / alpha.  ``evolve_dense``, the
+eigendecomposition of the dense active block, is kept only as the reference
+the tests compare against.  The gate-level block encoding below is verified
+against H / alpha by amplitude extraction and is never used for time
+evolution.
 
 Circuit block encodings (uniform mass and coupling):
 
@@ -39,9 +57,11 @@ Circuit block encodings (uniform mass and coupling):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import sparse
+from scipy.special import jv
 
 from . import enm
 from .circuits import (Circuit, Gate, controlled_gates, inverted_gates, simulate)
@@ -51,11 +71,22 @@ from .oracles import (_emit_coord_add, _emit_shift, _emit_slot_uncompute,
                       _emit_validation, emit_slot_superposition, node_value_bits)
 
 DESK_DIM_LIMIT = 1 << 13
+SERIES_EPS = 1e-12      # operator-norm bound on the truncated Jacobi-Anger tail
+
+
+def active_slots(sys: SystemMatrices) -> np.ndarray:
+    """Flat padded index (part N^2 + j N + k) of each ``amps`` column, ascending.
+
+    Node j is column j at slot (0, j, 0); bonded pair c = (j, k) of
+    ``sys.pairs`` is column N + c at slot (1, j, k).
+    """
+    n = sys.n
+    return np.concatenate([np.arange(n) * n, n * n + sys.bonds[:, 0] * n + sys.bonds[:, 1]])
 
 
 @dataclass
 class EncodedState:
-    tensor: np.ndarray            # (D, 2, N, N) complex
+    amps: np.ndarray              # (D, N + P) complex, columns as in active_slots
     tag: str                      # "standard" | "alternative"
     sys: SystemMatrices
     norm_constant: float          # E (standard) or F (alternative)
@@ -65,21 +96,38 @@ class EncodedState:
 
     @property
     def n(self) -> int:
-        return self.tensor.shape[-1]
+        return self.sys.n
 
     @property
     def axes(self) -> int:
-        return self.tensor.shape[0]
+        return self.amps.shape[0]
 
-    def vector(self) -> np.ndarray:
-        return self.tensor.reshape(-1)
+    @property
+    def node_amps(self) -> np.ndarray:
+        """(D, N) velocity (standard) or displacement (alternative) block."""
+        return self.amps[:, :self.n]
+
+    @property
+    def pair_amps(self) -> np.ndarray:
+        """(D, P) bond block, column c for ``sys.pairs[c]``."""
+        return self.amps[:, self.n:]
+
+    @property
+    def tensor(self) -> np.ndarray:
+        """Read-only padded (D, 2, N, N) register layout, built on each access."""
+        n = self.n
+        out = np.zeros((self.axes, 2 * n * n), dtype=complex)
+        out[:, active_slots(self.sys)] = self.amps
+        out = out.reshape(self.axes, 2, n, n)
+        out.flags.writeable = False
+        return out
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.tensor))
+        return float(np.linalg.norm(self.amps))
 
 
 def _uniform_coupling(sys: SystemMatrices) -> tuple[float, float, int]:
-    kappas = np.array([sys.kappa[j, k] for j, k in sys.pairs])
+    kappas = sys.kappa[sys.bonds[:, 0], sys.bonds[:, 1]]
     if len(kappas) == 0:
         raise ValueError("system has no bonds")
     if not (np.allclose(kappas, kappas[0]) and np.allclose(sys.masses, sys.masses[0])):
@@ -124,20 +172,15 @@ def prepare_standard(sys: SystemMatrices, x0, xdot0) -> EncodedState:
     if x0.shape != xdot0.shape or n != sys.n:
         raise ValueError("initial conditions must be (D, N) matching the system")
     kinetic = 0.5 * float(np.sum(sys.masses * xdot0**2))
-    potential = 0.0
-    for j, k in sys.pairs:
-        potential += 0.5 * sys.kappa[j, k] * float(np.sum((x0[:, j] - x0[:, k]) ** 2))
-    energy = kinetic + potential
+    energy = kinetic + enm.potential_energy(sys, x0)
     if energy <= 0.0:
         raise ValueError("zero-energy state has no encoding")
 
-    tensor = np.zeros((d_ax, 2, n, n), dtype=complex)
-    sqrt_m = np.sqrt(sys.masses)
-    for a in range(d_ax):
-        tensor[a, 0, :, 0] = sqrt_m * xdot0[a]
-        for j, k in sys.pairs:
-            tensor[a, 1, j, k] = 1j * math.sqrt(sys.kappa[j, k]) * (x0[a, j] - x0[a, k])
-    tensor /= math.sqrt(2.0 * energy)
+    j, k = sys.bonds.T
+    amps = np.empty((d_ax, n + len(j)), dtype=complex)
+    amps[:, :n] = np.sqrt(sys.masses) * xdot0
+    amps[:, n:] = 1j * np.sqrt(sys.kappa[j, k]) * (x0[:, j] - x0[:, k])
+    amps /= math.sqrt(2.0 * energy)
 
     alpha_sq = float(np.sum(xdot0**2))
     beta_sq = float(np.sum(x0**2))
@@ -150,7 +193,7 @@ def prepare_standard(sys: SystemMatrices, x0, xdot0) -> EncodedState:
         for a in range(d_ax)
     )
     rounds = aa_rounds(sys, math.sqrt(alpha_sq), math.sqrt(beta_sq), energy)
-    return EncodedState(tensor, "standard", sys, energy, e_max, rounds, thetas)
+    return EncodedState(amps, "standard", sys, energy, e_max, rounds, thetas)
 
 
 def prepare_alternative(sys: SystemMatrices, x0, xdot0) -> EncodedState:
@@ -166,14 +209,10 @@ def prepare_alternative(sys: SystemMatrices, x0, xdot0) -> EncodedState:
     if f_const <= 0.0:
         raise ValueError("zero-energy state has no encoding")
     sp = enm.spectral(sys)
-    top = sp.P @ y
     pair_amps = sys.B.T @ enm.pinv_apply(sys, ydot)   # B^+ P ydot = B^T A^+ ydot
-    tensor = np.zeros((1, 2, sys.n, sys.n), dtype=complex)
-    tensor[0, 0, :, 0] = top
-    for col, (j, k) in enumerate(sys.pairs):
-        tensor[0, 1, j, k] = -1j * pair_amps[col]
-    tensor /= math.sqrt(2.0 * f_const)
-    return EncodedState(tensor, "alternative", sys, f_const)
+    amps = np.concatenate([sp.P @ y, -1j * pair_amps])[None, :]
+    amps /= math.sqrt(2.0 * f_const)
+    return EncodedState(amps, "alternative", sys, f_const)
 
 
 @dataclass
@@ -182,19 +221,25 @@ class BlockHamiltonian:
 
     The padded matrix is block diagonal: the active subspace (node slots
     (j, 0) and bonded pair slots) is invariant under H and every other row
-    and column is identically zero, so exp(-iHt) is the dense exponential
-    of the active block and the identity elsewhere.  ``active`` holds the
-    flat indices of the active slots; ``H_active`` is eigendecomposed once
-    and cached.  ``dense()`` materializes the full 2N^2 matrix for
-    structure checks on small systems.
+    and column is identically zero.  ``H`` is the sparse active block over
+    the ``amps`` columns, ``active`` the flat padded index of each.  The
+    dense ``H_active``, its cached eigendecomposition ``eig()`` and the
+    full 2N^2 matrix ``dense()`` are built on demand for reference
+    evolution and structure checks on small systems.
     """
 
-    H_active: np.ndarray
+    H: sparse.csr_matrix          # (N + P) square, real
     active: np.ndarray            # flat indices into the 2 N^2 space
-    scale: float                  # sqrt(2 kappa/m d)
+    scale: float                  # sqrt(2 kappa/m d) >= ||H||
     n_nodes: int
     d: int
     _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+
+    @property
+    def H_active(self) -> np.ndarray:
+        if self.H.shape[0] > DESK_DIM_LIMIT:
+            raise ValueError("dense block Hamiltonian exceeds the desk limit")
+        return self.H.toarray()
 
     def eig(self):
         if self._eig is None:
@@ -215,35 +260,75 @@ class BlockHamiltonian:
 def build_block_H(sys: SystemMatrices) -> BlockHamiltonian:
     kappa, mass, d = _uniform_coupling(sys)
     n = sys.n
-    n_pairs = len(sys.pairs)
-    if n + n_pairs > DESK_DIM_LIMIT:
-        raise ValueError("block Hamiltonian exceeds the desk limit")
-    active = np.array([j * n for j in range(n)]
-                      + [n * n + j * n + k for j, k in sys.pairs])
-    H_active = np.zeros((n + n_pairs, n + n_pairs))
-    for col, (j, k) in enumerate(sys.pairs):
-        H_active[j, n + col] = -math.sqrt(sys.kappa[j, k] / sys.masses[j])
-        H_active[k, n + col] = +math.sqrt(sys.kappa[j, k] / sys.masses[k])
-    H_active += H_active.T
-    return BlockHamiltonian(H_active, active, math.sqrt(2.0 * (kappa / mass) * d), n, d)
+    j, k = sys.bonds.T
+    cols = n + np.arange(len(j))
+    kappas = sys.kappa[j, k]
+    upper = sparse.csr_matrix(
+        (np.concatenate([-np.sqrt(kappas / sys.masses[j]), np.sqrt(kappas / sys.masses[k])]),
+         (np.concatenate([j, k]), np.concatenate([cols, cols]))),
+        shape=(n + len(j), n + len(j)))
+    return BlockHamiltonian((upper + upper.T).tocsr(), active_slots(sys),
+                            math.sqrt(2.0 * (kappa / mass) * d), n, d)
+
+
+def series_degree(tau: float) -> int:
+    """Degree K at which the Jacobi-Anger series of e^{-i tau x} is cut.
+
+    For |x| <= 1 the truncation error is at most 2 sum_{k>K} |J_k(tau)|.
+    With |J_k(tau)| <= (|tau|/2)^k / k! and K + 2 >= |tau|, consecutive
+    terms of that bound shrink by at least half, so the error is at most
+    4 (|tau|/2)^(K+1) / (K+1)!.  K is the smallest such degree with that
+    bound <= SERIES_EPS; it is also the number of queries to a block
+    encoding of H / alpha.
+    """
+    a = abs(tau)
+    if a == 0.0:
+        return 0
+    k = max(0, math.ceil(a) - 2)
+    log_eps = math.log(SERIES_EPS / 4.0)
+    while (k + 1) * math.log(a / 2.0) - math.lgamma(k + 2) > log_eps:
+        k += 1
+    return k
+
+
+_MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
 def evolve_exact(state: EncodedState, bh: BlockHamiltonian, t: float) -> EncodedState:
-    """exp(-iHt) per axis slice: dense propagator on the active block.
+    """exp(-iHt) on every axis slice, as the truncated Jacobi-Anger series.
 
-    Components outside the active subspace see a zero Hamiltonian row and
-    pass through unchanged.
+    Runs the Chebyshev recurrence T_{k+1} = 2 (H/alpha) T_k - T_{k-1} on the
+    state with ``series_degree(alpha t)`` sparse matvecs; the result is
+    within SERIES_EPS of the exact propagator in norm.
     """
     if bh.n_nodes != state.n:
         raise ValueError("Hamiltonian and state sizes differ")
+    tau = bh.scale * t
+    orders = np.arange(series_degree(tau) + 1)
+    coeffs = _MINUS_I_POWERS[orders % 4] * jv(orders, tau)
+    coeffs[1:] *= 2.0
+    prev = np.ascontiguousarray(state.amps.T)          # (N + P, D)
+    out = coeffs[0] * prev
+    if len(coeffs) > 1:
+        cur = bh.H @ prev
+        cur /= bh.scale
+        out += coeffs[1] * cur
+        for c in coeffs[2:]:
+            nxt = bh.H @ cur
+            nxt *= 2.0 / bh.scale
+            nxt -= prev
+            prev, cur = cur, nxt
+            out += c * cur
+    return replace(state, amps=np.ascontiguousarray(out.T))
+
+
+def evolve_dense(state: EncodedState, bh: BlockHamiltonian, t: float) -> EncodedState:
+    """Reference exp(-iHt) through the eigendecomposition of the dense active block."""
+    if bh.n_nodes != state.n:
+        raise ValueError("Hamiltonian and state sizes differ")
     w, v = bh.eig()
-    phases = np.exp(-1j * w * t)
-    out = state.tensor.copy()
-    for a in range(state.axes):
-        vec = out[a].reshape(-1)
-        vec[bh.active] = v @ (phases * (v.conj().T @ vec[bh.active]))
-    return EncodedState(out, state.tag, state.sys, state.norm_constant,
-                        state.e_max, state.aa_round_estimate, state.thetas)
+    out = (v @ (np.exp(-1j * w * t)[:, None] * (v.T @ state.amps.T))).T
+    return replace(state, amps=out)
 
 
 def doubled_mass_encoding(sys: SystemMatrices) -> SystemMatrices:
@@ -431,13 +516,15 @@ def hamiltonian_block_column(circ: Circuit, spec: LatticeSpec, part: int,
 
 
 def dump_state_csv(state: EncodedState, path, threshold: float = 1e-12) -> None:
+    """Padded-layout rows (axis, part, j, k) of the amplitudes above ``threshold``."""
+    n = state.n
+    part, rest = np.divmod(active_slots(state.sys), n * n)
+    j, k = np.divmod(rest, n)
     with open(path, "w") as fh:
         fh.write("axis,part,j,k,re,im\n")
-        tensor = state.tensor
-        for a in range(tensor.shape[0]):
-            for part in range(2):
-                for j in range(state.n):
-                    for k in range(state.n):
-                        amp = tensor[a, part, j, k]
-                        if abs(amp) > threshold:
-                            fh.write(f"{a},{part},{j},{k},{amp.real:.17g},{amp.imag:.17g}\n")
+        for a, row in enumerate(state.amps):
+            keep = np.flatnonzero(np.abs(row) > threshold)
+            fh.writelines(
+                f"{a},{p},{jj},{kk},{amp.real:.17g},{amp.imag:.17g}\n"
+                for p, jj, kk, amp in zip(part[keep].tolist(), j[keep].tolist(),
+                                          k[keep].tolist(), row[keep].tolist()))

@@ -41,6 +41,7 @@ class SystemMatrices:
     A: np.ndarray               # scaled Laplacian
     B: np.ndarray               # (N, P) incidence over bonded pairs
     pairs: list[tuple[int, int]]
+    bonds: np.ndarray           # (P, 2) int, the rows of ``pairs`` as an array
     physical: np.ndarray        # (N,) bool, False on padding sites
     spec: LatticeSpec | None = None
     _spectral: "SpectralData | None" = field(default=None, repr=False)
@@ -66,12 +67,17 @@ def _assemble(masses, kappa, physical, spec=None) -> SystemMatrices:
     np.fill_diagonal(F, -F.sum(axis=1))
     inv_sqrt_m = 1.0 / np.sqrt(masses)
     A = F * np.outer(inv_sqrt_m, inv_sqrt_m)
-    pairs = [(j, k) for j in range(n) for k in range(j + 1, n) if kappa[j, k] > 0.0]
-    B = np.zeros((n, len(pairs)))
-    for col, (j, k) in enumerate(pairs):
-        B[j, col] = np.sqrt(kappa[j, k]) * inv_sqrt_m[j]
-        B[k, col] = -np.sqrt(kappa[j, k]) * inv_sqrt_m[k]
-    sys = SystemMatrices(masses, kappa, F, A, B, pairs, physical, spec)
+    j, k = np.nonzero(kappa)                # row-major, so lexicographic
+    keep = (j < k) & (kappa[j, k] > 0.0)
+    j, k = j[keep], k[keep]
+    bonds = np.stack([j, k], axis=1)
+    cols = np.arange(len(bonds))
+    root_kappa = np.sqrt(kappa[j, k])
+    B = np.zeros((n, len(bonds)))
+    B[j, cols] = root_kappa * inv_sqrt_m[j]
+    B[k, cols] = -root_kappa * inv_sqrt_m[k]
+    pairs = [tuple(p) for p in bonds.tolist()]
+    sys = SystemMatrices(masses, kappa, F, A, B, pairs, bonds, physical, spec)
     _check_connected(sys)
     return sys
 
@@ -220,16 +226,39 @@ def kinetic_energy_subset(traj: Trajectory, ti: int, nodes=None) -> float:
     return 0.5 * float(np.sum(traj.sys.masses * v**2))
 
 
+def potential_energy(sys: SystemMatrices, x: np.ndarray, bonds=None) -> float:
+    """(1/2) sum over bonds of kappa_jk (x_j - x_k)^2, summed over the axes of x.
+
+    ``x`` is (N,) or (D, N); ``bonds`` is a sequence of (j, k) pairs and
+    defaults to every bonded pair.
+    """
+    j, k = (sys.bonds if bonds is None
+            else np.asarray(bonds, dtype=int).reshape(-1, 2)).T
+    x = np.atleast_2d(x)
+    diff = x[:, j] - x[:, k]
+    return 0.5 * float(np.sum(sys.kappa[j, k] * diff**2))
+
+
+def pair_index(sys: SystemMatrices, bonds) -> np.ndarray:
+    """Index into ``sys.pairs`` of each (j, k) in ``bonds``; -1 where it is absent.
+
+    A bond given as (k, j) with k > j is absent, like a pair with zero
+    coupling.  Endpoints outside the system raise IndexError.
+    """
+    jk = np.asarray(bonds, dtype=int).reshape(-1, 2)
+    if jk.size and (jk.min() < 0 or jk.max() >= sys.n):
+        raise IndexError("bond endpoint outside the system")
+    keys = sys.bonds[:, 0] * sys.n + sys.bonds[:, 1]        # ascending
+    want = jk[:, 0] * sys.n + jk[:, 1]
+    pos = np.searchsorted(keys, want)
+    hit = pos < len(keys)
+    hit[hit] = keys[pos[hit]] == want[hit]
+    return np.where(hit, pos, -1)
+
+
 def potential_energy_subset(traj: Trajectory, ti: int, bonds=None) -> float:
     """(1/2) sum over bonds of kappa_jk (x_j - x_k)^2, all axes."""
-    sys = traj.sys
-    if bonds is None:
-        bonds = sys.pairs
-    x = traj.x[ti]
-    total = 0.0
-    for j, k in bonds:
-        total += 0.5 * sys.kappa[j, k] * float(np.sum((x[:, j] - x[:, k]) ** 2))
-    return total
+    return potential_energy(traj.sys, traj.x[ti], bonds)
 
 
 def total_energy(traj: Trajectory, ti: int) -> float:

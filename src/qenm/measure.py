@@ -71,25 +71,28 @@ def _axis_slice(state: encoding.EncodedState, axis):
 
 
 def subset_probability(state: encoding.EncodedState, sel: SubsetSelector) -> float:
-    """Summed |amplitude|^2 over the basis states selected by ``sel``."""
+    """Summed |amplitude|^2 over the basis states selected by ``sel``.
+
+    Bonds that are not bonded pairs (j, k), j < k, of the system select no
+    basis state and add nothing.
+    """
     if sel.target == "kinetic" or (sel.target == "displacement"
                                    and state.tag == "alternative"):
         nodes = np.asarray(sel.nodes, dtype=int)
         if nodes.size == 0:
             raise ValueError("empty node subset")
-        return float(sum(np.sum(np.abs(state.tensor[a, 0, nodes, 0]) ** 2)
-                         for a in _axis_slice(state, sel.axis)))
-    if sel.target == "potential":
-        bonds = sel.bonds if sel.bonds else tuple(state.sys.pairs)
-        total = 0.0
-        for a in _axis_slice(state, sel.axis):
-            for j, k in bonds:
-                total += abs(state.tensor[a, 1, j, k]) ** 2
-        return total
-    if sel.target == "displacement":
+        block = state.node_amps[:, nodes]
+    elif sel.target == "potential":
+        block = state.pair_amps
+        if sel.bonds:
+            cols = enm.pair_index(state.sys, sel.bonds)
+            block = block[:, cols[cols >= 0]]
+    elif sel.target == "displacement":
         raise ValueError(
             "standard encoding carries no displacement amplitudes (all kappa_jj = 0)")
-    raise ValueError(f"unknown selector target {sel.target!r}")
+    else:
+        raise ValueError(f"unknown selector target {sel.target!r}")
+    return float(sum(np.sum(np.abs(block[a]) ** 2) for a in _axis_slice(state, sel.axis)))
 
 
 def energy_fraction(state: encoding.EncodedState, sel: SubsetSelector,

@@ -1,3 +1,4 @@
+import copy
 import json
 import xml.etree.ElementTree as ET
 
@@ -164,3 +165,21 @@ def test_seed_stream_roles_are_stable():
     b = cli.derive_seed(0, "velocity-y")
     assert a != b
     assert cli.derive_seed(0, "velocity-x") == a
+
+
+def test_flags_leave_defaults_untouched(tmp_path):
+    before = copy.deepcopy(cli.DEFAULTS)
+    assert run(["lattice", "--out-dir", str(tmp_path / "o"),
+                "--temperature", "7", "--time-steps", "3"]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["physics"]["temperature"] == 7.0 and manifest["times"]["steps"] == 3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"physics": {"units": "physical"}}))
+    assert run(["lattice", "--config", str(cfg), "--out-dir", str(tmp_path / "p")]) == 0
+    assert cli.DEFAULTS == before
+
+
+def test_non_object_config_exit_code(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert run(["lattice", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2

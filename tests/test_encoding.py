@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from qenm import encoding, enm
 from qenm.circuits import simulate
@@ -86,6 +87,58 @@ def test_quantum_classical_trajectory_equivalence(small_sheet):
         ref = encoding.prepare_standard(sys, traj.x[ti], traj.xdot[ti])
         worst = max(worst, float(np.abs(st.tensor - ref.tensor).max()))
     assert worst <= 1e-8
+
+
+SERIES_TOL = 1e-10      # series vs dense-eig evolution, max amplitude difference
+
+
+@pytest.mark.parametrize("spec", [LatticeSpec(2, 1), LatticeSpec(2, 2)])
+@pytest.mark.parametrize("tag", ["standard", "alternative"])
+def test_series_evolution_matches_dense_reference(spec, tag):
+    sys = enm.build_system(spec)
+    x0, xdot0 = thermalish_ics(sys, seed=21, displaced=3, axes=2 if tag == "standard" else 1)
+    if tag == "standard":
+        st0 = encoding.prepare_standard(sys, x0, xdot0)
+    else:
+        st0 = encoding.prepare_alternative(sys, x0[0], xdot0[0])
+    bh = encoding.build_block_H(sys)
+    worst = 0.0
+    for t in np.linspace(-5.0, 40.0, 46):
+        got = encoding.evolve_exact(st0, bh, t).amps
+        ref = encoding.evolve_dense(st0, bh, t).amps
+        worst = max(worst, float(np.abs(got - ref).max()))
+    assert worst <= SERIES_TOL
+
+
+def test_series_degree_bounds_the_jacobi_anger_tail():
+    assert encoding.series_degree(0.0) == 0
+    degrees = []
+    for tau in (-30.0, -2.5, 1e-3, 0.5, 1.0, 7.3, 30.0, 98.0):
+        deg = encoding.series_degree(tau)
+        tail = 2.0 * np.abs(jv(np.arange(deg + 1, deg + 200), tau)).sum()
+        assert tail <= encoding.SERIES_EPS
+        assert deg + 2 >= abs(tau)
+        degrees.append(deg)
+    assert degrees[2:] == sorted(degrees[2:])
+    assert encoding.series_degree(-7.3) == encoding.series_degree(7.3)
+
+
+def test_tensor_scatters_amps_into_padded_layout(small_sheet):
+    sys = small_sheet
+    x0, xdot0 = thermalish_ics(sys, seed=4, displaced=4)
+    st = encoding.prepare_standard(sys, x0, xdot0)
+    n = sys.n
+    expect = np.zeros((st.axes, 2, n, n), dtype=complex)
+    for a in range(st.axes):
+        for j in range(n):
+            expect[a, 0, j, 0] = st.amps[a, j]
+        for col, (j, k) in enumerate(sys.pairs):
+            expect[a, 1, j, k] = st.amps[a, n + col]
+    padded = st.tensor
+    assert padded.shape == (2, 2, n, n)
+    assert np.array_equal(padded, expect)
+    assert not padded.flags.writeable
+    assert np.count_nonzero(padded) == np.count_nonzero(st.amps)
 
 
 def test_norm_preserved_over_many_times(small_sheet):
@@ -338,3 +391,10 @@ def test_state_dump(tmp_path, small_sheet):
     lines = path.read_text().splitlines()
     assert lines[0] == "axis,part,j,k,re,im"
     assert len(lines) > 1
+    # the padded-tensor sweep is the reference: same rows, same order, same digits
+    tensor = st.tensor
+    expect = [f"{a},{part},{j},{k},{amp.real:.17g},{amp.imag:.17g}"
+              for a in range(st.axes) for part in range(2)
+              for j in range(st.n) for k in range(st.n)
+              if abs(amp := tensor[a, part, j, k]) > 1e-12]
+    assert lines[1:] == expect

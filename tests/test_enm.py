@@ -46,6 +46,27 @@ def test_incidence_column_order_and_signs():
     assert sys.B[1, 0] == pytest.approx(-2.0)   # -sqrt(kappa/m_k) on k
 
 
+def test_bond_arrays_match_pair_scan(sheet):
+    n = sheet.n
+    scan = [(j, k) for j in range(n) for k in range(j + 1, n) if sheet.kappa[j, k] > 0.0]
+    assert sheet.pairs == scan
+    assert sheet.bonds.tolist() == [list(p) for p in scan]
+    assert enm.pair_index(sheet, scan[::-1]).tolist() == list(range(len(scan)))[::-1]
+
+
+def test_potential_energy_matches_bond_loop(sheet):
+    rng = np.random.default_rng(2)
+    x = rng.normal(0.0, 0.3, (3, sheet.n))
+    bonds = [sheet.pairs[i] for i in rng.choice(len(sheet.pairs), 9)] + [(0, 5), (7, 2)]
+    for subset in (None, bonds, ()):
+        loop = 0.0
+        for j, k in (sheet.pairs if subset is None else subset):
+            loop += 0.5 * sheet.kappa[j, k] * float(np.sum((x[:, j] - x[:, k]) ** 2))
+        assert enm.potential_energy(sheet, x, subset) == pytest.approx(loop, rel=1e-13, abs=0.0)
+    assert enm.potential_energy(sheet, x[0]) == pytest.approx(
+        enm.potential_energy(sheet, x[:1]), rel=1e-15)
+
+
 def test_disconnected_warning():
     with pytest.warns(UserWarning, match="disconnected"):
         enm.system_from_bonds(4, [(0, 1)])

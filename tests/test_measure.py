@@ -57,6 +57,25 @@ def test_potential_fraction_matches_classical(evolved_sheet):
         assert got.estimate == pytest.approx(ref, abs=1e-8)
 
 
+def test_potential_subset_matches_padded_layout(evolved_sheet):
+    # absent and reversed bonds have no slot: zero weight, as in the padded tensor
+    sys, _, states, _ = evolved_sheet
+    st = states[6]
+    j, k = sys.pairs[3]
+    absent = next((a, b) for a in range(sys.n) for b in range(a + 1, sys.n)
+                  if (a, b) not in set(sys.pairs))
+    for bonds in [((k, j),), (absent,), ((k, j), absent, sys.pairs[0]),
+                  (sys.pairs[0], sys.pairs[0], sys.pairs[5])]:
+        got = measure.subset_probability(st, SubsetSelector("potential", bonds=bonds))
+        ref = sum(abs(st.tensor[a, 1, jj, kk]) ** 2
+                  for a in range(st.axes) for jj, kk in bonds)
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+    assert measure.subset_probability(
+        st, SubsetSelector("potential", bonds=((k, j), absent))) == 0.0
+    with pytest.raises(IndexError):
+        measure.subset_probability(st, SubsetSelector("potential", bonds=((0, sys.n),)))
+
+
 def test_complement_law(evolved_sheet):
     sys, _, states, _ = evolved_sheet
     phys = tuple(int(j) for j in np.flatnonzero(sys.physical))
