@@ -8,9 +8,9 @@ import numpy as np
 from qenm.boltzmann import BucketKey, MBParams, discretize_two_bucket, \
     bucket_velocities
 from qenm.circuits import circuit_text, run_basis
-from qenm.lattice import LatticeSpec, decode_index, neighbor
-from qenm.oracles import (connectivity_oracle, mass_oracle, ordered_swap,
-                          run_inequality_loader, run_velocity_loader)
+from qenm.lattice import LatticeSpec
+from qenm.oracles import (connectivity_oracle, mass_oracle, oracle_mismatches,
+                          ordered_swap, run_inequality_loader, run_velocity_loader)
 
 spec = LatticeSpec(3, 2)
 
@@ -22,17 +22,9 @@ print(f"mass oracle: {len(mo.gates)} gates, z -> {run_basis(mo, {'z': 0})['z']}"
 sa = connectivity_oracle(spec)
 print(f"connectivity oracle on {spec.address_bits} address bits: "
       f"{sa.n_qubits} qubits, {len(sa.gates)} gates")
-mismatch = 0
-for j in range(spec.n_total):
-    co = decode_index(j, spec)
-    for l in range(3):
-        out = run_basis(sa, {"r": co.r, "c": co.c, "s": co.s, "ell": l})
-        k, valid = neighbor(j, l, spec)
-        kc = decode_index(k, spec)
-        ok = (out["rp"], out["cp"], out["sp"]) == (kc.r, kc.c, kc.s)
-        mismatch += not (ok and out["f"] == (0 if valid else 1))
-print(f"exhaustive sweep over {spec.n_total * 3} (j, slot) inputs: "
-      f"{mismatch} mismatches")
+states, mismatch, bonds = oracle_mismatches(sa, spec)
+print(f"exhaustive sweep over {states} (j, slot) inputs: {mismatch} mismatches, "
+      f"{len(bonds)} bonds")
 
 # comparator + controlled swap sort the pair registers and record the order
 osw = ordered_swap(4)

@@ -23,7 +23,7 @@ from .measure import (EstimateReport, SubsetSelector, energy_fraction,
                       heat_binary_search, heat_experiment, msd_fraction,
                       ripple_msd, shot_sample)
 from .oracles import (comparator, connectivity_oracle, coord_adder,
-                      inequality_test_loader, mass_oracle, ordered_swap,
-                      shift_init, velocity_loader_two_bucket)
+                      inequality_test_loader, mass_oracle, oracle_mismatches,
+                      ordered_swap, shift_init, velocity_loader_two_bucket)
 
 __version__ = "0.1.0"

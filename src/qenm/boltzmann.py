@@ -24,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
+from scipy.special import ndtri
 
-MOMENT_ABS_TOL = 1e-12
 TAIL_SIGMAS = 6.0
 
 _MASK64 = (1 << 64) - 1
@@ -89,18 +88,11 @@ def discretize_k_bucket(params: MBParams, k: int) -> DiscretizedMB:
         raise ValueError("need k >= 2 buckets")
     if params.T == 0:
         return DiscretizedMB((1.0,), (0.0,), (0, 1, 2, 3))
-    sigma = params.sigma
-    vmax = TAIL_SIGMAS * sigma
-    edges = stats.norm.ppf(np.linspace(0.0, 1.0, k + 1), scale=sigma)
-    edges = np.clip(edges, -vmax, vmax)
-    dens = stats.norm(scale=sigma).pdf
-    velocities = []
-    for i in range(k):
-        first, _ = integrate.quad(
-            lambda v: v * dens(v), edges[i], edges[i + 1], epsabs=MOMENT_ABS_TOL
-        )
-        velocities.append(first * k)
-    return DiscretizedMB(tuple(1.0 / k for _ in range(k)), tuple(velocities), (0, 1))
+    # standardized quantile edges; int_a^b z phi(z) dz = phi(a) - phi(b)
+    z = np.clip(ndtri(np.linspace(0.0, 1.0, k + 1)), -TAIL_SIGMAS, TAIL_SIGMAS)
+    phi = np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
+    velocities = params.sigma * k * (phi[:-1] - phi[1:])
+    return DiscretizedMB(tuple(1.0 / k for _ in range(k)), tuple(velocities.tolist()), (0, 1))
 
 
 def bucket_assignment(j: int, key: BucketKey) -> int:

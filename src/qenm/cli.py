@@ -33,8 +33,8 @@ from . import boltzmann, encoding, enm, measure, svgplot
 from .boltzmann import BucketKey, MBParams, prf64
 from .circuits import run_basis, simulate
 from .lattice import (LatticeSpec, adjacency, brute_force_adjacency, decode_index,
-                      dummy_mask, dump_lattice_csv, is_dummy, neighbor)
-from .oracles import comparator, connectivity_oracle, mass_oracle
+                      dummy_mask, dump_lattice_csv, neighbor)
+from .oracles import comparator, connectivity_oracle, mass_oracle, oracle_mismatches
 
 K_B_PHYSICAL = 0.8314462618     # amu A^2 ps^-2 K^-1
 SEED_ROLES = {"velocity-x": 0, "velocity-y": 1, "velocity-z": 2,
@@ -85,6 +85,7 @@ def resolve_config(args) -> dict:
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
     cfg = _merge(copy.deepcopy(DEFAULTS), file_cfg)
+    _check_types(cfg, DEFAULTS)
     if cfg["physics"].get("units") == "physical":
         phys_defaults = {"mass": 12.0, "k_B": K_B_PHYSICAL, "temperature": 300.0}
         file_phys = file_cfg.get("physics", {})
@@ -109,6 +110,20 @@ def resolve_config(args) -> dict:
             raise ConfigError(f"bad --sizes: {args.sizes}") from exc
     _validate_config(cfg)
     return cfg
+
+
+def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
+    """Each value must have the type of its ``DEFAULTS`` value, bools are not ints,
+    and a float setting, or the None default of ``window``, takes any number."""
+    for key, default in defaults.items():
+        name, value = prefix + key, cfg[key]
+        numeric = default is None or isinstance(default, float)
+        accepted = (int, float, type(default)) if numeric else type(default)
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            expected = "a number" if numeric else type(default).__name__
+            raise ConfigError(f"{name} must be {expected}, got {value!r}")
+        if isinstance(default, dict):
+            _check_types(value, default, name + ".")
 
 
 def _validate_config(cfg: dict) -> None:
@@ -232,7 +247,7 @@ def _validation_checks(cfg):
     sq = np.sqrt(sys.masses)
     err_f = float(np.abs((sq[:, None] * sys.B) @ (sq[:, None] * sys.B).T - sys.F).max())
     checks.append(("factorization-sqrtMB-equals-F", err_f <= 1e-10, f"max err {err_f:.2e}"))
-    eigs = np.linalg.eigvalsh(sys.A)
+    eigs = enm.spectral(sys).eigenvalues
     checks.append(("A-positive-semidefinite", eigs[0] >= -1e-10, f"min eig {eigs[0]:.2e}"))
     phys = np.flatnonzero(sys.physical)
     a_phys = sys.A[np.ix_(phys, phys)]
@@ -255,19 +270,9 @@ def _validation_checks(cfg):
     fdrift = (max(fvals) - min(fvals)) / max(fvals)
     checks.append(("F-conservation", fdrift <= 1e-8, f"rel drift {fdrift:.2e}"))
 
-    circ = connectivity_oracle(spec)
-    mismatches = 0
-    for j in range(spec.n_total):
-        co = decode_index(j, spec)
-        for l in range(3):
-            outp = run_basis(circ, {"r": co.r, "c": co.c, "s": co.s, "ell": l})
-            k_cl, valid = neighbor(j, l, spec)
-            kc = decode_index(k_cl, spec)
-            if ((outp["rp"], outp["cp"], outp["sp"], outp["f"], outp["ell"], outp["anc"])
-                    != (kc.r, kc.c, kc.s, 0 if valid else 1, 0, 0)):
-                mismatches += 1
+    states, mismatches, _ = oracle_mismatches(connectivity_oracle(spec), spec)
     checks.append(("connectivity-oracle-exhaustive", mismatches == 0,
-                   f"{spec.n_total * 3} basis states, {mismatches} mismatches"))
+                   f"{states} basis states, {mismatches} mismatches"))
 
     mo = mass_oracle(12, spec.address_bits)
     once = run_basis(mo, {"j": 3, "z": 0})["z"]

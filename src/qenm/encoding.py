@@ -64,11 +64,11 @@ from scipy import sparse
 from scipy.special import jv
 
 from . import enm
-from .circuits import (Circuit, Gate, controlled_gates, inverted_gates, simulate)
+from .circuits import (Circuit, Gate, _gather, controlled_gates, inverted_gates, simulate)
 from .enm import SystemMatrices
-from .lattice import LatticeSpec, decode_index, neighbor
-from .oracles import (_emit_coord_add, _emit_shift, _emit_slot_uncompute,
-                      _emit_validation, emit_slot_superposition, node_value_bits)
+from .lattice import LatticeSpec, neighbor
+from .oracles import (_emit_connectivity, _emit_ordered_swap, _node_assign,
+                      _oracle_registers, emit_slot_superposition, node_value_bits)
 
 DESK_DIM_LIMIT = 1 << 13
 SERIES_EPS = 1e-12      # operator-norm bound on the truncated Jacobi-Anger tail
@@ -360,26 +360,14 @@ def _shadow(circ: Circuit) -> Circuit:
     return sh
 
 
-def _emit_incidence_dagger(circ: Circuit, spec: LatticeSpec) -> list[Gate]:
+def _emit_incidence_dagger(circ: Circuit) -> list[Gate]:
     """Gate list whose |0>-ancilla block is B^T / sqrt(2 kappa/m d)."""
     sh = _shadow(circ)
-    regs = circ.registers
-    r, c, s = regs["r"], regs["c"], regs["s"]
-    ell, rp, cp, sp = regs["ell"], regs["rp"], regs["cp"], regs["sp"]
-    f, anc = regs["f"], regs["anc"]
-    cmp_q, ord_q = regs["cmp"], regs["ord"]
-    emit_slot_superposition(sh, ell)
-    _emit_shift(sh, r, s, ell, rp, cp, sp)
-    _emit_slot_uncompute(sh, r, s, ell, rp, cp)
-    _emit_coord_add(sh, r, c, s, rp, cp, sp)
-    _emit_validation(sh, (r, c, s), (rp, cp, sp), f, anc)
-    j_bits = node_value_bits(sh, primed=False)
-    k_bits = node_value_bits(sh, primed=True)
-    sh.compare_lt(k_bits, j_bits, cmp_q[0])
-    sh.x(ord_q[0], [(cmp_q[0], 1)])
-    for qa, qb in zip(j_bits, k_bits):
-        sh.swap(qa, qb, [(cmp_q[0], 1)])
-    sh.x(cmp_q[0], [(ord_q[0], 1)])
+    cmp_q, ord_q = circ.registers["cmp"], circ.registers["ord"]
+    emit_slot_superposition(sh, circ.registers["ell"])
+    _emit_connectivity(sh)
+    _emit_ordered_swap(sh, node_value_bits(sh, primed=False), node_value_bits(sh, primed=True),
+                       cmp_q[0], ord_q[0])
     sh.z(ord_q[0])
     sh.h(ord_q[0])
     return sh.gates
@@ -401,24 +389,17 @@ def _emit_ucond(circ: Circuit, a_bit: int, t_bits) -> list[Gate]:
     return sh.gates
 
 
-def _oracle_registers(circ: Circuit, spec: LatticeSpec) -> None:
-    circ.register("r", spec.n_r)
-    circ.register("c", spec.n_c)
-    circ.register("s", 1)
-    circ.register("ell", 2)
-    circ.register("rp", spec.n_r)
-    circ.register("cp", spec.n_c)
-    circ.register("sp", 1)
-    circ.register("f", 1)
-    circ.register("anc", 6)
+def _block_registers(circ: Circuit, spec: LatticeSpec) -> None:
+    """The connectivity oracle's registers plus comparator and order bits."""
+    _oracle_registers(circ, spec)
     circ.register("cmp", 1)
     circ.register("ord", 1)
 
 
 def incidence_block_circuit(spec: LatticeSpec) -> Circuit:
     circ = Circuit()
-    _oracle_registers(circ, spec)
-    circ.gates = _emit_incidence_dagger(circ, spec)
+    _block_registers(circ, spec)
+    circ.gates = _emit_incidence_dagger(circ)
     return circ
 
 
@@ -435,8 +416,8 @@ def hamiltonian_block_circuit(spec: LatticeSpec) -> Circuit:
     circ = Circuit()
     p = circ.register("p", 1)
     ca = circ.register("ca", 1)
-    _oracle_registers(circ, spec)
-    ub_dagger = _emit_incidence_dagger(circ, spec)
+    _block_registers(circ, spec)
+    ub_dagger = _emit_incidence_dagger(circ)
     ub = inverted_gates(ub_dagger)
     k_bits = node_value_bits(circ, primed=True)
     ucond = _emit_ucond(circ, ca[0], k_bits)
@@ -454,29 +435,29 @@ def hamiltonian_block_circuit(spec: LatticeSpec) -> Circuit:
 # -- block extraction ---------------------------------------------------------
 
 
-def _node_assign(spec: LatticeSpec, j: int, primed: bool) -> dict[str, int]:
-    co = decode_index(j, spec)
-    if primed:
-        return {"rp": co.r, "cp": co.c, "sp": co.s}
-    return {"r": co.r, "c": co.c, "s": co.s}
-
-
-_ZERO_REGS = ("ell", "f", "anc", "cmp", "ord")
+def _block_column(circ: Circuit, init: dict[str, int], lead=()) -> dict:
+    """Simulate from ``init``, project all qubits outside the node registers and
+    ``lead`` onto |0>, and sum by key (lead values, j, k), with j and k read in
+    index bit order (s, c, r)."""
+    state = simulate(circ, init)
+    lead_bits = [circ.registers[nm].bits for nm in lead]
+    j_bits = node_value_bits(circ, primed=False)
+    k_bits = node_value_bits(circ, primed=True)
+    kept = {*j_bits, *k_bits, *(q for bits in lead_bits for q in bits)}
+    ancilla_mask = sum(1 << q for q in range(circ.n_qubits) if q not in kept)
+    col: dict[tuple[int, ...], complex] = {}
+    for key, amp in state.amps.items():
+        if key & ancilla_mask:
+            continue
+        rc = (*(_gather(key, bits) for bits in lead_bits), _gather(key, j_bits),
+              _gather(key, k_bits))
+        col[rc] = col.get(rc, 0.0) + amp
+    return {rc: a for rc, a in col.items() if abs(a) > 1e-14}
 
 
 def incidence_block_column(circ: Circuit, spec: LatticeSpec, j: int) -> dict:
     """Column j of the postselected block, keyed by (j', k') node indices."""
-    state = simulate(circ, _node_assign(spec, j, primed=False))
-    col: dict[tuple[int, int], complex] = {}
-    for key, amp in state.amps.items():
-        if any(state.value(key, nm) != 0 for nm in _ZERO_REGS):
-            continue
-        co_j = (state.value(key, "r"), state.value(key, "c"), state.value(key, "s"))
-        co_k = (state.value(key, "rp"), state.value(key, "cp"), state.value(key, "sp"))
-        jj = (co_j[0] << (spec.n_c + 1)) | (co_j[1] << 1) | co_j[2]
-        kk = (co_k[0] << (spec.n_c + 1)) | (co_k[1] << 1) | co_k[2]
-        col[(jj, kk)] = col.get((jj, kk), 0.0) + amp
-    return {rc: a for rc, a in col.items() if abs(a) > 1e-14}
+    return _block_column(circ, _node_assign(spec, j, primed=False))
 
 
 def expected_incidence_column(spec: LatticeSpec, j: int, d: int = 3) -> dict:
@@ -496,23 +477,8 @@ def expected_incidence_column(spec: LatticeSpec, j: int, d: int = 3) -> dict:
 def hamiltonian_block_column(circ: Circuit, spec: LatticeSpec, part: int,
                              j: int, k: int) -> dict:
     """Column (part, j, k) of the postselected block, keyed by (part', j', k')."""
-    init = {"p": part, "ca": 0}
-    init.update(_node_assign(spec, j, primed=False))
-    init.update(_node_assign(spec, k, primed=True))
-    state = simulate(circ, init)
-    col: dict[tuple[int, int, int], complex] = {}
-    for key, amp in state.amps.items():
-        if state.value(key, "ca") != 0:
-            continue
-        if any(state.value(key, nm) != 0 for nm in _ZERO_REGS):
-            continue
-        jj = ((state.value(key, "r") << (spec.n_c + 1))
-              | (state.value(key, "c") << 1) | state.value(key, "s"))
-        kk = ((state.value(key, "rp") << (spec.n_c + 1))
-              | (state.value(key, "cp") << 1) | state.value(key, "sp"))
-        rc = (state.value(key, "p"), jj, kk)
-        col[rc] = col.get(rc, 0.0) + amp
-    return {rc: a for rc, a in col.items() if abs(a) > 1e-14}
+    init = {"p": part, **_node_assign(spec, j, primed=False), **_node_assign(spec, k, primed=True)}
+    return _block_column(circ, init, lead=("p",))
 
 
 def dump_state_csv(state: EncodedState, path, threshold: float = 1e-12) -> None:

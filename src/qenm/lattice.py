@@ -25,7 +25,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 #: (r0, s, l) -> (delta_r, delta_c); the sublattice shift is always 1.
 SHIFT_TABLE = {
@@ -183,6 +182,7 @@ def brute_force_adjacency(spec: LatticeSpec) -> Adjacency:
     """
     if spec.n_total > 1 << 14:
         raise ValueError("geometric oracle is meant for small lattices")
+    from scipy.spatial import cKDTree   # imported here: only this test oracle needs it
     dummies = dummy_mask(spec)
     pos = node_positions(spec)
     phys = np.flatnonzero(~dummies)

@@ -4,7 +4,8 @@ The standard encoding exposes energies as probabilities: the summed
 |amplitude|^2 over a node subset V of the velocity block is K_V(t)/E, and
 over a bond subset of the pair block is U_V(t)/E.  The alternative
 encoding exposes squared displacements: the first-block weight of V is
-sum_V (P y)_i^2 / 2F, so the subset MSD is (2F/|V|) times that weight.
+sum_V (P y)_i^2 / 2F with y = sqrt(m) x, so the subset MSD is (2F/|V|)
+times that weight with each node's term divided by its mass m_i.
 
 Exact-expectation mode reads the probabilities off the statevector; shot
 mode Bernoulli-samples subset membership and reports the binomial standard
@@ -108,11 +109,13 @@ def energy_fraction(state: encoding.EncodedState, sel: SubsetSelector,
 
 def msd_fraction(state: encoding.EncodedState, sel: SubsetSelector,
                  epsilon: float = 0.01, delta: float = 0.05) -> EstimateReport:
-    """Subset MSD fraction and the rescaled (2F/|V|) value, alternative encoding."""
+    """Subset MSD fraction and the MSD (2F/|V|) sum_V |amp_j|^2 / m_j, alternative encoding."""
     if state.tag != "alternative":
         raise ValueError("MSD requires the alternative encoding")
     frac = subset_probability(state, SubsetSelector("displacement", sel.nodes))
-    msd = 2.0 * state.norm_constant * frac / len(sel.nodes)
+    nodes = np.asarray(sel.nodes, dtype=int)
+    weight = float(np.sum(np.abs(state.node_amps[0, nodes]) ** 2 / state.sys.masses[nodes]))
+    msd = 2.0 * state.norm_constant * weight / len(sel.nodes)
     return EstimateReport(frac, "exact-expectation", observable=msd,
                           epsilon=epsilon, delta=delta)
 

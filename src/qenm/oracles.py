@@ -10,7 +10,11 @@ neighbor register (controlled on row parity and sublattice, one case per
 table row, deliberately unsimplified), uncompute the slot index from the
 shift pattern so the slot register disentangles, ripple-add the source
 coordinates (modular, so boundary cells wrap), and OR the four dummy rules
-for both endpoints into the flag, restoring every scratch ancilla.
+for both endpoints into the flag, restoring every scratch ancilla.  The
+register layout (``_oracle_registers``) and the stage sequence
+(``_emit_connectivity``) are declared once; the standalone stage circuits
+and the block encodings in ``encoding`` build on them, and
+``oracle_mismatches`` is the one exhaustive check against the lattice.
 
 Slot values outside {0, 1, 2} are undefined; drivers assert they never
 reach the oracle.
@@ -23,8 +27,9 @@ import math
 import numpy as np
 
 from .boltzmann import BucketKey
-from .circuits import Circuit, Register, simulate
-from .lattice import SHIFT_TABLE, LatticeSpec
+from .circuits import Circuit, Register, run_basis, simulate
+from .lattice import (SHIFT_TABLE, LatticeSpec, NodeCoord, decode_index, encode_coord,
+                      neighbor)
 
 
 def _twos(value: int, width: int) -> int:
@@ -48,9 +53,10 @@ def mass_oracle(mass: int | str, n_address: int, width: int | None = None) -> Ci
 # -- connectivity oracle stages ---------------------------------------------
 
 
-def _emit_shift(circ: Circuit, r: Register, s: Register, ell: Register,
-                rp: Register, cp: Register, sp: Register) -> None:
+def _emit_shift(circ: Circuit) -> None:
     """Load the slot's (delta_r, delta_c, 1) into the neighbor register."""
+    reg = circ.registers
+    r, s, ell, rp, cp, sp = (reg[nm] for nm in ("r", "s", "ell", "rp", "cp", "sp"))
     for (r0v, sv, lv), (drv, dcv) in sorted(SHIFT_TABLE.items()):
         if lv == 0:
             continue
@@ -64,9 +70,10 @@ def _emit_shift(circ: Circuit, r: Register, s: Register, ell: Register,
     circ.x(sp[0])
 
 
-def _emit_slot_uncompute(circ: Circuit, r: Register, s: Register, ell: Register,
-                         rp: Register, cp: Register) -> None:
+def _emit_slot_uncompute(circ: Circuit) -> None:
     """Clear the slot register; the shift pattern determines the slot."""
+    reg = circ.registers
+    r, s, ell, rp, cp = (reg[nm] for nm in ("r", "s", "ell", "rp", "cp"))
     for (r0v, sv, lv), (drv, dcv) in sorted(SHIFT_TABLE.items()):
         if lv == 0:
             continue
@@ -78,12 +85,12 @@ def _emit_slot_uncompute(circ: Circuit, r: Register, s: Register, ell: Register,
                 circ.x(ell[i], controls)
 
 
-def _emit_coord_add(circ: Circuit, r: Register, c: Register, s: Register,
-                    rp: Register, cp: Register, sp: Register) -> None:
+def _emit_coord_add(circ: Circuit) -> None:
     """Neighbor register: shift -> absolute coordinates, modular wrap."""
-    circ.add(r.bits, rp.bits)
-    circ.add(c.bits, cp.bits)
-    circ.x(sp[0], [(s[0], 1)])
+    reg = circ.registers
+    circ.add(reg["r"].bits, reg["rp"].bits)
+    circ.add(reg["c"].bits, reg["cp"].bits)
+    circ.x(reg["sp"][0], [(reg["s"][0], 1)])
 
 
 def _emit_conditions(circ: Circuit, r: Register, c: Register, s: Register,
@@ -106,8 +113,12 @@ def _emit_node_dummy(circ: Circuit, r: Register, c: Register, s: Register,
     _emit_conditions(circ, r, c, s, anc)
 
 
-def _emit_validation(circ: Circuit, src, dst, f: Register, anc: Register) -> None:
+def _emit_validation(circ: Circuit) -> None:
     """f ^= D(j) or D(k); all six scratch bits uncomputed."""
+    reg = circ.registers
+    src = reg["r"], reg["c"], reg["s"]
+    dst = reg["rp"], reg["cp"], reg["sp"]
+    f, anc = reg["f"], reg["anc"]
     dj, dk = anc[4], anc[5]
     _emit_node_dummy(circ, *src, anc, dj)
     _emit_node_dummy(circ, *dst, anc, dk)
@@ -117,81 +128,103 @@ def _emit_validation(circ: Circuit, src, dst, f: Register, anc: Register) -> Non
     _emit_node_dummy(circ, *src, anc, dj)
 
 
+def _oracle_registers(circ: Circuit, spec: LatticeSpec) -> Circuit:
+    """Declare S_a's registers on ``circ``; the stage emitters read them by name."""
+    circ.register("r", spec.n_r)
+    circ.register("c", spec.n_c)
+    circ.register("s", 1)
+    circ.register("ell", 2)
+    circ.register("rp", spec.n_r)
+    circ.register("cp", spec.n_c)
+    circ.register("sp", 1)
+    circ.register("f", 1)
+    circ.register("anc", 6)
+    return circ
+
+
+def _emit_connectivity(circ: Circuit) -> None:
+    """S_a on registers declared by ``_oracle_registers``."""
+    _emit_shift(circ)
+    _emit_slot_uncompute(circ)
+    _emit_coord_add(circ)
+    _emit_validation(circ)
+
+
 def shift_init(spec: LatticeSpec) -> Circuit:
-    """Standalone shift-loading stage; inputs r0, s, slot index."""
-    circ = Circuit()
-    r0 = circ.register("r0", 1)
-    s = circ.register("s", 1)
-    ell = circ.register("ell", 2)
-    rp = circ.register("dr", spec.n_r)
-    cp = circ.register("dc", spec.n_c)
-    sp = circ.register("ds", 1)
-    _emit_shift(circ, r0, s, ell, rp, cp, sp)
+    """Standalone shift-loading stage; inputs r (only its parity bit acts), s, ell."""
+    circ = _oracle_registers(Circuit(), spec)
+    _emit_shift(circ)
     return circ
 
 
 def coord_adder(spec: LatticeSpec) -> Circuit:
     """Standalone modular coordinate addition; shift registers pre-loaded."""
-    circ = Circuit()
-    r = circ.register("r", spec.n_r)
-    c = circ.register("c", spec.n_c)
-    s = circ.register("s", 1)
-    rp = circ.register("rp", spec.n_r)
-    cp = circ.register("cp", spec.n_c)
-    sp = circ.register("sp", 1)
-    _emit_coord_add(circ, r, c, s, rp, cp, sp)
+    circ = _oracle_registers(Circuit(), spec)
+    _emit_coord_add(circ)
     return circ
 
 
 def bond_validation(spec: LatticeSpec) -> Circuit:
     """Standalone ghost-bond detector over two populated node registers."""
-    circ = Circuit()
-    regs = _node_registers(circ, spec)
-    f = circ.register("f", 1)
-    anc = circ.register("anc", 6)
-    _emit_validation(circ, regs[:3], regs[3:], f, anc)
+    circ = _oracle_registers(Circuit(), spec)
+    _emit_validation(circ)
     return circ
-
-
-def _node_registers(circ: Circuit, spec: LatticeSpec):
-    r = circ.register("r", spec.n_r)
-    c = circ.register("c", spec.n_c)
-    s = circ.register("s", 1)
-    rp = circ.register("rp", spec.n_r)
-    cp = circ.register("cp", spec.n_c)
-    sp = circ.register("sp", 1)
-    return r, c, s, rp, cp, sp
 
 
 def connectivity_oracle(spec: LatticeSpec) -> Circuit:
     """Full S_a: shift, slot uncompute, coordinate add, bond validation."""
-    circ = Circuit()
-    r = circ.register("r", spec.n_r)
-    c = circ.register("c", spec.n_c)
-    s = circ.register("s", 1)
-    ell = circ.register("ell", 2)
-    rp = circ.register("rp", spec.n_r)
-    cp = circ.register("cp", spec.n_c)
-    sp = circ.register("sp", 1)
-    f = circ.register("f", 1)
-    anc = circ.register("anc", 6)
-    _emit_shift(circ, r, s, ell, rp, cp, sp)
-    _emit_slot_uncompute(circ, r, s, ell, rp, cp)
-    _emit_coord_add(circ, r, c, s, rp, cp, sp)
-    _emit_validation(circ, (r, c, s), (rp, cp, sp), f, anc)
+    circ = _oracle_registers(Circuit(), spec)
+    _emit_connectivity(circ)
     return circ
+
+
+def oracle_mismatches(circ: Circuit, spec: LatticeSpec) -> tuple[int, int, set[tuple[int, int]]]:
+    """Run a built S_a on every (j, slot) basis input and check it against ``lattice.neighbor``.
+
+    An output matches when it holds the source, the neighbor, f = 1 exactly
+    for ghost bonds and 0 in every other register (slot, scratch).  Returns
+    (inputs, mismatching outputs, bonds (min, max) read off the f = 0 outputs).
+    """
+    zeros = dict.fromkeys(circ.registers, 0)
+    mismatches = 0
+    bonds: set[tuple[int, int]] = set()
+    for j in range(spec.n_total):
+        src = _node_assign(spec, j, primed=False)
+        for l in range(3):
+            out = run_basis(circ, {**src, "ell": l})
+            k, valid = neighbor(j, l, spec)
+            mismatches += out != {**zeros, **src, **_node_assign(spec, k, primed=True),
+                                  "f": int(not valid)}
+            if out["f"] == 0:
+                k_out = encode_coord(NodeCoord(out["rp"], out["cp"], out["sp"]), spec)
+                bonds.add((min(j, k_out), max(j, k_out)))
+    return 3 * spec.n_total, mismatches, bonds
+
+
+def _node_assign(spec: LatticeSpec, j: int, primed: bool) -> dict[str, int]:
+    """Register values {r, c, s} (or the primed names) of node j."""
+    co = decode_index(j, spec)
+    if primed:
+        return {"rp": co.r, "cp": co.c, "sp": co.s}
+    return {"r": co.r, "c": co.c, "s": co.s}
 
 
 def node_value_bits(circ: Circuit, primed: bool) -> tuple[int, ...]:
     """Qubits of a node register in index significance order (s, c, r)."""
     names = ("sp", "cp", "rp") if primed else ("s", "c", "r")
-    bits: list[int] = []
-    for name in names:
-        bits.extend(circ.registers[name].bits)
-    return tuple(bits)
+    return tuple(q for name in names for q in circ.registers[name].bits)
 
 
 # -- comparator and ordered swap --------------------------------------------
+
+
+def _emit_ordered_swap(circ: Circuit, j_bits, k_bits, flag: int, order: int) -> None:
+    """Swap j and k when k < j and record that in ``order``; ``flag`` is restored."""
+    circ.compare_lt(k_bits, j_bits, flag)
+    circ.x(order, [(flag, 1)])
+    for qa, qb in zip(j_bits, k_bits):
+        circ.swap(qa, qb, [(flag, 1)])
+    circ.x(flag, [(order, 1)])
 
 
 def comparator(width: int) -> Circuit:
@@ -211,11 +244,7 @@ def ordered_swap(width: int) -> Circuit:
     k = circ.register("k", width)
     flag = circ.register("flag", 1)
     order = circ.register("order", 1)
-    circ.compare_lt(k.bits, j.bits, flag[0])
-    circ.x(order[0], [(flag[0], 1)])
-    for i in range(width):
-        circ.swap(j[i], k[i], [(flag[0], 1)])
-    circ.x(flag[0], [(order[0], 1)])
+    _emit_ordered_swap(circ, j.bits, k.bits, flag[0], order[0])
     return circ
 
 

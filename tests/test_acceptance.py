@@ -11,11 +11,9 @@ import numpy as np
 import pytest
 
 from qenm import boltzmann, cli, encoding, enm, measure
-from qenm.circuits import run_basis
-from qenm.lattice import (LatticeSpec, brute_force_adjacency, decode_index,
-                          neighbor)
+from qenm.lattice import LatticeSpec, brute_force_adjacency
 from qenm.measure import SubsetSelector
-from qenm.oracles import connectivity_oracle
+from qenm.oracles import connectivity_oracle, oracle_mismatches
 
 
 def _report(num: int, detail: str) -> None:
@@ -74,24 +72,9 @@ def test_criterion_2_connectivity_oracle_equivalence():
     total = mismatches = 0
     for spec in specs:
         assert spec.address_bits <= 12
-        circ = connectivity_oracle(spec)
-        geo_bonds = brute_force_adjacency(spec).bond_set()
-        circuit_bonds = set()
-        for j in range(spec.n_total):
-            co = decode_index(j, spec)
-            for l in range(3):
-                out = run_basis(circ, {"r": co.r, "c": co.c, "s": co.s, "ell": l})
-                k_cl, valid = neighbor(j, l, spec)
-                kc = decode_index(k_cl, spec)
-                total += 1
-                if ((out["rp"], out["cp"], out["sp"], out["f"], out["ell"], out["anc"])
-                        != (kc.r, kc.c, kc.s, 0 if valid else 1, 0, 0)):
-                    mismatches += 1
-                if out["f"] == 0:
-                    k_val = (out["rp"] << (spec.n_c + 1)) | (out["cp"] << 1) | out["sp"]
-                    circuit_bonds.add((min(j, k_val), max(j, k_val)))
-        if circuit_bonds != geo_bonds:
-            mismatches += 1
+        states, bad, circuit_bonds = oracle_mismatches(connectivity_oracle(spec), spec)
+        total += states
+        mismatches += bad + (circuit_bonds != brute_force_adjacency(spec).bond_set())
     elapsed = time.time() - start
     assert mismatches == 0
     assert elapsed < 120.0

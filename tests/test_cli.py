@@ -1,9 +1,14 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import qenm
 from qenm import cli
 from qenm.lattice import SHIFT_TABLE, LatticeSpec, dummy_mask
 
@@ -183,3 +188,23 @@ def test_non_object_config_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")
     assert run(["lattice", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("config, key", [({"physics": 5}, "physics"),
+                                         ({"lattice": {"n_r": "3"}}, "lattice.n_r"),
+                                         ({"times": {"steps": 2.5}}, "times.steps")])
+def test_ill_typed_config_exit_code(tmp_path, capsys, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["lattice", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"config error: {key} must be" in capsys.readouterr().err
+
+
+def test_cli_import_skips_heavy_scipy_modules():
+    # scipy.stats/integrate/spatial cost most of the import time; none is needed to start
+    env = {**os.environ, "PYTHONPATH": str(Path(qenm.__file__).resolve().parents[1])}
+    code = ("import sys, qenm.cli; print(sorted(m for m in sys.modules if m in "
+            "('scipy.stats', 'scipy.integrate', 'scipy.spatial')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

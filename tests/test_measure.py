@@ -237,6 +237,13 @@ def test_ripple_quantum_matches_classical():
     assert res.b_factor == pytest.approx(8 * np.pi**2 * res.mean_msd)
 
 
+def test_ripple_quantum_matches_classical_at_carbon_mass():
+    # node amplitudes carry sqrt(m) x; the MSD must not scale with m
+    res = measure.ripple_msd(LatticeSpec(2, 1), np.linspace(0, 15, 40),
+                             temperature=0.8, mass=12.0, seed=3)
+    assert np.abs(res.msd - res.msd_classical).max() <= 1e-8 * res.msd.max()
+
+
 def test_ripple_linear_in_temperature():
     temps = np.array([0.4, 0.8, 1.2, 1.6])
     times = np.linspace(0.0, 15.0, 40)

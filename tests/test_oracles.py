@@ -6,11 +6,12 @@ import pytest
 from qenm.boltzmann import BucketKey, bucket_assignment, bucket_velocities, \
     discretize_two_bucket, MBParams
 from qenm.circuits import Circuit, inverse, run_basis, simulate
-from qenm.lattice import SHIFT_TABLE, LatticeSpec, decode_index, neighbor
+from qenm.lattice import SHIFT_TABLE, LatticeSpec, decode_index
 from qenm.oracles import (comparator, connectivity_oracle, coord_adder,
                           emit_slot_superposition, inequality_test_loader,
-                          mass_oracle, ordered_swap, run_inequality_loader,
-                          run_velocity_loader, shift_init, velocity_loader_two_bucket)
+                          mass_oracle, oracle_mismatches, ordered_swap,
+                          run_inequality_loader, run_velocity_loader, shift_init,
+                          velocity_loader_two_bucket)
 
 
 def signed(value: int, width: int) -> int:
@@ -37,19 +38,19 @@ def test_shift_table_all_cases():
     spec = LatticeSpec(3, 2)
     circ = shift_init(spec)
     for (r0, s, l), (dr, dc) in SHIFT_TABLE.items():
-        out = run_basis(circ, {"r0": r0, "s": s, "ell": l})
-        assert signed(out["dr"], spec.n_r) == dr
-        assert signed(out["dc"], spec.n_c) == dc
-        assert out["ds"] == 1
+        out = run_basis(circ, {"r": r0, "s": s, "ell": l})
+        assert signed(out["rp"], spec.n_r) == dr
+        assert signed(out["cp"], spec.n_c) == dc
+        assert out["sp"] == 1
         assert out["ell"] == l          # slot preserved at this stage
 
 
 def test_shift_specific_entries():
     circ = shift_init(LatticeSpec(2, 2))
-    out = run_basis(circ, {"r0": 0, "s": 0, "ell": 1})
-    assert (signed(out["dr"], 2), signed(out["dc"], 2)) == (-1, 0)
-    out = run_basis(circ, {"r0": 1, "s": 1, "ell": 2})
-    assert (signed(out["dr"], 2), signed(out["dc"], 2)) == (+1, 0)
+    out = run_basis(circ, {"r": 0, "s": 0, "ell": 1})
+    assert (signed(out["rp"], 2), signed(out["cp"], 2)) == (-1, 0)
+    out = run_basis(circ, {"r": 3, "s": 1, "ell": 2})
+    assert (signed(out["rp"], 2), signed(out["cp"], 2)) == (+1, 0)
 
 
 # -- coordinate adder ------------------------------------------------------------
@@ -65,33 +66,21 @@ def test_coord_adder_wraps():
     assert out["rp"] == 5 and out["cp"] == 2 and out["sp"] == 0
 
 
-def test_shift_plus_adder_match_neighbor_exhaustive():
-    spec = LatticeSpec(2, 2)
-    circ = connectivity_oracle(spec)
-    for j in range(spec.n_total):
-        co = decode_index(j, spec)
-        for l in range(3):
-            out = run_basis(circ, {"r": co.r, "c": co.c, "s": co.s, "ell": l})
-            k, _ = neighbor(j, l, spec)
-            kc = decode_index(k, spec)
-            assert (out["rp"], out["cp"], out["sp"]) == (kc.r, kc.c, kc.s)
-
-
 # -- bond validation & full oracle ------------------------------------------------
 
 @pytest.mark.parametrize("spec", [LatticeSpec(2, 1), LatticeSpec(2, 2), LatticeSpec(3, 2)])
 def test_connectivity_oracle_exhaustive(spec):
-    circ = connectivity_oracle(spec)
-    for j in range(spec.n_total):
-        co = decode_index(j, spec)
-        for l in range(3):
-            out = run_basis(circ, {"r": co.r, "c": co.c, "s": co.s, "ell": l})
-            k, valid = neighbor(j, l, spec)
-            kc = decode_index(k, spec)
-            assert (out["rp"], out["cp"], out["sp"]) == (kc.r, kc.c, kc.s)
-            assert out["f"] == (0 if valid else 1)
-            assert out["ell"] == 0 and out["anc"] == 0
-            assert (out["r"], out["c"], out["s"]) == (co.r, co.c, co.s)
+    states, mismatches, _ = oracle_mismatches(connectivity_oracle(spec), spec)
+    assert (states, mismatches) == (3 * spec.n_total, 0)
+
+
+def test_oracle_sweep_catches_every_dropped_gate():
+    spec = LatticeSpec(2, 2)
+    n_gates = len(connectivity_oracle(spec).gates)
+    for i in range(n_gates):
+        circ = connectivity_oracle(spec)
+        del circ.gates[i]
+        assert oracle_mismatches(circ, spec)[1] > 0, f"dropping gate {i} went unnoticed"
 
 
 def test_connectivity_oracle_reversible():
@@ -113,17 +102,9 @@ def test_connectivity_oracle_expanded_to_elementary_gates():
     # into MAJ/UMA ripple chains
     from qenm.circuits import expand_composites
     spec = LatticeSpec(2, 1)
-    circ = connectivity_oracle(spec)
-    flat = expand_composites(circ)
+    flat = expand_composites(connectivity_oracle(spec))
     assert all(g.kind == "x" for g in flat.gates)
-    for j in range(spec.n_total):
-        co = decode_index(j, spec)
-        for l in range(3):
-            init = {"r": co.r, "c": co.c, "s": co.s, "ell": l}
-            out_c = run_basis(circ, init)
-            out_f = run_basis(flat, init)
-            assert out_f.pop("scratch") == 0
-            assert out_c == out_f
+    assert oracle_mismatches(flat, spec)[1] == 0     # the chains' scratch ends at 0 too
 
 
 def test_slot_three_is_flagged_by_driver():
