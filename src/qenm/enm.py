@@ -106,11 +106,14 @@ def _check_connected(sys: SystemMatrices) -> None:
 
 
 def system_from_bonds(n, bonds, kappa=1.0, mass=1.0, physical=None) -> SystemMatrices:
-    """Ad-hoc oscillator network from an explicit bond list."""
+    """Ad-hoc oscillator network from an explicit bond list.
+
+    ``mass`` is one mass for every site or a sequence of n masses.
+    """
     km = np.zeros((n, n))
     for j, k in bonds:
         km[j, k] = km[k, j] = kappa
-    masses = np.full(n, float(mass))
+    masses = np.full(n, mass, dtype=float)
     if physical is None:
         physical = np.ones(n, dtype=bool)
     return _assemble(masses, km, np.asarray(physical, dtype=bool))
@@ -143,6 +146,35 @@ def spectral(sys: SystemMatrices) -> SpectralData:
         P = np.eye(sys.n) - v[:, null] @ v[:, null].T
         sys._spectral = SpectralData(w, v, tol, int(null.sum()), P)
     return sys._spectral
+
+
+def eigenvalues(sys: SystemMatrices) -> np.ndarray:
+    """Eigenvalues of A, ascending, without eigenvectors.
+
+    A is banded in the node order (a sheet's bonds span at most 2 cols + 1
+    indices), so one eigenvalues-only banded solve over the sites that have
+    a bond gives the spectrum; every site without a bond adds an exact zero.
+    """
+    from scipy.linalg import eig_banded     # kept off the `import qenm.cli` path
+
+    bonded = np.zeros(sys.n, dtype=bool)
+    bonded[sys.bonds.ravel()] = True
+    sites = np.flatnonzero(bonded)
+    zeros = np.zeros(sys.n - len(sites))
+    if len(sites) == 0:
+        return zeros
+    j, k = np.searchsorted(sites, sys.bonds).T      # bond ends, renumbered
+    width = int((k - j).max())
+    band = np.zeros((width + 1, len(sites)))        # upper: band[width + j - k, k] = A[j, k]
+    band[width] = sys.A[sites, sites]
+    band[width + j - k, k] = sys.A[sys.bonds[:, 0], sys.bonds[:, 1]]
+    return np.sort(np.concatenate([zeros, eig_banded(band, eigvals_only=True)]))
+
+
+def _nonzero_eigenvalues(sys: SystemMatrices) -> np.ndarray:
+    # relative to lambda_max only, so the cut scales with kappa / mass
+    w = eigenvalues(sys)
+    return w[w > RANK_RTOL * w[-1]]
 
 
 @dataclass
@@ -289,16 +321,17 @@ def b_factor(msd_time_average: float) -> float:
 
 def pseudoinverse_trace(sys: SystemMatrices) -> float:
     """Tr(A^+) = sum of reciprocals of the nonzero eigenvalues."""
-    sp = spectral(sys)
-    nz = sp.eigenvalues > sp.rank_tol
-    return float(np.sum(1.0 / sp.eigenvalues[nz]))
+    return float(np.sum(1.0 / _nonzero_eigenvalues(sys)))
 
 
 def condition_number_B(sys: SystemMatrices) -> float:
-    """sigma_max / smallest nonzero sigma of the incidence matrix."""
-    sigma = np.linalg.svd(sys.B, compute_uv=False)
-    nz = sigma > RANK_RTOL * sigma[0]
-    return float(sigma[0] / sigma[nz][-1])
+    """sigma_max / smallest nonzero sigma of the incidence matrix.
+
+    B B^T = A, so the singular values of B are the square roots of A's
+    eigenvalues and cond(B) = sqrt(lambda_max / smallest nonzero lambda).
+    """
+    w = _nonzero_eigenvalues(sys)
+    return float(np.sqrt(w[-1] / w[0]))
 
 
 def pinv_apply(sys: SystemMatrices, vec: np.ndarray) -> np.ndarray:

@@ -200,11 +200,32 @@ def test_ill_typed_config_exit_code(tmp_path, capsys, config, key):
     assert f"config error: {key} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sizes", [[3], [[3, "a"]], [[3, 2, 1]], [[0, 2]], [[3, True]]])
+def test_scaling_sizes_must_be_positive_int_pairs(tmp_path, capsys, sizes):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sizes": sizes}))
+    assert run(["scaling", "cond", "--config", str(cfg),
+                "--out-dir", str(tmp_path / "o")]) == 2
+    assert "config error: sizes entries must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("node", [999, 16, -1, 15, 2.0])
+def test_initial_nodes_must_be_sites_of_the_lattice(tmp_path, capsys, node):
+    # 2x1 has 16 sites and 15 is padding; -1 used to perturb it and 999 raised IndexError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 2, "n_c": 1},
+                               "initial": {"kind": "perturbed", "nodes": [node]}}))
+    assert run(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: initial.nodes entries must be non-padding sites in [0, 16)" in err
+
+
 def test_cli_import_skips_heavy_scipy_modules():
-    # scipy.stats/integrate/spatial cost most of the import time; none is needed to start
+    # scipy.stats/integrate/spatial cost most of the import time and scipy.linalg
+    # adds more; none is needed to start
     env = {**os.environ, "PYTHONPATH": str(Path(qenm.__file__).resolve().parents[1])}
     code = ("import sys, qenm.cli; print(sorted(m for m in sys.modules if m in "
-            "('scipy.stats', 'scipy.integrate', 'scipy.spatial')))")
+            "('scipy.stats', 'scipy.integrate', 'scipy.spatial', 'scipy.linalg')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"

@@ -192,6 +192,63 @@ def test_condition_number_two_node():
     assert enm.condition_number_B(sys) == pytest.approx(1.0)
 
 
+def _full_band_graph():
+    # sites 3 and 8 unbonded, bond (0, n-1) spans the whole band, masses differ
+    rng = np.random.default_rng(5)
+    n, isolated = 12, (3, 8)
+    sites = [j for j in range(n) if j not in isolated]
+    bonds = set(zip(sites, sites[1:])) | {(0, n - 1)}
+    bonds |= {(j, k) for j in sites for k in sites if j < k and rng.random() < 0.3}
+    physical = np.ones(n, dtype=bool)
+    physical[list(isolated)] = False
+    return enm.system_from_bonds(n, sorted(bonds), kappa=1.7,
+                                 mass=rng.uniform(0.5, 12.0, n), physical=physical)
+
+
+SPECTRUM_CASES = {
+    **{f"sheet-{r}x{c}": (lambda r=r, c=c: enm.build_system(LatticeSpec(r, c)))
+       for r, c in ((3, 2), (3, 3), (4, 3), (4, 4))},
+    "sheet-3x3-heavy": lambda: enm.build_system(LatticeSpec(3, 3), kappa=2.0, mass=12.0),
+    # lambda_max < 1: the nonzero cut must scale with the spectrum, not stop at 1e-9
+    "sheet-3x2-soft": lambda: enm.build_system(LatticeSpec(3, 2), kappa=1e-8),
+    "sheet-3x2-massive": lambda: enm.build_system(LatticeSpec(3, 2), mass=1e8),
+    "graph-isolated-full-band": _full_band_graph,
+    "chain-end-to-end-bond": lambda: enm.system_from_bonds(
+        6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5)], mass=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+}
+
+
+@pytest.fixture(params=sorted(SPECTRUM_CASES))
+def spectrum_system(request):
+    return SPECTRUM_CASES[request.param]()
+
+
+def test_eigenvalues_match_dense_eigvalsh(spectrum_system):
+    w = enm.eigenvalues(spectrum_system)
+    ref = np.linalg.eigvalsh(spectrum_system.A)
+    assert w.shape == ref.shape and np.all(np.diff(w) >= 0)
+    assert np.abs(w - ref).max() <= 1e-12 * ref[-1]
+
+
+def test_condition_number_matches_svd(spectrum_system):
+    sigma = np.linalg.svd(spectrum_system.B, compute_uv=False)
+    nz = sigma[sigma > enm.RANK_RTOL * sigma[0]]
+    assert enm.condition_number_B(spectrum_system) == pytest.approx(nz[0] / nz[-1], rel=1e-10)
+
+
+def test_pseudoinverse_trace_matches_dense(spectrum_system):
+    w = np.linalg.eigvalsh(spectrum_system.A)
+    nz = w[w > enm.RANK_RTOL * w[-1]]
+    assert enm.pseudoinverse_trace(spectrum_system) == pytest.approx(np.sum(1.0 / nz), rel=1e-10)
+
+
+def test_eigenvalues_without_bonds_are_zero():
+    with pytest.warns(UserWarning, match="disconnected"):
+        sys = enm.system_from_bonds(5, [])
+    assert enm.eigenvalues(sys).tolist() == [0.0] * 5
+    assert enm.pseudoinverse_trace(sys) == 0.0
+
+
 def test_conserved_F_velocity_free():
     sys = enm.system_from_bonds(3, [(0, 1), (1, 2)])
     sp = enm.spectral(sys)
