@@ -28,6 +28,7 @@ import sys as _sys
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from . import boltzmann, encoding, enm, measure, svgplot
 from .boltzmann import BucketKey, MBParams, prf64
@@ -130,6 +131,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """A finite int or float; bools, NaN and infinities are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= _sys.float_info.max)
+
+
 def _validate_config(cfg: dict) -> None:
     lat = cfg["lattice"]
     if lat["n_r"] < 1 or lat["n_c"] < 1:
@@ -139,11 +146,18 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("need kappa > 0, mass > 0, temperature >= 0")
     if cfg["times"]["steps"] < 1:
         raise ConfigError("need at least one time step")
+    if not cfg["sizes"]:
+        raise ConfigError("sizes must list at least one [n_r, n_c] pair")
     for size in cfg["sizes"]:
         if not (isinstance(size, list) and len(size) == 2
                 and all(_is_int(v) and v >= 1 for v in size)):
             raise ConfigError(f"sizes entries must be [n_r, n_c] of positive ints, got {size!r}")
     init = cfg["initial"]
+    for key, values in (("initial.displacements", init["displacements"]),
+                        ("probe_times", cfg["probe_times"])):
+        for value in values:
+            if not _is_number(value):
+                raise ConfigError(f"{key} entries must be finite numbers, got {value!r}")
     bits = lat["n_r"] + lat["n_c"] + 1
     if len(init.get("nodes", [])) > 4 * bits * bits:
         raise ConfigError("perturbation list exceeds the polylog budget (4 n^2 nodes)")
@@ -256,10 +270,12 @@ def _validation_checks(cfg):
                    f"degrees {sorted(set(int(d) for d in degrees))}"))
 
     sys = enm.build_system(spec, cfg["physics"]["kappa"], cfg["physics"]["mass"])
-    err_a = float(np.abs(sys.B @ sys.B.T - sys.A).max())
+    # B has two nonzeros per column: sparse products, compared over every nonzero of both sides
+    b = sparse.csr_array(sys.B)
+    err_a = float(abs(b @ b.T - sparse.csr_array(sys.A)).max())
     checks.append(("factorization-BBt-equals-A", err_a <= 1e-10, f"max err {err_a:.2e}"))
-    sq = np.sqrt(sys.masses)
-    err_f = float(np.abs((sq[:, None] * sys.B) @ (sq[:, None] * sys.B).T - sys.F).max())
+    sqrt_mb = sparse.diags_array(np.sqrt(sys.masses)) @ b
+    err_f = float(abs(sqrt_mb @ sqrt_mb.T - sparse.csr_array(sys.F)).max())
     checks.append(("factorization-sqrtMB-equals-F", err_f <= 1e-10, f"max err {err_f:.2e}"))
     sp = enm.spectral(sys)
     eigs = sp.eigenvalues
@@ -435,7 +451,8 @@ def cmd_scaling(cfg, kind: str) -> int:
     for n_r, n_c in cfg["sizes"]:
         spec = LatticeSpec(n_r, n_c)
         if spec.n_total > 1 << 12:
-            raise ConfigError(f"lattice {n_r}x{n_c} too large for dense spectra")
+            raise ConfigError(f"lattice {n_r}x{n_c} has {spec.n_total} sites; the dense "
+                              f"system assembly is capped at {1 << 12}")
         sys = enm.build_system(spec, cfg["physics"]["kappa"], cfg["physics"]["mass"])
         n_phys = int(sys.physical.sum())
         value = (enm.condition_number_B(sys) if kind == "cond"

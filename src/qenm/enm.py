@@ -197,6 +197,8 @@ def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("empty time grid")
+    if times.ndim != 1:
+        raise ValueError("the time grid must be a 1-D sequence")
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     xdot0 = np.atleast_2d(np.asarray(xdot0, dtype=float))
     if x0.shape != xdot0.shape or x0.shape[1] != sys.n:
@@ -206,27 +208,29 @@ def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
         axes = ("x", "y", "z")[:d] if d <= 3 else tuple(f"axis{i}" for i in range(d))
 
     sp = spectral(sys)
-    w = np.maximum(sp.eigenvalues, 0.0)
-    omega = np.sqrt(w)
+    omega = np.sqrt(np.maximum(sp.eigenvalues, 0.0))[:, None]
     zero = sp.eigenvalues <= sp.rank_tol
     sqrt_m = np.sqrt(sys.masses)
+
+    # modal coefficients for every (mode, time) at once: y = c_y cy + c_v cv and
+    # ydot = d_y cy + c_y cv, with (1, t, 0) in place of (cos, sin/w, -w sin) on zero modes
+    wt = omega * times
+    c_y = np.cos(wt)
+    sin_wt = np.sin(wt)
+    d_y = -omega * sin_wt
+    c_v = np.divide(sin_wt, omega, out=np.broadcast_to(times, wt.shape).copy(),
+                    where=~zero[:, None])
+    c_y[zero] = 1.0
+    d_y[zero] = 0.0
 
     xs = np.empty((times.size, d, sys.n))
     vs = np.empty((times.size, d, sys.n))
     for a in range(d):
-        cy = sp.eigenvectors.T @ (sqrt_m * x0[a])
-        cv = sp.eigenvectors.T @ (sqrt_m * xdot0[a])
-        for ti, t in enumerate(times):
-            cos_t = np.cos(omega * t)
-            sin_t = np.sin(omega * t)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                sinc = np.where(zero, t, sin_t / np.where(zero, 1.0, omega))
-            yt = cos_t * cy + sinc * cv
-            yt[zero] = cy[zero] + t * cv[zero]
-            vt = -omega * sin_t * cy + cos_t * cv
-            vt[zero] = cv[zero]
-            xs[ti, a] = (sp.eigenvectors @ yt) / sqrt_m
-            vs[ti, a] = (sp.eigenvectors @ vt) / sqrt_m
+        cy = (sp.eigenvectors.T @ (sqrt_m * x0[a]))[:, None]
+        cv = (sp.eigenvectors.T @ (sqrt_m * xdot0[a]))[:, None]
+        # one (N, N) @ (N, T) product each for positions and velocities
+        xs[:, a] = (sp.eigenvectors @ (c_y * cy + c_v * cv)).T / sqrt_m
+        vs[:, a] = (sp.eigenvectors @ (d_y * cy + c_y * cv)).T / sqrt_m
     return Trajectory(times, xs, vs, tuple(axes), sys)
 
 
@@ -357,11 +361,13 @@ def dump_matrix(mat: np.ndarray, path) -> None:
 
 
 def dump_trajectory_csv(traj: Trajectory, path) -> None:
+    # Python floats format faster than numpy scalars; one write per (t, axis) block.
+    # Convert one sample at a time: the whole trajectory as Python floats would
+    # take about 32 bytes per value
     with open(path, "w") as fh:
         fh.write("t,node,axis,x,xdot\n")
-        for ti, t in enumerate(traj.times):
-            for a, axis in enumerate(traj.axes):
-                for j in range(traj.sys.n):
-                    fh.write(
-                        f"{t:.17g},{j},{axis},{traj.x[ti, a, j]:.17g},{traj.xdot[ti, a, j]:.17g}\n"
-                    )
+        for ti, t in enumerate(traj.times.tolist()):
+            for axis, x, v in zip(traj.axes, traj.x[ti].tolist(), traj.xdot[ti].tolist()):
+                head, tail = f"{t:.17g},", f",{axis},"
+                fh.write("".join([f"{head}{j}{tail}{xj:.17g},{vj:.17g}\n"
+                                  for j, (xj, vj) in enumerate(zip(x, v))]))

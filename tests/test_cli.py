@@ -6,10 +6,11 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qenm
-from qenm import cli
+from qenm import cli, enm
 from qenm.lattice import SHIFT_TABLE, LatticeSpec, dummy_mask
 
 
@@ -229,3 +230,59 @@ def test_cli_import_skips_heavy_scipy_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command, config, key", [
+    # [[1]] was broadcast over both axes and [null] ended in a NaN-to-int error
+    ("simulate", {"initial": {"kind": "perturbed", "nodes": [5], "displacements": [[1]]}},
+     "initial.displacements"),
+    ("simulate", {"initial": {"kind": "perturbed", "nodes": [5], "displacements": [None]}},
+     "initial.displacements"),
+    ("simulate", {"initial": {"kind": "perturbed", "nodes": [5], "displacements": [True]}},
+     "initial.displacements"),
+    ("heat", {"probe_times": [None]}, "probe_times"),
+    ("heat", {"probe_times": [0.0, "1"]}, "probe_times"),
+    ("heat", {"probe_times": [0.0, False]}, "probe_times"),
+])
+def test_config_list_entries_must_be_numbers(tmp_path, capsys, command, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 2, "n_c": 1}, **config}))
+    assert run([command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"config error: {key} entries must be finite numbers" in capsys.readouterr().err
+
+
+def test_scaling_sizes_must_not_be_empty(tmp_path, capsys):
+    # used to end in "zero-size array to reduction operation minimum"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sizes": []}))
+    assert run(["scaling", "cond", "--config", str(cfg),
+                "--out-dir", str(tmp_path / "o")]) == 2
+    assert "config error: sizes must list at least one" in capsys.readouterr().err
+
+
+def test_scaling_refuses_sheets_past_the_dense_assembly_cap(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sizes": [[3, 2], [6, 6]]}))
+    assert run(["scaling", "trace", "--config", str(cfg),
+                "--out-dir", str(tmp_path / "o")]) == 2
+    assert ("config error: lattice 6x6 has 8192 sites; the dense system assembly is capped "
+            "at 4096") in capsys.readouterr().err
+
+
+def test_validate_factorization_checks_read_the_system_B(tmp_path, capsys, monkeypatch):
+    # one flipped sign in B must fail both factorization checks and nothing else
+    build = enm.build_system
+
+    def flipped_build(*args, **kwargs):
+        sys = build(*args, **kwargs)
+        j = np.flatnonzero(sys.B[:, 0])[0]
+        sys.B[j, 0] = -sys.B[j, 0]
+        return sys
+
+    monkeypatch.setattr(enm, "build_system", flipped_build)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 2, "n_c": 2}}))
+    assert run(["validate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL")]
+    assert failed == ["FAIL factorization-BBt-equals-A", "FAIL factorization-sqrtMB-equals-F"]

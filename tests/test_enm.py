@@ -93,6 +93,9 @@ def test_empty_time_grid_rejected():
     sys = enm.system_from_bonds(2, [(0, 1)])
     with pytest.raises(ValueError):
         enm.evolve_classical(sys, [0.0, 0.0], [0.0, 0.0], [])
+    for times in (1.0, [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="1-D"):
+            enm.evolve_classical(sys, [0.0, 0.0], [0.0, 0.0], times)
 
 
 def test_energy_conservation_long_run(sheet):
@@ -247,6 +250,68 @@ def test_eigenvalues_without_bonds_are_zero():
         sys = enm.system_from_bonds(5, [])
     assert enm.eigenvalues(sys).tolist() == [0.0] * 5
     assert enm.pseudoinverse_trace(sys) == 0.0
+
+
+def _evolve_per_sample(sys, x0, xdot0, times):
+    # reference: mode amplitudes at one time, then two eigenvector mat-vecs, per sample and axis
+    sp = enm.spectral(sys)
+    omega = np.sqrt(np.maximum(sp.eigenvalues, 0.0))
+    zero = sp.eigenvalues <= sp.rank_tol
+    sqrt_m = np.sqrt(sys.masses)
+    xs = np.empty((len(times), len(x0), sys.n))
+    vs = np.empty_like(xs)
+    for a in range(len(x0)):
+        cy = sp.eigenvectors.T @ (sqrt_m * x0[a])
+        cv = sp.eigenvectors.T @ (sqrt_m * xdot0[a])
+        for ti, t in enumerate(times):
+            yt = np.cos(omega * t) * cy + np.sin(omega * t) / np.where(zero, 1.0, omega) * cv
+            vt = -omega * np.sin(omega * t) * cy + np.cos(omega * t) * cv
+            yt[zero] = cy[zero] + t * cv[zero]
+            vt[zero] = cv[zero]
+            xs[ti, a] = (sp.eigenvectors @ yt) / sqrt_m
+            vs[ti, a] = (sp.eigenvectors @ vt) / sqrt_m
+    return xs, vs
+
+
+EVOLVE_CASES = {
+    "sheet-3x2-D1": (lambda: enm.build_system(LatticeSpec(3, 2)), 1,
+                     np.linspace(-3.0, 5.0, 17)),
+    # sites 3 and 8 have no bond: their velocity rides the linear-in-t zero-mode branch
+    "graph-unbonded-D2": (_full_band_graph, 2, np.array([0.0, -4.5, 0.3, 12.0, -0.01])),
+    "chain-masses-D3": (lambda: enm.system_from_bonds(
+        6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5)], mass=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+        3, np.array([-2.5, 0.0, 7.0, 0.1])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVOLVE_CASES))
+def test_evolve_classical_matches_per_sample_loop(case):
+    make, d, ts = EVOLVE_CASES[case]
+    sys = make()
+    rng = np.random.default_rng(17)
+    x0 = rng.normal(0.0, 0.2, (d, sys.n))
+    xdot0 = rng.normal(0.0, 1.0, (d, sys.n))
+    traj = enm.evolve_classical(sys, x0, xdot0, ts)
+    ref_x, ref_v = _evolve_per_sample(sys, x0, xdot0, ts)
+    assert traj.x.shape == traj.xdot.shape == (len(ts), d, sys.n)
+    assert np.abs(traj.x - ref_x).max() <= 1e-12 * np.abs(ref_x).max()
+    assert np.abs(traj.xdot - ref_v).max() <= 1e-12 * np.abs(ref_v).max()
+    if case == "graph-unbonded-D2":
+        for j in (3, 8):
+            assert np.allclose(traj.x[:, :, j], x0[:, j] + ts[:, None] * xdot0[:, j],
+                               rtol=0.0, atol=1e-12)
+
+
+def test_evolve_classical_single_sample_shape():
+    sys = enm.system_from_bonds(3, [(0, 1), (1, 2)], mass=[1.0, 2.0, 3.0])
+    x0 = np.array([[1.0, 0.0, -1.0], [0.5, 0.2, 0.0]])
+    xdot0 = np.array([[0.0, 0.3, 0.0], [-1.0, 0.0, 1.0]])
+    traj = enm.evolve_classical(sys, x0, xdot0, [1.5])
+    assert traj.times.shape == (1,)
+    assert traj.x.shape == traj.xdot.shape == (1, 2, 3)
+    ref_x, ref_v = _evolve_per_sample(sys, x0, xdot0, [1.5])
+    assert np.abs(traj.x - ref_x).max() <= 1e-12
+    assert np.abs(traj.xdot - ref_v).max() <= 1e-12
 
 
 def test_conserved_F_velocity_free():
