@@ -56,9 +56,8 @@ print(f"shot mode: {rep.estimate:.5f} ± {rep.stderr:.5f} ({rep.shots} shots)")
 
 # the displacement-exposing encoding tracks squared displacements instead
 sqm = np.sqrt(sys.masses)
-P = enm.spectral(sys).P
-z0 = (P @ (sqm * x0[0])) / sqm
-zdot0 = (P @ (sqm * xdot0[0])) / sqm
+z0 = enm.project_range(sys, sqm * x0[0]) / sqm
+zdot0 = enm.project_range(sys, sqm * xdot0[0]) / sqm
 alt0 = encoding.prepare_alternative(sys, z0, zdot0)
 trajz = enm.evolve_classical(sys, z0, zdot0, times)
 sel = SubsetSelector("displacement", tuple(int(j) for j in phys))

@@ -114,8 +114,12 @@ def resolve_config(args) -> dict:
 
 
 def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
-    """Each value must have the type of its ``DEFAULTS`` value, bools are not ints,
-    and a float setting, or the None default of ``window``, takes any number."""
+    """Every key must be a ``DEFAULTS`` key, each value must have the type of its
+    ``DEFAULTS`` value, bools are not ints, and a float setting, or the None
+    default of ``window``, takes any number."""
+    unknown = sorted(cfg.keys() - defaults.keys())
+    if unknown:
+        raise ConfigError("unknown config key " + ", ".join(prefix + k for k in unknown))
     for key, default in defaults.items():
         name, value = prefix + key, cfg[key]
         numeric = default is None or isinstance(default, float)
@@ -146,6 +150,9 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("need kappa > 0, mass > 0, temperature >= 0")
     if cfg["times"]["steps"] < 1:
         raise ConfigError("need at least one time step")
+    window = cfg["window"]
+    if window is not None and not (_is_number(window) and window > 0):
+        raise ConfigError(f"window must be a positive number or null, got {window!r}")
     if not cfg["sizes"]:
         raise ConfigError("sizes must list at least one [n_r, n_c] pair")
     for size in cfg["sizes"]:
@@ -214,12 +221,12 @@ def _initial_conditions(cfg, sys, axes: int = 2):
                           k_B=phys_cfg["k_B"], D=axes)
         disc = boltzmann.discretize_two_bucket(params)
         roles = ["velocity-x", "velocity-y", "velocity-z"][:axes]
+        phys = np.flatnonzero(sys.physical)
         for a, role in enumerate(roles):
             rng = np.random.default_rng(derive_seed(cfg["seed"], role))
             key = BucketKey.random(sys.spec.address_bits, rng)
-            for j in np.flatnonzero(sys.physical):
-                b = boltzmann.bucket_assignment(int(j), key)
-                xdot0[a, j] = disc.velocities[b]
+            # one bucket at T = 0, where every velocity is 0
+            xdot0[a, phys] = boltzmann.bucket_velocities(sys.n, key, disc)[phys]
     return x0, xdot0
 
 
@@ -277,12 +284,12 @@ def _validation_checks(cfg):
     sqrt_mb = sparse.diags_array(np.sqrt(sys.masses)) @ b
     err_f = float(abs(sqrt_mb @ sqrt_mb.T - sparse.csr_array(sys.F)).max())
     checks.append(("factorization-sqrtMB-equals-F", err_f <= 1e-10, f"max err {err_f:.2e}"))
-    sp = enm.spectral(sys)
-    eigs = sp.eigenvalues
+    eigs = enm.eigenvalues(sys)
     checks.append(("A-positive-semidefinite", eigs[0] >= -1e-10, f"min eig {eigs[0]:.2e}"))
     # each dummy site is an isolated zero row of A and adds one null direction
     dummy_rows_zero = not sys.A[~sys.physical].any()
-    nulls = sp.null_dim - int((~sys.physical).sum())
+    null_dim = int((eigs <= enm.RANK_RTOL * max(eigs[-1], 1.0)).sum())
+    nulls = null_dim - int((~sys.physical).sum())
     checks.append(("null-space-dimension", dummy_rows_zero and nulls == 1, f"dim {nulls}"))
     phys = np.flatnonzero(sys.physical)
 
@@ -420,7 +427,7 @@ def cmd_heat(cfg) -> int:
 def cmd_ripple(cfg) -> int:
     out = _out_dir(cfg)
     spec = _spec(cfg)
-    window = cfg.get("window") or cfg["times"]["stop"]
+    window = cfg["times"]["stop"] if cfg["window"] is None else cfg["window"]
     times = np.linspace(0.0, float(window), cfg["times"]["steps"])
     result = measure.ripple_msd(
         spec, times, temperature=cfg["physics"]["temperature"],

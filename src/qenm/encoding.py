@@ -205,12 +205,13 @@ def prepare_alternative(sys: SystemMatrices, x0, xdot0) -> EncodedState:
     sqrt_m = np.sqrt(sys.masses)
     y = sqrt_m * x0
     ydot = sqrt_m * xdot0
-    f_const = enm.conserved_F(sys, y, ydot)
+    py = enm.project_range(sys, y)
+    pinv_ydot = enm.pinv_apply(sys, ydot)
+    f_const = 0.5 * float(y @ py) + 0.5 * float(ydot @ pinv_ydot)     # enm.conserved_F
     if f_const <= 0.0:
         raise ValueError("zero-energy state has no encoding")
-    sp = enm.spectral(sys)
-    pair_amps = sys.B.T @ enm.pinv_apply(sys, ydot)   # B^+ P ydot = B^T A^+ ydot
-    amps = np.concatenate([sp.P @ y, -1j * pair_amps])[None, :]
+    pair_amps = sys.B.T @ pinv_ydot                   # B^+ P ydot = B^T A^+ ydot
+    amps = np.concatenate([py, -1j * pair_amps])[None, :]
     amps /= math.sqrt(2.0 * f_const)
     return EncodedState(amps, "alternative", sys, f_const)
 
@@ -274,21 +275,11 @@ def build_block_H(sys: SystemMatrices) -> BlockHamiltonian:
 def series_degree(tau: float) -> int:
     """Degree K at which the Jacobi-Anger series of e^{-i tau x} is cut.
 
-    For |x| <= 1 the truncation error is at most 2 sum_{k>K} |J_k(tau)|.
-    With |J_k(tau)| <= (|tau|/2)^k / k! and K + 2 >= |tau|, consecutive
-    terms of that bound shrink by at least half, so the error is at most
-    4 (|tau|/2)^(K+1) / (K+1)!.  K is the smallest such degree with that
-    bound <= SERIES_EPS; it is also the number of queries to a block
-    encoding of H / alpha.
+    For |x| <= 1 the truncation error is at most 2 sum_{k>K} |J_k(tau)|,
+    which ``enm.bessel_tail_degree`` bounds by SERIES_EPS.  K is also the
+    number of queries to a block encoding of H / alpha.
     """
-    a = abs(tau)
-    if a == 0.0:
-        return 0
-    k = max(0, math.ceil(a) - 2)
-    log_eps = math.log(SERIES_EPS / 4.0)
-    while (k + 1) * math.log(a / 2.0) - math.lgamma(k + 2) > log_eps:
-        k += 1
-    return k
+    return enm.bessel_tail_degree(tau, SERIES_EPS)
 
 
 _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])

@@ -1,18 +1,23 @@
 """Classical coupled-oscillator reference dynamics and observables.
 
 The system is N point masses joined by harmonic springs.  Newton's
-equation M x'' = -F x, with F the weighted graph Laplacian, is solved
-exactly in the mass-weighted coordinates y = sqrt(M) x, where
-y'' = -A y and A = sqrt(M)^-1 F sqrt(M)^-1 is positive semidefinite.
+equation M x'' = -F x, with F the weighted graph Laplacian, becomes
+y'' = -A y in the mass-weighted coordinates y = sqrt(M) x, with
+A = sqrt(M)^-1 F sqrt(M)^-1 positive semidefinite.  Its solution
 
-Per eigenmode of A with frequency w = sqrt(lambda):
+    y(t) = cos(t sqrt(A)) y(0) + sin(t sqrt(A))/sqrt(A) ydot(0)
 
-    y_k(t) = cos(w t) y_k(0) + sin(w t)/w ydot_k(0)        (lambda > 0)
-    y_k(t) = y_k(0) + t ydot_k(0)                          (lambda = 0)
+applies entire functions of A, so ``evolve_classical`` evaluates them as a
+Chebyshev series in the sparse matrix and needs no eigenvectors; zero modes
+(cos -> 1, sin(t w)/w -> t) need no branch.  ``spectral`` and
+``evolve_spectral`` (one eigenmode at a time) are the dense references the
+tests compare it with.  Everything downstream, quantum included, is
+validated against these trajectories.
 
-The null space carries uniform translation (and any isolated padding
-site), handled by the linear-in-t branch.  Everything downstream, quantum
-included, is validated against these trajectories.
+The null space of A is known without a solve: one sqrt(m) vector per
+connected component of the bond graph, each unbonded site being its own
+component.  So the projector P onto range(A) is y - V0 (V0^T y), and
+A^+ v is conjugate gradients on range(A).
 
 The weighted incidence matrix B has one column per bonded pair (j, k),
 j < k, ordered lexicographically, with entries +sqrt(kappa_jk/m_j) on row
@@ -23,14 +28,18 @@ zero columns and are not materialized.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .lattice import LatticeSpec, adjacency, dummy_mask
 
 RANK_RTOL = 1e-9  # eigenvalue/singular-value threshold relative to the largest
+CHEB_EPS = 1e-15  # bound on the truncated tail of each classical Chebyshev series
+CG_RTOL = 1e-14   # conjugate-gradient stop: residual norm relative to the right-hand side
 
 
 @dataclass
@@ -43,8 +52,10 @@ class SystemMatrices:
     pairs: list[tuple[int, int]]
     bonds: np.ndarray           # (P, 2) int, the rows of ``pairs`` as an array
     physical: np.ndarray        # (N,) bool, False on padding sites
+    components: np.ndarray      # (N,) int, connected-component label of each site
     spec: LatticeSpec | None = None
     _spectral: "SpectralData | None" = field(default=None, repr=False)
+    _sparse_A: sparse.csr_array | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -57,7 +68,6 @@ class SpectralData:
     eigenvectors: np.ndarray    # columns
     rank_tol: float
     null_dim: int
-    P: np.ndarray               # projector onto range(A)
 
 
 def _assemble(masses, kappa, physical, spec=None) -> SystemMatrices:
@@ -77,32 +87,42 @@ def _assemble(masses, kappa, physical, spec=None) -> SystemMatrices:
     B[j, cols] = root_kappa * inv_sqrt_m[j]
     B[k, cols] = -root_kappa * inv_sqrt_m[k]
     pairs = [tuple(p) for p in bonds.tolist()]
-    sys = SystemMatrices(masses, kappa, F, A, B, pairs, bonds, physical, spec)
+    sys = SystemMatrices(masses, kappa, F, A, B, pairs, bonds, physical,
+                         _components(n, pairs), spec)
     _check_connected(sys)
     return sys
+
+
+def _components(n: int, pairs) -> np.ndarray:
+    """Connected-component label of each site, numbered in order of lowest site."""
+    links = [[] for _ in range(n)]
+    for j, k in pairs:
+        links[j].append(k)
+        links[k].append(j)
+    labels = [-1] * n
+    count = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        labels[start] = count
+        frontier = [start]
+        while frontier:
+            for k in links[frontier.pop()]:
+                if labels[k] < 0:
+                    labels[k] = count
+                    frontier.append(k)
+        count += 1
+    return np.array(labels, dtype=np.int64)
 
 
 def _check_connected(sys: SystemMatrices) -> None:
     phys = np.flatnonzero(sys.physical)
     if len(phys) == 0:
         return
-    seen = {int(phys[0])}
-    frontier = [int(phys[0])]
-    links = {j: [] for j in phys}
-    for j, k in sys.pairs:
-        links[j].append(k)
-        links[k].append(j)
-    while frontier:
-        j = frontier.pop()
-        for k in links.get(j, ()):
-            if k not in seen:
-                seen.add(k)
-                frontier.append(k)
-    if len(seen) != len(phys):
-        warnings.warn(
-            f"physical subgraph is disconnected ({len(phys) - len(seen)} sites unreached)",
-            stacklevel=3,
-        )
+    unreached = int(np.count_nonzero(sys.components[phys] != sys.components[phys[0]]))
+    if unreached:
+        warnings.warn(f"physical subgraph is disconnected ({unreached} sites unreached)",
+                      stacklevel=3)
 
 
 def system_from_bonds(n, bonds, kappa=1.0, mass=1.0, physical=None) -> SystemMatrices:
@@ -138,14 +158,58 @@ def build_system(spec: LatticeSpec, kappa=1.0, mass=1.0) -> SystemMatrices:
 
 
 def spectral(sys: SystemMatrices) -> SpectralData:
-    """Eigendecomposition of A with the null-space projector, cached."""
+    """Dense eigendecomposition of A, cached; the reference for the sparse paths."""
     if sys._spectral is None:
         w, v = np.linalg.eigh(sys.A)
         tol = RANK_RTOL * max(w[-1], 1.0) if len(w) else 0.0
-        null = w <= tol
-        P = np.eye(sys.n) - v[:, null] @ v[:, null].T
-        sys._spectral = SpectralData(w, v, tol, int(null.sum()), P)
+        sys._spectral = SpectralData(w, v, tol, int((w <= tol).sum()))
     return sys._spectral
+
+
+def sparse_A(sys: SystemMatrices) -> sparse.csr_array:
+    """A as a CSR matrix from the bond list and the per-bond coupling, cached."""
+    if sys._sparse_A is None:
+        j, k = sys.bonds.T
+        kappa = sys.kappa[j, k]
+        inv_sqrt_m = 1.0 / np.sqrt(sys.masses)
+        off = -kappa * inv_sqrt_m[j] * inv_sqrt_m[k]
+        diag = (np.bincount(j, kappa, sys.n) + np.bincount(k, kappa, sys.n)) / sys.masses
+        sites = np.arange(sys.n)
+        sys._sparse_A = sparse.csr_array(
+            (np.concatenate([off, off, diag]),
+             (np.concatenate([j, k, sites]), np.concatenate([k, j, sites]))),
+            shape=(sys.n, sys.n))
+    return sys._sparse_A
+
+
+def gershgorin_bound(sys: SystemMatrices) -> float:
+    """lambda_bar = 2 kappa_max d_max / m_min >= lambda_max(A), 0 without bonds.
+
+    Row j of A sums to at most d_j kappa_max (1/m_j + 1/sqrt(m_j m_min)) in
+    absolute value, d_j being the number of bonds at j.
+    """
+    if len(sys.bonds) == 0:
+        return 0.0
+    j, k = sys.bonds.T
+    d_max = int(np.bincount(sys.bonds.ravel()).max())
+    return 2.0 * float(sys.kappa[j, k].max()) * d_max / float(sys.masses.min())
+
+
+def _null_vectors(sys: SystemMatrices) -> np.ndarray:
+    """Orthonormal null basis V0 of A, one column per component, as one (N,) array.
+
+    Column c is sqrt(m) on the sites of component c, normalised: A sqrt(m) 1_c
+    = sqrt(M)^-1 F 1_c = 0 because no bond leaves the component.  Entry j
+    of the result is that column's value at j.
+    """
+    norms = np.bincount(sys.components, weights=sys.masses)
+    return np.sqrt(sys.masses / norms[sys.components])
+
+
+def project_range(sys: SystemMatrices, y: np.ndarray) -> np.ndarray:
+    """P y = y - V0 (V0^T y), the orthogonal projection of an (N,) vector onto range(A)."""
+    v = _null_vectors(sys)
+    return y - v * np.bincount(sys.components, weights=v * y)[sys.components]
 
 
 def eigenvalues(sys: SystemMatrices) -> np.ndarray:
@@ -188,12 +252,8 @@ class Trajectory:
     sys: SystemMatrices
 
 
-def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
-    """Spectral solution of M x'' = -F x from x(0), xdot(0).
-
-    ``x0`` / ``xdot0`` are (N,) for a single axis or (D, N); each axis
-    evolves independently.
-    """
+def _initial_state(sys, x0, xdot0, times, axes):
+    """Checked (D, N) initial conditions, 1-D time grid and axis names."""
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("empty time grid")
@@ -206,7 +266,118 @@ def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
     d = x0.shape[0]
     if axes is None:
         axes = ("x", "y", "z")[:d] if d <= 3 else tuple(f"axis{i}" for i in range(d))
+    return x0, xdot0, times, tuple(axes)
 
+
+def bessel_tail_degree(tau: float, eps: float) -> int:
+    """Smallest K with 4 (|tau|/2)^(K+1) / (K+1)! <= eps.
+
+    With |J_k(tau)| <= (|tau|/2)^k / k! and K + 2 >= |tau|, consecutive
+    terms of that bound shrink by at least half, so 2 sum_{k>K} |J_k(tau)|
+    <= eps: the cut of a Jacobi-Anger series at degree K.
+    """
+    a = abs(tau)
+    if a == 0.0:
+        return 0
+    k = max(0, math.ceil(a) - 2)
+    log_eps = math.log(eps / 4.0)
+    while (k + 1) * math.log(a / 2.0) - math.lgamma(k + 2) > log_eps:
+        k += 1
+    return k
+
+
+def chebyshev_degree(lam_bar: float, t_max: float) -> int:
+    """Degree of ``evolve_classical``'s series on [0, lam_bar] for times up to |t_max|.
+
+    With lambda = lambda_bar (1 + x)/2 and x = cos(theta), sqrt(lambda) =
+    sqrt(lambda_bar) cos(theta/2), so by Jacobi-Anger the coefficient of T_k
+    is 2 (-1)^k J_2k(w) for cos(t sqrt(lambda)), w = |t| sqrt(lambda_bar).
+    The sin(t sqrt(lambda))/sqrt(lambda) (in units of |t|) and
+    -sqrt(lambda) sin(t sqrt(lambda)) (in units of sqrt(lambda_bar)) series
+    have coefficients bounded by Bessel terms of order 2k - 1 and up.  Every
+    tail past degree K is therefore at most that of a Jacobi-Anger series
+    past order 2K, and the interpolant on K + 1 nodes at most twice that.
+    """
+    omega = abs(t_max) * math.sqrt(lam_bar)
+    return (bessel_tail_degree(omega, CHEB_EPS / 2.0) + 1) // 2
+
+
+def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
+    """Solution of M x'' = -F x from x(0), xdot(0), without eigenvectors.
+
+    ``x0`` / ``xdot0`` are (N,) for a single axis or (D, N); each axis
+    evolves independently.  With L = M^-1 F = sqrt(M)^-1 A sqrt(M), similar
+    to A and with spectrum in [0, lambda_bar] (``gershgorin_bound``),
+
+        x(t)    = cos(t sqrt(L)) x0 + sin(t sqrt(L))/sqrt(L) xdot0
+        xdot(t) = -sqrt(L) sin(t sqrt(L)) x0 + cos(t sqrt(L)) xdot0
+
+    Each function is a Chebyshev series in S = 2 L / lambda_bar - 1 of degree
+    K = ``chebyshev_degree(lambda_bar, max|t|)``.  One cosine transform of
+    the three functions, sampled at the K + 1 Chebyshev nodes for every time,
+    gives all coefficients; K sparse products with the (N, 2D) block of
+    initial conditions give the basis T_k(S) x0, T_k(S) xdot0; and one GEMM
+    per axis forms every sample.  The basis takes 16 D (K + 1) N bytes: K is
+    29 for max|t| sqrt(lambda_bar) = 24.5 (``validate``, 2 MB at 5x5) and 496
+    for 707 (``ripple``'s 1000 ps window in physical units, 4 MB at 4x4).
+    The cosine is transformed as cos - 1 with the 1 put on T_0, and working
+    in x rather than y = sqrt(M) x keeps T_0 the identity, so x(0) = x0 and
+    xdot(0) = xdot0 exactly.
+    """
+    x0, xdot0, times, axes = _initial_state(sys, x0, xdot0, times, axes)
+    d, n, steps = x0.shape[0], sys.n, times.size
+    lam_bar = gershgorin_bound(sys) or 1.0        # without bonds any interval holds {0}
+    nodes = chebyshev_degree(lam_bar, float(np.abs(times).max())) + 1
+
+    # cosine transform on Chebyshev-Gauss nodes theta_j = pi (j + 1/2) / nodes
+    theta = np.pi * (np.arange(nodes) + 0.5) / nodes
+    root = math.sqrt(lam_bar) * np.cos(theta / 2.0)[:, None]     # sqrt(lambda) > 0
+    wt = root * times
+    sin_wt = np.sin(wt)
+    samples = np.concatenate([-2.0 * np.sin(wt / 2.0) ** 2,    # cos(wt) - 1
+                              sin_wt / root, -root * sin_wt], axis=1)
+    coeffs = np.cos(np.outer(np.arange(nodes), theta)) @ samples
+    coeffs *= 2.0 / nodes
+    coeffs[0] /= 2.0
+    c_cos, c_sin, c_dsin = np.split(coeffs, 3, axis=1)
+    c_cos[0] += 1.0
+    # x(t) = [basis of x0, basis of xdot0]^T [c_cos; c_sin], xdot(t) likewise
+    mixing = np.block([[c_cos, c_dsin], [c_sin, c_cos]])
+
+    L = sparse.diags_array(1.0 / np.sqrt(sys.masses)) @ sparse_A(sys) @ sparse.diags_array(
+        np.sqrt(sys.masses))
+    S = (2.0 / lam_bar) * L - sparse.eye_array(n)
+    basis = np.empty((2 * d, nodes, n))          # row 2a: T_k(S) x0[a]; row 2a + 1: of xdot0[a]
+    prev = np.stack([x0, xdot0], axis=1).reshape(2 * d, n)
+    basis[:, 0] = prev
+    prev = prev.T
+    if nodes > 1:
+        cur = S @ prev
+        basis[:, 1] = cur.T
+        for k in range(2, nodes):
+            nxt = S @ cur
+            nxt *= 2.0
+            nxt -= prev
+            basis[:, k] = nxt.T
+            prev, cur = cur, nxt
+
+    xs = np.empty((steps, d, n))
+    vs = np.empty((steps, d, n))
+    for a in range(d):
+        out = basis[2 * a:2 * a + 2].reshape(2 * nodes, n).T @ mixing      # (N, 2T)
+        xs[:, a] = out[:, :steps].T
+        vs[:, a] = out[:, steps:].T
+    return Trajectory(times, xs, vs, axes, sys)
+
+
+def evolve_spectral(sys, x0, xdot0, times, axes=None) -> Trajectory:
+    """Reference for ``evolve_classical`` through the dense eigendecomposition of A.
+
+    Per eigenmode with frequency w = sqrt(lambda): y_k(t) = cos(w t) y_k(0)
+    + sin(w t)/w ydot_k(0), and y_k(0) + t ydot_k(0) on the zero modes.
+    """
+    x0, xdot0, times, axes = _initial_state(sys, x0, xdot0, times, axes)
+    d = x0.shape[0]
     sp = spectral(sys)
     omega = np.sqrt(np.maximum(sp.eigenvalues, 0.0))[:, None]
     zero = sp.eigenvalues <= sp.rank_tol
@@ -231,7 +402,7 @@ def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
         # one (N, N) @ (N, T) product each for positions and velocities
         xs[:, a] = (sp.eigenvectors @ (c_y * cy + c_v * cv)).T / sqrt_m
         vs[:, a] = (sp.eigenvectors @ (d_y * cy + c_y * cv)).T / sqrt_m
-    return Trajectory(times, xs, vs, tuple(axes), sys)
+    return Trajectory(times, xs, vs, axes, sys)
 
 
 def velocity_verlet(sys: SystemMatrices, x0, xdot0, dt: float, steps: int) -> Trajectory:
@@ -339,20 +510,37 @@ def condition_number_B(sys: SystemMatrices) -> float:
 
 
 def pinv_apply(sys: SystemMatrices, vec: np.ndarray) -> np.ndarray:
-    """A^+ vec through the cached eigenbasis."""
-    sp = spectral(sys)
-    nz = sp.eigenvalues > sp.rank_tol
-    coeff = sp.eigenvectors.T @ vec
-    out = np.zeros_like(coeff)
-    out[nz] = coeff[nz] / sp.eigenvalues[nz]
-    return sp.eigenvectors @ out
+    """A^+ vec by conjugate gradients on range(A).
+
+    b = P vec lies in range(A), where A is positive definite, so CG from 0
+    stays there (up to roundoff, projected off at the end) and converges to
+    A^+ vec.  Each step costs one sparse matvec; the iteration stops once the
+    residual is CG_RTOL of |b|.
+    """
+    A = sparse_A(sys)
+    b = project_range(sys, np.asarray(vec, dtype=float))
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = b.copy()
+    rr = float(r @ r)
+    stop = (CG_RTOL * math.sqrt(rr)) ** 2
+    for _ in range(10 * sys.n + 100):
+        if rr <= stop:
+            return project_range(sys, x)
+        ap = A @ p
+        alpha = rr / float(p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        rr, rr_old = float(r @ r), rr
+        p *= rr / rr_old
+        p += r
+    raise RuntimeError("conjugate gradients did not converge")
 
 
 def conserved_F(sys: SystemMatrices, y: np.ndarray, ydot: np.ndarray) -> float:
     """F = (1/2) y^T P y + (1/2) ydot^T A^+ ydot, constant along trajectories."""
-    sp = spectral(sys)
-    py = sp.P @ y
-    return 0.5 * float(y @ py) + 0.5 * float(ydot @ pinv_apply(sys, ydot))
+    return (0.5 * float(y @ project_range(sys, y))
+            + 0.5 * float(ydot @ pinv_apply(sys, ydot)))
 
 
 def dump_matrix(mat: np.ndarray, path) -> None:

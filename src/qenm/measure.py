@@ -228,10 +228,13 @@ def heat_experiment(spec: LatticeSpec, times, hotspot_region: int = 0,
     rng = np.random.default_rng(seed)
     keys = [boltzmann.BucketKey.random(spec.address_bits, rng) for _ in range(2)]
     xdot0 = np.zeros((2, sys.n))
-    for j in regions[hotspot_region]:
-        for axis in range(2):
-            b = boltzmann.bucket_assignment(j, keys[axis])
-            xdot0[axis, j] = disc.velocities[b]
+    hot = list(regions[hotspot_region])
+    for axis in range(2):
+        # one bucket at T = 0, where every velocity is 0
+        xdot0[axis, hot] = boltzmann.bucket_velocities(sys.n, keys[axis], disc)[hot]
+    if not xdot0.any():
+        raise ValueError("the hotspot starts with zero energy (temperature 0): "
+                         "a zero-energy state has no encoding")
     x0 = np.zeros((2, sys.n))
     times = np.asarray(times, dtype=float)
     traj = enm.evolve_classical(sys, x0, xdot0, times)
@@ -277,7 +280,8 @@ def ripple_msd(spec: LatticeSpec, times, temperature: float,
     if temperature == 0.0:
         zeros = np.zeros_like(times)
         return RippleResult(times, zeros, zeros.copy(), 0.0, 0.0)
-    period = 2.0 * math.pi / math.sqrt(np.linalg.eigvalsh(sys.A)[-1])
+    lam_bar = enm.gershgorin_bound(sys)       # >= lambda_max: at most the shortest period
+    period = 2.0 * math.pi / math.sqrt(lam_bar) if lam_bar > 0.0 else math.inf
     if times[-1] - times[0] < period:
         import warnings
         warnings.warn("averaging window shorter than one oscillation period")
@@ -290,9 +294,8 @@ def ripple_msd(spec: LatticeSpec, times, temperature: float,
     for j in phys:
         zdot0[j] = disc.velocities[boltzmann.bucket_assignment(j, key)]
     # zero net momentum: project the mass-weighted velocity onto range(A)
-    sp = enm.spectral(sys)
     sqrt_m = np.sqrt(sys.masses)
-    zdot0 = (sp.P @ (sqrt_m * zdot0)) / sqrt_m
+    zdot0 = enm.project_range(sys, sqrt_m * zdot0) / sqrt_m
     z0 = np.zeros(sys.n)
 
     traj = enm.evolve_classical(sys, z0, zdot0, times, axes=("z",))

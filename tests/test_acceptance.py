@@ -34,10 +34,9 @@ def _centered_thermal_ics(sys, seed, n_displaced=2, axes=2, temperature=1.0):
         for j in phys:
             xdot0[a, j] = disc.velocities[boltzmann.bucket_assignment(int(j), key)]
     sqm = np.sqrt(sys.masses)
-    P = enm.spectral(sys).P
     for a in range(axes):
-        x0[a] = (P @ (sqm * x0[a])) / sqm
-        xdot0[a] = (P @ (sqm * xdot0[a])) / sqm
+        x0[a] = enm.project_range(sys, sqm * x0[a]) / sqm
+        xdot0[a] = enm.project_range(sys, sqm * xdot0[a]) / sqm
     return x0, xdot0
 
 

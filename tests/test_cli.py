@@ -286,3 +286,70 @@ def test_validate_factorization_checks_read_the_system_B(tmp_path, capsys, monke
     failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
               if line.startswith("FAIL")]
     assert failed == ["FAIL factorization-BBt-equals-A", "FAIL factorization-sqrtMB-equals-F"]
+
+
+@pytest.mark.parametrize("command, code", [("simulate", 0), ("heat", 2)])
+def test_zero_temperature_thermal_state(tmp_path, capsys, command, code):
+    # T = 0 has one velocity bucket and the key picks bucket 0 or 1: used to end in IndexError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 2, "n_c": 1},
+                               "physics": {"temperature": 0.0}}))
+    assert run([command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == code
+    if command == "simulate":
+        rows = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()[1:]
+        assert all(r.split(",")[3:] == ["0", "0"] for r in rows)
+        comp = (tmp_path / "o" / "comparison.csv").read_text().splitlines()[1:]
+        assert len(comp) == 50 and all(r.split(",")[1:] == ["0", "0", "0"] for r in comp)
+    else:
+        assert "zero-energy state" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, key", [({"physcs": {"mass": 3}}, "physcs"),
+                                         ({"physics": {"mas": 3}}, "physics.mas"),
+                                         ({"initial": {"node": [1]}}, "initial.node")])
+def test_unknown_config_key_exit_code(tmp_path, capsys, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"config error: unknown config key {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", [0, 0.0, -5])
+def test_window_must_be_positive_or_null(tmp_path, capsys, window):
+    # 0 used to fall back to times.stop and -5 ran ripple on a reversed grid, both exiting 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 2, "n_c": 1}, "window": window}))
+    assert run(["ripple", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "config error: window must be a positive number or null" in capsys.readouterr().err
+
+
+def _dynamics_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 3, "n_c": 2},
+                               "heat_lattice": {"n_r": 3, "n_c": 2}, "regions": 4}))
+    return str(cfg)
+
+
+def test_dynamics_commands_leave_scipy_linalg_unloaded(tmp_path):
+    # the classical series, the null space and A^+ need only numpy and scipy.sparse
+    env = {**os.environ, "PYTHONPATH": str(Path(qenm.__file__).resolve().parents[1])}
+    code = ("import sys\nfrom qenm import cli\n"
+            "for command in ('simulate', 'ripple', 'heat'):\n"
+            f"    assert cli.main([command, '--config', {_dynamics_config(tmp_path)!r}, "
+            f"'--out-dir', {str(tmp_path)!r} + '/' + command]) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m in ('scipy.linalg', 'scipy.sparse.linalg')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_commands_run_without_dense_eigensolvers(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    cfg = _dynamics_config(tmp_path)
+    for command in ("validate", "simulate", "ripple", "heat"):
+        assert run([command, "--config", cfg, "--out-dir", str(tmp_path / command)]) == 0

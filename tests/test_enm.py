@@ -316,10 +316,9 @@ def test_evolve_classical_single_sample_shape():
 
 def test_conserved_F_velocity_free():
     sys = enm.system_from_bonds(3, [(0, 1), (1, 2)])
-    sp = enm.spectral(sys)
     y = np.array([0.4, -0.1, 0.2])
     f = enm.conserved_F(sys, y, np.zeros(3))
-    assert f == pytest.approx(0.5 * float(y @ sp.P @ y))
+    assert f == pytest.approx(0.5 * float(y @ enm.project_range(sys, y)))
 
 
 def test_conserved_F_constant_along_trajectory(sheet):
@@ -366,3 +365,115 @@ def test_trajectory_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,node,axis,x,xdot"
     assert len(lines) == 1 + 2 * 2
+
+
+LADDER = ((2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4), (5, 4), (5, 5))
+
+
+@pytest.fixture(scope="module", params=LADDER, ids=[f"{r}x{c}" for r, c in LADDER])
+def ladder_sheet(request):
+    # module scope with one param at a time: each dense eigh runs once and is freed after
+    return enm.build_system(LatticeSpec(*request.param))
+
+
+def _masses_sheet():
+    # the 3x3 sheet's bonds with a different mass on every site
+    sheet = enm.build_system(LatticeSpec(3, 3))
+    masses = np.random.default_rng(8).uniform(0.5, 12.0, sheet.n)
+    return enm.system_from_bonds(sheet.n, sheet.pairs, kappa=1.3, mass=masses,
+                                 physical=sheet.physical)
+
+
+def _disconnected_graph():
+    # two chains of unequal masses and one site without a bond
+    with pytest.warns(UserWarning, match="disconnected"):
+        return enm.system_from_bonds(8, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)],
+                                     mass=[1.0, 2.0, 3.0, 1.5, 2.5, 4.0, 0.7, 5.0])
+
+
+GRAPHS = {"graph-unbonded-full-band": _full_band_graph, "sheet-3x3-masses": _masses_sheet,
+          "graph-disconnected": _disconnected_graph}
+
+
+def _assert_matches_spectral(sys, times, seed, tol):
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(0.0, 0.2, (2, sys.n))
+    xdot0 = rng.normal(0.0, 1.0, (2, sys.n))
+    traj = enm.evolve_classical(sys, x0, xdot0, times)
+    ref = enm.evolve_spectral(sys, x0, xdot0, times)
+    assert np.abs(traj.x - ref.x).max() <= tol * np.abs(ref.x).max()
+    assert np.abs(traj.xdot - ref.xdot).max() <= tol * np.abs(ref.xdot).max()
+    assert np.array_equal(traj.x[times == 0.0][0], x0)
+    assert np.array_equal(traj.xdot[times == 0.0][0], xdot0)
+
+
+def test_evolve_classical_matches_evolve_spectral_on_sheets(ladder_sheet):
+    # t_max sqrt(lambda_bar) = 98: every time-grid point at the largest degree used
+    t_max = 98.0 / np.sqrt(enm.gershgorin_bound(ladder_sheet))
+    _assert_matches_spectral(ladder_sheet, np.linspace(-t_max, t_max, 41), 31, 1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(GRAPHS))
+def test_evolve_classical_matches_evolve_spectral_on_graphs(case):
+    sys = GRAPHS[case]()
+    t_max = 98.0 / np.sqrt(enm.gershgorin_bound(sys))
+    _assert_matches_spectral(sys, np.concatenate([[0.0], np.linspace(-t_max, t_max, 40)]),
+                             32, 1e-12)
+
+
+def test_evolve_classical_physical_units_ripple_window():
+    # qenm ripple in physical units: m = 12, a 1000 ps window, degree near 500.  Roundoff
+    # in the Chebyshev sum grows with the degree, so this check allows 3e-11 of max |x|
+    sys = enm.build_system(LatticeSpec(4, 4), mass=12.0)
+    times = np.linspace(0.0, 1000.0, 50)
+    assert 400 <= enm.chebyshev_degree(enm.gershgorin_bound(sys), 1000.0) <= 600
+    rng = np.random.default_rng(33)
+    sqrt_m = np.sqrt(sys.masses)
+    zdot0 = np.where(sys.physical, rng.choice([-0.26, 0.26], sys.n), 0.0)
+    zdot0 = enm.project_range(sys, sqrt_m * zdot0) / sqrt_m
+    traj = enm.evolve_classical(sys, np.zeros(sys.n), zdot0, times, axes=("z",))
+    ref = enm.evolve_spectral(sys, np.zeros(sys.n), zdot0, times, axes=("z",))
+    assert np.abs(traj.x - ref.x).max() <= 3e-11 * np.abs(ref.x).max()
+    assert np.abs(traj.xdot - ref.xdot).max() <= 3e-11 * np.abs(ref.xdot).max()
+
+
+def test_gershgorin_bound_holds(spectrum_system):
+    assert enm.eigenvalues(spectrum_system)[-1] <= enm.gershgorin_bound(spectrum_system)
+
+
+def _eigh_null_and_pinv(sys):
+    sp = enm.spectral(sys)
+    nz = sp.eigenvalues > sp.rank_tol
+    v0 = sp.eigenvectors[:, ~nz]
+    vr = sp.eigenvectors[:, nz]
+    return v0, lambda vec: vr @ ((vr.T @ vec) / sp.eigenvalues[nz])
+
+
+def _assert_range_ops_match_eigh(sys, seed):
+    v0, pinv_ref = _eigh_null_and_pinv(sys)
+    assert v0.shape[1] == sys.components.max() + 1
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        vec = rng.normal(0.0, 1.0, sys.n)
+        proj = vec - v0 @ (v0.T @ vec)
+        assert np.abs(enm.project_range(sys, vec) - proj).max() <= 1e-10 * np.abs(proj).max()
+        ref = pinv_ref(vec)
+        assert np.abs(enm.pinv_apply(sys, vec) - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_range_projection_and_pinv_match_eigh_on_sheets(ladder_sheet):
+    _assert_range_ops_match_eigh(ladder_sheet, 41)
+
+
+@pytest.mark.parametrize("case", sorted(GRAPHS))
+def test_range_projection_and_pinv_match_eigh_on_graphs(case):
+    _assert_range_ops_match_eigh(GRAPHS[case](), 42)
+
+
+def test_components_label_unbonded_sites_alone():
+    sys = _disconnected_graph()
+    assert sys.components.tolist() == [0, 0, 0, 1, 1, 1, 1, 2]
+    graph = _full_band_graph()
+    assert graph.components.tolist() == [0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0]
+    # no warning: the unbonded sites 3 and 8 are padding, the physical sites connected
+    assert int((graph.components[graph.physical] != 0).sum()) == 0
