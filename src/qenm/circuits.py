@@ -9,7 +9,17 @@ The simulator keeps the state as a dict {basis int: amplitude}.  Oracle
 circuits here are basis-state permutations (with phases), so a basis input
 stays a single key; the few superposing gates (H, Ry and the three-way
 neighbor-slot preparation) fan a key into at most two, which keeps
-exhaustive sweeps over every basis input cheap even at 30+ qubits.
+single basis inputs cheap to follow even at 30+ qubits.
+
+``permute_basis`` (with ``basis_keys``, ``permute_keys`` and
+``key_values`` underneath) runs a basis-permutation circuit on a whole
+batch of basis inputs at once: every input is one ``uint64`` key in a
+numpy array, and each x, swap, add, sub, lt and lookup gate, with its
+controls, is a few array operations over all keys.  Phase gates (z, s,
+sdg, gphase) leave keys unchanged, as ``run_basis`` also reports register
+values only; superposing gates (h, ry) and circuits wider than 64 qubits
+raise ``ValueError``.  The exhaustive connectivity-oracle sweep runs on
+it; ``simulate`` and ``run_basis`` are the reference it is tested against.
 
 Reversible arithmetic (`add`, `sub`, `lt`) and table lookups execute
 functionally on the keys; `expand_composites` rewrites them into a
@@ -328,6 +338,118 @@ def run_basis(circ: Circuit, init: dict[str, int] | None = None) -> dict[str, in
     if abs(abs(amp) - 1.0) > 1e-9:
         raise AssertionError(f"output magnitude {abs(amp)} != 1")
     return state.assignment(key)
+
+
+# -- batched basis permutations ---------------------------------------------
+
+KEY_BITS = 64
+_ALL_ONES = (1 << KEY_BITS) - 1
+_PERMUTING = ("x", "swap", "add", "sub", "lt", "lookup")
+_PHASES = ("z", "s", "sdg", "gphase")
+
+
+def _check_key_width(circ: Circuit) -> None:
+    if circ.n_qubits > KEY_BITS:
+        raise ValueError(f"{circ.n_qubits} qubits do not fit a {KEY_BITS}-bit basis key")
+
+
+def _take_bits(keys: np.ndarray, bits) -> np.ndarray:
+    """The qubits ``bits`` of every key as little-endian values."""
+    out = np.zeros_like(keys)
+    for i, q in enumerate(bits):
+        out |= ((keys >> q) & 1) << i
+    return out
+
+
+def _put_bits(keys: np.ndarray, bits, values: np.ndarray) -> np.ndarray:
+    """Every key with the qubits ``bits`` overwritten by the low bits of ``values``."""
+    cleared = _ALL_ONES
+    for q in bits:
+        cleared &= ~(1 << q)
+    out = keys & np.uint64(cleared)
+    for i, q in enumerate(bits):
+        out |= ((values >> i) & 1) << q
+    return out
+
+
+def _fires(keys: np.ndarray, controls) -> np.ndarray | bool:
+    """Mask of the keys on which every control matches (True when uncontrolled)."""
+    ones = zeros = 0
+    for q, v in controls:
+        if v:
+            ones |= 1 << q
+        else:
+            zeros |= 1 << q
+    if ones & zeros:                # one qubit asked to be both 0 and 1
+        return np.zeros(keys.shape, dtype=bool)
+    if not ones | zeros:
+        return True
+    return (keys & np.uint64(ones | zeros)) == np.uint64(ones)
+
+
+def _permute_gate(gate: Gate, keys: np.ndarray) -> np.ndarray:
+    kind = gate.kind
+    if kind in _PHASES:
+        return keys
+    if kind not in _PERMUTING:
+        raise ValueError(f"gate {kind!r} is not a basis permutation")
+    fires = _fires(keys, gate.controls)
+    if kind == "x":
+        new = keys ^ np.uint64(1 << gate.targets[0])
+    elif kind == "swap":
+        q1, q2 = gate.targets
+        differ = ((keys >> q1) ^ (keys >> q2)) & 1
+        new = keys ^ (differ << q1) ^ (differ << q2)
+    elif kind in ("add", "sub"):
+        src, dst = _take_bits(keys, gate.a), _take_bits(keys, gate.b)
+        new = _put_bits(keys, gate.b, dst + src if kind == "add" else dst - src)
+    elif kind == "lt":
+        less = _take_bits(keys, gate.a) < _take_bits(keys, gate.b)
+        new = keys ^ (less.astype(np.uint64) << gate.targets[0])
+    else:  # lookup; keys the controls leave alone index entry 0
+        table = np.array([t & _ALL_ONES for t in gate.table], dtype=np.uint64)
+        index = np.where(fires, _take_bits(keys, gate.a), 0)
+        new = _put_bits(keys, gate.b, _take_bits(keys, gate.b) ^ table[index])
+    return new if fires is True else np.where(fires, new, keys)
+
+
+def basis_keys(circ: Circuit, values: dict[str, object]) -> np.ndarray:
+    """Pack register values (integer arrays, broadcast together) into ``uint64`` keys.
+
+    Registers not named are 0; a value outside its register raises ``ValueError``.
+    """
+    _check_key_width(circ)
+    names = list(values)
+    arrays = np.broadcast_arrays(*(np.asarray(values[name]) for name in names))
+    keys = np.zeros(arrays[0].shape if arrays else (), dtype=np.uint64)
+    for name, arr in zip(names, arrays):
+        reg = circ.registers[name]
+        if arr.size and not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"register {name} needs integer values, got {arr.dtype}")
+        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >> reg.width):
+            raise ValueError(f"values of {name} do not fit register {name}[{reg.width}]")
+        keys |= arr.astype(np.uint64) << reg.offset
+    return keys
+
+
+def key_values(circ: Circuit, keys: np.ndarray) -> dict[str, np.ndarray]:
+    """Unpack ``uint64`` keys into one ``uint64`` value array per register."""
+    return {name: (keys >> reg.offset) & np.uint64((1 << reg.width) - 1)
+            for name, reg in circ.registers.items()}
+
+
+def permute_keys(circ: Circuit, keys: np.ndarray) -> np.ndarray:
+    """Apply a basis-permutation circuit to every ``uint64`` basis key at once."""
+    _check_key_width(circ)
+    keys = np.asarray(keys, dtype=np.uint64)
+    for gate in circ.gates:
+        keys = _permute_gate(gate, keys)
+    return keys
+
+
+def permute_basis(circ: Circuit, inputs: dict[str, object]) -> dict[str, np.ndarray]:
+    """Batched ``run_basis``: register value arrays in, every register's value array out."""
+    return key_values(circ, permute_keys(circ, basis_keys(circ, inputs)))
 
 
 # -- ripple-carry expansions ----------------------------------------------

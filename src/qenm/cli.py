@@ -32,9 +32,10 @@ from scipy import sparse
 
 from . import boltzmann, encoding, enm, measure, svgplot
 from .boltzmann import BucketKey, MBParams, prf64
-from .circuits import run_basis, simulate
-from .lattice import (LatticeSpec, adjacency, brute_force_adjacency, decode_index,
-                      dummy_mask, dump_lattice_csv, is_dummy, neighbor)
+from .circuits import permute_basis, run_basis, simulate
+# neighbor is not called here; benchmarks/test_bench.py checks that its tracer rebinds it
+from .lattice import (Adjacency, LatticeSpec, adjacency, brute_force_adjacency,  # noqa: F401
+                      decode_index, dummy_mask, dump_lattice_csv, is_dummy, neighbor)
 from .oracles import comparator, connectivity_oracle, mass_oracle, oracle_mismatches
 
 K_B_PHYSICAL = 0.8314462618     # amu A^2 ps^-2 K^-1
@@ -146,8 +147,15 @@ def _validate_config(cfg: dict) -> None:
     if lat["n_r"] < 1 or lat["n_c"] < 1:
         raise ConfigError("lattice register widths must be >= 1")
     phys = cfg["physics"]
-    if phys["kappa"] <= 0 or phys["mass"] <= 0 or phys["temperature"] < 0:
-        raise ConfigError("need kappa > 0, mass > 0, temperature >= 0")
+    for key in ("kappa", "mass", "k_B"):
+        if not (_is_number(phys[key]) and phys[key] > 0):
+            raise ConfigError(f"physics.{key} must be a finite number > 0, got {phys[key]!r}")
+    if not (_is_number(phys["temperature"]) and phys["temperature"] >= 0):
+        raise ConfigError(f"physics.temperature must be a finite number >= 0, "
+                          f"got {phys['temperature']!r}")
+    for key in ("start", "stop"):
+        if not _is_number(cfg["times"][key]):
+            raise ConfigError(f"times.{key} must be a finite number, got {cfg['times'][key]!r}")
     if cfg["times"]["steps"] < 1:
         raise ConfigError("need at least one time step")
     window = cfg["window"]
@@ -256,21 +264,16 @@ def _validation_checks(cfg):
         ((co := decode_index(j, spec)).r << (spec.n_c + 1)) | (co.c << 1) | co.s == j
         for j in range(spec.n_total))
     checks.append(("encode-decode-roundtrip", round_trip, f"{spec.n_total} indices"))
-    same_bonds = adj.bond_set() == geo.bond_set()
-    checks.append(("shift-table-vs-geometric-adjacency", same_bonds,
-                   f"{len(adj.bond_set())} bonds"))
-    ghosts_rule = {(min(j, int(adj.neighbors[j, l])), max(j, int(adj.neighbors[j, l])))
-                   for j in range(spec.n_total) for l in range(3) if not adj.valid[j, l]}
-    checks.append(("dummy-rules-vs-geometry", not (ghosts_rule & geo.bond_set()),
+    adj_bonds, geo_bonds = adj.bond_set(), geo.bond_set()
+    checks.append(("shift-table-vs-geometric-adjacency", adj_bonds == geo_bonds,
+                   f"{len(adj_bonds)} bonds"))
+    ghosts_rule = Adjacency(adj.neighbors, ~adj.valid).bond_set()
+    checks.append(("dummy-rules-vs-geometry", not (ghosts_rule & geo_bonds),
                    f"{len(ghosts_rule)} flagged ghost bonds, none physical"))
-    symmetric = True
-    for j in range(spec.n_total):
-        for l in range(3):
-            k, valid = neighbor(j, l, spec)
-            back = [neighbor(k, lb, spec) for lb in range(3)]
-            if (j, valid) not in back:
-                symmetric = False
-    checks.append(("validity-symmetric", symmetric, "all (j,l)"))
+    # every slot (j, l) -> k has a back slot of k that points to j with the same validity
+    back = ((adj.neighbors[adj.neighbors] == np.arange(spec.n_total)[:, None, None])
+            & (adj.valid[adj.neighbors] == adj.valid[:, :, None]))
+    checks.append(("validity-symmetric", bool(back.any(axis=2).all()), "all (j,l)"))
     degrees = adj.degrees()[~dummy_mask(spec)]
     deg_ok = bool(np.all((degrees >= 1) & (degrees <= 3))) and bool(np.any(degrees == 3))
     checks.append(("degree-profile", deg_ok,
@@ -316,9 +319,8 @@ def _validation_checks(cfg):
     once = run_basis(mo, {"j": 3, "z": 0})["z"]
     twice = run_basis(mo, {"j": 3, "z": once})["z"]
     checks.append(("mass-oracle-involution", once == 12 and twice == 0, f"z -> {once} -> {twice}"))
-    comp = comparator(4)
-    comp_ok = all(run_basis(comp, {"j": j, "k": k})["flag"] == (1 if k < j else 0)
-                  for j in range(16) for k in range(16))
+    j, k = np.divmod(np.arange(256), 16)
+    comp_ok = bool(np.all(permute_basis(comparator(4), {"j": j, "k": k})["flag"] == (k < j)))
     checks.append(("comparator-table", comp_ok, "256 pairs"))
     uc = encoding.diffusion_projector_circuit(3)
     proj_ok = True
@@ -428,6 +430,9 @@ def cmd_ripple(cfg) -> int:
     out = _out_dir(cfg)
     spec = _spec(cfg)
     window = cfg["times"]["stop"] if cfg["window"] is None else cfg["window"]
+    if window <= 0:     # a configured window is checked positive with the config
+        raise ConfigError(f"times.stop is the ripple window when window is null and must be "
+                          f"> 0, got {window!r}")
     times = np.linspace(0.0, float(window), cfg["times"]["steps"])
     result = measure.ripple_msd(
         spec, times, temperature=cfg["physics"]["temperature"],

@@ -132,13 +132,9 @@ class Adjacency:
 
     def bond_set(self) -> set[tuple[int, int]]:
         """Unordered physical bonds as (min, max) pairs."""
-        bonds = set()
-        for j in range(self.neighbors.shape[0]):
-            for l in range(self.d):
-                if self.valid[j, l]:
-                    k = int(self.neighbors[j, l])
-                    bonds.add((min(j, k), max(j, k)))
-        return bonds
+        j, l = np.nonzero(self.valid)
+        k = self.neighbors[j, l]
+        return set(zip(np.minimum(j, k).tolist(), np.maximum(j, k).tolist()))
 
     def degrees(self) -> np.ndarray:
         return self.valid.sum(axis=1)

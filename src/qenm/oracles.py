@@ -14,7 +14,9 @@ for both endpoints into the flag, restoring every scratch ancilla.  The
 register layout (``_oracle_registers``) and the stage sequence
 (``_emit_connectivity``) are declared once; the standalone stage circuits
 and the block encodings in ``encoding`` build on them, and
-``oracle_mismatches`` is the one exhaustive check against the lattice.
+``oracle_mismatches`` is the one exhaustive check against the lattice: it
+runs every (j, slot) input as one batch of ``uint64`` keys through
+``circuits.permute_keys``.
 
 Slot values outside {0, 1, 2} are undefined; drivers assert they never
 reach the oracle.
@@ -27,9 +29,8 @@ import math
 import numpy as np
 
 from .boltzmann import BucketKey
-from .circuits import Circuit, Register, run_basis, simulate
-from .lattice import (SHIFT_TABLE, LatticeSpec, NodeCoord, decode_index, encode_coord,
-                      neighbor)
+from .circuits import Circuit, Register, basis_keys, key_values, permute_keys, simulate
+from .lattice import SHIFT_TABLE, Adjacency, LatticeSpec, adjacency
 
 
 def _twos(value: int, width: int) -> int:
@@ -179,34 +180,31 @@ def connectivity_oracle(spec: LatticeSpec) -> Circuit:
 
 
 def oracle_mismatches(circ: Circuit, spec: LatticeSpec) -> tuple[int, int, set[tuple[int, int]]]:
-    """Run a built S_a on every (j, slot) basis input and check it against ``lattice.neighbor``.
+    """Run a built S_a on every (j, slot) basis input and check it against ``lattice.adjacency``.
 
-    An output matches when it holds the source, the neighbor, f = 1 exactly
-    for ghost bonds and 0 in every other register (slot, scratch).  Returns
-    (inputs, mismatching outputs, bonds (min, max) read off the f = 0 outputs).
+    All 3N inputs go through ``permute_keys`` as one batch.  An output
+    matches when its whole key equals the expected one: the source, the
+    neighbor, f = 1 exactly for ghost bonds and 0 in every other register
+    (slot, scratch).  Returns (inputs, mismatching outputs, bonds (min, max)
+    read off the f = 0 outputs).
     """
-    zeros = dict.fromkeys(circ.registers, 0)
-    mismatches = 0
-    bonds: set[tuple[int, int]] = set()
-    for j in range(spec.n_total):
-        src = _node_assign(spec, j, primed=False)
-        for l in range(3):
-            out = run_basis(circ, {**src, "ell": l})
-            k, valid = neighbor(j, l, spec)
-            mismatches += out != {**zeros, **src, **_node_assign(spec, k, primed=True),
-                                  "f": int(not valid)}
-            if out["f"] == 0:
-                k_out = encode_coord(NodeCoord(out["rp"], out["cp"], out["sp"]), spec)
-                bonds.add((min(j, k_out), max(j, k_out)))
-    return 3 * spec.n_total, mismatches, bonds
+    adj = adjacency(spec)
+    j = np.repeat(np.arange(spec.n_total), 3)
+    src = _node_assign(spec, j, primed=False)
+    slots = np.tile(np.arange(3), spec.n_total)
+    keys = permute_keys(circ, basis_keys(circ, {**src, "ell": slots}))
+    expected = basis_keys(circ, {**src, **_node_assign(spec, adj.neighbors.ravel(), primed=True),
+                                 "f": (~adj.valid.ravel()).astype(np.int64)})
+    out = key_values(circ, keys)
+    k = (out["rp"] << (spec.n_c + 1)) | (out["cp"] << 1) | out["sp"]
+    bonds = Adjacency(k.astype(np.int64).reshape(-1, 3), (out["f"] == 0).reshape(-1, 3)).bond_set()
+    return len(keys), int(np.count_nonzero(keys != expected)), bonds
 
 
-def _node_assign(spec: LatticeSpec, j: int, primed: bool) -> dict[str, int]:
-    """Register values {r, c, s} (or the primed names) of node j."""
-    co = decode_index(j, spec)
-    if primed:
-        return {"rp": co.r, "cp": co.c, "sp": co.s}
-    return {"r": co.r, "c": co.c, "s": co.s}
+def _node_assign(spec: LatticeSpec, j, primed: bool) -> dict:
+    """Register values {r, c, s} (or the primed names) of node j, an int or an int array."""
+    r, c, s = j >> (spec.n_c + 1), (j >> 1) & (spec.cols - 1), j & 1
+    return {"rp": r, "cp": c, "sp": s} if primed else {"r": r, "c": c, "s": s}
 
 
 def node_value_bits(circ: Circuit, primed: bool) -> tuple[int, ...]:

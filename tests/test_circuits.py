@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qenm.circuits import (Circuit, circuit_text, expand_composites, inverse,
-                           run_basis, simulate)
+from qenm.circuits import (Circuit, basis_keys, circuit_text, expand_composites, inverse,
+                           permute_basis, permute_keys, run_basis, simulate)
 
 
 def bell_pair():
@@ -232,3 +232,101 @@ def test_register_bounds():
         circ.x(5)
     with pytest.raises(ValueError):
         circ.register("a", 1)
+
+
+# -- batched basis permutations ------------------------------------------------
+
+def random_permutation_circuit(rng, widths, n_gates):
+    """Every permutation gate kind and every phase gate, on random operands and controls.
+
+    Controls are drawn with replacement from the qubits the gate does not act
+    on, so some gates repeat a control and some ask one qubit for both values.
+    """
+    circ = Circuit()
+    for name, width in widths.items():
+        circ.register(name, width)
+    n = circ.n_qubits
+    kinds = ("x", "swap", "add", "sub", "lt", "lookup", "z", "s", "sdg", "gphase")
+    for i in range(n_gates):
+        kind = kinds[i % len(kinds)] if i < len(kinds) else str(rng.choice(kinds))
+        perm = [int(q) for q in rng.permutation(n)]
+        wa, wb = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        a, b, t = perm[:wa], perm[wa:wa + wb], perm[wa + wb]
+        free = perm[wa + wb + 1:]
+        controls = [(int(rng.choice(free)), int(rng.integers(2)))
+                    for _ in range(int(rng.integers(0, 3)))]
+        if kind in ("x", "z", "s", "sdg"):
+            getattr(circ, kind)(t, controls)
+        elif kind == "swap":
+            circ.swap(t, a[0], controls)
+        elif kind in ("add", "sub"):
+            getattr(circ, kind)(a, b, controls)
+        elif kind == "lt":
+            circ.compare_lt(a, b, t, controls)
+        elif kind == "lookup":      # entries one bit wider than the value register
+            circ.lookup(a, b, rng.integers(0, 2 << wb, 1 << wa), controls)
+        else:
+            circ.gphase(float(rng.uniform(-math.pi, math.pi)), controls)
+    return circ
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_permute_basis_matches_run_basis_on_random_circuits(seed):
+    rng = np.random.default_rng(seed)
+    widths = {"a": 4, "b": 3, "c": 3}
+    circ = random_permutation_circuit(rng, widths, 40)
+    grids = np.meshgrid(*(np.arange(1 << w) for w in widths.values()), indexing="ij")
+    inputs = {name: grid.ravel() for name, grid in zip(widths, grids)}
+    out = permute_basis(circ, inputs)
+    for i in range(len(inputs["a"])):
+        expected = run_basis(circ, {name: int(v[i]) for name, v in inputs.items()})
+        assert {name: int(v[i]) for name, v in out.items()} == expected
+
+
+def test_permute_basis_broadcasts_and_defaults_registers_to_zero():
+    circ = Circuit()
+    a = circ.register("a", 2)
+    b = circ.register("b", 2)
+    circ.add(a.bits, b.bits)
+    out = permute_basis(circ, {"a": np.arange(4), "b": 1})
+    assert out["b"].tolist() == [1, 2, 3, 0] and out["a"].tolist() == [0, 1, 2, 3]
+    assert permute_basis(circ, {"a": [3]})["b"].tolist() == [3]
+
+
+def test_permute_keys_leaves_keys_under_phase_gates():
+    circ = Circuit()
+    q = circ.register("q", 3)
+    circ.z(q[0])
+    circ.s(q[1], [(q[0], 1)])
+    circ.sdg(q[2], [(q[1], 0)])
+    circ.gphase(0.7, [(q[2], 1)])
+    keys = np.arange(8, dtype=np.uint64)
+    assert permute_keys(circ, keys).tolist() == keys.tolist()
+
+
+@pytest.mark.parametrize("kind", ["h", "ry"])
+def test_permute_keys_rejects_superposing_gates(kind):
+    circ = Circuit()
+    q = circ.register("q", 1)
+    if kind == "h":
+        circ.h(q[0])
+    else:
+        circ.ry(q[0], 0.3)
+    with pytest.raises(ValueError, match="not a basis permutation"):
+        permute_keys(circ, np.zeros(1, dtype=np.uint64))
+
+
+def test_basis_keys_reject_wide_circuits_and_values_outside_registers():
+    circ = Circuit()
+    circ.register("q", 64)
+    assert basis_keys(circ, {"q": np.array([2**64 - 1], dtype=np.uint64)}).tolist() == [2**64 - 1]
+    circ.register("extra", 1)
+    with pytest.raises(ValueError, match="65 qubits"):
+        basis_keys(circ, {"extra": [1]})
+    with pytest.raises(ValueError, match="65 qubits"):
+        permute_keys(circ, np.zeros(1, dtype=np.uint64))
+    small = Circuit()
+    small.register("a", 2)
+    for bad in ([4], [-1]):
+        with pytest.raises(ValueError, match="do not fit register a"):
+            basis_keys(small, {"a": bad})

@@ -353,3 +353,52 @@ def test_commands_run_without_dense_eigensolvers(tmp_path, monkeypatch):
     cfg = _dynamics_config(tmp_path)
     for command in ("validate", "simulate", "ripple", "heat"):
         assert run([command, "--config", cfg, "--out-dir", str(tmp_path / command)]) == 0
+
+
+def test_validate_symmetry_check_reads_the_adjacency_arrays(tmp_path, capsys, monkeypatch):
+    # one physical bond marked invalid in one direction only must fail validity-symmetric
+    from qenm import lattice
+
+    def one_sided(spec):
+        adj = lattice.adjacency(spec)
+        j, l = map(int, np.argwhere(adj.valid)[0])
+        adj.valid[j, l] = False
+        return adj
+
+    monkeypatch.setattr(cli, "adjacency", one_sided)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 2, "n_c": 2}}))
+    assert run(["validate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    assert "FAIL validity-symmetric: all (j,l)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["ripple", "simulate"])
+@pytest.mark.parametrize("config, message", [
+    ({"physics": {"temperature": float("nan")}}, "physics.temperature must be a finite number"),
+    ({"physics": {"temperature": float("inf")}}, "physics.temperature must be a finite number"),
+    ({"physics": {"temperature": -1.0}}, "physics.temperature must be a finite number >= 0"),
+    ({"physics": {"k_B": -1.0}}, "physics.k_B must be a finite number > 0"),
+    ({"physics": {"k_B": float("nan")}}, "physics.k_B must be a finite number > 0"),
+    ({"physics": {"kappa": float("nan")}}, "physics.kappa must be a finite number > 0"),
+    ({"physics": {"mass": float("inf")}}, "physics.mass must be a finite number > 0"),
+    ({"physics": {"mass": 0}}, "physics.mass must be a finite number > 0"),
+    ({"times": {"stop": float("inf")}}, "times.stop must be a finite number"),
+    ({"times": {"start": float("nan")}}, "times.start must be a finite number"),
+])
+def test_physics_and_times_must_be_finite(tmp_path, capsys, command, config, message):
+    # NaN temperature and bad k_B used to end in a conjugate-gradients traceback (exit 1),
+    # NaN kappa and an infinite stop in "cannot convert float NaN to integer"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 2, "n_c": 1}, **config}))
+    assert run([command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stop", [0.0, -5.0])
+def test_ripple_fallback_window_must_be_positive(tmp_path, capsys, stop):
+    # with window null, stop 0 printed "MSD nan" and -5 ran on a reversed grid, both exiting 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 2, "n_c": 1}, "times": {"stop": stop}}))
+    assert run(["ripple", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert ("config error: times.stop is the ripple window when window is null and must be > 0"
+            in capsys.readouterr().err)

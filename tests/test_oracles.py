@@ -5,8 +5,9 @@ import pytest
 
 from qenm.boltzmann import BucketKey, bucket_assignment, bucket_velocities, \
     discretize_two_bucket, MBParams
-from qenm.circuits import Circuit, inverse, run_basis, simulate
-from qenm.lattice import SHIFT_TABLE, LatticeSpec, decode_index
+from qenm.circuits import (Circuit, expand_composites, inverse, permute_basis, run_basis,
+                           simulate)
+from qenm.lattice import SHIFT_TABLE, LatticeSpec, brute_force_adjacency, decode_index
 from qenm.oracles import (comparator, connectivity_oracle, coord_adder,
                           emit_slot_superposition, inequality_test_loader,
                           mass_oracle, oracle_mismatches, ordered_swap,
@@ -83,6 +84,59 @@ def test_oracle_sweep_catches_every_dropped_gate():
         assert oracle_mismatches(circ, spec)[1] > 0, f"dropping gate {i} went unnoticed"
 
 
+def _slot_inputs(spec: LatticeSpec) -> dict[str, np.ndarray]:
+    """Every (j, slot) input of S_a as register value arrays."""
+    j = np.repeat(np.arange(spec.n_total), 3)
+    return {"r": j >> (spec.n_c + 1), "c": (j >> 1) & (spec.cols - 1), "s": j & 1,
+            "ell": np.tile(np.arange(3), spec.n_total)}
+
+
+def _random_inputs(circ: Circuit, rng, count: int) -> dict[str, np.ndarray]:
+    """Uniform values in every register: slot 3, dirty scratch and neighbor registers too."""
+    return {name: rng.integers(0, 1 << reg.width, count)
+            for name, reg in circ.registers.items()}
+
+
+def _assert_batch_matches_run_basis(circ: Circuit, inputs: dict[str, np.ndarray]) -> None:
+    out = permute_basis(circ, inputs)
+    for i in range(len(next(iter(inputs.values())))):
+        expected = run_basis(circ, {name: int(v[i]) for name, v in inputs.items()})
+        assert {name: int(v[i]) for name, v in out.items()} == expected
+
+
+@pytest.mark.parametrize("spec", [LatticeSpec(2, 2), LatticeSpec(4, 4)])
+def test_connectivity_oracle_batch_matches_run_basis_on_every_input(spec):
+    circ = connectivity_oracle(spec)
+    _assert_batch_matches_run_basis(circ, _slot_inputs(spec))
+    _assert_batch_matches_run_basis(circ, _random_inputs(circ, np.random.default_rng(1), 500))
+
+
+def test_connectivity_oracle_batch_matches_run_basis_on_a_5x5_sample():
+    spec = LatticeSpec(5, 5)
+    circ = connectivity_oracle(spec)
+    rng = np.random.default_rng(5)
+    pick = rng.choice(3 * spec.n_total, 400, replace=False)
+    _assert_batch_matches_run_basis(circ, {k: v[pick] for k, v in _slot_inputs(spec).items()})
+    _assert_batch_matches_run_basis(circ, _random_inputs(circ, rng, 400))
+
+
+def test_expanded_connectivity_oracle_batch_matches_run_basis():
+    spec = LatticeSpec(2, 1)
+    flat = expand_composites(connectivity_oracle(spec))
+    _assert_batch_matches_run_basis(flat, _slot_inputs(spec))
+    _assert_batch_matches_run_basis(flat, _random_inputs(flat, np.random.default_rng(2), 500))
+
+
+def test_connectivity_oracle_exhaustive_past_twelve_address_bits():
+    # 6x6: 13 address bits, 35 qubits, 24,576 (j, slot) inputs in one batch
+    spec = LatticeSpec(6, 6)
+    circ = connectivity_oracle(spec)
+    assert (spec.address_bits, circ.n_qubits) == (13, 35)
+    states, mismatches, bonds = oracle_mismatches(circ, spec)
+    assert (states, mismatches) == (24576, 0)
+    assert bonds == brute_force_adjacency(spec).bond_set()
+
+
 def test_connectivity_oracle_reversible():
     spec = LatticeSpec(2, 2)
     circ = connectivity_oracle(spec)
@@ -100,7 +154,6 @@ def test_connectivity_oracle_reversible():
 def test_connectivity_oracle_expanded_to_elementary_gates():
     # the composite adders inside S_a behave identically when rewritten
     # into MAJ/UMA ripple chains
-    from qenm.circuits import expand_composites
     spec = LatticeSpec(2, 1)
     flat = expand_composites(connectivity_oracle(spec))
     assert all(g.kind == "x" for g in flat.gates)
