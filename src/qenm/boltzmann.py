@@ -101,10 +101,12 @@ def bucket_assignment(j: int, key: BucketKey) -> int:
 
 
 def bucket_velocities(n_nodes: int, key: BucketKey, disc: DiscretizedMB) -> np.ndarray:
-    """Velocity per node index under a two-bucket key assignment."""
+    """Velocity per node index under a two-bucket key assignment, for all nodes at once."""
     if disc.k == 1:
         return np.full(n_nodes, disc.velocities[0])
-    return np.array([disc.velocities[bucket_assignment(j, key)] for j in range(n_nodes)])
+    masked = np.arange(n_nodes) & key.s
+    ones = sum(((masked >> b) & 1 for b in range(key.s.bit_length())), np.full(n_nodes, key.r))
+    return np.asarray(disc.velocities)[ones & 1]
 
 
 def lemma1_rel_fluctuation(D: int, N: int) -> float:

@@ -377,8 +377,7 @@ def cmd_simulate(cfg) -> int:
             bh = encoding.build_block_H(sys)
             encoding.dump_state_csv(st0, out / "state_t0.csv")
             all_nodes = tuple(range(sys.n))
-            for ti, t in enumerate(times):
-                st = encoding.evolve_exact(st0, bh, t)
+            for ti, (t, st) in enumerate(zip(times, encoding.evolve_exact(st0, bh, times))):
                 ref = encoding.prepare_standard(sys, traj.x[ti], traj.xdot[ti])
                 dev = float(np.abs(st.amps - ref.amps).max())
                 kin = measure.energy_fraction(
@@ -444,11 +443,10 @@ def cmd_ripple(cfg) -> int:
     with open(out / "bucket_spec.json", "w") as fh:
         json.dump(boltzmann.bucket_spec_json(disc), fh, sort_keys=True, indent=2)
         fh.write("\n")
-    with open(out / "ripple_msd.csv", "w") as fh:
-        fh.write("t,observable,subset_id,estimate,stderr,mode\n")
-        for t, mq, mc in zip(result.times, result.msd, result.msd_classical):
-            fh.write(f"{t:.17g},msd,all,{mq:.17g},0,exact-expectation\n")
-            fh.write(f"{t:.17g},msd-classical,all,{mc:.17g},0,classical\n")
+    measure.dump_results_csv(out / "ripple_msd.csv", (
+        row for t, mq, mc in zip(result.times, result.msd, result.msd_classical)
+        for row in ((t, "msd", "all", mq, 0, "exact-expectation"),
+                    (t, "msd-classical", "all", mc, 0, "classical"))))
     svgplot.series_svg(out / "ripple_msd.svg", result.times,
                        {"quantum": result.msd, "classical": result.msd_classical},
                        title="out-of-plane MSD", ylabel="MSD")

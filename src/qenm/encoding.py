@@ -34,12 +34,15 @@ Evolution (``evolve_exact``) applies e^{-iHt} as the Jacobi-Anger series
 
 in x = H / alpha with tau = alpha t and alpha = sqrt(2 kappa d / m) >= ||H||,
 truncated at the degree ``series_degree(tau)`` whose tail is at most
-``SERIES_EPS`` in operator norm.  Each degree costs one sparse matvec, the
-query count of a block encoding of H / alpha.  ``evolve_dense``, the
-eigendecomposition of the dense active block, is kept only as the reference
-the tests compare against.  The gate-level block encoding below is verified
-against H / alpha by amplitude extraction and is never used for time
-evolution.
+``SERIES_EPS`` in operator norm.  That degree is the query count of a block
+encoding of H / alpha for one time sample; on hardware each sample is its
+own run.  The emulator runs one Chebyshev recurrence (``enm.chebyshev_basis``,
+one sparse matvec per degree) to the degree of the longest time in the grid
+and combines that basis for every sample, which saves matvecs but leaves the
+query count unchanged.  ``evolve_dense``, the eigendecomposition of the dense
+active block, is kept only as the reference the tests compare against.  The
+gate-level block encoding below is verified against H / alpha by amplitude
+extraction and is never used for time evolution.
 
 Circuit block encodings (uniform mass and coupling):
 
@@ -57,6 +60,7 @@ Circuit block encodings (uniform mass and coupling):
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -282,35 +286,24 @@ def series_degree(tau: float) -> int:
     return enm.bessel_tail_degree(tau, SERIES_EPS)
 
 
-_MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
+def evolve_exact(state: EncodedState, bh: BlockHamiltonian, times) -> Iterator[EncodedState]:
+    """exp(-iHt) on every axis slice for each t of ``times``, in grid order.
 
-
-def evolve_exact(state: EncodedState, bh: BlockHamiltonian, t: float) -> EncodedState:
-    """exp(-iHt) on every axis slice, as the truncated Jacobi-Anger series.
-
-    Runs the Chebyshev recurrence T_{k+1} = 2 (H/alpha) T_k - T_{k-1} on the
-    state with ``series_degree(alpha t)`` sparse matvecs; the result is
-    within SERIES_EPS of the exact propagator in norm.
+    Runs the recurrence T_k(H / alpha) psi_0 to ``series_degree(alpha max|t|)``
+    before returning, so errors raise here; the iterator then forms each
+    sample as sum_k c_k(t) T_k psi_0, within SERIES_EPS of exp(-iHt) in norm.
     """
+    times = enm.time_grid(times)
     if bh.n_nodes != state.n:
         raise ValueError("Hamiltonian and state sizes differ")
-    tau = bh.scale * t
-    orders = np.arange(series_degree(tau) + 1)
-    coeffs = _MINUS_I_POWERS[orders % 4] * jv(orders, tau)
+    taus = bh.scale * times
+    degree = series_degree(float(np.abs(taus).max()))
+    basis = enm.chebyshev_basis(bh.H, state.amps.T, degree, bh.scale)    # (K + 1, N + P, D)
+    orders = np.arange(degree + 1)[:, None]
+    coeffs = np.array([1.0, -1.0j, -1.0, 1.0j])[orders % 4] * jv(orders, taus)   # (K + 1, T)
     coeffs[1:] *= 2.0
-    prev = np.ascontiguousarray(state.amps.T)          # (N + P, D)
-    out = coeffs[0] * prev
-    if len(coeffs) > 1:
-        cur = bh.H @ prev
-        cur /= bh.scale
-        out += coeffs[1] * cur
-        for c in coeffs[2:]:
-            nxt = bh.H @ cur
-            nxt *= 2.0 / bh.scale
-            nxt -= prev
-            prev, cur = cur, nxt
-            out += c * cur
-    return replace(state, amps=np.ascontiguousarray(out.T))
+    return (replace(state, amps=np.ascontiguousarray(np.tensordot(c, basis, 1).T))
+            for c in coeffs.T)
 
 
 def evolve_dense(state: EncodedState, bh: BlockHamiltonian, t: float) -> EncodedState:

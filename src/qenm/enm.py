@@ -130,9 +130,9 @@ def system_from_bonds(n, bonds, kappa=1.0, mass=1.0, physical=None) -> SystemMat
 
     ``mass`` is one mass for every site or a sequence of n masses.
     """
+    j, k = np.asarray(bonds, dtype=int).reshape(-1, 2).T
     km = np.zeros((n, n))
-    for j, k in bonds:
-        km[j, k] = km[k, j] = kappa
+    km[np.concatenate([j, k]), np.concatenate([k, j])] = kappa
     masses = np.full(n, mass, dtype=float)
     if physical is None:
         physical = np.ones(n, dtype=bool)
@@ -148,11 +148,9 @@ def build_system(spec: LatticeSpec, kappa=1.0, mass=1.0) -> SystemMatrices:
     if kappa <= 0 or mass <= 0:
         raise ValueError("kappa and mass must be positive")
     adj = adjacency(spec)
+    j, l = np.nonzero(adj.valid)
     km = np.zeros((spec.n_total, spec.n_total))
-    for j in range(spec.n_total):
-        for l in range(adj.d):
-            if adj.valid[j, l]:
-                km[j, adj.neighbors[j, l]] = kappa
+    km[j, adj.neighbors[j, l]] = kappa
     masses = np.full(spec.n_total, float(mass))
     return _assemble(masses, km, ~dummy_mask(spec), spec)
 
@@ -252,13 +250,19 @@ class Trajectory:
     sys: SystemMatrices
 
 
-def _initial_state(sys, x0, xdot0, times, axes):
-    """Checked (D, N) initial conditions, 1-D time grid and axis names."""
+def time_grid(times) -> np.ndarray:
+    """``times`` as a float array, checked to be a nonempty 1-D grid."""
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("empty time grid")
     if times.ndim != 1:
         raise ValueError("the time grid must be a 1-D sequence")
+    return times
+
+
+def _initial_state(sys, x0, xdot0, times, axes):
+    """Checked (D, N) initial conditions, 1-D time grid and axis names."""
+    times = time_grid(times)
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     xdot0 = np.atleast_2d(np.asarray(xdot0, dtype=float))
     if x0.shape != xdot0.shape or x0.shape[1] != sys.n:
@@ -302,6 +306,25 @@ def chebyshev_degree(lam_bar: float, t_max: float) -> int:
     return (bessel_tail_degree(omega, CHEB_EPS / 2.0) + 1) // 2
 
 
+def chebyshev_basis(S, block: np.ndarray, degree: int, scale: float = 1.0) -> np.ndarray:
+    """T_k(S / scale) block for k = 0..degree, stacked on a new first axis.
+
+    The recurrence T_{k+1} = 2 (S / scale) T_k - T_{k-1} makes exactly
+    ``degree`` products with the (M, M) matrix ``S``, whose scale divides
+    each product.
+    """
+    basis = np.empty((degree + 1, *block.shape), dtype=np.result_type(S.dtype, block.dtype))
+    basis[0] = block
+    if degree >= 1:
+        basis[1] = S @ block
+        basis[1] /= scale
+    for k in range(2, degree + 1):
+        basis[k] = S @ basis[k - 1]
+        basis[k] *= 2.0 / scale
+        basis[k] -= basis[k - 2]
+    return basis
+
+
 def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
     """Solution of M x'' = -F x from x(0), xdot(0), without eigenvectors.
 
@@ -315,9 +338,9 @@ def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
     Each function is a Chebyshev series in S = 2 L / lambda_bar - 1 of degree
     K = ``chebyshev_degree(lambda_bar, max|t|)``.  One cosine transform of
     the three functions, sampled at the K + 1 Chebyshev nodes for every time,
-    gives all coefficients; K sparse products with the (N, 2D) block of
-    initial conditions give the basis T_k(S) x0, T_k(S) xdot0; and one GEMM
-    per axis forms every sample.  The basis takes 16 D (K + 1) N bytes: K is
+    gives all coefficients; ``chebyshev_basis`` of the (N, 2D) block of
+    initial conditions, K sparse products, gives T_k(S) x0, T_k(S) xdot0;
+    and one GEMM per axis forms every sample.  The basis takes 16 D (K + 1) N bytes: K is
     29 for max|t| sqrt(lambda_bar) = 24.5 (``validate``, 2 MB at 5x5) and 496
     for 707 (``ripple``'s 1000 ps window in physical units, 4 MB at 4x4).
     The cosine is transformed as cos - 1 with the 1 put on T_0, and working
@@ -347,24 +370,14 @@ def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
     L = sparse.diags_array(1.0 / np.sqrt(sys.masses)) @ sparse_A(sys) @ sparse.diags_array(
         np.sqrt(sys.masses))
     S = (2.0 / lam_bar) * L - sparse.eye_array(n)
-    basis = np.empty((2 * d, nodes, n))          # row 2a: T_k(S) x0[a]; row 2a + 1: of xdot0[a]
-    prev = np.stack([x0, xdot0], axis=1).reshape(2 * d, n)
-    basis[:, 0] = prev
-    prev = prev.T
-    if nodes > 1:
-        cur = S @ prev
-        basis[:, 1] = cur.T
-        for k in range(2, nodes):
-            nxt = S @ cur
-            nxt *= 2.0
-            nxt -= prev
-            basis[:, k] = nxt.T
-            prev, cur = cur, nxt
+    # (K + 1, N, 2D); column 2a: of x0[a], column 2a + 1: of xdot0[a]
+    basis = chebyshev_basis(S, np.stack([x0, xdot0], axis=1).reshape(2 * d, n).T, nodes - 1)
 
     xs = np.empty((steps, d, n))
     vs = np.empty((steps, d, n))
     for a in range(d):
-        out = basis[2 * a:2 * a + 2].reshape(2 * nodes, n).T @ mixing      # (N, 2T)
+        # the reshape copies: row k is T_k(S) x0[a], row nodes + k is T_k(S) xdot0[a]
+        out = basis[:, :, 2 * a:2 * a + 2].transpose(2, 0, 1).reshape(2 * nodes, n).T @ mixing
         xs[:, a] = out[:, :steps].T
         vs[:, a] = out[:, steps:].T
     return Trajectory(times, xs, vs, axes, sys)

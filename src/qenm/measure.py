@@ -236,19 +236,13 @@ def heat_experiment(spec: LatticeSpec, times, hotspot_region: int = 0,
         raise ValueError("the hotspot starts with zero energy (temperature 0): "
                          "a zero-energy state has no encoding")
     x0 = np.zeros((2, sys.n))
-    times = np.asarray(times, dtype=float)
     traj = enm.evolve_classical(sys, x0, xdot0, times)
     st0 = encoding.prepare_standard(sys, x0, xdot0)
     bh = encoding.build_block_H(sys)
-    found, argmax, logs = [], [], []
-    for ti, t in enumerate(times):
-        st = encoding.evolve_exact(st0, bh, t)
-        res = heat_binary_search(st, regions)
-        classical = [enm.kinetic_energy_subset(traj, ti, band) for band in regions]
-        found.append(res.region_index)
-        argmax.append(int(np.argmax(classical)))
-        logs.append(res)
-    return HeatResult(times, found, argmax, logs, n_regions)
+    logs = [heat_binary_search(st, regions) for st in encoding.evolve_exact(st0, bh, traj.times)]
+    argmax = [int(np.argmax([enm.kinetic_energy_subset(traj, ti, band) for band in regions]))
+              for ti in range(traj.times.size)]
+    return HeatResult(traj.times, [res.region_index for res in logs], argmax, logs, n_regions)
 
 
 # -- out-of-plane rippling ------------------------------------------------------
@@ -276,7 +270,7 @@ def ripple_msd(spec: LatticeSpec, times, temperature: float,
     """
     times = np.asarray(times, dtype=float)
     sys = enm.build_system(spec, kappa=kappa, mass=mass)
-    phys = tuple(int(j) for j in np.flatnonzero(sys.physical))
+    phys = np.flatnonzero(sys.physical)
     if temperature == 0.0:
         zeros = np.zeros_like(times)
         return RippleResult(times, zeros, zeros.copy(), 0.0, 0.0)
@@ -291,8 +285,7 @@ def ripple_msd(spec: LatticeSpec, times, temperature: float,
     rng = np.random.default_rng(seed)
     key = boltzmann.BucketKey.random(spec.address_bits, rng)
     zdot0 = np.zeros(sys.n)
-    for j in phys:
-        zdot0[j] = disc.velocities[boltzmann.bucket_assignment(j, key)]
+    zdot0[phys] = boltzmann.bucket_velocities(sys.n, key, disc)[phys]
     # zero net momentum: project the mass-weighted velocity onto range(A)
     sqrt_m = np.sqrt(sys.masses)
     zdot0 = enm.project_range(sys, sqrt_m * zdot0) / sqrt_m
@@ -301,13 +294,10 @@ def ripple_msd(spec: LatticeSpec, times, temperature: float,
     traj = enm.evolve_classical(sys, z0, zdot0, times, axes=("z",))
     st0 = encoding.prepare_alternative(sys, z0, zdot0)
     bh = encoding.build_block_H(sys)
-    sel = SubsetSelector("displacement", phys)
-    msd_q = np.empty(times.size)
-    msd_c = np.empty(times.size)
-    for ti, t in enumerate(times):
-        st = encoding.evolve_exact(st0, bh, t)
-        msd_q[ti] = msd_fraction(st, sel).observable
-        msd_c[ti] = enm.msd_subset(traj, ti, phys)
+    sel = SubsetSelector("displacement", tuple(phys.tolist()))
+    msd_q = np.array([msd_fraction(st, sel).observable
+                      for st in encoding.evolve_exact(st0, bh, times)])
+    msd_c = np.array([enm.msd_subset(traj, ti, phys) for ti in range(times.size)])
     mean = enm.time_average(msd_q, times)
     return RippleResult(times, msd_q, msd_c, mean, enm.b_factor(mean))
 

@@ -91,8 +91,7 @@ def test_criterion_3_trajectory_equivalence():
     st0 = encoding.prepare_standard(sys, x0, xdot0)
     bh = encoding.build_block_H(sys)
     worst = 0.0
-    for ti, t in enumerate(times):
-        st = encoding.evolve_exact(st0, bh, t)
+    for ti, st in enumerate(encoding.evolve_exact(st0, bh, times)):
         ref = encoding.prepare_standard(sys, traj.x[ti], traj.xdot[ti])
         worst = max(worst, float(np.abs(st.tensor - ref.tensor).max()))
     elapsed = time.time() - start
@@ -120,8 +119,7 @@ def test_criterion_4_energy_fraction_identity():
     bond_subsets = [tuple(sys.pairs[i] for i in
                           rng.choice(len(sys.pairs), 4, replace=False))
                     for _ in range(n_subsets)]
-    for ti, t in enumerate(times):
-        st = encoding.evolve_exact(st0, bh, t)
+    for ti, st in enumerate(encoding.evolve_exact(st0, bh, times)):
         for nodes, bonds in zip(subsets, bond_subsets):
             got = measure.energy_fraction(st, SubsetSelector("kinetic", nodes)).estimate
             ref = enm.kinetic_energy_subset(traj, ti, nodes) / energy
@@ -149,8 +147,7 @@ def test_criterion_5_alternative_encoding_conservation():
     bh = encoding.build_block_H(sys)
     phys = tuple(int(j) for j in np.flatnonzero(sys.physical))
     worst = 0.0
-    for ti, t in enumerate(times):
-        st = encoding.evolve_exact(st0, bh, t)
+    for ti, st in enumerate(encoding.evolve_exact(st0, bh, times)):
         got = measure.msd_fraction(st, SubsetSelector("displacement", phys)).observable
         worst = max(worst, abs(got - enm.msd_subset(traj, ti, phys)))
     assert drift <= 1e-8

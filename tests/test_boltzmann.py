@@ -97,6 +97,18 @@ def test_bucket_velocities_layout():
     assert vels[0] == disc.velocities[0] and vels[1] == disc.velocities[1]
 
 
+def test_bucket_velocities_match_scalar_assignment():
+    disc = discretize_two_bucket(MBParams(m=1.0, T=2.0))
+    rng = np.random.default_rng(17)
+    for n in range(1, 14):
+        keys = [BucketKey(0, 1, n), BucketKey((1 << n) - 1, 0, n),
+                *(BucketKey.random(n, rng) for _ in range(3))]
+        for key in keys:
+            for n_nodes in (1 << n, (1 << n) // 2 + 1):
+                expect = [disc.velocities[bucket_assignment(j, key)] for j in range(n_nodes)]
+                assert bucket_velocities(n_nodes, key, disc).tolist() == expect
+
+
 def test_lemma1_values():
     assert lemma1_rel_fluctuation(2, 8) == pytest.approx(0.35355339059327373)
     assert mean_kinetic(MBParams(m=1.0, T=1.0, k_B=1.0, D=3), 1) == pytest.approx(1.5)

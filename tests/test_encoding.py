@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ def test_evolution_t0_identity(small_sheet):
     x0, xdot0 = thermalish_ics(small_sheet)
     st = encoding.prepare_standard(small_sheet, x0, xdot0)
     bh = encoding.build_block_H(small_sheet)
-    st2 = encoding.evolve_exact(st, bh, 0.0)
+    st2, = encoding.evolve_exact(st, bh, [0.0])
     assert np.abs(st2.tensor - st.tensor).max() <= 1e-14
 
 
@@ -82,8 +83,7 @@ def test_quantum_classical_trajectory_equivalence(small_sheet):
     st0 = encoding.prepare_standard(sys, x0, xdot0)
     bh = encoding.build_block_H(sys)
     worst = 0.0
-    for ti, t in enumerate(ts):
-        st = encoding.evolve_exact(st0, bh, t)
+    for ti, st in enumerate(encoding.evolve_exact(st0, bh, ts)):
         ref = encoding.prepare_standard(sys, traj.x[ti], traj.xdot[ti])
         worst = max(worst, float(np.abs(st.tensor - ref.tensor).max()))
     assert worst <= 1e-8
@@ -103,11 +103,85 @@ def test_series_evolution_matches_dense_reference(spec, tag):
         st0 = encoding.prepare_alternative(sys, x0[0], xdot0[0])
     bh = encoding.build_block_H(sys)
     worst = 0.0
-    for t in np.linspace(-5.0, 40.0, 46):
-        got = encoding.evolve_exact(st0, bh, t).amps
+    ts = np.linspace(-5.0, 40.0, 46)
+    for t, got in zip(ts, encoding.evolve_exact(st0, bh, ts)):
         ref = encoding.evolve_dense(st0, bh, t).amps
-        worst = max(worst, float(np.abs(got - ref).max()))
+        worst = max(worst, float(np.abs(got.amps - ref).max()))
     assert worst <= SERIES_TOL
+
+
+@pytest.mark.parametrize("grid", [np.array([]), 1.5, np.ones((2, 3))])
+def test_evolve_exact_rejects_a_grid_that_is_not_1d(small_sheet, grid):
+    x0, xdot0 = thermalish_ics(small_sheet, seed=2)
+    st0 = encoding.prepare_standard(small_sheet, x0, xdot0)
+    with pytest.raises(ValueError):
+        encoding.evolve_exact(st0, encoding.build_block_H(small_sheet), grid)
+
+
+@pytest.mark.parametrize("grid", [[7.5, -1.0, 3.0, 0.5], [-4.0, -0.5], [0.0],
+                                  [2.0, 2.0, 5.0, 2.0], [6.0]],
+                         ids=["unsorted", "negative", "zero", "repeated", "single"])
+@pytest.mark.parametrize("tag", ["standard", "alternative"])
+def test_evolve_exact_grid_matches_dense_reference(small_sheet, grid, tag):
+    sys = small_sheet
+    x0, xdot0 = thermalish_ics(sys, seed=23, displaced=3, axes=2 if tag == "standard" else 1)
+    if tag == "standard":
+        st0 = encoding.prepare_standard(sys, x0, xdot0)
+    else:
+        st0 = encoding.prepare_alternative(sys, x0[0], xdot0[0])
+    bh = encoding.build_block_H(sys)
+    states = list(encoding.evolve_exact(st0, bh, grid))
+    assert len(states) == len(grid)
+    for t, st in zip(grid, states):
+        assert st.amps.shape == st0.amps.shape and st.tag == tag
+        assert np.abs(st.amps - encoding.evolve_dense(st0, bh, t).amps).max() <= SERIES_TOL
+
+
+class CountingMatrix:
+    """Delegates ``@`` to a matrix and counts the products."""
+
+    def __init__(self, mat):
+        self.mat, self.dtype, self.products = mat, mat.dtype, 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return self.mat @ other
+
+
+def test_evolve_exact_runs_one_recurrence_per_grid(small_sheet):
+    x0, xdot0 = thermalish_ics(small_sheet, seed=6)
+    st0 = encoding.prepare_standard(small_sheet, x0, xdot0)
+    bh = encoding.build_block_H(small_sheet)
+    counting = CountingMatrix(bh.H)
+    grid = np.array([3.0, -9.5, 0.0, 4.25])
+    states = encoding.evolve_exact(st0, replace(bh, H=counting), grid)
+    degree = encoding.series_degree(bh.scale * 9.5)
+    assert degree > 0 and counting.products == degree       # before any sample is taken
+    assert len(list(states)) == len(grid) and counting.products == degree
+
+
+def test_evolve_exact_size_mismatch_raises_at_the_call(small_sheet):
+    x0, xdot0 = thermalish_ics(small_sheet, seed=3)
+    st0 = encoding.prepare_standard(small_sheet, x0, xdot0)
+    other = encoding.build_block_H(enm.build_system(LatticeSpec(2, 2)))
+    with pytest.raises(ValueError, match="sizes differ"):
+        encoding.evolve_exact(st0, other, [1.0, 2.0])
+
+
+def test_chebyshev_basis_matches_numpy_chebyshev():
+    rng = np.random.default_rng(8)
+    m = rng.normal(size=(6, 6))
+    S = m + m.T
+    S /= 1.05 * np.linalg.norm(S, 2)            # spectrum inside [-1, 1]
+    block = rng.normal(size=(6, 3))
+    degree = 9
+    w, v = np.linalg.eigh(S)
+    vander = np.polynomial.chebyshev.chebvander(w, degree)     # T_k(w_i) at [i, k]
+    expect = np.stack([v @ (vander[:, k, None] * (v.T @ block)) for k in range(degree + 1)])
+    assert np.abs(enm.chebyshev_basis(S, block, degree) - expect).max() <= 1e-12
+    scaled = enm.chebyshev_basis(3.0 * S, block[:, 0], degree, scale=3.0)
+    assert np.abs(scaled - expect[:, :, 0]).max() <= 1e-12
+    assert enm.chebyshev_basis(S, block, 0).shape == (1, 6, 3)
 
 
 def test_series_degree_bounds_the_jacobi_anger_tail():
@@ -145,8 +219,8 @@ def test_norm_preserved_over_many_times(small_sheet):
     x0, xdot0 = thermalish_ics(small_sheet, seed=8)
     st0 = encoding.prepare_standard(small_sheet, x0, xdot0)
     bh = encoding.build_block_H(small_sheet)
-    drift = max(abs(encoding.evolve_exact(st0, bh, t).norm() - 1.0)
-                for t in np.linspace(0.0, 40.0, 1000))
+    drift = max(abs(st.norm() - 1.0)
+                for st in encoding.evolve_exact(st0, bh, np.linspace(0.0, 40.0, 1000)))
     assert drift <= 1e-10
 
 
@@ -161,14 +235,13 @@ def test_schrodinger_finite_difference_order(small_sheet, tag):
         st0 = encoding.prepare_alternative(sys, x0[0], xdot0[0])
     bh = encoding.build_block_H(sys)
     t0 = 1.0
-    psi_t = encoding.evolve_exact(st0, bh, t0)
+    psi_t, = encoding.evolve_exact(st0, bh, [t0])
     Hd = bh.dense()
     rhs = np.concatenate([-1j * (Hd @ psi_t.tensor[a].reshape(-1))
                           for a in range(psi_t.axes)])
     errors = []
     for dt in (1e-2, 5e-3):
-        plus = encoding.evolve_exact(st0, bh, t0 + dt)
-        minus = encoding.evolve_exact(st0, bh, t0 - dt)
+        plus, minus = encoding.evolve_exact(st0, bh, [t0 + dt, t0 - dt])
         diff = np.concatenate([
             (plus.tensor[a].reshape(-1) - minus.tensor[a].reshape(-1)) / (2 * dt)
             for a in range(psi_t.axes)])
@@ -249,8 +322,7 @@ def test_alternative_evolution_tracks_classical(small_sheet):
     st0 = encoding.prepare_alternative(sys, x0, xdot0)
     bh = encoding.build_block_H(sys)
     worst = 0.0
-    for ti, t in enumerate(ts):
-        st = encoding.evolve_exact(st0, bh, t)
+    for ti, st in enumerate(encoding.evolve_exact(st0, bh, ts)):
         ref = encoding.prepare_alternative(sys, traj.x[ti, 0], traj.xdot[ti, 0])
         worst = max(worst, float(np.abs(st.tensor - ref.tensor).max()))
     assert worst <= 1e-8

@@ -19,7 +19,7 @@ def evolved_sheet():
     traj = enm.evolve_classical(sys, x0, xdot0, ts)
     st0 = encoding.prepare_standard(sys, x0, xdot0)
     bh = encoding.build_block_H(sys)
-    states = [encoding.evolve_exact(st0, bh, t) for t in ts]
+    states = list(encoding.evolve_exact(st0, bh, ts))
     return sys, traj, states, ts
 
 
@@ -118,8 +118,7 @@ def test_msd_fraction_matches_classical():
     st0 = encoding.prepare_alternative(sys, x0, xdot0)
     bh = encoding.build_block_H(sys)
     subset = tuple(int(j) for j in phys)
-    for ti, t in enumerate(ts):
-        st = encoding.evolve_exact(st0, bh, t)
+    for ti, st in enumerate(encoding.evolve_exact(st0, bh, ts)):
         got = measure.msd_fraction(st, SubsetSelector("displacement", subset))
         assert got.observable == pytest.approx(enm.msd_subset(traj, ti, subset), abs=1e-8)
 
