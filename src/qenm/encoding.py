@@ -131,26 +131,26 @@ class EncodedState:
 
 
 def _uniform_coupling(sys: SystemMatrices) -> tuple[float, float, int]:
-    kappas = sys.kappa[sys.bonds[:, 0], sys.bonds[:, 1]]
-    if len(kappas) == 0:
+    kappa, mass = sys.coupling, sys.masses
+    if len(kappa) == 0:
         raise ValueError("system has no bonds")
-    if not (np.allclose(kappas, kappas[0]) and np.allclose(sys.masses, sys.masses[0])):
+    if not (np.allclose(kappa, kappa[0]) and np.allclose(mass, mass[0])):
         raise ValueError("block encoding requires uniform coupling and mass")
-    return float(kappas[0]), float(sys.masses[0]), sparsity(sys)
+    return float(kappa[0]), float(mass[0]), sparsity(sys)
 
 
 def sparsity(sys: SystemMatrices) -> int:
     """Structural sparsity bound d: 3 for lattice sheets, else the max degree."""
     if sys.spec is not None:
         return 3
-    return int((sys.kappa > 0).sum(axis=1).max())
+    return int(np.bincount(sys.bonds.ravel(), minlength=sys.n).max())
 
 
 def aa_rounds(sys: SystemMatrices, alpha: float, beta: float,
               energy: float | None = None) -> int:
     """Amplitude-amplification rounds ceil(sqrt((m_max a^2 + 2 k_max d b^2) / 2E))."""
     m_max = float(sys.masses.max())
-    k_max = float(sys.kappa.max())
+    k_max = float(sys.coupling.max(initial=0.0))
     d = sparsity(sys)
     if energy is None:
         if beta != 0.0:
@@ -183,14 +183,14 @@ def prepare_standard(sys: SystemMatrices, x0, xdot0) -> EncodedState:
     j, k = sys.bonds.T
     amps = np.empty((d_ax, n + len(j)), dtype=complex)
     amps[:, :n] = np.sqrt(sys.masses) * xdot0
-    amps[:, n:] = 1j * np.sqrt(sys.kappa[j, k]) * (x0[:, j] - x0[:, k])
+    amps[:, n:] = 1j * np.sqrt(sys.coupling) * (x0[:, j] - x0[:, k])
     amps /= math.sqrt(2.0 * energy)
 
     alpha_sq = float(np.sum(xdot0**2))
     beta_sq = float(np.sum(x0**2))
-    e_max = 0.5 * float(sys.masses.max()) * alpha_sq + 0.5 * float(sys.kappa.max()) * beta_sq
-    d = sparsity(sys)
-    kd = 2.0 * float(sys.kappa.max()) * d
+    k_max = float(sys.coupling.max(initial=0.0))
+    e_max = 0.5 * float(sys.masses.max()) * alpha_sq + 0.5 * k_max * beta_sq
+    kd = 2.0 * k_max * sparsity(sys)
     thetas = tuple(
         math.acos(math.sqrt(2.0 * kinetic)
                   / math.sqrt(2.0 * kinetic + kd * float(np.sum(x0[a] ** 2))))
@@ -214,7 +214,7 @@ def prepare_alternative(sys: SystemMatrices, x0, xdot0) -> EncodedState:
     f_const = 0.5 * float(y @ py) + 0.5 * float(ydot @ pinv_ydot)     # enm.conserved_F
     if f_const <= 0.0:
         raise ValueError("zero-energy state has no encoding")
-    pair_amps = sys.B.T @ pinv_ydot                   # B^+ P ydot = B^T A^+ ydot
+    pair_amps = sys.sparse_B.T @ pinv_ydot            # B^+ P ydot = B^T A^+ ydot
     amps = np.concatenate([py, -1j * pair_amps])[None, :]
     amps /= math.sqrt(2.0 * f_const)
     return EncodedState(amps, "alternative", sys, f_const)
@@ -233,7 +233,7 @@ class BlockHamiltonian:
     evolution and structure checks on small systems.
     """
 
-    H: sparse.csr_matrix          # (N + P) square, real
+    H: sparse.csr_array           # (N + P) square, real
     active: np.ndarray            # flat indices into the 2 N^2 space
     scale: float                  # sqrt(2 kappa/m d) >= ||H||
     n_nodes: int
@@ -264,16 +264,9 @@ class BlockHamiltonian:
 
 def build_block_H(sys: SystemMatrices) -> BlockHamiltonian:
     kappa, mass, d = _uniform_coupling(sys)
-    n = sys.n
-    j, k = sys.bonds.T
-    cols = n + np.arange(len(j))
-    kappas = sys.kappa[j, k]
-    upper = sparse.csr_matrix(
-        (np.concatenate([-np.sqrt(kappas / sys.masses[j]), np.sqrt(kappas / sys.masses[k])]),
-         (np.concatenate([j, k]), np.concatenate([cols, cols]))),
-        shape=(n + len(j), n + len(j)))
-    return BlockHamiltonian((upper + upper.T).tocsr(), active_slots(sys),
-                            math.sqrt(2.0 * (kappa / mass) * d), n, d)
+    B = sys.sparse_B
+    return BlockHamiltonian(-sparse.bmat([[None, B], [B.T, None]], format="csr"),
+                            active_slots(sys), math.sqrt(2.0 * (kappa / mass) * d), sys.n, d)
 
 
 def series_degree(tau: float) -> int:
@@ -318,20 +311,17 @@ def evolve_dense(state: EncodedState, bh: BlockHamiltonian, t: float) -> Encoded
 def doubled_mass_encoding(sys: SystemMatrices) -> SystemMatrices:
     """Axis doubling: 2N interleaved masses, x on even slots, y on odd.
 
-    Couplings replicate per axis; cross-axis entries stay zero, so the
-    doubled spectrum is two copies of the per-axis one.
+    Each bond (j, k) becomes (2j, 2k) and (2j + 1, 2k + 1) with its coupling;
+    no bond crosses the axes, so the doubled spectrum is two copies of the
+    per-axis one.
     """
-    n = sys.n
-    kappa2 = np.zeros((2 * n, 2 * n))
-    kappa2[0::2, 0::2] = sys.kappa
-    kappa2[1::2, 1::2] = sys.kappa
-    masses2 = np.repeat(sys.masses, 2)
-    physical2 = np.repeat(sys.physical, 2)
     import warnings
     with warnings.catch_warnings():
         # the two per-axis copies are disconnected from each other by design
         warnings.simplefilter("ignore")
-        return enm._assemble(masses2, kappa2, physical2)
+        return enm._system(np.repeat(sys.masses, 2),
+                           np.concatenate([2 * sys.bonds, 2 * sys.bonds + 1]),
+                           np.tile(sys.coupling, 2), np.repeat(sys.physical, 2))
 
 
 # -- gate-level block encodings ----------------------------------------------

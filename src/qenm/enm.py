@@ -1,7 +1,9 @@
 """Classical coupled-oscillator reference dynamics and observables.
 
-The system is N point masses joined by harmonic springs.  Newton's
-equation M x'' = -F x, with F the weighted graph Laplacian, becomes
+The system is N point masses joined by harmonic springs, stored as its bond
+list (``SystemMatrices``): the matrices below are CSR matrices built from it,
+and dense forms exist only for the tests and the ``spectral`` reference.
+Newton's equation M x'' = -F x, with F the weighted graph Laplacian, becomes
 y'' = -A y in the mass-weighted coordinates y = sqrt(M) x, with
 A = sqrt(M)^-1 F sqrt(M)^-1 positive semidefinite.  Its solution
 
@@ -22,15 +24,15 @@ A^+ v is conjugate gradients on range(A).
 The weighted incidence matrix B has one column per bonded pair (j, k),
 j < k, ordered lexicographically, with entries +sqrt(kappa_jk/m_j) on row
 j and -sqrt(kappa_jk/m_k) on row k, so that B B^T = A and
-sqrt(M) B (sqrt(M) B)^T = F.  Pairs with zero coupling would contribute
-zero columns and are not materialized.
+sqrt(M) B (sqrt(M) B)^T = F.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -44,22 +46,78 @@ CG_RTOL = 1e-14   # conjugate-gradient stop: residual norm relative to the right
 
 @dataclass
 class SystemMatrices:
+    """N masses joined by P springs, stored as the bond list alone.
+
+    Every matrix is built from these arrays on first access and cached: the
+    CSR ``sparse_F``, ``sparse_A`` and ``sparse_B`` that the program uses,
+    and the read-only dense ``kappa``, ``F``, ``A`` and ``B`` that only
+    tests, demos and the ``spectral`` reference read.
+    """
+
     masses: np.ndarray          # (N,)
-    kappa: np.ndarray           # (N, N) symmetric couplings
-    F: np.ndarray               # graph Laplacian
-    A: np.ndarray               # scaled Laplacian
-    B: np.ndarray               # (N, P) incidence over bonded pairs
-    pairs: list[tuple[int, int]]
-    bonds: np.ndarray           # (P, 2) int, the rows of ``pairs`` as an array
+    bonds: np.ndarray           # (P, 2) int, each bonded pair (j, k), j < k, once, ascending
+    coupling: np.ndarray        # (P,) kappa_jk > 0 of each bond
     physical: np.ndarray        # (N,) bool, False on padding sites
     components: np.ndarray      # (N,) int, connected-component label of each site
     spec: LatticeSpec | None = None
-    _spectral: "SpectralData | None" = field(default=None, repr=False)
-    _sparse_A: sparse.csr_array | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return len(self.masses)
+
+    @cached_property
+    def pairs(self) -> list[tuple[int, int]]:
+        return [tuple(p) for p in self.bonds.tolist()]
+
+    def _symmetric(self, off: np.ndarray, diag: np.ndarray) -> sparse.csr_array:
+        """CSR matrix with off[c] at (j, k) and (k, j) for bond c, diag on the diagonal."""
+        j, k = self.bonds.T
+        sites = np.arange(self.n)
+        return sparse.csr_array(
+            (np.concatenate([off, off, diag]),
+             (np.concatenate([j, k, sites]), np.concatenate([k, j, sites]))),
+            shape=(self.n, self.n))
+
+    @cached_property
+    def sparse_F(self) -> sparse.csr_array:
+        j, k = self.bonds.T
+        return self._symmetric(-self.coupling, np.bincount(j, self.coupling, self.n)
+                               + np.bincount(k, self.coupling, self.n))
+
+    @cached_property
+    def sparse_A(self) -> sparse.csr_array:
+        j, k = self.bonds.T
+        inv_sqrt_m = 1.0 / np.sqrt(self.masses)
+        return self._symmetric(-self.coupling * inv_sqrt_m[j] * inv_sqrt_m[k],
+                               self.sparse_F.diagonal() / self.masses)
+
+    @cached_property
+    def sparse_B(self) -> sparse.csr_array:
+        j, k = self.bonds.T
+        cols = np.arange(len(j))
+        root_kappa = np.sqrt(self.coupling)
+        inv_sqrt_m = 1.0 / np.sqrt(self.masses)
+        return sparse.csr_array(
+            (np.concatenate([root_kappa * inv_sqrt_m[j], -root_kappa * inv_sqrt_m[k]]),
+             (np.concatenate([j, k]), np.concatenate([cols, cols]))),
+            shape=(self.n, len(j)))
+
+    kappa = cached_property(lambda self: _dense(self._symmetric(self.coupling,
+                                                                np.zeros(self.n))))
+    F = cached_property(lambda self: _dense(self.sparse_F))
+    A = cached_property(lambda self: _dense(self.sparse_A))
+    B = cached_property(lambda self: _dense(self.sparse_B))
+
+    @cached_property
+    def _spectral(self) -> "SpectralData":
+        w, v = np.linalg.eigh(self.A)
+        return SpectralData(w, v, RANK_RTOL * max(w[-1], 1.0) if len(w) else 0.0)
+
+
+def _dense(m: sparse.csr_array) -> np.ndarray:
+    out = m.toarray()
+    out.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -67,62 +125,51 @@ class SpectralData:
     eigenvalues: np.ndarray     # ascending
     eigenvectors: np.ndarray    # columns
     rank_tol: float
-    null_dim: int
 
 
-def _assemble(masses, kappa, physical, spec=None) -> SystemMatrices:
+def _system(masses, bonds, coupling, physical, spec=None) -> SystemMatrices:
+    """System over ``bonds``, (j, k) pairs in any order, orientation or multiplicity.
+
+    ``coupling`` is one kappa or one per listed pair.  Each pair is kept once,
+    as (min, max), with the coupling of its first listing; self-loops and
+    pairs of coupling <= 0 are no springs and are dropped.
+    """
     n = len(masses)
-    F = -kappa.copy()
-    np.fill_diagonal(F, 0.0)
-    np.fill_diagonal(F, -F.sum(axis=1))
-    inv_sqrt_m = 1.0 / np.sqrt(masses)
-    A = F * np.outer(inv_sqrt_m, inv_sqrt_m)
-    j, k = np.nonzero(kappa)                # row-major, so lexicographic
-    keep = (j < k) & (kappa[j, k] > 0.0)
-    j, k = j[keep], k[keep]
-    bonds = np.stack([j, k], axis=1)
-    cols = np.arange(len(bonds))
-    root_kappa = np.sqrt(kappa[j, k])
-    B = np.zeros((n, len(bonds)))
-    B[j, cols] = root_kappa * inv_sqrt_m[j]
-    B[k, cols] = -root_kappa * inv_sqrt_m[k]
-    pairs = [tuple(p) for p in bonds.tolist()]
-    sys = SystemMatrices(masses, kappa, F, A, B, pairs, bonds, physical,
-                         _components(n, pairs), spec)
-    _check_connected(sys)
-    return sys
-
-
-def _components(n: int, pairs) -> np.ndarray:
-    """Connected-component label of each site, numbered in order of lowest site."""
-    links = [[] for _ in range(n)]
-    for j, k in pairs:
-        links[j].append(k)
-        links[k].append(j)
-    labels = [-1] * n
-    count = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        labels[start] = count
-        frontier = [start]
-        while frontier:
-            for k in links[frontier.pop()]:
-                if labels[k] < 0:
-                    labels[k] = count
-                    frontier.append(k)
-        count += 1
-    return np.array(labels, dtype=np.int64)
-
-
-def _check_connected(sys: SystemMatrices) -> None:
-    phys = np.flatnonzero(sys.physical)
-    if len(phys) == 0:
-        return
-    unreached = int(np.count_nonzero(sys.components[phys] != sys.components[phys[0]]))
+    jk = np.sort(np.asarray(bonds, dtype=np.int64).reshape(-1, 2), axis=1)
+    if jk.size and (jk.min() < 0 or jk.max() >= n):
+        raise IndexError("bond endpoint outside the system")
+    coupling = np.broadcast_to(np.asarray(coupling, dtype=float), len(jk))
+    keep = (jk[:, 0] < jk[:, 1]) & (coupling > 0.0)
+    keys, first = np.unique(jk[keep, 0] * n + jk[keep, 1], return_index=True)
+    bonds = np.stack(np.divmod(keys, n), axis=1)
+    components = _components(n, bonds)
+    phys = np.flatnonzero(physical)
+    unreached = int(np.count_nonzero(components[phys] != components[phys[:1]]))
     if unreached:
         warnings.warn(f"physical subgraph is disconnected ({unreached} sites unreached)",
                       stacklevel=3)
+    return SystemMatrices(masses, bonds, coupling[keep][first], physical, components, spec)
+
+
+def _components(n: int, bonds: np.ndarray) -> np.ndarray:
+    """Connected-component label of each site, numbered in order of lowest site.
+
+    Every site points at a lower or equal site of its component, at first
+    itself.  A round points the targets of both ends of each bond at the
+    lower of the two, then replaces each pointer by its target's pointer; at
+    the fixed point every site points at the lowest site of its component.
+    """
+    root = np.arange(n)
+    j, k = bonds.T
+    while True:
+        low = np.minimum(root[j], root[k])
+        new = root.copy()
+        np.minimum.at(new, root[j], low)
+        np.minimum.at(new, root[k], low)
+        new = new[new]
+        if np.array_equal(new, root):
+            return np.unique(root, return_inverse=True)[1]
+        root = new
 
 
 def system_from_bonds(n, bonds, kappa=1.0, mass=1.0, physical=None) -> SystemMatrices:
@@ -130,54 +177,29 @@ def system_from_bonds(n, bonds, kappa=1.0, mass=1.0, physical=None) -> SystemMat
 
     ``mass`` is one mass for every site or a sequence of n masses.
     """
-    j, k = np.asarray(bonds, dtype=int).reshape(-1, 2).T
-    km = np.zeros((n, n))
-    km[np.concatenate([j, k]), np.concatenate([k, j])] = kappa
-    masses = np.full(n, mass, dtype=float)
     if physical is None:
         physical = np.ones(n, dtype=bool)
-    return _assemble(masses, km, np.asarray(physical, dtype=bool))
+    return _system(np.full(n, mass, dtype=float), bonds, kappa,
+                   np.asarray(physical, dtype=bool))
 
 
 def build_system(spec: LatticeSpec, kappa=1.0, mass=1.0) -> SystemMatrices:
     """Graphene sheet system over the full padded index space.
 
-    Bonds touching a dummy site carry zero coupling, so padding sites are
-    isolated free masses that never move from zero initial conditions.
+    Slots touching a dummy site are not bonds, so padding sites are isolated
+    free masses that never move from zero initial conditions.
     """
     if kappa <= 0 or mass <= 0:
         raise ValueError("kappa and mass must be positive")
     adj = adjacency(spec)
     j, l = np.nonzero(adj.valid)
-    km = np.zeros((spec.n_total, spec.n_total))
-    km[j, adj.neighbors[j, l]] = kappa
-    masses = np.full(spec.n_total, float(mass))
-    return _assemble(masses, km, ~dummy_mask(spec), spec)
+    return _system(np.full(spec.n_total, float(mass)), np.stack([j, adj.neighbors[j, l]], axis=1),
+                   float(kappa), ~dummy_mask(spec), spec)
 
 
 def spectral(sys: SystemMatrices) -> SpectralData:
     """Dense eigendecomposition of A, cached; the reference for the sparse paths."""
-    if sys._spectral is None:
-        w, v = np.linalg.eigh(sys.A)
-        tol = RANK_RTOL * max(w[-1], 1.0) if len(w) else 0.0
-        sys._spectral = SpectralData(w, v, tol, int((w <= tol).sum()))
     return sys._spectral
-
-
-def sparse_A(sys: SystemMatrices) -> sparse.csr_array:
-    """A as a CSR matrix from the bond list and the per-bond coupling, cached."""
-    if sys._sparse_A is None:
-        j, k = sys.bonds.T
-        kappa = sys.kappa[j, k]
-        inv_sqrt_m = 1.0 / np.sqrt(sys.masses)
-        off = -kappa * inv_sqrt_m[j] * inv_sqrt_m[k]
-        diag = (np.bincount(j, kappa, sys.n) + np.bincount(k, kappa, sys.n)) / sys.masses
-        sites = np.arange(sys.n)
-        sys._sparse_A = sparse.csr_array(
-            (np.concatenate([off, off, diag]),
-             (np.concatenate([j, k, sites]), np.concatenate([k, j, sites]))),
-            shape=(sys.n, sys.n))
-    return sys._sparse_A
 
 
 def gershgorin_bound(sys: SystemMatrices) -> float:
@@ -188,9 +210,8 @@ def gershgorin_bound(sys: SystemMatrices) -> float:
     """
     if len(sys.bonds) == 0:
         return 0.0
-    j, k = sys.bonds.T
     d_max = int(np.bincount(sys.bonds.ravel()).max())
-    return 2.0 * float(sys.kappa[j, k].max()) * d_max / float(sys.masses.min())
+    return 2.0 * float(sys.coupling.max()) * d_max / float(sys.masses.min())
 
 
 def _null_vectors(sys: SystemMatrices) -> np.ndarray:
@@ -219,17 +240,16 @@ def eigenvalues(sys: SystemMatrices) -> np.ndarray:
     """
     from scipy.linalg import eig_banded     # kept off the `import qenm.cli` path
 
-    bonded = np.zeros(sys.n, dtype=bool)
-    bonded[sys.bonds.ravel()] = True
-    sites = np.flatnonzero(bonded)
+    sites = np.unique(sys.bonds)
     zeros = np.zeros(sys.n - len(sites))
     if len(sites) == 0:
         return zeros
     j, k = np.searchsorted(sites, sys.bonds).T      # bond ends, renumbered
     width = int((k - j).max())
     band = np.zeros((width + 1, len(sites)))        # upper: band[width + j - k, k] = A[j, k]
-    band[width] = sys.A[sites, sites]
-    band[width + j - k, k] = sys.A[sys.bonds[:, 0], sys.bonds[:, 1]]
+    A = sys.sparse_A
+    band[width] = A.diagonal()[sites]
+    band[width + j - k, k] = A[sys.bonds[:, 0], sys.bonds[:, 1]]
     return np.sort(np.concatenate([zeros, eig_banded(band, eigvals_only=True)]))
 
 
@@ -367,7 +387,7 @@ def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
     # x(t) = [basis of x0, basis of xdot0]^T [c_cos; c_sin], xdot(t) likewise
     mixing = np.block([[c_cos, c_dsin], [c_sin, c_cos]])
 
-    L = sparse.diags_array(1.0 / np.sqrt(sys.masses)) @ sparse_A(sys) @ sparse.diags_array(
+    L = sparse.diags_array(1.0 / np.sqrt(sys.masses)) @ sys.sparse_A @ sparse.diags_array(
         np.sqrt(sys.masses))
     S = (2.0 / lam_bar) * L - sparse.eye_array(n)
     # (K + 1, N, 2D); column 2a: of x0[a], column 2a + 1: of xdot0[a]
@@ -428,10 +448,10 @@ def velocity_verlet(sys: SystemMatrices, x0, xdot0, dt: float, steps: int) -> Tr
     vs = np.empty((steps + 1, d, sys.n))
     xs[0], vs[0] = x0, xdot0
     inv_m = 1.0 / sys.masses
-    acc = -(xs[0] @ sys.F.T) * inv_m
+    acc = -(xs[0] @ sys.sparse_F) * inv_m       # x F = (F x)^T, F symmetric
     for i in range(steps):
         xs[i + 1] = xs[i] + dt * vs[i] + 0.5 * dt * dt * acc
-        acc_new = -(xs[i + 1] @ sys.F.T) * inv_m
+        acc_new = -(xs[i + 1] @ sys.sparse_F) * inv_m
         vs[i + 1] = vs[i] + 0.5 * dt * (acc + acc_new)
         acc = acc_new
     return Trajectory(times, xs, vs, ("x", "y", "z")[:d], sys)
@@ -449,14 +469,19 @@ def kinetic_energy_subset(traj: Trajectory, ti: int, nodes=None) -> float:
 def potential_energy(sys: SystemMatrices, x: np.ndarray, bonds=None) -> float:
     """(1/2) sum over bonds of kappa_jk (x_j - x_k)^2, summed over the axes of x.
 
-    ``x`` is (N,) or (D, N); ``bonds`` is a sequence of (j, k) pairs and
-    defaults to every bonded pair.
+    ``x`` is (N,) or (D, N); ``bonds`` is a sequence of (j, k) pairs in
+    either orientation, defaulting to every bonded pair.  A pair that is no
+    bond has kappa_jk = 0.
     """
-    j, k = (sys.bonds if bonds is None
-            else np.asarray(bonds, dtype=int).reshape(-1, 2)).T
+    if bonds is None:
+        jk, kappa = sys.bonds, sys.coupling
+    else:
+        jk = np.asarray(bonds, dtype=int).reshape(-1, 2)
+        # pair_index -1, no bond, reads the appended 0
+        kappa = np.append(sys.coupling, 0.0)[pair_index(sys, np.sort(jk, axis=1))]
     x = np.atleast_2d(x)
-    diff = x[:, j] - x[:, k]
-    return 0.5 * float(np.sum(sys.kappa[j, k] * diff**2))
+    diff = x[:, jk[:, 0]] - x[:, jk[:, 1]]
+    return 0.5 * float(np.sum(kappa * diff**2))
 
 
 def pair_index(sys: SystemMatrices, bonds) -> np.ndarray:
@@ -530,7 +555,7 @@ def pinv_apply(sys: SystemMatrices, vec: np.ndarray) -> np.ndarray:
     A^+ vec.  Each step costs one sparse matvec; the iteration stops once the
     residual is CG_RTOL of |b|.
     """
-    A = sparse_A(sys)
+    A = sys.sparse_A
     b = project_range(sys, np.asarray(vec, dtype=float))
     x = np.zeros_like(b)
     r = b.copy()
@@ -554,11 +579,6 @@ def conserved_F(sys: SystemMatrices, y: np.ndarray, ydot: np.ndarray) -> float:
     """F = (1/2) y^T P y + (1/2) ydot^T A^+ ydot, constant along trajectories."""
     return (0.5 * float(y @ project_range(sys, y))
             + 0.5 * float(ydot @ pinv_apply(sys, ydot)))
-
-
-def dump_matrix(mat: np.ndarray, path) -> None:
-    """Dense row-major text dump, one row per line."""
-    np.savetxt(path, np.atleast_2d(mat), fmt="%.17g")
 
 
 def dump_trajectory_csv(traj: Trajectory, path) -> None:

@@ -94,18 +94,18 @@ def shift_vector(r0: int, s: int, l: int) -> tuple[int, int]:
     return SHIFT_TABLE[(r0, s, l)]
 
 
-def is_dummy(coord: NodeCoord, spec: LatticeSpec) -> bool:
-    """Boundary rules flagging padding sites.
+def is_dummy(coord: NodeCoord, spec: LatticeSpec) -> bool | np.ndarray:
+    """Boundary rules flagging padding sites, for int or array coordinates.
 
     C1: bottom edge, C2: top buffer row, C3: second-to-last row upper
     sublattice, C4: right buffer column on even rows.
     """
     r, c, s = coord.r, coord.c, coord.s
-    c1 = s == 0 and r == 0
+    c1 = (s == 0) & (r == 0)
     c2 = r == spec.rows - 1
-    c3 = s == 1 and r == spec.rows - 2
-    c4 = c == spec.cols - 1 and (r & 1) == 0
-    return c1 or c2 or c3 or c4
+    c3 = (s == 1) & (r == spec.rows - 2)
+    c4 = (c == spec.cols - 1) & ((r & 1) == 0)
+    return c1 | c2 | c3 | c4
 
 
 def neighbor(j: int, l: int, spec: LatticeSpec) -> tuple[int, bool]:
@@ -153,21 +153,21 @@ def adjacency(spec: LatticeSpec) -> Adjacency:
     return Adjacency(neighbors, valid)
 
 
+def _all_coords(spec: LatticeSpec) -> NodeCoord:
+    """``decode_index`` of every site at once, as a NodeCoord of (N,) arrays."""
+    j = np.arange(spec.n_total)
+    return NodeCoord(j >> (spec.n_c + 1), (j >> 1) & (spec.cols - 1), j & 1)
+
+
 def dummy_mask(spec: LatticeSpec) -> np.ndarray:
     """Boolean mask over node indices, True where the site is padding."""
-    return np.array(
-        [is_dummy(decode_index(j, spec), spec) for j in range(spec.n_total)], dtype=bool
-    )
+    return is_dummy(_all_coords(spec), spec)
 
 
 def node_positions(spec: LatticeSpec) -> np.ndarray:
     """Honeycomb embedding of every site (bond length 1), shape (N, 2)."""
-    pos = np.empty((spec.n_total, 2))
-    for j in range(spec.n_total):
-        rc = decode_index(j, spec)
-        pos[j, 0] = np.sqrt(3.0) * (rc.c - 0.5 * (rc.r & 1))
-        pos[j, 1] = 1.5 * rc.r + rc.s
-    return pos
+    co = _all_coords(spec)
+    return np.stack([np.sqrt(3.0) * (co.c - 0.5 * (co.r & 1)), 1.5 * co.r + co.s], axis=1)
 
 
 def brute_force_adjacency(spec: LatticeSpec) -> Adjacency:
@@ -200,19 +200,12 @@ def brute_force_adjacency(spec: LatticeSpec) -> Adjacency:
 def lattice_rows(spec: LatticeSpec) -> list[dict]:
     """One record per node for the CSV dump."""
     adj = adjacency(spec)
-    rows = []
-    for j in range(spec.n_total):
-        coord = decode_index(j, spec)
-        rec = {
-            "j": j, "r": coord.r, "c": coord.c, "s": coord.s,
-            "dummy": int(is_dummy(coord, spec)),
-        }
-        for l in range(SPARSITY):
-            rec[f"neigh{l}"] = int(adj.neighbors[j, l])
-        for l in range(SPARSITY):
-            rec[f"valid{l}"] = int(adj.valid[j, l])
-        rows.append(rec)
-    return rows
+    co = _all_coords(spec)
+    columns = {"j": np.arange(spec.n_total), "r": co.r, "c": co.c, "s": co.s,
+               "dummy": dummy_mask(spec).astype(int),
+               **{f"neigh{l}": adj.neighbors[:, l] for l in range(SPARSITY)},
+               **{f"valid{l}": adj.valid[:, l].astype(int) for l in range(SPARSITY)}}
+    return [dict(zip(columns, row)) for row in zip(*(v.tolist() for v in columns.values()))]
 
 
 def dump_lattice_csv(spec: LatticeSpec, path) -> None:

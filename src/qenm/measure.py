@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import boltzmann, encoding, enm
-from .lattice import LatticeSpec, decode_index
+from .lattice import LatticeSpec, dummy_mask
 
 
 @dataclass(frozen=True)
@@ -143,14 +143,9 @@ def column_regions(spec: LatticeSpec, n_regions: int) -> list[tuple[int, ...]]:
     cols = spec.cols
     if n_regions < 1 or cols % n_regions != 0:
         raise ValueError(f"{n_regions} regions do not tile {cols} columns")
-    width = cols // n_regions
-    bands: list[list[int]] = [[] for _ in range(n_regions)]
-    from .lattice import is_dummy
-    for j in range(spec.n_total):
-        co = decode_index(j, spec)
-        if not is_dummy(co, spec):
-            bands[co.c // width].append(j)
-    return [tuple(b) for b in bands]
+    phys = np.flatnonzero(~dummy_mask(spec))
+    band = ((phys >> 1) & (cols - 1)) // (cols // n_regions)     # unit-cell column // width
+    return [tuple(phys[band == b].tolist()) for b in range(n_regions)]
 
 
 @dataclass

@@ -260,23 +260,22 @@ def test_scaling_sizes_must_not_be_empty(tmp_path, capsys):
     assert "config error: sizes must list at least one" in capsys.readouterr().err
 
 
-def test_scaling_refuses_sheets_past_the_dense_assembly_cap(tmp_path, capsys):
+def test_scaling_refuses_sheets_past_the_banded_solve_cap(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sizes": [[3, 2], [6, 6]]}))
     assert run(["scaling", "trace", "--config", str(cfg),
                 "--out-dir", str(tmp_path / "o")]) == 2
-    assert ("config error: lattice 6x6 has 8192 sites; the dense system assembly is capped "
-            "at 4096") in capsys.readouterr().err
+    assert ("config error: lattice 6x6 has 8192 sites; the exact banded eigenvalue solve is "
+            "capped at 4096") in capsys.readouterr().err
 
 
 def test_validate_factorization_checks_read_the_system_B(tmp_path, capsys, monkeypatch):
-    # one flipped sign in B must fail both factorization checks and nothing else
+    # one flipped sign in the CSR incidence must fail both factorization checks and nothing else
     build = enm.build_system
 
     def flipped_build(*args, **kwargs):
         sys = build(*args, **kwargs)
-        j = np.flatnonzero(sys.B[:, 0])[0]
-        sys.B[j, 0] = -sys.B[j, 0]
+        sys.sparse_B.data[0] = -sys.sparse_B.data[0]
         return sys
 
     monkeypatch.setattr(enm, "build_system", flipped_build)
@@ -353,6 +352,28 @@ def test_commands_run_without_dense_eigensolvers(tmp_path, monkeypatch):
     cfg = _dynamics_config(tmp_path)
     for command in ("validate", "simulate", "ripple", "heat"):
         assert run([command, "--config", cfg, "--out-dir", str(tmp_path / command)]) == 0
+
+
+def test_commands_run_without_dense_system_matrices(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense system matrix read")
+
+    for name in ("kappa", "F", "A", "B"):
+        monkeypatch.setattr(enm.SystemMatrices, name, property(refuse))
+    cfg = json.loads(Path(_dynamics_config(tmp_path)).read_text())
+    (tmp_path / "cfg.json").write_text(json.dumps({**cfg, "sizes": [[3, 2], [3, 3]]}))
+    for argv in (["lattice"], ["validate"], ["simulate"], ["heat"], ["ripple"],
+                 ["scaling", "cond"], ["scaling", "trace"]):
+        assert run([*argv, "--config", str(tmp_path / "cfg.json"),
+                    "--out-dir", str(tmp_path / "-".join(argv))]) == 0
+
+
+def test_sheet_system_stores_only_bond_arrays():
+    sys = enm.build_system(LatticeSpec(6, 6))
+    n, p = sys.n, len(sys.bonds)
+    sizes = [v.size for v in vars(sys).values() if isinstance(v, np.ndarray)]
+    assert max(sizes) == sys.bonds.size == 2 * p < n * p
+    assert not any(hasattr(v, "nnz") for v in vars(sys).values())      # no matrix built yet
 
 
 def test_validate_symmetry_check_reads_the_adjacency_arrays(tmp_path, capsys, monkeypatch):

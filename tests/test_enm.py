@@ -350,13 +350,6 @@ def test_thermal_pinv_quadratic_form_expectation(sheet):
     assert abs(samples.mean() - kbt_over_m * trace) <= 3.0 * se
 
 
-def test_matrix_dump_roundtrip(tmp_path):
-    sys = enm.system_from_bonds(2, [(0, 1)])
-    path = tmp_path / "F.txt"
-    enm.dump_matrix(sys.F, path)
-    assert np.allclose(np.loadtxt(path), sys.F)
-
-
 def test_trajectory_csv(tmp_path):
     sys = enm.system_from_bonds(2, [(0, 1)])
     traj = enm.evolve_classical(sys, [0.1, -0.1], [0.0, 0.0], [0.0, 1.0])
@@ -477,3 +470,108 @@ def test_components_label_unbonded_sites_alone():
     assert graph.components.tolist() == [0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0]
     # no warning: the unbonded sites 3 and 8 are padding, the physical sites connected
     assert int((graph.components[graph.physical] != 0).sum()) == 0
+
+
+@pytest.mark.filterwarnings("ignore:physical subgraph is disconnected")
+def test_components_match_csgraph_on_random_graphs():
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        bonds = rng.integers(0, n, (int(rng.integers(0, 2 * n)), 2))
+        sys = enm.system_from_bonds(n, bonds)
+        graph = sparse.coo_array((np.ones(len(bonds)), tuple(bonds.T)), shape=(n, n))
+        assert sys.components.tolist() == connected_components(graph, directed=False)[1].tolist()
+
+
+# -- the bond-list system against a dense assembly ---------------------------------------
+
+def _dense_reference(masses, kappa):
+    """F, A, B and the bond array assembled from a dense (N, N) coupling matrix."""
+    F = -kappa.copy()
+    np.fill_diagonal(F, 0.0)
+    np.fill_diagonal(F, -F.sum(axis=1))
+    inv_sqrt_m = 1.0 / np.sqrt(masses)
+    A = F * np.outer(inv_sqrt_m, inv_sqrt_m)
+    j, k = np.nonzero(kappa)                # row-major, so lexicographic
+    keep = (j < k) & (kappa[j, k] > 0.0)
+    j, k = j[keep], k[keep]
+    cols = np.arange(len(j))
+    B = np.zeros((len(masses), len(j)))
+    B[j, cols] = np.sqrt(kappa[j, k]) * inv_sqrt_m[j]
+    B[k, cols] = -np.sqrt(kappa[j, k]) * inv_sqrt_m[k]
+    return F, A, B, np.stack([j, k], axis=1)
+
+
+def _sheet_case(r, c, kappa=1.0, mass=1.0):
+    spec = LatticeSpec(r, c)
+    adj = adjacency(spec)
+    j, l = np.nonzero(adj.valid)
+    km = np.zeros((spec.n_total, spec.n_total))
+    km[j, adj.neighbors[j, l]] = kappa
+    return (lambda: enm.build_system(spec, kappa, mass)), np.full(spec.n_total, mass), km
+
+
+def _graph_case(n, bonds, kappa=1.0, mass=1.0):
+    j, k = np.asarray(bonds, dtype=int).reshape(-1, 2).T
+    km = np.zeros((n, n))
+    km[np.concatenate([j, k]), np.concatenate([k, j])] = kappa
+    return ((lambda: enm.system_from_bonds(n, bonds, kappa, mass)),
+            np.full(n, mass, dtype=float), km)
+
+
+REFERENCE_CASES = {
+    **{f"sheet-{r}x{c}": (lambda r=r, c=c: _sheet_case(r, c)) for r, c in LADDER},
+    "sheet-3x3-heavy": lambda: _sheet_case(3, 3, kappa=2.5, mass=12.0),
+    "graph-reversed": lambda: _graph_case(4, [(1, 0), (3, 2), (2, 1)], kappa=1.7),
+    "graph-duplicates": lambda: _graph_case(4, [(0, 1), (1, 2), (1, 0), (0, 1), (2, 3)]),
+    "graph-self-loops": lambda: _graph_case(4, [(2, 2), (0, 1), (1, 2), (3, 3), (2, 3)]),
+    "graph-masses": lambda: _graph_case(5, [(0, 4), (3, 1), (1, 2), (2, 4), (4, 3)],
+                                        kappa=0.6, mass=[1.0, 12.0, 0.5, 3.0, 7.0]),
+    "graph-no-bonds": lambda: _graph_case(4, []),
+}
+
+
+@pytest.mark.filterwarnings("ignore:physical subgraph is disconnected")
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_bond_list_system_matches_dense_assembly(case):
+    make, masses, km = REFERENCE_CASES[case]()
+    sys = make()
+    F, A, B, bonds = _dense_reference(masses, km)
+    assert sys.bonds.tolist() == bonds.tolist()
+    assert sys.pairs == [tuple(p) for p in bonds.tolist()]
+    # a self-loop is no spring: it never reaches F, A or B
+    assert np.array_equal(sys.kappa, km - np.diag(np.diag(km)))
+    assert np.array_equal(sys.F, F)
+    assert np.array_equal(sys.B, B)
+    assert np.abs(sys.A - A).max(initial=0.0) <= 4 * np.finfo(float).eps * np.abs(A).max(
+        initial=0.0)
+    assert np.array_equal(sys.masses, masses)
+    for name in ("kappa", "F", "A", "B"):
+        with pytest.raises(ValueError):
+            getattr(sys, name)[0, 0] = 1.0
+    # potential energy over any pair list, reversed, absent and repeated pairs included
+    x = np.random.default_rng(13).normal(0.0, 0.4, (2, sys.n))
+    pairs = [(k, j) for j, k in bonds.tolist()] + [(0, 0), (0, sys.n - 1)] + bonds.tolist()
+    for subset in (None, pairs):
+        jk = bonds if subset is None else np.array(subset)
+        ref = 0.5 * float(np.sum(km[jk[:, 0], jk[:, 1]] * (x[:, jk[:, 0]] - x[:, jk[:, 1]]) ** 2))
+        assert enm.potential_energy(sys, x, subset) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def test_system_without_bonds_keeps_zero_coupling():
+    from qenm import encoding
+    with pytest.warns(UserWarning, match="disconnected"):
+        sys = enm.system_from_bonds(3, [(1, 1)], kappa=2.0)
+    assert sys.bonds.shape == (0, 2) and sys.coupling.shape == (0,)
+    assert encoding.sparsity(sys) == 0
+    # k_max = 0: the displacement term adds nothing, so a = 1 at energy 1/2 is one round
+    assert encoding.aa_rounds(sys, 1.0, 5.0, energy=0.5) == 1
+    assert enm.potential_energy(sys, np.ones(3), [(0, 1), (2, 1)]) == 0.0
+
+
+def test_bond_endpoints_outside_the_system_raise():
+    for bonds in ([(0, 3)], [(-1, 2)]):
+        with pytest.raises(IndexError):
+            enm.system_from_bonds(3, bonds)

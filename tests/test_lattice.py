@@ -135,6 +135,17 @@ def test_geometric_positions_unit_bonds():
         assert np.linalg.norm(pos[j] - pos[k]) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("spec", SPECS + [LatticeSpec(6, 6)])
+def test_dummy_mask_and_positions_equal_per_site_forms(spec):
+    coords = [decode_index(j, spec) for j in range(spec.n_total)]
+    mask = dummy_mask(spec)
+    assert mask.dtype == bool
+    assert mask.tolist() == [is_dummy(co, spec) for co in coords]
+    assert all(type(is_dummy(co, spec)) is bool for co in coords[:8])
+    pos = [(np.sqrt(3.0) * (co.c - 0.5 * (co.r & 1)), 1.5 * co.r + co.s) for co in coords]
+    assert np.array_equal(node_positions(spec), np.array(pos))
+
+
 def test_lattice_rows_schema(tmp_path):
     spec = LatticeSpec(2, 1)
     rows = lattice_rows(spec)
