@@ -2,9 +2,10 @@
 
 Subcommands: lattice, validate, simulate, heat, ripple, scaling.
 Configuration comes from an optional JSON file (--config) with flag
-overrides; every command writes the resolved configuration to
-``manifest.json`` in the output directory, and identical configuration plus
-seed produces byte-identical outputs.
+overrides.  ``main`` creates the output directory, runs the command in it
+and, once the command returns (a failed validation included, a raised
+error not), writes the resolved configuration to ``manifest.json`` there.
+Identical configuration plus seed produces byte-identical outputs.
 
 Seed streams: component seeds derive from the master seed through the keyed
 64-bit mix ``prf64(master, role)`` with fixed role indices (velocity-x 0,
@@ -156,6 +157,8 @@ def _validate_config(cfg: dict) -> None:
     for key in ("start", "stop"):
         if not _is_number(cfg["times"][key]):
             raise ConfigError(f"times.{key} must be a finite number, got {cfg['times'][key]!r}")
+    if phys["units"] not in ("reduced", "physical"):
+        raise ConfigError(f"physics.units must be 'reduced' or 'physical', got {phys['units']!r}")
     if cfg["times"]["steps"] < 1:
         raise ConfigError("need at least one time step")
     window = cfg["window"]
@@ -168,11 +171,17 @@ def _validate_config(cfg: dict) -> None:
                 and all(_is_int(v) and v >= 1 for v in size)):
             raise ConfigError(f"sizes entries must be [n_r, n_c] of positive ints, got {size!r}")
     init = cfg["initial"]
+    if init["kind"] not in ("zero", "perturbed", "boltzmann"):
+        raise ConfigError(f"initial.kind must be 'zero', 'perturbed' or 'boltzmann', "
+                          f"got {init['kind']!r}")
     for key, values in (("initial.displacements", init["displacements"]),
                         ("probe_times", cfg["probe_times"])):
         for value in values:
             if not _is_number(value):
                 raise ConfigError(f"{key} entries must be finite numbers, got {value!r}")
+    if len(init["displacements"]) not in (0, len(init["nodes"])):
+        raise ConfigError(f"initial.displacements must be empty or one per initial.nodes "
+                          f"entry, got {len(init['displacements'])} for {len(init['nodes'])}")
     bits = lat["n_r"] + lat["n_c"] + 1
     if len(init.get("nodes", [])) > 4 * bits * bits:
         raise ConfigError("perturbation list exceeds the polylog budget (4 n^2 nodes)")
@@ -196,15 +205,9 @@ def _times(cfg) -> np.ndarray:
     return np.linspace(t["start"], t["stop"], t["steps"])
 
 
-def _out_dir(cfg) -> Path:
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_manifest(cfg: dict, out: Path) -> None:
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(cfg, fh, sort_keys=True, indent=2)
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -214,13 +217,9 @@ def _initial_conditions(cfg, sys, axes: int = 2):
     phys_cfg = cfg["physics"]
     x0 = np.zeros((axes, sys.n))
     xdot0 = np.zeros((axes, sys.n))
-    if init["kind"] not in ("zero", "perturbed", "boltzmann"):
-        raise ConfigError(f"unknown initial-condition kind {init['kind']!r}")
     if init["kind"] == "perturbed" or init.get("nodes"):
         nodes = init.get("nodes", [])
         disps = init.get("displacements", [])
-        if len(disps) not in (0, len(nodes)):
-            raise ConfigError("displacements must match the perturbed node list")
         for idx, j in enumerate(nodes):
             mag = disps[idx] if disps else 0.1
             x0[:, j] = mag
@@ -241,12 +240,10 @@ def _initial_conditions(cfg, sys, axes: int = 2):
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_lattice(cfg) -> int:
+def cmd_lattice(cfg, out: Path) -> int:
     spec = _spec(cfg)
-    out = _out_dir(cfg)
     dump_lattice_csv(spec, out / "lattice.csv")
     svgplot.lattice_svg(out / "lattice.svg", spec)
-    _write_manifest(cfg, out)
     dummies = int(dummy_mask(spec).sum())
     print(f"lattice {spec.rows}x{spec.cols} cells: {spec.n_total} sites, "
           f"{spec.n_total - dummies} physical, {dummies} dummy")
@@ -280,6 +277,8 @@ def _validation_checks(cfg):
                    f"degrees {sorted(set(int(d) for d in degrees))}"))
 
     sys = enm.build_system(spec, cfg["physics"]["kappa"], cfg["physics"]["mass"])
+    if not sys.physical.any():     # n_r = 1: the energy and F drifts below would divide by 0
+        raise ConfigError(f"lattice {spec.n_r}x{spec.n_c} has no physical site to validate")
     # B has two nonzeros per column: sparse products, compared over every nonzero of both sides
     b = sys.sparse_B
     err_a = float(abs(b @ b.T - sys.sparse_A).max())
@@ -341,25 +340,21 @@ def _validation_checks(cfg):
     return checks
 
 
-def cmd_validate(cfg) -> int:
-    out = _out_dir(cfg)
+def cmd_validate(cfg, out: Path) -> int:
     checks = _validation_checks(cfg)
     lines = []
     for name, passed, detail in checks:
         status = "PASS" if passed else "FAIL"
         lines.append(f"{status} {name}: {detail}")
-        print(lines[-1])
     failed = sum(1 for _, passed, _ in checks if not passed)
-    print(f"{len(checks)} checks, {failed} failed")
-    with open(out / "validation.txt", "w") as fh:
-        fh.write("\n".join(lines) + f"\n{len(checks)} checks, {failed} failed\n")
-    _write_manifest(cfg, out)
+    lines.append(f"{len(checks)} checks, {failed} failed")
+    print("\n".join(lines))
+    (out / "validation.txt").write_text("\n".join(lines) + "\n")
     return 1 if failed else 0
 
 
-def cmd_simulate(cfg) -> int:
+def cmd_simulate(cfg, out: Path) -> int:
     spec = _spec(cfg)
-    out = _out_dir(cfg)
     sys = enm.build_system(spec, cfg["physics"]["kappa"], cfg["physics"]["mass"])
     x0, xdot0 = _initial_conditions(cfg, sys)
     times = _times(cfg)
@@ -367,31 +362,29 @@ def cmd_simulate(cfg) -> int:
     enm.dump_trajectory_csv(traj, out / "trajectory.csv")
 
     zero_ic = not (np.any(x0) or np.any(xdot0))
-    with open(out / "comparison.csv", "w") as fh:
-        fh.write("t,max_amplitude_deviation,kinetic_fraction,potential_fraction\n")
-        if zero_ic:
-            for t in times:
-                fh.write(f"{t:.17g},0,0,0\n")
-        else:
-            st0 = encoding.prepare_standard(sys, x0, xdot0)
-            bh = encoding.build_block_H(sys)
-            encoding.dump_state_csv(st0, out / "state_t0.csv")
-            all_nodes = tuple(range(sys.n))
-            for ti, (t, st) in enumerate(zip(times, encoding.evolve_exact(st0, bh, times))):
-                ref = encoding.prepare_standard(sys, traj.x[ti], traj.xdot[ti])
-                dev = float(np.abs(st.amps - ref.amps).max())
-                kin = measure.energy_fraction(
-                    st, measure.SubsetSelector("kinetic", all_nodes)).estimate
-                pot = measure.energy_fraction(
-                    st, measure.SubsetSelector("potential")).estimate
-                fh.write(f"{t:.17g},{dev:.17g},{kin:.17g},{pot:.17g}\n")
-    _write_manifest(cfg, out)
+    if zero_ic:
+        rows = [(t, 0, 0, 0) for t in times]
+    else:
+        st0 = encoding.prepare_standard(sys, x0, xdot0)
+        bh = encoding.build_block_H(sys)
+        encoding.dump_state_csv(st0, out / "state_t0.csv")
+        all_nodes = tuple(range(sys.n))
+        rows = []
+        for ti, (t, st) in enumerate(zip(times, encoding.evolve_exact(st0, bh, times))):
+            ref = encoding.prepare_standard(sys, traj.x[ti], traj.xdot[ti])
+            dev = float(np.abs(st.amps - ref.amps).max())
+            kin = measure.energy_fraction(
+                st, measure.SubsetSelector("kinetic", all_nodes)).estimate
+            pot = measure.energy_fraction(
+                st, measure.SubsetSelector("potential")).estimate
+            rows.append((t, dev, kin, pot))
+    measure.write_rows(out / "comparison.csv",
+                       "t,max_amplitude_deviation,kinetic_fraction,potential_fraction", rows)
     print(f"wrote {out / 'trajectory.csv'} and {out / 'comparison.csv'}")
     return 0
 
 
-def cmd_heat(cfg) -> int:
-    out = _out_dir(cfg)
+def cmd_heat(cfg, out: Path) -> int:
     lat = cfg["heat_lattice"]
     spec = LatticeSpec(lat["n_r"], lat["n_c"])
     result = measure.heat_experiment(
@@ -399,34 +392,24 @@ def cmd_heat(cfg) -> int:
         n_regions=cfg["regions"], temperature=cfg["physics"]["temperature"],
         kappa=cfg["physics"]["kappa"], mass=cfg["physics"]["mass"],
         k_B=cfg["physics"]["k_B"], seed=derive_seed(cfg["seed"], "bucket-key"))
-    with open(out / "heat_search.csv", "w") as fh:
-        fh.write("t,found_region,classical_argmax,queries,match\n")
-        for t, f, a, log in zip(result.times, result.found_regions,
-                                result.classical_argmax, result.search_logs):
-            fh.write(f"{t:.17g},{f},{a},{log.query_count},{int(f == a)}\n")
-    rows = []
-    for t, log in zip(result.times, result.search_logs):
-        for rnd_idx, rnd in enumerate(log.rounds):
-            rows.append((t, f"round{rnd_idx}-low", ",".join(map(str, rnd.region_indices)),
-                         rnd.frac_low, 0.0, "exact-expectation"))
-            rows.append((t, f"round{rnd_idx}-high", ",".join(map(str, rnd.region_indices)),
-                         rnd.frac_high, 0.0, "exact-expectation"))
-    with open(out / "heat_queries.csv", "w") as fh:
-        fh.write("t,observable,subset_id,estimate,stderr,mode\n")
-        for t, obs, sid, est, err, mode in rows:
-            fh.write(f'{t:.17g},{obs},"{sid}",{est:.17g},{err:.17g},{mode}\n')
+    measure.write_rows(out / "heat_search.csv", "t,found_region,classical_argmax,queries,match", (
+        (t, f, a, log.query_count, int(f == a)) for t, f, a, log in zip(
+            result.times, result.found_regions, result.classical_argmax, result.search_logs)))
+    measure.dump_results_csv(out / "heat_queries.csv", (
+        (t, f"round{i}-{side}", f'"{",".join(map(str, rnd.region_indices))}"', frac, 0.0,
+         "exact-expectation")
+        for t, log in zip(result.times, result.search_logs) for i, rnd in enumerate(log.rounds)
+        for side, frac in (("low", rnd.frac_low), ("high", rnd.frac_high))))
     svgplot.series_svg(out / "heat_regions.svg", result.times,
                        {"search": np.array(result.found_regions, dtype=float),
                         "classical argmax": np.array(result.classical_argmax, dtype=float)},
                        title="heat front region vs time", ylabel="region index")
-    _write_manifest(cfg, out)
     matches = sum(f == a for f, a in zip(result.found_regions, result.classical_argmax))
     print(f"heat search matched classical argmax at {matches}/{len(result.times)} probes")
     return 0
 
 
-def cmd_ripple(cfg) -> int:
-    out = _out_dir(cfg)
+def cmd_ripple(cfg, out: Path) -> int:
     spec = _spec(cfg)
     window = cfg["times"]["stop"] if cfg["window"] is None else cfg["window"]
     if window <= 0:     # a configured window is checked positive with the config
@@ -440,9 +423,7 @@ def cmd_ripple(cfg) -> int:
     disc = boltzmann.discretize_two_bucket(MBParams(
         m=cfg["physics"]["mass"], T=cfg["physics"]["temperature"],
         k_B=cfg["physics"]["k_B"], D=1))
-    with open(out / "bucket_spec.json", "w") as fh:
-        json.dump(boltzmann.bucket_spec_json(disc), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out / "bucket_spec.json", boltzmann.bucket_spec_json(disc))
     measure.dump_results_csv(out / "ripple_msd.csv", (
         row for t, mq, mc in zip(result.times, result.msd, result.msd_classical)
         for row in ((t, "msd", "all", mq, 0, "exact-expectation"),
@@ -450,13 +431,11 @@ def cmd_ripple(cfg) -> int:
     svgplot.series_svg(out / "ripple_msd.svg", result.times,
                        {"quantum": result.msd, "classical": result.msd_classical},
                        title="out-of-plane MSD", ylabel="MSD")
-    _write_manifest(cfg, out)
     print(f"time-averaged MSD {result.mean_msd:.6g}, B-factor {result.b_factor:.6g}")
     return 0
 
 
-def cmd_scaling(cfg, kind: str) -> int:
-    out = _out_dir(cfg)
+def cmd_scaling(cfg, out: Path, kind: str) -> int:
     records = []
     for n_r, n_c in cfg["sizes"]:
         spec = LatticeSpec(n_r, n_c)
@@ -474,26 +453,16 @@ def cmd_scaling(cfg, kind: str) -> int:
 
     fit = {}
     if len(records) >= 2:
-        if kind == "cond":
-            slope, intercept = np.polyfit(np.log10(ns), np.log10(vals), 1)
-            pred = slope * np.log10(ns) + intercept
-            ss_res = float(np.sum((np.log10(vals) - pred) ** 2))
-            ss_tot = float(np.sum((np.log10(vals) - np.log10(vals).mean()) ** 2))
-        else:
-            slope, intercept = np.polyfit(ns, vals, 1)
-            pred = slope * ns + intercept
-            ss_res = float(np.sum((vals - pred) ** 2))
-            ss_tot = float(np.sum((vals - vals.mean()) ** 2))
+        # cond(B) ~ N^slope is fit on log10-log10 axes, Tr(A^+) ~ slope N on linear ones
+        fx, fy = (np.log10(ns), np.log10(vals)) if kind == "cond" else (ns, vals)
+        slope, intercept = np.polyfit(fx, fy, 1)
+        ss_res = float(np.sum((fy - (slope * fx + intercept)) ** 2))
+        ss_tot = float(np.sum((fy - fy.mean()) ** 2))
         fit = {"slope": float(slope), "intercept": float(intercept),
                "r_squared": 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0}
 
-    with open(out / f"scaling_{kind}.csv", "w") as fh:
-        fh.write("n_physical,value\n")
-        for n_phys, value in records:
-            fh.write(f"{n_phys},{value:.17g}\n")
-    with open(out / f"scaling_{kind}_fit.json", "w") as fh:
-        json.dump(fit, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    measure.write_rows(out / f"scaling_{kind}.csv", "n_physical,value", records)
+    _write_json(out / f"scaling_{kind}_fit.json", fit)
     svgplot.scatter_svg(
         out / f"scaling_{kind}.svg", ns, vals,
         title=("incidence condition number" if kind == "cond" else "pseudoinverse trace"),
@@ -501,7 +470,6 @@ def cmd_scaling(cfg, kind: str) -> int:
         ylabel="log10 value" if kind == "cond" else "value",
         fit=(fit["slope"], fit["intercept"]) if fit else None,
         loglog=(kind == "cond"))
-    _write_manifest(cfg, out)
     if fit:
         print(f"{kind}: slope {fit['slope']:.4f}, R^2 {fit['r_squared']:.5f} "
               f"over {len(records)} sizes")
@@ -538,14 +506,17 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
     handlers = {"lattice": cmd_lattice, "validate": cmd_validate,
-                "simulate": cmd_simulate, "heat": cmd_heat, "ripple": cmd_ripple}
+                "simulate": cmd_simulate, "heat": cmd_heat, "ripple": cmd_ripple,
+                "scaling": lambda cfg, out: cmd_scaling(cfg, out, args.kind)}
+    out = Path(cfg["out_dir"])
+    out.mkdir(parents=True, exist_ok=True)
     try:
-        if args.command == "scaling":
-            return cmd_scaling(cfg, args.kind)
-        return handlers[args.command](cfg)
+        code = handlers[args.command](cfg, out)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
+    _write_json(out / "manifest.json", cfg)
+    return code
 
 
 if __name__ == "__main__":

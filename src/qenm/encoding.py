@@ -237,7 +237,6 @@ class BlockHamiltonian:
     active: np.ndarray            # flat indices into the 2 N^2 space
     scale: float                  # sqrt(2 kappa/m d) >= ||H||
     n_nodes: int
-    d: int
     _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
@@ -266,7 +265,7 @@ def build_block_H(sys: SystemMatrices) -> BlockHamiltonian:
     kappa, mass, d = _uniform_coupling(sys)
     B = sys.sparse_B
     return BlockHamiltonian(-sparse.bmat([[None, B], [B.T, None]], format="csr"),
-                            active_slots(sys), math.sqrt(2.0 * (kappa / mass) * d), sys.n, d)
+                            active_slots(sys), math.sqrt(2.0 * (kappa / mass) * d), sys.n)
 
 
 def series_degree(tau: float) -> int:
@@ -455,15 +454,15 @@ def hamiltonian_block_column(circ: Circuit, spec: LatticeSpec, part: int,
     return _block_column(circ, init, lead=("p",))
 
 
-def dump_state_csv(state: EncodedState, path, threshold: float = 1e-12) -> None:
-    """Padded-layout rows (axis, part, j, k) of the amplitudes above ``threshold``."""
+def dump_state_csv(state: EncodedState, path) -> None:
+    """Padded-layout rows (axis, part, j, k) of the amplitudes above 1e-12 in modulus."""
     n = state.n
     part, rest = np.divmod(active_slots(state.sys), n * n)
     j, k = np.divmod(rest, n)
     with open(path, "w") as fh:
         fh.write("axis,part,j,k,re,im\n")
         for a, row in enumerate(state.amps):
-            keep = np.flatnonzero(np.abs(row) > threshold)
+            keep = np.flatnonzero(np.abs(row) > 1e-12)
             fh.writelines(
                 f"{a},{p},{jj},{kk},{amp.real:.17g},{amp.imag:.17g}\n"
                 for p, jj, kk, amp in zip(part[keep].tolist(), j[keep].tolist(),

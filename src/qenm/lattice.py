@@ -174,11 +174,12 @@ def brute_force_adjacency(spec: LatticeSpec) -> Adjacency:
     """Geometric adjacency oracle, independent of the shift table.
 
     Physical sites are embedded in the plane and every pair at unit
-    distance is bonded.  Only a test oracle; never used by the pipeline.
+    distance is bonded.  The tests and ``qenm validate``'s
+    shift-table-vs-geometric-adjacency check compare ``adjacency`` with it.
     """
     if spec.n_total > 1 << 14:
         raise ValueError("geometric oracle is meant for small lattices")
-    from scipy.spatial import cKDTree   # imported here: only this test oracle needs it
+    from scipy.spatial import cKDTree   # imported here: only this oracle needs it
     dummies = dummy_mask(spec)
     pos = node_positions(spec)
     phys = np.flatnonzero(~dummies)

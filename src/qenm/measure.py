@@ -205,16 +205,15 @@ class HeatResult:
     n_regions: int
 
 
-def heat_experiment(spec: LatticeSpec, times, hotspot_region: int = 0,
-                    n_regions: int = 8, temperature: float = 1.0,
+def heat_experiment(spec: LatticeSpec, times, n_regions: int = 8, temperature: float = 1.0,
                     kappa: float = 1.0, mass: float = 1.0, k_B: float = 1.0,
                     seed: int = 0) -> HeatResult:
     """Boundary-hotspot heat propagation tracked by binary search.
 
-    The hotspot region's nodes carry median-split thermal velocities; the
-    rest of the sheet starts at T = 0 with zero displacements, so the
-    total energy is purely kinetic and the standard encoding needs no
-    amplitude amplification.
+    The hotspot, boundary region 0, carries median-split thermal
+    velocities; the rest of the sheet starts at T = 0 with zero
+    displacements, so the total energy is purely kinetic and the standard
+    encoding needs no amplitude amplification.
     """
     sys = enm.build_system(spec, kappa=kappa, mass=mass)
     regions = column_regions(spec, n_regions)
@@ -223,7 +222,7 @@ def heat_experiment(spec: LatticeSpec, times, hotspot_region: int = 0,
     rng = np.random.default_rng(seed)
     keys = [boltzmann.BucketKey.random(spec.address_bits, rng) for _ in range(2)]
     xdot0 = np.zeros((2, sys.n))
-    hot = list(regions[hotspot_region])
+    hot = list(regions[0])
     for axis in range(2):
         # one bucket at T = 0, where every velocity is 0
         xdot0[axis, hot] = boltzmann.bucket_velocities(sys.n, keys[axis], disc)[hot]
@@ -297,9 +296,16 @@ def ripple_msd(spec: LatticeSpec, times, temperature: float,
     return RippleResult(times, msd_q, msd_c, mean, enm.b_factor(mean))
 
 
-def dump_results_csv(path, rows) -> None:
-    """rows: iterables of (t, observable, subset_id, estimate, stderr, mode)."""
+def write_rows(path, header: str, rows) -> None:
+    """``header``, then one comma-joined line per row: floats (numpy float64
+    included) as ``%.17g``, every other value as ``str``."""
     with open(path, "w") as fh:
-        fh.write("t,observable,subset_id,estimate,stderr,mode\n")
-        for t, obs, sid, est, err, mode in rows:
-            fh.write(f"{t:.17g},{obs},{sid},{est:.17g},{err:.17g},{mode}\n")
+        fh.write(header + "\n")
+        fh.writelines(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+                      + "\n" for row in rows)
+
+
+def dump_results_csv(path, rows) -> None:
+    """rows: iterables of (t, observable, subset_id, estimate, stderr, mode); a
+    subset id that holds commas must come quoted."""
+    write_rows(path, "t,observable,subset_id,estimate,stderr,mode", rows)

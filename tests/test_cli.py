@@ -115,9 +115,17 @@ def test_scaling_trace_fit(tmp_path):
 
 
 def test_manifest_written_everywhere(tmp_path):
-    assert run(["lattice", "--out-dir", str(tmp_path / "o"), "--seed", "7"]) == 0
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-    assert manifest["seed"] == 7 and "lattice" in manifest
+    # a 2x1 sheet is one hexagon with every degree 2, so validate fails degree-profile
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 2, "n_c": 1}, "sizes": [[2, 1], [3, 2]],
+                               "times": {"start": 0.0, "stop": 8.0, "steps": 5}}))
+    for argv, code in ((["lattice"], 0), (["validate"], 1), (["simulate"], 0), (["heat"], 0),
+                       (["ripple"], 0), (["scaling", "cond"], 0), (["scaling", "trace"], 0)):
+        out = tmp_path / "-".join(argv)
+        assert run([*argv, "--config", str(cfg), "--out-dir", str(out), "--seed", "7"]) == code
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 7 and manifest["out_dir"] == str(out)
+        assert manifest["lattice"] == {"n_r": 2, "n_c": 1}
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -193,7 +201,9 @@ def test_non_object_config_exit_code(tmp_path):
 
 @pytest.mark.parametrize("config, key", [({"physics": 5}, "physics"),
                                          ({"lattice": {"n_r": "3"}}, "lattice.n_r"),
-                                         ({"times": {"steps": 2.5}}, "times.steps")])
+                                         ({"times": {"steps": 2.5}}, "times.steps"),
+                                         # a misspelt unit used to run in reduced units
+                                         ({"physics": {"units": "phsyical"}}, "physics.units")])
 def test_ill_typed_config_exit_code(tmp_path, capsys, config, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -422,4 +432,32 @@ def test_ripple_fallback_window_must_be_positive(tmp_path, capsys, stop):
     cfg.write_text(json.dumps({"lattice": {"n_r": 2, "n_c": 1}, "times": {"stop": stop}}))
     assert run(["ripple", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
     assert ("config error: times.stop is the ripple window when window is null and must be > 0"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o" / "manifest.json").exists()     # none after a raised error
+
+
+@pytest.mark.parametrize("argv", [["lattice"], ["validate"], ["simulate"], ["heat"], ["ripple"],
+                                  ["scaling", "cond"]])
+@pytest.mark.parametrize("initial, message", [
+    ({"kind": "bogus"}, "initial.kind must be 'zero', 'perturbed' or 'boltzmann', got 'bogus'"),
+    ({"kind": "perturbed", "nodes": [5], "displacements": [0.1, 0.2]},
+     "initial.displacements must be empty or one per initial.nodes entry, got 2 for 1"),
+], ids=["kind", "length"])
+def test_initial_conditions_are_checked_at_load(tmp_path, capsys, argv, initial, message):
+    # only simulate reads them; the other commands used to run with exit 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 2, "n_c": 1}, "sizes": [[2, 1]],
+                               "initial": initial}))
+    assert run([*argv, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("n_c", [1, 2])
+def test_validate_sheet_without_physical_sites(tmp_path, capsys, n_c):
+    # with n_r = 1 every site is padding; the energy-drift check divided by zero
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 1, "n_c": n_c}}))
+    assert run(["validate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert (f"config error: lattice 1x{n_c} has no physical site to validate"
             in capsys.readouterr().err)

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -267,3 +269,16 @@ def test_results_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,observable,subset_id,estimate,stderr,mode"
     assert len(lines) == 2
+
+
+def test_write_rows_formats_floats_at_full_precision_and_the_rest_as_str(tmp_path):
+    path = tmp_path / "rows.csv"
+    measure.write_rows(path, "t,n,label,zero,subset_id",
+                       [(np.float64(0.1), 3, "msd", -0.0, '"0,1"'),
+                        (1.0 / 3.0, np.int64(-7), "all", 0.0, "all")])
+    assert path.read_text() == ('t,n,label,zero,subset_id\n'
+                                '0.10000000000000001,3,msd,-0,"0,1"\n'
+                                '0.33333333333333331,-7,all,0,all\n')
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1] == ["0.10000000000000001", "3", "msd", "-0", "0,1"]
