@@ -16,7 +16,8 @@ Node j lands in bucket (j . s) xor r over GF(2) for a random key (s, r);
 for a uniformly random key the assignment of any fixed node is uniform.
 The general k-bucket loader instead feeds a keyed 64-bit mix function
 through an inverse-CDF table; cryptographic strength is irrelevant at desk
-scale.
+scale.  ``thermal_velocities`` is the one two-bucket thermal loader, called
+by the ``simulate`` initial state, the heat hotspot and the ripple sheet.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 TAIL_SIGMAS = 6.0
 
@@ -88,6 +88,7 @@ def discretize_k_bucket(params: MBParams, k: int) -> DiscretizedMB:
         raise ValueError("need k >= 2 buckets")
     if params.T == 0:
         return DiscretizedMB((1.0,), (0.0,), (0, 1, 2, 3))
+    from scipy.special import ndtri     # kept off the `import qenm.cli` path
     # standardized quantile edges; int_a^b z phi(z) dz = phi(a) - phi(b)
     z = np.clip(ndtri(np.linspace(0.0, 1.0, k + 1)), -TAIL_SIGMAS, TAIL_SIGMAS)
     phi = np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
@@ -107,6 +108,16 @@ def bucket_velocities(n_nodes: int, key: BucketKey, disc: DiscretizedMB) -> np.n
     masked = np.arange(n_nodes) & key.s
     ones = sum(((masked >> b) & 1 for b in range(key.s.bit_length())), np.full(n_nodes, key.r))
     return np.asarray(disc.velocities)[ones & 1]
+
+
+def thermal_velocities(params: MBParams, keys: list[BucketKey], n_nodes: int, sites) -> np.ndarray:
+    """(len(keys), n_nodes) median-split velocities: row a is ``bucket_velocities``
+    under ``keys[a]`` on ``sites``, 0 elsewhere, and 0 everywhere at T = 0."""
+    disc = discretize_two_bucket(params)
+    out = np.zeros((len(keys), n_nodes))
+    for row, key in zip(out, keys):
+        row[sites] = bucket_velocities(n_nodes, key, disc)[sites]
+    return out
 
 
 def lemma1_rel_fluctuation(D: int, N: int) -> float:

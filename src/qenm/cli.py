@@ -35,8 +35,9 @@ from . import boltzmann, encoding, enm, measure, svgplot
 from .boltzmann import BucketKey, MBParams, prf64
 from .circuits import permute_basis, run_basis, simulate
 # neighbor is not called here; benchmarks/test_bench.py checks that its tracer rebinds it
-from .lattice import (Adjacency, LatticeSpec, adjacency, brute_force_adjacency,  # noqa: F401
-                      decode_index, dummy_mask, dump_lattice_csv, is_dummy, neighbor)
+from .lattice import (SPARSITY, Adjacency, LatticeSpec, adjacency,  # noqa: F401
+                      brute_force_adjacency, decode_index, dummy_mask, dump_lattice_csv,
+                      encode_coord, is_dummy, neighbor)
 from .oracles import comparator, connectivity_oracle, mass_oracle, oracle_mismatches
 
 K_B_PHYSICAL = 0.8314462618     # amu A^2 ps^-2 K^-1
@@ -211,29 +212,19 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _initial_conditions(cfg, sys, axes: int = 2):
-    """(x0, xdot0) shaped (axes, N) from the configured initial-condition spec."""
-    init = cfg["initial"]
-    phys_cfg = cfg["physics"]
-    x0 = np.zeros((axes, sys.n))
-    xdot0 = np.zeros((axes, sys.n))
-    if init["kind"] == "perturbed" or init.get("nodes"):
-        nodes = init.get("nodes", [])
-        disps = init.get("displacements", [])
-        for idx, j in enumerate(nodes):
-            mag = disps[idx] if disps else 0.1
-            x0[:, j] = mag
+def _initial_conditions(cfg, sys):
+    """(x0, xdot0) shaped (2, N) from the configured initial-condition spec."""
+    init, phys = cfg["initial"], cfg["physics"]
+    x0 = np.zeros((2, sys.n))
+    xdot0 = np.zeros((2, sys.n))
+    for idx, j in enumerate(init["nodes"]):     # listed nodes are displaced under any kind
+        x0[:, j] = init["displacements"][idx] if init["displacements"] else 0.1
     if init["kind"] == "boltzmann":
-        params = MBParams(m=phys_cfg["mass"], T=phys_cfg["temperature"],
-                          k_B=phys_cfg["k_B"], D=axes)
-        disc = boltzmann.discretize_two_bucket(params)
-        roles = ["velocity-x", "velocity-y", "velocity-z"][:axes]
-        phys = np.flatnonzero(sys.physical)
-        for a, role in enumerate(roles):
-            rng = np.random.default_rng(derive_seed(cfg["seed"], role))
-            key = BucketKey.random(sys.spec.address_bits, rng)
-            # one bucket at T = 0, where every velocity is 0
-            xdot0[a, phys] = boltzmann.bucket_velocities(sys.n, key, disc)[phys]
+        params = MBParams(m=phys["mass"], T=phys["temperature"], k_B=phys["k_B"])
+        keys = [BucketKey.random(sys.spec.address_bits,
+                                 np.random.default_rng(derive_seed(cfg["seed"], role)))
+                for role in ("velocity-x", "velocity-y")]
+        xdot0 = boltzmann.thermal_velocities(params, keys, sys.n, np.flatnonzero(sys.physical))
     return x0, xdot0
 
 
@@ -257,9 +248,8 @@ def _validation_checks(cfg):
 
     adj = adjacency(spec)
     geo = brute_force_adjacency(spec)
-    round_trip = all(
-        ((co := decode_index(j, spec)).r << (spec.n_c + 1)) | (co.c << 1) | co.s == j
-        for j in range(spec.n_total))
+    j = np.arange(spec.n_total)
+    round_trip = bool(np.array_equal(encode_coord(decode_index(j, spec), spec), j))
     checks.append(("encode-decode-roundtrip", round_trip, f"{spec.n_total} indices"))
     adj_bonds, geo_bonds = adj.bond_set(), geo.bond_set()
     checks.append(("shift-table-vs-geometric-adjacency", adj_bonds == geo_bonds,
@@ -272,7 +262,7 @@ def _validation_checks(cfg):
             & (adj.valid[adj.neighbors] == adj.valid[:, :, None]))
     checks.append(("validity-symmetric", bool(back.any(axis=2).all()), "all (j,l)"))
     degrees = adj.degrees()[~dummy_mask(spec)]
-    deg_ok = bool(np.all((degrees >= 1) & (degrees <= 3))) and bool(np.any(degrees == 3))
+    deg_ok = bool(np.all((degrees >= 1) & (degrees <= SPARSITY)) and np.any(degrees == SPARSITY))
     checks.append(("degree-profile", deg_ok,
                    f"degrees {sorted(set(int(d) for d in degrees))}"))
 
@@ -436,17 +426,18 @@ def cmd_ripple(cfg, out: Path) -> int:
 
 
 def cmd_scaling(cfg, out: Path, kind: str) -> int:
-    records = []
-    for n_r, n_c in cfg["sizes"]:
-        spec = LatticeSpec(n_r, n_c)
+    specs = [LatticeSpec(n_r, n_c) for n_r, n_c in cfg["sizes"]]
+    for spec in specs:     # every size is checked before the first solve
         if spec.n_total > 1 << 12:     # 6x6 (8192 sites) takes 24-33 s on one Xeon core
-            raise ConfigError(f"lattice {n_r}x{n_c} has {spec.n_total} sites; the exact banded "
-                              f"eigenvalue solve is capped at {1 << 12}")
+            raise ConfigError(f"lattice {spec.n_r}x{spec.n_c} has {spec.n_total} sites; the "
+                              f"exact banded eigenvalue solve is capped at {1 << 12}")
+        if dummy_mask(spec).all():     # n_r = 1: an empty spectrum has no cond(B) or Tr(A^+)
+            raise ConfigError(f"lattice {spec.n_r}x{spec.n_c} has no physical site to scale")
+    records = []
+    for spec in specs:
         sys = enm.build_system(spec, cfg["physics"]["kappa"], cfg["physics"]["mass"])
-        n_phys = int(sys.physical.sum())
-        value = (enm.condition_number_B(sys) if kind == "cond"
-                 else enm.pseudoinverse_trace(sys))
-        records.append((n_phys, value))
+        value = enm.condition_number_B(sys) if kind == "cond" else enm.pseudoinverse_trace(sys)
+        records.append((int(sys.physical.sum()), value))
     records.sort()
     ns = np.array([r[0] for r in records], dtype=float)
     vals = np.array([r[1] for r in records], dtype=float)
@@ -509,7 +500,12 @@ def main(argv=None) -> int:
                 "simulate": cmd_simulate, "heat": cmd_heat, "ripple": cmd_ripple,
                 "scaling": lambda cfg, out: cmd_scaling(cfg, out, args.kind)}
     out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:      # the path, or a parent of it, is a file
+        print(f"config error: cannot create output directory {out}: {exc.strerror}",
+              file=_sys.stderr)
+        return 2
     try:
         code = handlers[args.command](cfg, out)
     except (ConfigError, ValueError) as exc:

@@ -65,12 +65,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.special import jv
 
 from . import enm
 from .circuits import (Circuit, Gate, _gather, controlled_gates, inverted_gates, simulate)
 from .enm import SystemMatrices
-from .lattice import LatticeSpec, neighbor
+from .lattice import SPARSITY, LatticeSpec, neighbor
 from .oracles import (_emit_connectivity, _emit_ordered_swap, _node_assign,
                       _oracle_registers, emit_slot_superposition, node_value_bits)
 
@@ -140,9 +139,9 @@ def _uniform_coupling(sys: SystemMatrices) -> tuple[float, float, int]:
 
 
 def sparsity(sys: SystemMatrices) -> int:
-    """Structural sparsity bound d: 3 for lattice sheets, else the max degree."""
+    """Structural sparsity bound d: ``SPARSITY`` for lattice sheets, else the max degree."""
     if sys.spec is not None:
-        return 3
+        return SPARSITY
     return int(np.bincount(sys.bonds.ravel(), minlength=sys.n).max())
 
 
@@ -285,6 +284,7 @@ def evolve_exact(state: EncodedState, bh: BlockHamiltonian, times) -> Iterator[E
     before returning, so errors raise here; the iterator then forms each
     sample as sum_k c_k(t) T_k psi_0, within SERIES_EPS of exp(-iHt) in norm.
     """
+    from scipy.special import jv     # kept off the `import qenm.cli` path
     times = enm.time_grid(times)
     if bh.n_nodes != state.n:
         raise ValueError("Hamiltonian and state sizes differ")
@@ -433,10 +433,10 @@ def incidence_block_column(circ: Circuit, spec: LatticeSpec, j: int) -> dict:
     return _block_column(circ, _node_assign(spec, j, primed=False))
 
 
-def expected_incidence_column(spec: LatticeSpec, j: int, d: int = 3) -> dict:
+def expected_incidence_column(spec: LatticeSpec, j: int, d: int = SPARSITY) -> dict:
     """Sparse column of B^T / sqrt(2 kappa/m d) for unit kappa/m."""
     col: dict[tuple[int, int], float] = {}
-    for l in range(3):
+    for l in range(SPARSITY):
         k, valid = neighbor(j, l, spec)
         if not valid:
             continue

@@ -6,6 +6,9 @@ little-endian as
 
     j = 2**(n_c + 1) * r + 2 * c + s
 
+Only ``decode_index`` and ``encode_coord`` (ints or int arrays) know this
+layout, and ``SPARSITY`` is the one copy of d = 3.
+
 Every site has exactly three neighbor slots l in {0, 1, 2}, always on the
 opposite sublattice (delta_s = 1).  The unit-cell offset (delta_r, delta_c)
 of slot l depends only on the row parity r0 (low bit of r) and the
@@ -72,9 +75,13 @@ class NodeCoord:
     s: int
 
 
-def decode_index(j: int, spec: LatticeSpec) -> NodeCoord:
-    """Unpack node index j into (r, c, s)."""
-    if not 0 <= j < spec.n_total:
+def decode_index(j: int | np.ndarray, spec: LatticeSpec) -> NodeCoord:
+    """Unpack node index j, an int or an int array, into (r, c, s)."""
+    if isinstance(j, np.ndarray):
+        bad = (j < 0) | (j >= spec.n_total)
+        if bad.any():
+            raise ValueError(f"node index {j[bad][0]} out of range for {spec}")
+    elif not 0 <= j < spec.n_total:
         raise ValueError(f"node index {j} out of range for {spec}")
     s = j & 1
     c = (j >> 1) & (spec.cols - 1)
@@ -82,8 +89,8 @@ def decode_index(j: int, spec: LatticeSpec) -> NodeCoord:
     return NodeCoord(r, c, s)
 
 
-def encode_coord(coord: NodeCoord, spec: LatticeSpec) -> int:
-    """Pack (r, c, s) into the node index."""
+def encode_coord(coord: NodeCoord, spec: LatticeSpec) -> int | np.ndarray:
+    """Pack (r, c, s), ints or int arrays, into the node index."""
     return (coord.r << (spec.n_c + 1)) | (coord.c << 1) | coord.s
 
 
@@ -128,7 +135,6 @@ class Adjacency:
 
     neighbors: np.ndarray
     valid: np.ndarray
-    d: int = SPARSITY
 
     def bond_set(self) -> set[tuple[int, int]]:
         """Unordered physical bonds as (min, max) pairs."""
@@ -153,20 +159,14 @@ def adjacency(spec: LatticeSpec) -> Adjacency:
     return Adjacency(neighbors, valid)
 
 
-def _all_coords(spec: LatticeSpec) -> NodeCoord:
-    """``decode_index`` of every site at once, as a NodeCoord of (N,) arrays."""
-    j = np.arange(spec.n_total)
-    return NodeCoord(j >> (spec.n_c + 1), (j >> 1) & (spec.cols - 1), j & 1)
-
-
 def dummy_mask(spec: LatticeSpec) -> np.ndarray:
     """Boolean mask over node indices, True where the site is padding."""
-    return is_dummy(_all_coords(spec), spec)
+    return is_dummy(decode_index(np.arange(spec.n_total), spec), spec)
 
 
 def node_positions(spec: LatticeSpec) -> np.ndarray:
     """Honeycomb embedding of every site (bond length 1), shape (N, 2)."""
-    co = _all_coords(spec)
+    co = decode_index(np.arange(spec.n_total), spec)
     return np.stack([np.sqrt(3.0) * (co.c - 0.5 * (co.r & 1)), 1.5 * co.r + co.s], axis=1)
 
 
@@ -201,7 +201,7 @@ def brute_force_adjacency(spec: LatticeSpec) -> Adjacency:
 def lattice_rows(spec: LatticeSpec) -> list[dict]:
     """One record per node for the CSV dump."""
     adj = adjacency(spec)
-    co = _all_coords(spec)
+    co = decode_index(np.arange(spec.n_total), spec)
     columns = {"j": np.arange(spec.n_total), "r": co.r, "c": co.c, "s": co.s,
                "dummy": dummy_mask(spec).astype(int),
                **{f"neigh{l}": adj.neighbors[:, l] for l in range(SPARSITY)},

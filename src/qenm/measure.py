@@ -18,8 +18,10 @@ Heat transfer: a boundary hotspot gets thermal velocities, the rest of the
 sheet starts cold, and a classical binary search over column bands tracks
 the leading edge by keeping the half with the larger kinetic-energy
 fraction at each of ceil(log2(#regions)) halvings (ties keep the
-lexicographically lower half).  Rippling: out-of-plane thermal velocities,
+lexicographically lower half); bands are unit-cell columns from
+``lattice.decode_index``.  Rippling: out-of-plane thermal velocities,
 alternative encoding, time-averaged MSD and the B-factor 8 pi^2 <M>.
+Both load thermal velocities with ``boltzmann.thermal_velocities``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import boltzmann, encoding, enm
-from .lattice import LatticeSpec, dummy_mask
+from .lattice import LatticeSpec, decode_index, dummy_mask
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,6 @@ class SubsetSelector:
     target: str                       # "kinetic" | "potential" | "displacement"
     nodes: tuple[int, ...] = ()
     bonds: tuple[tuple[int, int], ...] = ()
-    axis: int | None = None           # None sums all axes
 
 
 @dataclass
@@ -67,12 +68,8 @@ def oracle_call_estimate(epsilon: float, delta: float) -> int:
     return math.ceil(math.log(1.0 / delta) / epsilon)
 
 
-def _axis_slice(state: encoding.EncodedState, axis):
-    return range(state.axes) if axis is None else (axis,)
-
-
 def subset_probability(state: encoding.EncodedState, sel: SubsetSelector) -> float:
-    """Summed |amplitude|^2 over the basis states selected by ``sel``.
+    """Summed |amplitude|^2 over the basis states selected by ``sel``, on every axis.
 
     Bonds that are not bonded pairs (j, k), j < k, of the system select no
     basis state and add nothing.
@@ -93,7 +90,8 @@ def subset_probability(state: encoding.EncodedState, sel: SubsetSelector) -> flo
             "standard encoding carries no displacement amplitudes (all kappa_jj = 0)")
     else:
         raise ValueError(f"unknown selector target {sel.target!r}")
-    return float(sum(np.sum(np.abs(block[a]) ** 2) for a in _axis_slice(state, sel.axis)))
+    # one sum per axis: a single sum over the block moves comparison.csv in its last bits
+    return float(sum(np.sum(np.abs(row) ** 2) for row in block))
 
 
 def energy_fraction(state: encoding.EncodedState, sel: SubsetSelector,
@@ -144,7 +142,7 @@ def column_regions(spec: LatticeSpec, n_regions: int) -> list[tuple[int, ...]]:
     if n_regions < 1 or cols % n_regions != 0:
         raise ValueError(f"{n_regions} regions do not tile {cols} columns")
     phys = np.flatnonzero(~dummy_mask(spec))
-    band = ((phys >> 1) & (cols - 1)) // (cols // n_regions)     # unit-cell column // width
+    band = decode_index(phys, spec).c // (cols // n_regions)
     return [tuple(phys[band == b].tolist()) for b in range(n_regions)]
 
 
@@ -217,15 +215,10 @@ def heat_experiment(spec: LatticeSpec, times, n_regions: int = 8, temperature: f
     """
     sys = enm.build_system(spec, kappa=kappa, mass=mass)
     regions = column_regions(spec, n_regions)
-    params = boltzmann.MBParams(m=mass, T=temperature, k_B=k_B, D=2)
-    disc = boltzmann.discretize_two_bucket(params)
     rng = np.random.default_rng(seed)
     keys = [boltzmann.BucketKey.random(spec.address_bits, rng) for _ in range(2)]
-    xdot0 = np.zeros((2, sys.n))
-    hot = list(regions[0])
-    for axis in range(2):
-        # one bucket at T = 0, where every velocity is 0
-        xdot0[axis, hot] = boltzmann.bucket_velocities(sys.n, keys[axis], disc)[hot]
+    params = boltzmann.MBParams(m=mass, T=temperature, k_B=k_B)
+    xdot0 = boltzmann.thermal_velocities(params, keys, sys.n, list(regions[0]))
     if not xdot0.any():
         raise ValueError("the hotspot starts with zero energy (temperature 0): "
                          "a zero-energy state has no encoding")
@@ -274,12 +267,9 @@ def ripple_msd(spec: LatticeSpec, times, temperature: float,
         import warnings
         warnings.warn("averaging window shorter than one oscillation period")
 
-    params = boltzmann.MBParams(m=mass, T=temperature, k_B=k_B, D=1)
-    disc = boltzmann.discretize_two_bucket(params)
-    rng = np.random.default_rng(seed)
-    key = boltzmann.BucketKey.random(spec.address_bits, rng)
-    zdot0 = np.zeros(sys.n)
-    zdot0[phys] = boltzmann.bucket_velocities(sys.n, key, disc)[phys]
+    key = boltzmann.BucketKey.random(spec.address_bits, np.random.default_rng(seed))
+    params = boltzmann.MBParams(m=mass, T=temperature, k_B=k_B)
+    zdot0 = boltzmann.thermal_velocities(params, [key], sys.n, phys)[0]
     # zero net momentum: project the mass-weighted velocity onto range(A)
     sqrt_m = np.sqrt(sys.masses)
     zdot0 = enm.project_range(sys, sqrt_m * zdot0) / sqrt_m

@@ -16,7 +16,8 @@ register layout (``_oracle_registers``) and the stage sequence
 and the block encodings in ``encoding`` build on them, and
 ``oracle_mismatches`` is the one exhaustive check against the lattice: it
 runs every (j, slot) input as one batch of ``uint64`` keys through
-``circuits.permute_keys``.
+``circuits.permute_keys``.  Node indices enter and leave the registers
+only through ``lattice.decode_index`` and ``lattice.encode_coord``.
 
 Slot values outside {0, 1, 2} are undefined; drivers assert they never
 reach the oracle.
@@ -30,18 +31,18 @@ import numpy as np
 
 from .boltzmann import BucketKey
 from .circuits import Circuit, Register, basis_keys, key_values, permute_keys, simulate
-from .lattice import SHIFT_TABLE, Adjacency, LatticeSpec, adjacency
+from .lattice import (SHIFT_TABLE, SPARSITY, Adjacency, LatticeSpec, NodeCoord, adjacency,
+                      decode_index, encode_coord)
 
 
 def _twos(value: int, width: int) -> int:
     return value % (1 << width)
 
 
-def mass_oracle(mass: int | str, n_address: int, width: int | None = None) -> Circuit:
+def mass_oracle(mass: int | str, n_address: int) -> Circuit:
     """XOR the fixed mass bit pattern into the value register: |j>|z> -> |j>|z ^ m>."""
     m = int(mass, 2) if isinstance(mass, str) else int(mass)
-    if width is None:
-        width = max(m.bit_length(), 1)
+    width = max(m.bit_length(), 1)
     circ = Circuit()
     circ.register("j", n_address)
     z = circ.register("z", width)
@@ -189,22 +190,22 @@ def oracle_mismatches(circ: Circuit, spec: LatticeSpec) -> tuple[int, int, set[t
     read off the f = 0 outputs).
     """
     adj = adjacency(spec)
-    j = np.repeat(np.arange(spec.n_total), 3)
+    j = np.repeat(np.arange(spec.n_total), SPARSITY)
     src = _node_assign(spec, j, primed=False)
-    slots = np.tile(np.arange(3), spec.n_total)
+    slots = np.tile(np.arange(SPARSITY), spec.n_total)
     keys = permute_keys(circ, basis_keys(circ, {**src, "ell": slots}))
     expected = basis_keys(circ, {**src, **_node_assign(spec, adj.neighbors.ravel(), primed=True),
                                  "f": (~adj.valid.ravel()).astype(np.int64)})
     out = key_values(circ, keys)
-    k = (out["rp"] << (spec.n_c + 1)) | (out["cp"] << 1) | out["sp"]
-    bonds = Adjacency(k.astype(np.int64).reshape(-1, 3), (out["f"] == 0).reshape(-1, 3)).bond_set()
+    k = encode_coord(NodeCoord(out["rp"], out["cp"], out["sp"]), spec).astype(np.int64)
+    bonds = Adjacency(k.reshape(-1, SPARSITY), (out["f"] == 0).reshape(-1, SPARSITY)).bond_set()
     return len(keys), int(np.count_nonzero(keys != expected)), bonds
 
 
 def _node_assign(spec: LatticeSpec, j, primed: bool) -> dict:
     """Register values {r, c, s} (or the primed names) of node j, an int or an int array."""
-    r, c, s = j >> (spec.n_c + 1), (j >> 1) & (spec.cols - 1), j & 1
-    return {"rp": r, "cp": c, "sp": s} if primed else {"r": r, "c": c, "s": s}
+    co = decode_index(j, spec)
+    return {"rp": co.r, "cp": co.c, "sp": co.s} if primed else {"r": co.r, "c": co.c, "s": co.s}
 
 
 def node_value_bits(circ: Circuit, primed: bool) -> tuple[int, ...]:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import LatticeSpec, adjacency, dummy_mask, node_positions
+from .lattice import SPARSITY, LatticeSpec, adjacency, dummy_mask, node_positions
 
 _HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
 W, H, MARGIN = 640.0, 480.0, 60.0     # scatter and series plots, pixels
@@ -75,8 +75,8 @@ def scatter_svg(path, xs, ys, title: str = "", xlabel: str = "", ylabel: str = "
 
 
 def series_svg(path, ts, series: dict[str, np.ndarray], title: str = "",
-               xlabel: str = "t", ylabel: str = "") -> None:
-    """Polyline plot of one or more time series."""
+               ylabel: str = "") -> None:
+    """Polyline plot of one or more time series over t."""
     ts = np.asarray(ts, dtype=float)
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
     allv = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
@@ -84,7 +84,7 @@ def series_svg(path, ts, series: dict[str, np.ndarray], title: str = "",
     y0, y1 = float(allv.min()), float(allv.max())
     if y1 == y0:
         y0, y1 = y0 - 1.0, y1 + 1.0
-    body, px, py = _frame(x0, x1, y0, y1, title, xlabel, ylabel)
+    body, px, py = _frame(x0, x1, y0, y1, title, "t", ylabel)
     for idx, (label, vals) in enumerate(series.items()):
         pts = " ".join(f"{px(t):.1f},{py(v):.1f}" for t, v in zip(ts, vals))
         color = colors[idx % len(colors)]
@@ -113,7 +113,7 @@ def lattice_svg(path, spec: LatticeSpec) -> None:
 
     body = [f'<rect x="0" y="0" width="{w:.0f}" height="{h:.0f}" fill="white"/>']
     for j in range(spec.n_total):
-        for l in range(adj.d):
+        for l in range(SPARSITY):
             k = int(adj.neighbors[j, l])
             if k <= j:
                 continue

@@ -9,7 +9,7 @@ from qenm.boltzmann import (BucketKey, MBParams, alpha, bucket_assignment,
                             bucket_velocities, cdf_table, discretize_k_bucket,
                             discretize_two_bucket, inverse_cdf_bucket,
                             lemma1_rel_fluctuation, mean_kinetic, prf64,
-                            sample_kinetic_energies)
+                            sample_kinetic_energies, thermal_velocities)
 
 
 def gaussian_moment(order: int, sigma: float) -> float:
@@ -107,6 +107,23 @@ def test_bucket_velocities_match_scalar_assignment():
             for n_nodes in (1 << n, (1 << n) // 2 + 1):
                 expect = [disc.velocities[bucket_assignment(j, key)] for j in range(n_nodes)]
                 assert bucket_velocities(n_nodes, key, disc).tolist() == expect
+
+
+@pytest.mark.parametrize("T", [0.0, 2.0])
+@pytest.mark.parametrize("sites", [[1, 4, 5, 17, 40, 63], np.arange(0, 64, 3)])
+def test_thermal_velocities_rows_are_bucket_velocities_on_sites(T, sites):
+    params = MBParams(m=1.5, T=T)
+    disc = discretize_two_bucket(params)
+    rng = np.random.default_rng(5)
+    keys = [BucketKey.random(6, rng) for _ in range(3)]
+    vel = thermal_velocities(params, keys, 64, sites)
+    assert vel.shape == (3, 64)
+    off = np.setdiff1d(np.arange(64), sites)
+    for row, key in zip(vel, keys):
+        assert row[sites].tolist() == bucket_velocities(64, key, disc)[sites].tolist()
+        assert not row[off].any()
+    assert (disc.k == 1) == (T == 0.0)
+    assert vel[:, sites].any() == (T > 0.0)     # one bucket at T = 0: every velocity is 0
 
 
 def test_lemma1_values():

@@ -233,10 +233,11 @@ def test_initial_nodes_must_be_sites_of_the_lattice(tmp_path, capsys, node):
 
 def test_cli_import_skips_heavy_scipy_modules():
     # scipy.stats/integrate/spatial cost most of the import time and scipy.linalg
-    # adds more; none is needed to start
+    # and scipy.special add more; none is needed to start
     env = {**os.environ, "PYTHONPATH": str(Path(qenm.__file__).resolve().parents[1])}
     code = ("import sys, qenm.cli; print(sorted(m for m in sys.modules if m in "
-            "('scipy.stats', 'scipy.integrate', 'scipy.spatial', 'scipy.linalg')))")
+            "('scipy.stats', 'scipy.integrate', 'scipy.spatial', 'scipy.linalg', "
+            "'scipy.special')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
@@ -277,6 +278,37 @@ def test_scaling_refuses_sheets_past_the_banded_solve_cap(tmp_path, capsys):
                 "--out-dir", str(tmp_path / "o")]) == 2
     assert ("config error: lattice 6x6 has 8192 sites; the exact banded eigenvalue solve is "
             "capped at 4096") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["cond", "trace"])
+@pytest.mark.parametrize("sizes, message", [
+    ("1x1,2x1", "lattice 1x1 has no physical site to scale"),
+    ("3x2,1x1", "lattice 1x1 has no physical site to scale"),
+    ("3x2,1x2,6x6", "lattice 1x2 has no physical site to scale"),
+    ("3x2,6x6,1x1", "lattice 6x6 has 8192 sites"),
+])
+def test_scaling_checks_every_size_before_the_first_solve(tmp_path, capsys, monkeypatch,
+                                                          kind, sizes, message):
+    # cond on a sheet without physical sites ended in an IndexError, trace fitted a 0,0 row
+    def refuse(*args, **kwargs):
+        raise AssertionError("system built before every size was checked")
+
+    monkeypatch.setattr(enm, "build_system", refuse)
+    assert run(["scaling", kind, "--sizes", sizes, "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_dir_blocked_by_a_file(tmp_path, capsys, under):
+    # used to end in a FileExistsError (or NotADirectoryError) traceback from the mkdir
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = blocker / "o" if under else blocker
+    assert run(["lattice", "--out-dir", str(out)]) == 2
+    assert f"config error: cannot create output directory {out}: " in capsys.readouterr().err
+    assert blocker.read_text() == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]     # no manifest anywhere
 
 
 def test_validate_factorization_checks_read_the_system_B(tmp_path, capsys, monkeypatch):

@@ -28,6 +28,24 @@ def test_decode_out_of_range():
         decode_index(32, LatticeSpec(2, 2))
 
 
+@pytest.mark.parametrize("n_r, n_c", [(n_r, n_c) for n_r in range(2, 6) for n_c in range(1, 6)])
+def test_decode_index_array_equals_scalar(n_r, n_c):
+    spec = LatticeSpec(n_r, n_c)
+    j = np.arange(spec.n_total)
+    co = decode_index(j, spec)
+    coords = [NodeCoord(*rcs) for rcs in zip(co.r.tolist(), co.c.tolist(), co.s.tolist())]
+    assert coords == [decode_index(int(i), spec) for i in j]
+    assert np.array_equal(encode_coord(co, spec), j)
+
+
+@pytest.mark.parametrize("bad", [-1, 32, 1 << 40])
+def test_decode_index_array_out_of_range(bad):
+    j = np.arange(32)
+    j[17] = bad
+    with pytest.raises(ValueError, match=f"node index {bad} out of range"):
+        decode_index(j, LatticeSpec(2, 2))
+
+
 @pytest.mark.parametrize("spec", SPECS + [LatticeSpec(6, 7)])
 def test_encode_decode_roundtrip_exhaustive(spec):
     for j in range(spec.n_total):
