@@ -5,7 +5,7 @@ Run:  python demos/06_block_encoding.py
 
 import numpy as np
 
-from qenm import encoding, enm
+from qenm import encoding, enm, oracles
 from qenm.lattice import LatticeSpec
 
 spec = LatticeSpec(2, 1)
@@ -25,25 +25,25 @@ print(f"nonzero |eigenvalues| vs sqrt(spectrum of A): "
 
 # the incidence circuit: slot superposition, connectivity oracle, comparator,
 # controlled swaps, then Z and H on the order qubit
-circ = encoding.incidence_block_circuit(spec)
+circ = oracles.incidence_block_circuit(spec)
 print(f"incidence circuit: {circ.n_qubits} qubits, {len(circ.gates)} gates")
 worst = 0.0
 for j in range(n):
-    got = encoding.incidence_block_column(circ, spec, j)
-    expect = encoding.expected_incidence_column(spec, j)
+    got = oracles.incidence_block_column(circ, spec, j)
+    expect = oracles.expected_incidence_column(spec, j)
     keys = set(got) | set(expect)
     worst = max(worst, max((abs(got.get(k, 0) - expect.get(k, 0)) for k in keys),
                            default=0.0))
 print(f"extracted block vs B^T / sqrt(2 kappa/m d): worst entry error {worst:.2e}")
 
 # the full Hamiltonian block encoding, entrywise over all 2 N^2 columns
-circ_h = encoding.hamiltonian_block_circuit(spec)
+circ_h = oracles.hamiltonian_block_circuit(spec)
 target = bh.dense() / bh.scale
 worst = 0.0
 for part in range(2):
     for j in range(n):
         for k in range(n):
-            got = encoding.hamiltonian_block_column(circ_h, spec, part, j, k)
+            got = oracles.hamiltonian_block_column(circ_h, spec, part, j, k)
             col = target[:, part * n * n + j * n + k]
             expect = {}
             for row in np.flatnonzero(np.abs(col) > 1e-14):

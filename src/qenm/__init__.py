@@ -11,7 +11,6 @@ from .boltzmann import (BucketKey, DiscretizedMB, MBParams, bucket_assignment,
 from .circuits import Circuit, SparseState, inverse, run_basis, simulate
 from .encoding import (BlockHamiltonian, EncodedState, build_block_H,
                        doubled_mass_encoding, evolve_exact,
-                       hamiltonian_block_circuit, incidence_block_circuit,
                        prepare_alternative, prepare_standard)
 from .enm import (SystemMatrices, Trajectory, build_system, condition_number_B,
                   conserved_F, evolve_classical, pseudoinverse_trace,
@@ -23,6 +22,7 @@ from .measure import (EstimateReport, SubsetSelector, energy_fraction,
                       heat_binary_search, heat_experiment, msd_fraction,
                       ripple_msd, shot_sample)
 from .oracles import (comparator, connectivity_oracle, coord_adder,
+                      hamiltonian_block_circuit, incidence_block_circuit,
                       inequality_test_loader, mass_oracle, oracle_mismatches,
                       ordered_swap, shift_init, velocity_loader_two_bucket)
 

@@ -38,7 +38,8 @@ from .circuits import permute_basis, run_basis, simulate
 from .lattice import (SPARSITY, Adjacency, LatticeSpec, adjacency,  # noqa: F401
                       brute_force_adjacency, decode_index, dummy_mask, dump_lattice_csv,
                       encode_coord, is_dummy, neighbor)
-from .oracles import comparator, connectivity_oracle, mass_oracle, oracle_mismatches
+from .oracles import (comparator, connectivity_oracle, diffusion_projector_circuit, mass_oracle,
+                      oracle_mismatches)
 
 K_B_PHYSICAL = 0.8314462618     # amu A^2 ps^-2 K^-1
 SEED_ROLES = {"velocity-x": 0, "velocity-y": 1, "velocity-z": 2,
@@ -145,9 +146,10 @@ def _is_number(value) -> bool:
 
 
 def _validate_config(cfg: dict) -> None:
+    for key in ("lattice", "heat_lattice"):
+        if cfg[key]["n_r"] < 1 or cfg[key]["n_c"] < 1:
+            raise ConfigError(f"{key} register widths must be >= 1")
     lat = cfg["lattice"]
-    if lat["n_r"] < 1 or lat["n_c"] < 1:
-        raise ConfigError("lattice register widths must be >= 1")
     phys = cfg["physics"]
     for key in ("kappa", "mass", "k_B"):
         if not (_is_number(phys[key]) and phys[key] > 0):
@@ -311,7 +313,7 @@ def _validation_checks(cfg):
     j, k = np.divmod(np.arange(256), 16)
     comp_ok = bool(np.all(permute_basis(comparator(4), {"j": j, "k": k})["flag"] == (k < j)))
     checks.append(("comparator-table", comp_ok, "256 pairs"))
-    uc = encoding.diffusion_projector_circuit(3)
+    uc = diffusion_projector_circuit(3)
     proj_ok = True
     for tv in range(8):
         st = simulate(uc, {"a": 0, "t": tv})
@@ -377,6 +379,8 @@ def cmd_simulate(cfg, out: Path) -> int:
 def cmd_heat(cfg, out: Path) -> int:
     lat = cfg["heat_lattice"]
     spec = LatticeSpec(lat["n_r"], lat["n_c"])
+    if dummy_mask(spec).all():     # n_r = 1: no hotspot to heat
+        raise ConfigError(f"heat_lattice {spec.n_r}x{spec.n_c} has no physical site to heat")
     result = measure.heat_experiment(
         spec, np.asarray(cfg["probe_times"], dtype=float),
         n_regions=cfg["regions"], temperature=cfg["physics"]["temperature"],
@@ -401,6 +405,8 @@ def cmd_heat(cfg, out: Path) -> int:
 
 def cmd_ripple(cfg, out: Path) -> int:
     spec = _spec(cfg)
+    if dummy_mask(spec).all():     # n_r = 1: no sheet to ripple
+        raise ConfigError(f"lattice {spec.n_r}x{spec.n_c} has no physical site to ripple")
     window = cfg["times"]["stop"] if cfg["window"] is None else cfg["window"]
     if window <= 0:     # a configured window is checked positive with the config
         raise ConfigError(f"times.stop is the ripple window when window is null and must be "
@@ -443,7 +449,7 @@ def cmd_scaling(cfg, out: Path, kind: str) -> int:
     vals = np.array([r[1] for r in records], dtype=float)
 
     fit = {}
-    if len(records) >= 2:
+    if len(set(ns)) >= 2:     # different sizes can share one N (4x3 and 5x2: 210 sites)
         # cond(B) ~ N^slope is fit on log10-log10 axes, Tr(A^+) ~ slope N on linear ones
         fx, fy = (np.log10(ns), np.log10(vals)) if kind == "cond" else (ns, vals)
         slope, intercept = np.polyfit(fx, fy, 1)

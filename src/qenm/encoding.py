@@ -41,20 +41,9 @@ one sparse matvec per degree) to the degree of the longest time in the grid
 and combines that basis for every sample, which saves matvecs but leaves the
 query count unchanged.  ``evolve_dense``, the eigendecomposition of the dense
 active block, is kept only as the reference the tests compare against.  The
-gate-level block encoding below is verified against H / alpha by amplitude
-extraction and is never used for time evolution.
-
-Circuit block encodings (uniform mass and coupling):
-
-* ``incidence_block_circuit``: slot superposition (1/sqrt(3)), connectivity
-  oracle, comparator + order bit + controlled swaps, then Z and H on the
-  order qubit.  Projecting slot, validity flag, scratch, comparator and
-  order qubits onto |0> leaves B^T / sqrt(2 kappa/m d) between the node
-  registers.
-* ``diffusion_projector_circuit``: Hadamard, zero-controlled reflection
-  2|0><0| - 1, Hadamard; its ancilla-|0> block is the all-zero projector.
-* ``hamiltonian_block_circuit``: glues the two above with a part qubit so
-  that the |0>-ancilla block is H / sqrt(2 kappa/m d).
+gate-level block encoding of H / alpha (``oracles.hamiltonian_block_circuit``)
+is verified against ``build_block_H`` by amplitude extraction and is never
+used for time evolution.
 """
 
 from __future__ import annotations
@@ -67,11 +56,8 @@ import numpy as np
 from scipy import sparse
 
 from . import enm
-from .circuits import (Circuit, Gate, _gather, controlled_gates, inverted_gates, simulate)
 from .enm import SystemMatrices
-from .lattice import SPARSITY, LatticeSpec, neighbor
-from .oracles import (_emit_connectivity, _emit_ordered_swap, _node_assign,
-                      _oracle_registers, emit_slot_superposition, node_value_bits)
+from .lattice import SPARSITY
 
 DESK_DIM_LIMIT = 1 << 13
 SERIES_EPS = 1e-12      # operator-norm bound on the truncated Jacobi-Anger tail
@@ -318,140 +304,10 @@ def doubled_mass_encoding(sys: SystemMatrices) -> SystemMatrices:
     with warnings.catch_warnings():
         # the two per-axis copies are disconnected from each other by design
         warnings.simplefilter("ignore")
-        return enm._system(np.repeat(sys.masses, 2),
-                           np.concatenate([2 * sys.bonds, 2 * sys.bonds + 1]),
-                           np.tile(sys.coupling, 2), np.repeat(sys.physical, 2))
-
-
-# -- gate-level block encodings ----------------------------------------------
-
-
-def _shadow(circ: Circuit) -> Circuit:
-    sh = Circuit()
-    sh.registers = circ.registers
-    sh.n_qubits = circ.n_qubits
-    return sh
-
-
-def _emit_incidence_dagger(circ: Circuit) -> list[Gate]:
-    """Gate list whose |0>-ancilla block is B^T / sqrt(2 kappa/m d)."""
-    sh = _shadow(circ)
-    cmp_q, ord_q = circ.registers["cmp"], circ.registers["ord"]
-    emit_slot_superposition(sh, circ.registers["ell"])
-    _emit_connectivity(sh)
-    _emit_ordered_swap(sh, node_value_bits(sh, primed=False), node_value_bits(sh, primed=True),
-                       cmp_q[0], ord_q[0])
-    sh.z(ord_q[0])
-    sh.h(ord_q[0])
-    return sh.gates
-
-
-def _emit_ucond(circ: Circuit, a_bit: int, t_bits) -> list[Gate]:
-    """H . (a=0)-controlled (2|0><0| - 1) . H; self-adjoint."""
-    sh = _shadow(circ)
-    sh.h(a_bit)
-    for q in t_bits:
-        sh.x(q)
-    sh.z(t_bits[0], [(a_bit, 0)] + [(q, 1) for q in t_bits[1:]])
-    for q in t_bits:
-        sh.x(q)
-    sh.x(a_bit)
-    sh.z(a_bit)
-    sh.x(a_bit)
-    sh.h(a_bit)
-    return sh.gates
-
-
-def _block_registers(circ: Circuit, spec: LatticeSpec) -> None:
-    """The connectivity oracle's registers plus comparator and order bits."""
-    _oracle_registers(circ, spec)
-    circ.register("cmp", 1)
-    circ.register("ord", 1)
-
-
-def incidence_block_circuit(spec: LatticeSpec) -> Circuit:
-    circ = Circuit()
-    _block_registers(circ, spec)
-    circ.gates = _emit_incidence_dagger(circ)
-    return circ
-
-
-def diffusion_projector_circuit(n: int) -> Circuit:
-    circ = Circuit()
-    a = circ.register("a", 1)
-    t = circ.register("t", n)
-    circ.gates = _emit_ucond(circ, a[0], t.bits)
-    return circ
-
-
-def hamiltonian_block_circuit(spec: LatticeSpec) -> Circuit:
-    """Unitary whose |0>-ancilla block on (part, j, k) is H / sqrt(2 kappa/m d)."""
-    circ = Circuit()
-    p = circ.register("p", 1)
-    ca = circ.register("ca", 1)
-    _block_registers(circ, spec)
-    ub_dagger = _emit_incidence_dagger(circ)
-    ub = inverted_gates(ub_dagger)
-    k_bits = node_value_bits(circ, primed=True)
-    ucond = _emit_ucond(circ, ca[0], k_bits)
-    gates: list[Gate] = []
-    gates += controlled_gates(inverted_gates(ucond), [(p[0], 0)])
-    gates += controlled_gates(ub_dagger, [(p[0], 0)])
-    gates += controlled_gates(ub, [(p[0], 1)])
-    gates += controlled_gates(ucond, [(p[0], 1)])
-    circ.gates = gates
-    circ.x(p[0])
-    circ.gphase(math.pi)
-    return circ
-
-
-# -- block extraction ---------------------------------------------------------
-
-
-def _block_column(circ: Circuit, init: dict[str, int], lead=()) -> dict:
-    """Simulate from ``init``, project all qubits outside the node registers and
-    ``lead`` onto |0>, and sum by key (lead values, j, k), with j and k read in
-    index bit order (s, c, r)."""
-    state = simulate(circ, init)
-    lead_bits = [circ.registers[nm].bits for nm in lead]
-    j_bits = node_value_bits(circ, primed=False)
-    k_bits = node_value_bits(circ, primed=True)
-    kept = {*j_bits, *k_bits, *(q for bits in lead_bits for q in bits)}
-    ancilla_mask = sum(1 << q for q in range(circ.n_qubits) if q not in kept)
-    col: dict[tuple[int, ...], complex] = {}
-    for key, amp in state.amps.items():
-        if key & ancilla_mask:
-            continue
-        rc = (*(_gather(key, bits) for bits in lead_bits), _gather(key, j_bits),
-              _gather(key, k_bits))
-        col[rc] = col.get(rc, 0.0) + amp
-    return {rc: a for rc, a in col.items() if abs(a) > 1e-14}
-
-
-def incidence_block_column(circ: Circuit, spec: LatticeSpec, j: int) -> dict:
-    """Column j of the postselected block, keyed by (j', k') node indices."""
-    return _block_column(circ, _node_assign(spec, j, primed=False))
-
-
-def expected_incidence_column(spec: LatticeSpec, j: int, d: int = SPARSITY) -> dict:
-    """Sparse column of B^T / sqrt(2 kappa/m d) for unit kappa/m."""
-    col: dict[tuple[int, int], float] = {}
-    for l in range(SPARSITY):
-        k, valid = neighbor(j, l, spec)
-        if not valid:
-            continue
-        if k >= j:
-            col[(j, k)] = col.get((j, k), 0.0) + 1.0 / math.sqrt(2.0 * d)
-        else:
-            col[(k, j)] = col.get((k, j), 0.0) - 1.0 / math.sqrt(2.0 * d)
-    return col
-
-
-def hamiltonian_block_column(circ: Circuit, spec: LatticeSpec, part: int,
-                             j: int, k: int) -> dict:
-    """Column (part, j, k) of the postselected block, keyed by (part', j', k')."""
-    init = {"p": part, **_node_assign(spec, j, primed=False), **_node_assign(spec, k, primed=True)}
-    return _block_column(circ, init, lead=("p",))
+        return enm.system_from_bonds(2 * sys.n,
+                                     np.concatenate([2 * sys.bonds, 2 * sys.bonds + 1]),
+                                     np.tile(sys.coupling, 2), np.repeat(sys.masses, 2),
+                                     np.repeat(sys.physical, 2))
 
 
 def dump_state_csv(state: EncodedState, path) -> None:

@@ -9,10 +9,10 @@ times that weight with each node's term divided by its mass m_i.
 
 Exact-expectation mode reads the probabilities off the statevector; shot
 mode Bernoulli-samples subset membership and reports the binomial standard
-error.  Reports also quote the fraction itself as the detectability ratio
-(a subset exponentially smaller than E is formally measurable but needs
-exponentially many estimation calls, ~log(1/delta)/epsilon per the
-amplitude-estimation contract).
+error.  A report's ``estimate``, the fraction itself, is also its
+detectability ratio (a subset exponentially smaller than E is formally
+measurable but needs exponentially many estimation calls,
+~log(1/delta)/epsilon per the amplitude-estimation contract).
 
 Heat transfer: a boundary hotspot gets thermal velocities, the rest of the
 sheet starts cold, and a classical binary search over column bands tracks
@@ -56,10 +56,6 @@ class EstimateReport:
     def __post_init__(self):
         self.oracle_calls = oracle_call_estimate(self.epsilon, self.delta)
 
-    @property
-    def detectability(self) -> float:
-        return self.estimate
-
 
 def oracle_call_estimate(epsilon: float, delta: float) -> int:
     """Amplitude-estimation call count O(log(1/delta)/epsilon)."""
@@ -94,19 +90,15 @@ def subset_probability(state: encoding.EncodedState, sel: SubsetSelector) -> flo
     return float(sum(np.sum(np.abs(row) ** 2) for row in block))
 
 
-def energy_fraction(state: encoding.EncodedState, sel: SubsetSelector,
-                    epsilon: float = 0.01, delta: float = 0.05) -> EstimateReport:
+def energy_fraction(state: encoding.EncodedState, sel: SubsetSelector) -> EstimateReport:
     """K_V/E (or U_V/E) as an exact expectation over the standard encoding."""
     if state.tag != "standard":
         raise ValueError("energy fractions require the standard encoding")
     frac = subset_probability(state, sel)
-    return EstimateReport(frac, "exact-expectation",
-                          observable=frac * state.norm_constant,
-                          epsilon=epsilon, delta=delta)
+    return EstimateReport(frac, "exact-expectation", observable=frac * state.norm_constant)
 
 
-def msd_fraction(state: encoding.EncodedState, sel: SubsetSelector,
-                 epsilon: float = 0.01, delta: float = 0.05) -> EstimateReport:
+def msd_fraction(state: encoding.EncodedState, sel: SubsetSelector) -> EstimateReport:
     """Subset MSD fraction and the MSD (2F/|V|) sum_V |amp_j|^2 / m_j, alternative encoding."""
     if state.tag != "alternative":
         raise ValueError("MSD requires the alternative encoding")
@@ -114,12 +106,11 @@ def msd_fraction(state: encoding.EncodedState, sel: SubsetSelector,
     nodes = np.asarray(sel.nodes, dtype=int)
     weight = float(np.sum(np.abs(state.node_amps[0, nodes]) ** 2 / state.sys.masses[nodes]))
     msd = 2.0 * state.norm_constant * weight / len(sel.nodes)
-    return EstimateReport(frac, "exact-expectation", observable=msd,
-                          epsilon=epsilon, delta=delta)
+    return EstimateReport(frac, "exact-expectation", observable=msd)
 
 
 def shot_sample(state: encoding.EncodedState, sel: SubsetSelector, shots: int,
-                seed: int, epsilon: float = 0.01, delta: float = 0.05) -> EstimateReport:
+                seed: int) -> EstimateReport:
     """Bernoulli sampling of subset membership; binomial standard error."""
     if shots < 1:
         raise ValueError("need at least one shot")
@@ -129,8 +120,7 @@ def shot_sample(state: encoding.EncodedState, sel: SubsetSelector, shots: int,
     est = hits / shots
     stderr = math.sqrt(max(est * (1.0 - est), 0.0) / shots)
     return EstimateReport(est, "shot-sampled", shots=shots, stderr=stderr,
-                          observable=est * state.norm_constant,
-                          epsilon=epsilon, delta=delta)
+                          observable=est * state.norm_constant)
 
 
 # -- heat transfer -------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Oracle circuits: mass lookup, graphene connectivity, comparators, loaders.
+"""Oracle circuits: mass lookup, graphene connectivity, comparators, loaders,
+and the gate-level block encodings built from them.
 
 The connectivity oracle S_a computes, for a source node j = (r, c, s) and a
 neighbor slot l, the neighbor coordinates and a flag marking ghost bonds:
@@ -13,7 +14,7 @@ coordinates (modular, so boundary cells wrap), and OR the four dummy rules
 for both endpoints into the flag, restoring every scratch ancilla.  The
 register layout (``_oracle_registers``) and the stage sequence
 (``_emit_connectivity``) are declared once; the standalone stage circuits
-and the block encodings in ``encoding`` build on them, and
+and the block encodings below build on them, and
 ``oracle_mismatches`` is the one exhaustive check against the lattice: it
 runs every (j, slot) input as one batch of ``uint64`` keys through
 ``circuits.permute_keys``.  Node indices enter and leave the registers
@@ -21,6 +22,19 @@ only through ``lattice.decode_index`` and ``lattice.encode_coord``.
 
 Slot values outside {0, 1, 2} are undefined; drivers assert they never
 reach the oracle.
+
+Circuit block encodings (uniform mass and coupling):
+
+* ``incidence_block_circuit``: slot superposition (1/sqrt(3)), connectivity
+  oracle, comparator + order bit + controlled swaps, then Z and H on the
+  order qubit.  Projecting slot, validity flag, scratch, comparator and
+  order qubits onto |0> leaves B^T / sqrt(2 kappa/m d) between the node
+  registers.
+* ``diffusion_projector_circuit``: Hadamard, zero-controlled reflection
+  2|0><0| - 1, Hadamard; its ancilla-|0> block is the all-zero projector.
+* ``hamiltonian_block_circuit``: glues the two above with a part qubit so
+  that the |0>-ancilla block is H / sqrt(2 kappa/m d), the block
+  Hamiltonian of ``encoding.build_block_H`` over its scale.
 """
 
 from __future__ import annotations
@@ -30,9 +44,10 @@ import math
 import numpy as np
 
 from .boltzmann import BucketKey
-from .circuits import Circuit, Register, basis_keys, key_values, permute_keys, simulate
+from .circuits import (Circuit, Gate, Register, basis_keys, controlled_gates, inverted_gates,
+                       key_values, permute_keys, simulate)
 from .lattice import (SHIFT_TABLE, SPARSITY, Adjacency, LatticeSpec, NodeCoord, adjacency,
-                      decode_index, encode_coord)
+                      decode_index, encode_coord, neighbor)
 
 
 def _twos(value: int, width: int) -> int:
@@ -349,3 +364,132 @@ def emit_slot_superposition(circ: Circuit, ell: Register) -> None:
     """Prepare (|0> + |1> + |2>)/sqrt(3) on the two slot qubits."""
     circ.ry(ell[1], 2.0 * math.acos(math.sqrt(2.0 / 3.0)))
     circ.h(ell[0], [(ell[1], 0)])
+
+
+# -- gate-level block encodings ----------------------------------------------
+
+
+def _shadow(circ: Circuit) -> Circuit:
+    sh = Circuit()
+    sh.registers = circ.registers
+    sh.n_qubits = circ.n_qubits
+    return sh
+
+
+def _emit_incidence_dagger(circ: Circuit) -> list[Gate]:
+    """Gate list whose |0>-ancilla block is B^T / sqrt(2 kappa/m d)."""
+    sh = _shadow(circ)
+    cmp_q, ord_q = circ.registers["cmp"], circ.registers["ord"]
+    emit_slot_superposition(sh, circ.registers["ell"])
+    _emit_connectivity(sh)
+    _emit_ordered_swap(sh, node_value_bits(sh, primed=False), node_value_bits(sh, primed=True),
+                       cmp_q[0], ord_q[0])
+    sh.z(ord_q[0])
+    sh.h(ord_q[0])
+    return sh.gates
+
+
+def _emit_ucond(circ: Circuit, a_bit: int, t_bits) -> list[Gate]:
+    """H . (a=0)-controlled (2|0><0| - 1) . H; self-adjoint."""
+    sh = _shadow(circ)
+    sh.h(a_bit)
+    for q in t_bits:
+        sh.x(q)
+    sh.z(t_bits[0], [(a_bit, 0)] + [(q, 1) for q in t_bits[1:]])
+    for q in t_bits:
+        sh.x(q)
+    sh.x(a_bit)
+    sh.z(a_bit)
+    sh.x(a_bit)
+    sh.h(a_bit)
+    return sh.gates
+
+
+def _block_registers(circ: Circuit, spec: LatticeSpec) -> None:
+    """The connectivity oracle's registers plus comparator and order bits."""
+    _oracle_registers(circ, spec)
+    circ.register("cmp", 1)
+    circ.register("ord", 1)
+
+
+def incidence_block_circuit(spec: LatticeSpec) -> Circuit:
+    circ = Circuit()
+    _block_registers(circ, spec)
+    circ.gates = _emit_incidence_dagger(circ)
+    return circ
+
+
+def diffusion_projector_circuit(n: int) -> Circuit:
+    circ = Circuit()
+    a = circ.register("a", 1)
+    t = circ.register("t", n)
+    circ.gates = _emit_ucond(circ, a[0], t.bits)
+    return circ
+
+
+def hamiltonian_block_circuit(spec: LatticeSpec) -> Circuit:
+    """Unitary whose |0>-ancilla block on (part, j, k) is H / sqrt(2 kappa/m d)."""
+    circ = Circuit()
+    p = circ.register("p", 1)
+    ca = circ.register("ca", 1)
+    _block_registers(circ, spec)
+    ub_dagger = _emit_incidence_dagger(circ)
+    ub = inverted_gates(ub_dagger)
+    k_bits = node_value_bits(circ, primed=True)
+    ucond = _emit_ucond(circ, ca[0], k_bits)
+    gates: list[Gate] = []
+    gates += controlled_gates(inverted_gates(ucond), [(p[0], 0)])
+    gates += controlled_gates(ub_dagger, [(p[0], 0)])
+    gates += controlled_gates(ub, [(p[0], 1)])
+    gates += controlled_gates(ucond, [(p[0], 1)])
+    circ.gates = gates
+    circ.x(p[0])
+    circ.gphase(math.pi)
+    return circ
+
+
+# -- block extraction ---------------------------------------------------------
+
+
+def _block_column(circ: Circuit, spec: LatticeSpec, init: dict[str, int], lead=()) -> dict:
+    """Simulate from ``init``, project all qubits outside the node registers and
+    ``lead`` onto |0>, and sum by key (lead values, j, k) of node indices."""
+    state = simulate(circ, init)
+    kept = {"r", "c", "s", "rp", "cp", "sp", *lead}
+    ancilla_mask = sum(1 << q for name, reg in circ.registers.items() if name not in kept
+                       for q in reg.bits)
+    col: dict[tuple[int, ...], complex] = {}
+    for key, amp in state.amps.items():
+        if key & ancilla_mask:
+            continue
+        v = state.assignment(key)
+        rc = (*(v[name] for name in lead), encode_coord(NodeCoord(v["r"], v["c"], v["s"]), spec),
+              encode_coord(NodeCoord(v["rp"], v["cp"], v["sp"]), spec))
+        col[rc] = col.get(rc, 0.0) + amp
+    return {rc: a for rc, a in col.items() if abs(a) > 1e-14}
+
+
+def incidence_block_column(circ: Circuit, spec: LatticeSpec, j: int) -> dict:
+    """Column j of the postselected block, keyed by (j', k') node indices."""
+    return _block_column(circ, spec, _node_assign(spec, j, primed=False))
+
+
+def expected_incidence_column(spec: LatticeSpec, j: int, d: int = SPARSITY) -> dict:
+    """Sparse column of B^T / sqrt(2 kappa/m d) for unit kappa/m."""
+    col: dict[tuple[int, int], float] = {}
+    for l in range(SPARSITY):
+        k, valid = neighbor(j, l, spec)
+        if not valid:
+            continue
+        if k >= j:
+            col[(j, k)] = col.get((j, k), 0.0) + 1.0 / math.sqrt(2.0 * d)
+        else:
+            col[(k, j)] = col.get((k, j), 0.0) - 1.0 / math.sqrt(2.0 * d)
+    return col
+
+
+def hamiltonian_block_column(circ: Circuit, spec: LatticeSpec, part: int,
+                             j: int, k: int) -> dict:
+    """Column (part, j, k) of the postselected block, keyed by (part', j', k')."""
+    init = {"p": part, **_node_assign(spec, j, primed=False), **_node_assign(spec, k, primed=True)}
+    return _block_column(circ, spec, init, lead=("p",))

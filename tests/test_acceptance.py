@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from qenm import boltzmann, cli, encoding, enm, measure
+from qenm import boltzmann, cli, encoding, enm, measure, oracles
 from qenm.lattice import LatticeSpec, brute_force_adjacency
 from qenm.measure import SubsetSelector
 from qenm.oracles import connectivity_oracle, oracle_mismatches
@@ -223,11 +223,11 @@ def test_criterion_9_block_encoding_extraction():
     # complete entrywise U_B^T at ten address qubits
     spec_big = LatticeSpec(4, 5)
     assert spec_big.address_bits == 10
-    circ = encoding.incidence_block_circuit(spec_big)
+    circ = oracles.incidence_block_circuit(spec_big)
     worst_b = 0.0
     for j in range(spec_big.n_total):
-        got = encoding.incidence_block_column(circ, spec_big, j)
-        expect = encoding.expected_incidence_column(spec_big, j)
+        got = oracles.incidence_block_column(circ, spec_big, j)
+        expect = oracles.expected_incidence_column(spec_big, j)
         keys = set(got) | set(expect)
         err = max((abs(got.get(k, 0.0) - expect.get(k, 0.0)) for k in keys), default=0.0)
         worst_b = max(worst_b, err)
@@ -237,13 +237,13 @@ def test_criterion_9_block_encoding_extraction():
     sys_small = enm.build_system(spec_small)
     bh = encoding.build_block_H(sys_small)
     target = bh.dense() / bh.scale
-    circ_h = encoding.hamiltonian_block_circuit(spec_small)
+    circ_h = oracles.hamiltonian_block_circuit(spec_small)
     n = sys_small.n
     worst_h = 0.0
     for part in range(2):
         for j in range(n):
             for k in range(n):
-                got = encoding.hamiltonian_block_column(circ_h, spec_small, part, j, k)
+                got = oracles.hamiltonian_block_column(circ_h, spec_small, part, j, k)
                 col = target[:, part * n * n + j * n + k]
                 expect = {}
                 for row in np.flatnonzero(np.abs(col) > 1e-14):
@@ -257,21 +257,21 @@ def test_criterion_9_block_encoding_extraction():
     # U_H at ten address qubits: every structurally nonzero column plus a
     # deterministic sample of zero columns
     sys_big = enm.build_system(spec_big)
-    circ_hb = encoding.hamiltonian_block_circuit(spec_big)
+    circ_hb = oracles.hamiltonian_block_circuit(spec_big)
     d = encoding.sparsity(sys_big)
     scale = 1.0 / np.sqrt(2.0 * d)
     n_big = sys_big.n
     worst_hb = 0.0
     for j in range(n_big):                       # node-side columns -> -B^T / scale
-        got = encoding.hamiltonian_block_column(circ_hb, spec_big, 0, j, 0)
+        got = oracles.hamiltonian_block_column(circ_hb, spec_big, 0, j, 0)
         expect = {(1, jj, kk): -amp
-                  for (jj, kk), amp in encoding.expected_incidence_column(
+                  for (jj, kk), amp in oracles.expected_incidence_column(
                       spec_big, j, d).items()}
         keys = set(got) | set(expect)
         err = max((abs(got.get(k, 0.0) - expect.get(k, 0.0)) for k in keys), default=0.0)
         worst_hb = max(worst_hb, err)
     for j, k in sys_big.pairs:                   # bonded pair columns -> -B / scale
-        got = encoding.hamiltonian_block_column(circ_hb, spec_big, 1, j, k)
+        got = oracles.hamiltonian_block_column(circ_hb, spec_big, 1, j, k)
         expect = {(0, j, 0): -scale, (0, k, 0): +scale}
         keys = set(got) | set(expect)
         err = max((abs(got.get(kk, 0.0) - expect.get(kk, 0.0)) for kk in keys),
@@ -287,7 +287,7 @@ def test_criterion_9_block_encoding_extraction():
             continue
         if part == 1 and (j, k) in set(sys_big.pairs):
             continue
-        got = encoding.hamiltonian_block_column(circ_hb, spec_big, part, j, k)
+        got = oracles.hamiltonian_block_column(circ_hb, spec_big, part, j, k)
         if got:
             worst_hb = max(worst_hb, max(abs(v) for v in got.values()))
         zero_checks += 1

@@ -493,3 +493,47 @@ def test_validate_sheet_without_physical_sites(tmp_path, capsys, n_c):
     assert run(["validate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
     assert (f"config error: lattice 1x{n_c} has no physical site to validate"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("heat", {"heat_lattice": {"n_r": 1, "n_c": 3}}, "heat_lattice 1x3 has no physical site to heat"),
+    ("ripple", {"lattice": {"n_r": 1, "n_c": 2}}, "lattice 1x2 has no physical site to ripple"),
+])
+def test_studies_refuse_a_sheet_without_physical_sites(tmp_path, capsys, monkeypatch, recwarn,
+                                                       command, config, message):
+    # heat blamed a zero-temperature hotspot; ripple warned about its window, then found a
+    # zero-energy state
+    def refuse(*args, **kwargs):
+        raise AssertionError("system built before the sheet was checked")
+
+    monkeypatch.setattr(enm, "build_system", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("argv", [["lattice"], ["validate"], ["simulate"], ["heat"], ["ripple"],
+                                  ["scaling", "cond"]])
+@pytest.mark.parametrize("heat_lattice", [{"n_r": 0}, {"n_c": 0}])
+def test_heat_lattice_widths_are_checked_at_load(tmp_path, capsys, argv, heat_lattice):
+    # only heat read them, and its error did not name the key; the rest exited 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 2, "n_c": 1}, "sizes": [[2, 1]],
+                               "heat_lattice": heat_lattice}))
+    assert run([*argv, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "config error: heat_lattice register widths must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["cond", "trace"])
+@pytest.mark.parametrize("sizes", ["3x2,4x1", "3x2,3x2"])
+def test_scaling_fits_only_across_two_distinct_n(tmp_path, capsys, recwarn, kind, sizes):
+    # both sheets have 42 physical sites; polyfit warned and wrote a slope through one N
+    out = tmp_path / "o"
+    assert run(["scaling", kind, "--sizes", sizes, "--out-dir", str(out)]) == 0
+    assert json.loads((out / f"scaling_{kind}_fit.json").read_text()) == {}
+    assert (out / f"scaling_{kind}.svg").read_text().count("<line") == 2     # the axes only
+    assert f"{kind}: single size, points only" in capsys.readouterr().out
+    assert len(recwarn) == 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from qenm import encoding, enm
+from qenm import encoding, enm, oracles
 from qenm.circuits import simulate
 from qenm.lattice import LatticeSpec
 
@@ -390,10 +390,10 @@ def test_doubled_mass_spectrum_and_dynamics(small_sheet):
 
 @pytest.mark.parametrize("spec", [LatticeSpec(2, 1), LatticeSpec(2, 2)])
 def test_incidence_block_matches_expected(spec):
-    circ = encoding.incidence_block_circuit(spec)
+    circ = oracles.incidence_block_circuit(spec)
     for j in range(spec.n_total):
-        got = encoding.incidence_block_column(circ, spec, j)
-        expect = encoding.expected_incidence_column(spec, j)
+        got = oracles.incidence_block_column(circ, spec, j)
+        expect = oracles.expected_incidence_column(spec, j)
         keys = set(got) | set(expect)
         for key in keys:
             assert got.get(key, 0.0) == pytest.approx(expect.get(key, 0.0), abs=1e-10)
@@ -401,7 +401,7 @@ def test_incidence_block_matches_expected(spec):
 
 def test_incidence_block_matches_dense_b(small_sheet):
     spec = small_sheet.spec
-    circ = encoding.incidence_block_circuit(spec)
+    circ = oracles.incidence_block_circuit(spec)
     bh = encoding.build_block_H(small_sheet)
     n = small_sheet.n
     bt = np.zeros((n * n, n))
@@ -410,7 +410,7 @@ def test_incidence_block_matches_dense_b(small_sheet):
         bt[j * n + k, k] = small_sheet.B[k, col]
     bt /= bh.scale
     for j in range(n):
-        got = encoding.incidence_block_column(circ, spec, j)
+        got = oracles.incidence_block_column(circ, spec, j)
         dense = np.zeros(n * n, dtype=complex)
         for (jj, kk), amp in got.items():
             dense[jj * n + kk] = amp
@@ -419,7 +419,7 @@ def test_incidence_block_matches_dense_b(small_sheet):
 
 def test_diffusion_projector_block():
     n = 3
-    circ = encoding.diffusion_projector_circuit(n)
+    circ = oracles.diffusion_projector_circuit(n)
     for t_in in range(1 << n):
         state = simulate(circ, {"a": 0, "t": t_in})
         for t_out in range(1 << n):
@@ -433,12 +433,12 @@ def test_hamiltonian_block_full_entrywise(small_sheet):
     n = small_sheet.n
     bh = encoding.build_block_H(small_sheet)
     target = bh.dense() / bh.scale
-    circ = encoding.hamiltonian_block_circuit(spec)
+    circ = oracles.hamiltonian_block_circuit(spec)
     worst = 0.0
     for part in range(2):
         for j in range(n):
             for k in range(n):
-                got = encoding.hamiltonian_block_column(circ, spec, part, j, k)
+                got = oracles.hamiltonian_block_column(circ, spec, part, j, k)
                 col = target[:, part * n * n + j * n + k]
                 expect = {}
                 for row in np.flatnonzero(np.abs(col) > 1e-14):

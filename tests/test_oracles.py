@@ -194,7 +194,7 @@ def test_bond_validation_top_buffer_flagged():
 
 def test_no_amplitude_leak_on_scratch_registers():
     # superposed slot input: every scratch register must end exactly |0>
-    from qenm.encoding import incidence_block_circuit
+    from qenm.oracles import incidence_block_circuit
     spec = LatticeSpec(2, 1)
     circ = incidence_block_circuit(spec)
     co = decode_index(9, spec)
