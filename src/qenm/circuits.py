@@ -1,25 +1,29 @@
-"""Gate-level circuit IR and a sparse statevector simulator.
+"""Gate-level circuit IR, a batched basis-key simulator and its dict reference.
 
 Registers are named runs of qubits, little-endian (bit 0 of a register is
 its least significant bit and lowest global qubit index).  Gates carry an
 optional list of (qubit, value) controls; a gate fires on a basis state
 only when every control bit matches.
 
-The simulator keeps the state as a dict {basis int: amplitude}.  Oracle
-circuits here are basis-state permutations (with phases), so a basis input
-stays a single key; the few superposing gates (H, Ry and the three-way
-neighbor-slot preparation) fan a key into at most two, which keeps
-single basis inputs cheap to follow even at 30+ qubits.
+``simulate_keys`` runs every circuit the program runs.  Each basis input
+is one ``uint64`` key in a numpy array, carried with its input row and a
+complex amplitude.  Each x, swap, add, sub, lt and lookup gate, with its
+controls, is a few array operations over all keys; z, s, sdg and gphase
+multiply the amplitudes of the entries they fire on; h and ry scale those
+entries and append a copy of each with the target flipped.  After the last
+gate, equal (row, key) entries are summed and sums of modulus <=
+``PRUNE_EPS`` dropped; until then each h or ry gate adds one entry per
+entry it fires on, so the batch can hold more entries than the output.
 
-``permute_basis`` (with ``basis_keys``, ``permute_keys`` and
-``key_values`` underneath) runs a basis-permutation circuit on a whole
-batch of basis inputs at once: every input is one ``uint64`` key in a
-numpy array, and each x, swap, add, sub, lt and lookup gate, with its
-controls, is a few array operations over all keys.  Phase gates (z, s,
-sdg, gphase) leave keys unchanged, as ``run_basis`` also reports register
-values only; superposing gates (h, ry) and circuits wider than 64 qubits
-raise ``ValueError``.  The exhaustive connectivity-oracle sweep runs on
-it; ``simulate`` and ``run_basis`` are the reference it is tested against.
+``permute_keys`` (and ``permute_basis``, with ``basis_keys`` and
+``key_values`` around it) returns the batch's keys for basis-permutation
+circuits, which keep one key per input, and rejects circuits whose h or ry
+gates leave an input in superposition.  Circuits wider than 64 qubits raise
+``ValueError``.
+
+``simulate`` and ``run_basis`` keep the state as a dict {basis int:
+amplitude} of Python ints, so they reach any width.  They are the reference
+the tests compare the batch against, and no other module calls them.
 
 Reversible arithmetic (`add`, `sub`, `lt`) and table lookups execute
 functionally on the keys; `expand_composites` rewrites them into a
@@ -170,7 +174,7 @@ def inverse(circ: Circuit) -> Circuit:
     return inv
 
 
-# -- simulation -----------------------------------------------------------
+# -- reference dict simulator ---------------------------------------------
 
 def _gather(key: int, bits) -> int:
     v = 0
@@ -217,31 +221,21 @@ class SparseState:
             key = _scatter(key, self.circuit.registers[name].bits, value)
         return self.amps.get(key, 0.0 + 0.0j)
 
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amps.values()))
 
-    def postselect(self, conditions: dict[str, int]) -> tuple["SparseState", float]:
-        """Keep keys matching the register values; renormalize.
+def _phase(gate: Gate) -> complex:
+    """The factor a z, s, sdg or gphase gate puts on the states it acts on."""
+    if gate.kind == "gphase":
+        return complex(math.cos(gate.theta), math.sin(gate.theta))
+    return {"z": -1.0, "s": 1j, "sdg": -1j}[gate.kind]
 
-        Returns the renormalized state and the success probability.
-        """
-        kept = {}
-        for key, amp in self.amps.items():
-            if all(self.value(key, name) == val for name, val in conditions.items()):
-                kept[key] = amp
-        prob = sum(abs(a) ** 2 for a in kept.values())
-        if prob > 0.0:
-            scale = 1.0 / math.sqrt(prob)
-            kept = {k: a * scale for k, a in kept.items()}
-        return SparseState(self.circuit, kept), prob
 
-    def dense(self) -> np.ndarray:
-        if self.circuit.n_qubits > 24:
-            raise ValueError("dense vector too large")
-        vec = np.zeros(1 << self.circuit.n_qubits, dtype=complex)
-        for key, amp in self.amps.items():
-            vec[key] = amp
-        return vec
+def _matrix(gate: Gate) -> tuple[float, float, float, float]:
+    """(m00, m01, m10, m11) of an h or ry gate on its target qubit."""
+    if gate.kind == "h":
+        r = 1.0 / math.sqrt(2.0)
+        return r, r, r, -r
+    cth, sth = math.cos(gate.theta / 2.0), math.sin(gate.theta / 2.0)
+    return cth, -sth, sth, cth
 
 
 def _apply(gate: Gate, amps: dict[int, complex]) -> dict[int, complex]:
@@ -280,25 +274,17 @@ def _apply(gate: Gate, amps: dict[int, complex]) -> dict[int, complex]:
         return out
 
     if kind in ("z", "s", "sdg", "gphase"):
-        phase = {"z": -1.0, "s": 1j, "sdg": -1j}.get(kind)
+        phase = _phase(gate)
         out = {}
         for key, amp in amps.items():
-            if ok(key):
-                if kind == "gphase":
-                    amp = amp * complex(math.cos(gate.theta), math.sin(gate.theta))
-                elif (key >> gate.targets[0]) & 1:
-                    amp = amp * phase
+            if ok(key) and (kind == "gphase" or (key >> gate.targets[0]) & 1):
+                amp = amp * phase
             out[key] = amp
         return out
 
     if kind in ("h", "ry"):
         t = gate.targets[0]
-        if kind == "h":
-            m00 = m01 = m10 = 1.0 / math.sqrt(2.0)
-            m11 = -m00
-        else:
-            cth, sth = math.cos(gate.theta / 2.0), math.sin(gate.theta / 2.0)
-            m00, m01, m10, m11 = cth, -sth, sth, cth
+        m00, m01, m10, m11 = _matrix(gate)
         out: dict[int, complex] = {}
         for key, amp in amps.items():
             if not ok(key):
@@ -340,7 +326,7 @@ def run_basis(circ: Circuit, init: dict[str, int] | None = None) -> dict[str, in
     return state.assignment(key)
 
 
-# -- batched basis permutations ---------------------------------------------
+# -- batched simulation ---------------------------------------------------
 
 KEY_BITS = 64
 _ALL_ONES = (1 << KEY_BITS) - 1
@@ -389,10 +375,6 @@ def _fires(keys: np.ndarray, controls) -> np.ndarray | bool:
 
 def _permute_gate(gate: Gate, keys: np.ndarray) -> np.ndarray:
     kind = gate.kind
-    if kind in _PHASES:
-        return keys
-    if kind not in _PERMUTING:
-        raise ValueError(f"gate {kind!r} is not a basis permutation")
     fires = _fires(keys, gate.controls)
     if kind == "x":
         new = keys ^ np.uint64(1 << gate.targets[0])
@@ -411,6 +393,28 @@ def _permute_gate(gate: Gate, keys: np.ndarray) -> np.ndarray:
         index = np.where(fires, _take_bits(keys, gate.a), 0)
         new = _put_bits(keys, gate.b, _take_bits(keys, gate.b) ^ table[index])
     return new if fires is True else np.where(fires, new, keys)
+
+
+def _phase_gate(gate: Gate, keys: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """The amplitudes after a z, s, sdg or gphase gate."""
+    hits = _fires(keys, gate.controls)
+    if gate.kind != "gphase":
+        hits = hits & (((keys >> gate.targets[0]) & 1) == 1)
+    return np.where(hits, amps * _phase(gate), amps)
+
+
+def _superpose_gate(gate: Gate, rows: np.ndarray, keys: np.ndarray, amps: np.ndarray):
+    """An h or ry gate: each entry it fires on keeps its key with the diagonal
+    coefficient and gains a copy, target flipped, with the off-diagonal one."""
+    t = gate.targets[0]
+    m00, m01, m10, m11 = _matrix(gate)
+    fires = np.broadcast_to(_fires(keys, gate.controls), keys.shape)
+    one = ((keys >> t) & 1) == 1
+    copies = amps[fires] * np.where(one[fires], m01, m10)
+    amps = np.where(fires, amps * np.where(one, m11, m00), amps)
+    return (np.concatenate([rows, rows[fires]]),
+            np.concatenate([keys, keys[fires] ^ np.uint64(1 << t)]),
+            np.concatenate([amps, copies]))
 
 
 def basis_keys(circ: Circuit, values: dict[str, object]) -> np.ndarray:
@@ -438,13 +442,48 @@ def key_values(circ: Circuit, keys: np.ndarray) -> dict[str, np.ndarray]:
             for name, reg in circ.registers.items()}
 
 
-def permute_keys(circ: Circuit, keys: np.ndarray) -> np.ndarray:
-    """Apply a basis-permutation circuit to every ``uint64`` basis key at once."""
+def simulate_keys(circ: Circuit, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run any circuit on a batch of ``uint64`` basis keys at once.
+
+    Returns ``(rows, keys, amps)``: for each input row (its position in the
+    flattened ``keys``), every output key of nonzero amplitude.  Entries are
+    sorted by row, then key; equal (row, key) entries are summed after the
+    last gate and sums of modulus <= ``PRUNE_EPS`` dropped.
+    """
     _check_key_width(circ)
-    keys = np.asarray(keys, dtype=np.uint64)
+    keys = np.asarray(keys, dtype=np.uint64).ravel()
+    rows = np.arange(keys.size)
+    amps = np.ones(keys.size, dtype=complex)
     for gate in circ.gates:
-        keys = _permute_gate(gate, keys)
-    return keys
+        if gate.kind in _PERMUTING:
+            keys = _permute_gate(gate, keys)
+        elif gate.kind in _PHASES:
+            amps = _phase_gate(gate, keys, amps)
+        elif gate.kind in ("h", "ry"):
+            rows, keys, amps = _superpose_gate(gate, rows, keys, amps)
+        else:
+            raise ValueError(f"unknown gate kind {gate.kind!r}")
+    order = np.lexsort((keys, rows))
+    rows, keys, amps = rows[order], keys[order], amps[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (keys[1:] != keys[:-1])
+    group = np.cumsum(first) - 1
+    sums = np.bincount(group, amps.real) + 1j * np.bincount(group, amps.imag)
+    kept = np.abs(sums) > PRUNE_EPS
+    return rows[first][kept], keys[first][kept], sums[kept]
+
+
+def permute_keys(circ: Circuit, keys: np.ndarray) -> np.ndarray:
+    """Apply a basis-permutation circuit to every ``uint64`` basis key at once.
+
+    Raises ``ValueError`` when an input does not end as exactly one key.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    rows, out, _ = simulate_keys(circ, keys)
+    if not np.array_equal(rows, np.arange(keys.size)):
+        raise ValueError(f"not a basis permutation: {rows.size} output keys for "
+                         f"{keys.size} inputs")
+    return out.reshape(keys.shape)
 
 
 def permute_basis(circ: Circuit, inputs: dict[str, object]) -> dict[str, np.ndarray]:

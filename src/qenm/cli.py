@@ -33,7 +33,7 @@ from scipy import sparse
 
 from . import boltzmann, encoding, enm, measure, svgplot
 from .boltzmann import BucketKey, MBParams, prf64
-from .circuits import permute_basis, run_basis, simulate
+from .circuits import basis_keys, key_values, permute_basis, simulate_keys
 # neighbor is not called here; benchmarks/test_bench.py checks that its tracer rebinds it
 from .lattice import (SPARSITY, Adjacency, LatticeSpec, adjacency,  # noqa: F401
                       brute_force_adjacency, decode_index, dummy_mask, dump_lattice_csv,
@@ -307,20 +307,20 @@ def _validation_checks(cfg):
                    f"{states} basis states, {mismatches} mismatches"))
 
     mo = mass_oracle(12, spec.address_bits)
-    once = run_basis(mo, {"j": 3, "z": 0})["z"]
-    twice = run_basis(mo, {"j": 3, "z": once})["z"]
+    once = int(permute_basis(mo, {"j": 3, "z": 0})["z"])
+    twice = int(permute_basis(mo, {"j": 3, "z": once})["z"])
     checks.append(("mass-oracle-involution", once == 12 and twice == 0, f"z -> {once} -> {twice}"))
     j, k = np.divmod(np.arange(256), 16)
     comp_ok = bool(np.all(permute_basis(comparator(4), {"j": j, "k": k})["flag"] == (k < j)))
     checks.append(("comparator-table", comp_ok, "256 pairs"))
     uc = diffusion_projector_circuit(3)
-    proj_ok = True
-    for tv in range(8):
-        st = simulate(uc, {"a": 0, "t": tv})
-        amp = st.amplitude({"a": 0, "t": tv})
-        if abs(amp - (1.0 if tv == 0 else 0.0)) > 1e-12:
-            proj_ok = False
-    checks.append(("zero-projector-block", proj_ok, "8 basis states"))
+    t_in, keys, amps = simulate_keys(uc, basis_keys(uc, {"t": np.arange(8)}))
+    out = key_values(uc, keys)
+    on = out["a"] == 0
+    block = np.zeros((8, 8), dtype=complex)     # (t out, t in) at a = 0
+    block[out["t"][on], t_in[on]] = amps[on]
+    block[0, 0] -= 1.0                          # the block must be |0><0|
+    checks.append(("zero-projector-block", bool(np.abs(block).max() <= 1e-12), "8 basis states"))
 
     params = MBParams(m=cfg["physics"]["mass"], T=cfg["physics"]["temperature"] or 1.0,
                       k_B=cfg["physics"]["k_B"])
@@ -470,8 +470,11 @@ def cmd_scaling(cfg, out: Path, kind: str) -> int:
     if fit:
         print(f"{kind}: slope {fit['slope']:.4f}, R^2 {fit['r_squared']:.5f} "
               f"over {len(records)} sizes")
-    else:
+    elif len(records) == 1:
         print(f"{kind}: single size, points only")
+    else:
+        print(f"{kind}: {len(records)} sizes share one N ({int(ns[0])} physical sites), "
+              f"points only")
     return 0
 
 

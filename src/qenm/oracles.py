@@ -35,6 +35,13 @@ Circuit block encodings (uniform mass and coupling):
 * ``hamiltonian_block_circuit``: glues the two above with a part qubit so
   that the |0>-ancilla block is H / sqrt(2 kappa/m d), the block
   Hamiltonian of ``encoding.build_block_H`` over its scale.
+
+``incidence_block`` and ``hamiltonian_block`` extract whole blocks: every
+requested column is one basis input of a single ``circuits.simulate_keys``
+batch, the outputs are projected onto ancillas |0>, and the block comes
+back as a sparse matrix with one column per input and its rows in the flat
+``part N^2 + j N + k`` index of ``encoding.active_slots`` (``j N + k`` for
+the incidence block).  The velocity loaders postselect on the same batch.
 """
 
 from __future__ import annotations
@@ -42,12 +49,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import sparse
 
 from .boltzmann import BucketKey
 from .circuits import (Circuit, Gate, Register, basis_keys, controlled_gates, inverted_gates,
-                       key_values, permute_keys, simulate)
+                       key_values, permute_keys, simulate_keys)
 from .lattice import (SHIFT_TABLE, SPARSITY, Adjacency, LatticeSpec, NodeCoord, adjacency,
-                      decode_index, encode_coord, neighbor)
+                      decode_index, encode_coord)
 
 
 def _twos(value: int, width: int) -> int:
@@ -300,15 +308,24 @@ def velocity_loader_two_bucket(n: int, key: BucketKey, velocities,
     return circ
 
 
+def _postselect(circ: Circuit, conditions: dict[str, int], read: str
+                ) -> tuple[np.ndarray, float]:
+    """Run ``circ`` from |0>, keep the outputs whose registers match ``conditions``
+    and renormalize; returns (amplitudes indexed by register ``read``, success prob)."""
+    _, keys, amps = simulate_keys(circ, np.zeros(1, dtype=np.uint64))
+    values = key_values(circ, keys)
+    kept = np.logical_and.reduce([values[name] == v for name, v in conditions.items()])
+    prob = float(np.sum(np.abs(amps[kept]) ** 2))
+    out = np.zeros(1 << circ.registers[read].width, dtype=complex)
+    out[values[read][kept]] = amps[kept] / math.sqrt(prob)
+    return out, prob
+
+
 def run_velocity_loader(n: int, key: BucketKey, velocities,
                         scale: float | None = None) -> tuple[np.ndarray, float]:
     """Simulate the loader and postselect; returns (amplitudes over j, success prob)."""
     circ = velocity_loader_two_bucket(n, key, velocities, scale)
-    state, prob = simulate(circ).postselect({"anc": 1, "b": 0})
-    amps = np.zeros(1 << n, dtype=complex)
-    for key_, amp in state.amps.items():
-        amps[state.value(key_, "j")] = amp
-    return amps, prob
+    return _postselect(circ, {"anc": 1, "b": 0}, "j")
 
 
 def inequality_test_loader(values, r: int) -> Circuit:
@@ -353,11 +370,7 @@ def inequality_test_loader(values, r: int) -> Circuit:
 def run_inequality_loader(values, r: int) -> tuple[np.ndarray, float]:
     """Simulate the inequality-test loader; returns (amplitudes over i, success prob)."""
     circ = inequality_test_loader(values, r)
-    state, prob = simulate(circ).postselect({"x": 0, "flag": 0, "v": 0, "sign": 0})
-    amps = np.zeros(len(values), dtype=complex)
-    for key_, amp in state.amps.items():
-        amps[state.value(key_, "i")] = amp
-    return amps, prob
+    return _postselect(circ, {"x": 0, "flag": 0, "v": 0, "sign": 0}, "i")
 
 
 def emit_slot_superposition(circ: Circuit, ell: Register) -> None:
@@ -451,45 +464,34 @@ def hamiltonian_block_circuit(spec: LatticeSpec) -> Circuit:
 # -- block extraction ---------------------------------------------------------
 
 
-def _block_column(circ: Circuit, spec: LatticeSpec, init: dict[str, int], lead=()) -> dict:
-    """Simulate from ``init``, project all qubits outside the node registers and
-    ``lead`` onto |0>, and sum by key (lead values, j, k) of node indices."""
-    state = simulate(circ, init)
-    kept = {"r", "c", "s", "rp", "cp", "sp", *lead}
+def _block(circ: Circuit, spec: LatticeSpec, inputs: dict) -> sparse.csr_array:
+    """Run every input as one batch and project all qubits outside the node
+    registers and the part qubit p, where the circuit has one, onto |0>: one
+    column per input, row (p, j, k) flattened as p N^2 + j N + k."""
+    input_keys = basis_keys(circ, inputs).ravel()
+    cols, keys, amps = simulate_keys(circ, input_keys)
+    kept = ("r", "c", "s", "rp", "cp", "sp", "p")
     ancilla_mask = sum(1 << q for name, reg in circ.registers.items() if name not in kept
                        for q in reg.bits)
-    col: dict[tuple[int, ...], complex] = {}
-    for key, amp in state.amps.items():
-        if key & ancilla_mask:
-            continue
-        v = state.assignment(key)
-        rc = (*(v[name] for name in lead), encode_coord(NodeCoord(v["r"], v["c"], v["s"]), spec),
-              encode_coord(NodeCoord(v["rp"], v["cp"], v["sp"]), spec))
-        col[rc] = col.get(rc, 0.0) + amp
-    return {rc: a for rc, a in col.items() if abs(a) > 1e-14}
+    on_block = (keys & np.uint64(ancilla_mask)) == 0
+    out = key_values(circ, keys[on_block])
+    n = spec.n_total
+    rows = ((out.get("p", 0) * n + encode_coord(NodeCoord(out["r"], out["c"], out["s"]), spec))
+            * n + encode_coord(NodeCoord(out["rp"], out["cp"], out["sp"]), spec))
+    n_parts = 2 if "p" in circ.registers else 1
+    return sparse.csr_array((amps[on_block], (rows.astype(np.int64), cols[on_block])),
+                            shape=(n_parts * n * n, input_keys.size))
 
 
-def incidence_block_column(circ: Circuit, spec: LatticeSpec, j: int) -> dict:
-    """Column j of the postselected block, keyed by (j', k') node indices."""
-    return _block_column(circ, spec, _node_assign(spec, j, primed=False))
+def incidence_block(circ: Circuit, spec: LatticeSpec, j) -> sparse.csr_array:
+    """Columns j (an int array) of the postselected block B^T / sqrt(2 kappa/m d),
+    rows j' N + k'."""
+    return _block(circ, spec, _node_assign(spec, np.asarray(j), primed=False))
 
 
-def expected_incidence_column(spec: LatticeSpec, j: int, d: int = SPARSITY) -> dict:
-    """Sparse column of B^T / sqrt(2 kappa/m d) for unit kappa/m."""
-    col: dict[tuple[int, int], float] = {}
-    for l in range(SPARSITY):
-        k, valid = neighbor(j, l, spec)
-        if not valid:
-            continue
-        if k >= j:
-            col[(j, k)] = col.get((j, k), 0.0) + 1.0 / math.sqrt(2.0 * d)
-        else:
-            col[(k, j)] = col.get((k, j), 0.0) - 1.0 / math.sqrt(2.0 * d)
-    return col
-
-
-def hamiltonian_block_column(circ: Circuit, spec: LatticeSpec, part: int,
-                             j: int, k: int) -> dict:
-    """Column (part, j, k) of the postselected block, keyed by (part', j', k')."""
-    init = {"p": part, **_node_assign(spec, j, primed=False), **_node_assign(spec, k, primed=True)}
-    return _block_column(circ, spec, init, lead=("p",))
+def hamiltonian_block(circ: Circuit, spec: LatticeSpec, part, j, k) -> sparse.csr_array:
+    """Columns (part, j, k) (int arrays, broadcast together) of the postselected
+    block H / sqrt(2 kappa/m d), rows part' N^2 + j' N + k'."""
+    part, j, k = np.broadcast_arrays(part, j, k)
+    return _block(circ, spec, {"p": part, **_node_assign(spec, j, primed=False),
+                               **_node_assign(spec, k, primed=True)})

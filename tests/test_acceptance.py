@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from qenm import boltzmann, cli, encoding, enm, measure, oracles
 from qenm.lattice import LatticeSpec, brute_force_adjacency
@@ -218,87 +219,75 @@ def test_criterion_8_scaling_studies():
                f"trace fit R2 {r2_trace:.5f}, {elapsed:.1f}s")
 
 
+def _selection(rows, n_rows: int) -> sparse.csr_array:
+    """The (n_rows, len(rows)) matrix that places entry i at row rows[i]."""
+    return sparse.csr_array((np.ones(len(rows)), (rows, np.arange(len(rows)))),
+                            shape=(n_rows, len(rows)))
+
+
+def _incidence_target(sys) -> sparse.csr_array:
+    """B^T / sqrt(2 kappa/m d) with pair (j, k) on row j N + k."""
+    bh = encoding.build_block_H(sys)
+    pairs = _selection(sys.bonds[:, 0] * sys.n + sys.bonds[:, 1], sys.n * sys.n)
+    return pairs @ sys.sparse_B.T / bh.scale
+
+
+def _hamiltonian_target(sys) -> sparse.csr_array:
+    """H / sqrt(2 kappa/m d) on the padded 2 N^2 space, built sparse from the active block."""
+    bh = encoding.build_block_H(sys)
+    slots = _selection(bh.active, 2 * sys.n * sys.n)
+    return slots @ bh.H @ slots.T / bh.scale
+
+
 def test_criterion_9_block_encoding_extraction():
     start = time.time()
-    # complete entrywise U_B^T at ten address qubits
+    # complete entrywise U_B^T at ten address qubits, every column in one batch
     spec_big = LatticeSpec(4, 5)
     assert spec_big.address_bits == 10
-    circ = oracles.incidence_block_circuit(spec_big)
-    worst_b = 0.0
-    for j in range(spec_big.n_total):
-        got = oracles.incidence_block_column(circ, spec_big, j)
-        expect = oracles.expected_incidence_column(spec_big, j)
-        keys = set(got) | set(expect)
-        err = max((abs(got.get(k, 0.0) - expect.get(k, 0.0)) for k in keys), default=0.0)
-        worst_b = max(worst_b, err)
-
-    # complete entrywise U_H on a small lattice (every column of the 2N^2 space)
-    spec_small = LatticeSpec(2, 1)
-    sys_small = enm.build_system(spec_small)
-    bh = encoding.build_block_H(sys_small)
-    target = bh.dense() / bh.scale
-    circ_h = oracles.hamiltonian_block_circuit(spec_small)
-    n = sys_small.n
-    worst_h = 0.0
-    for part in range(2):
-        for j in range(n):
-            for k in range(n):
-                got = oracles.hamiltonian_block_column(circ_h, spec_small, part, j, k)
-                col = target[:, part * n * n + j * n + k]
-                expect = {}
-                for row in np.flatnonzero(np.abs(col) > 1e-14):
-                    pr, rest = divmod(int(row), n * n)
-                    expect[(pr, *divmod(rest, n))] = col[row]
-                keys = set(got) | set(expect)
-                err = max((abs(got.get(kk, 0.0) - expect.get(kk, 0.0)) for kk in keys),
-                          default=0.0)
-                worst_h = max(worst_h, err)
-
-    # U_H at ten address qubits: every structurally nonzero column plus a
-    # deterministic sample of zero columns
     sys_big = enm.build_system(spec_big)
-    circ_hb = oracles.hamiltonian_block_circuit(spec_big)
-    d = encoding.sparsity(sys_big)
-    scale = 1.0 / np.sqrt(2.0 * d)
     n_big = sys_big.n
-    worst_hb = 0.0
-    for j in range(n_big):                       # node-side columns -> -B^T / scale
-        got = oracles.hamiltonian_block_column(circ_hb, spec_big, 0, j, 0)
-        expect = {(1, jj, kk): -amp
-                  for (jj, kk), amp in oracles.expected_incidence_column(
-                      spec_big, j, d).items()}
-        keys = set(got) | set(expect)
-        err = max((abs(got.get(k, 0.0) - expect.get(k, 0.0)) for k in keys), default=0.0)
-        worst_hb = max(worst_hb, err)
-    for j, k in sys_big.pairs:                   # bonded pair columns -> -B / scale
-        got = oracles.hamiltonian_block_column(circ_hb, spec_big, 1, j, k)
-        expect = {(0, j, 0): -scale, (0, k, 0): +scale}
-        keys = set(got) | set(expect)
-        err = max((abs(got.get(kk, 0.0) - expect.get(kk, 0.0)) for kk in keys),
-                  default=0.0)
-        worst_hb = max(worst_hb, err)
+    got = oracles.incidence_block(oracles.incidence_block_circuit(spec_big), spec_big,
+                                  np.arange(n_big))
+    worst_b = abs(got - _incidence_target(sys_big)).max()
+
+    # complete entrywise U_H on small lattices (every column of the 2N^2 space)
+    worst_h, columns_h = 0.0, 0
+    for shape in ((2, 1), (2, 2), (3, 2)):
+        spec = LatticeSpec(*shape)
+        sys = enm.build_system(spec)
+        n = sys.n
+        part, j, k = np.unravel_index(np.arange(2 * n * n), (2, n, n))
+        got = oracles.hamiltonian_block(oracles.hamiltonian_block_circuit(spec), spec,
+                                        part, j, k)
+        worst_h = max(worst_h, abs(got - _hamiltonian_target(sys)).max())
+        columns_h += 2 * n * n
+
+    # U_H at ten address qubits: every structurally nonzero column (the node
+    # slots (0, j, 0) and bonded pair slots (1, j, k)) plus a seeded sample of
+    # zero columns
+    active = encoding.active_slots(sys_big)
     rng = np.random.default_rng(5)
-    zero_checks = 0
+    zero_cols = []
     for _ in range(300):                         # ghost columns must extract to zero
         j = int(rng.integers(0, n_big))
         k = int(rng.integers(0, n_big))
         part = int(rng.integers(0, 2))
-        if part == 0 and k == 0:
-            continue
-        if part == 1 and (j, k) in set(sys_big.pairs):
-            continue
-        got = oracles.hamiltonian_block_column(circ_hb, spec_big, part, j, k)
-        if got:
-            worst_hb = max(worst_hb, max(abs(v) for v in got.values()))
-        zero_checks += 1
+        col = (part * n_big + j) * n_big + k
+        if col not in active:
+            zero_cols.append(col)
+    cols = np.concatenate([active, zero_cols]).astype(np.int64)
+    part, j, k = np.unravel_index(cols, (2, n_big, n_big))
+    got = oracles.hamiltonian_block(oracles.hamiltonian_block_circuit(spec_big), spec_big,
+                                    part, j, k)
+    worst_hb = abs(got - _hamiltonian_target(sys_big)[:, cols]).max()
     elapsed = time.time() - start
     assert worst_b <= 1e-10
     assert worst_h <= 1e-10
     assert worst_hb <= 1e-10
     _report(9, f"U_B^T complete at 10 address qubits (err {worst_b:.1e}); U_H complete "
-               f"on {2 * n * n} columns (err {worst_h:.1e}); U_H at 10 qubits on all "
-               f"nonzero + {zero_checks} zero columns (err {worst_hb:.1e}); "
-               f"{elapsed:.1f}s")
+               f"on {columns_h} columns at 2x1, 2x2, 3x2 (err {worst_h:.1e}); U_H at 10 "
+               f"qubits on all {len(active)} nonzero + {len(zero_cols)} zero columns "
+               f"(err {worst_hb:.1e}); {elapsed:.1f}s")
 
 
 def test_criterion_10_heat_transfer_search():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qenm.circuits import (Circuit, basis_keys, circuit_text, expand_composites, inverse,
-                           permute_basis, permute_keys, run_basis, simulate)
+from qenm.circuits import (PRUNE_EPS, Circuit, basis_keys, circuit_text, expand_composites,
+                           inverse, permute_basis, permute_keys, run_basis, simulate,
+                           simulate_keys)
 
 
 def bell_pair():
@@ -192,14 +193,6 @@ def test_inverse_of_superposition_circuit():
     assert abs(amps[keys[0]] - 1.0) <= 1e-12
 
 
-def test_postselect_probability():
-    circ = bell_pair()
-    state = simulate(circ)
-    post, prob = state.postselect({"q": 3})
-    assert prob == pytest.approx(0.5)
-    assert post.norm() == pytest.approx(1.0)
-
-
 def test_run_basis_rejects_superpositions():
     circ = Circuit()
     q = circ.register("q", 1)
@@ -236,17 +229,21 @@ def test_register_bounds():
 
 # -- batched basis permutations ------------------------------------------------
 
-def random_permutation_circuit(rng, widths, n_gates):
-    """Every permutation gate kind and every phase gate, on random operands and controls.
+PERMUTATION_KINDS = ("x", "swap", "add", "sub", "lt", "lookup", "z", "s", "sdg", "gphase")
+
+
+def random_permutation_circuit(rng, widths, n_gates, kinds=PERMUTATION_KINDS):
+    """Every gate kind of ``kinds`` on random operands and controls; by default every
+    permutation gate kind and every phase gate.
 
     Controls are drawn with replacement from the qubits the gate does not act
     on, so some gates repeat a control and some ask one qubit for both values.
+    The first ry turns by pi, where cos(theta/2) is zero up to rounding.
     """
     circ = Circuit()
     for name, width in widths.items():
         circ.register(name, width)
     n = circ.n_qubits
-    kinds = ("x", "swap", "add", "sub", "lt", "lookup", "z", "s", "sdg", "gphase")
     for i in range(n_gates):
         kind = kinds[i % len(kinds)] if i < len(kinds) else str(rng.choice(kinds))
         perm = [int(q) for q in rng.permutation(n)]
@@ -255,8 +252,11 @@ def random_permutation_circuit(rng, widths, n_gates):
         free = perm[wa + wb + 1:]
         controls = [(int(rng.choice(free)), int(rng.integers(2)))
                     for _ in range(int(rng.integers(0, 3)))]
-        if kind in ("x", "z", "s", "sdg"):
+        if kind in ("x", "z", "s", "sdg", "h"):
             getattr(circ, kind)(t, controls)
+        elif kind == "ry":
+            circ.ry(t, math.pi if i < len(kinds) else float(rng.uniform(-math.pi, math.pi)),
+                    controls)
         elif kind == "swap":
             circ.swap(t, a[0], controls)
         elif kind in ("add", "sub"):
@@ -281,6 +281,24 @@ def test_permute_basis_matches_run_basis_on_random_circuits(seed):
     for i in range(len(inputs["a"])):
         expected = run_basis(circ, {name: int(v[i]) for name, v in inputs.items()})
         assert {name: int(v[i]) for name, v in out.items()} == expected
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_simulate_keys_matches_simulate_on_random_circuits(seed):
+    rng = np.random.default_rng(seed)
+    widths = {"a": 4, "b": 3, "c": 3}
+    circ = random_permutation_circuit(rng, widths, 40, (*PERMUTATION_KINDS, "h", "ry"))
+    grids = np.meshgrid(*(np.arange(1 << w) for w in widths.values()), indexing="ij")
+    inputs = {name: grid.ravel() for name, grid in zip(widths, grids)}
+    rows, keys, amps = simulate_keys(circ, basis_keys(circ, inputs))
+    assert np.all(np.abs(amps) > PRUNE_EPS)
+    bounds = np.searchsorted(rows, np.arange(len(inputs["a"]) + 1))     # rows come sorted
+    for i in range(len(inputs["a"])):
+        expected = simulate(circ, {name: int(v[i]) for name, v in inputs.items()}).amps
+        row = slice(bounds[i], bounds[i + 1])
+        got = dict(zip(keys[row].tolist(), amps[row].tolist()))
+        assert max(abs(got.get(key, 0.0) - expected.get(key, 0.0))
+                   for key in got.keys() | expected.keys()) <= 1e-12
 
 
 def test_permute_basis_broadcasts_and_defaults_registers_to_zero():

@@ -435,6 +435,27 @@ def test_validate_symmetry_check_reads_the_adjacency_arrays(tmp_path, capsys, mo
     assert "FAIL validity-symmetric: all (j,l)" in capsys.readouterr().out
 
 
+def test_validate_zero_projector_check_reads_the_whole_block(tmp_path, capsys, monkeypatch):
+    # two prepended gates map (a=0, t=2) to (a=0, t=3) with sign -1 and leave the diagonal
+    # of the a = 0 block that of |0><0|; a check of the diagonal alone passed this circuit
+    from qenm import oracles
+    from qenm.circuits import Gate
+
+    def off_diagonal(n):
+        circ = oracles.diffusion_projector_circuit(n)
+        a, t = circ.registers["a"][0], circ.registers["t"]
+        circ.gates = [Gate("x", (a,), ((t[0], 0), (t[1], 1), (t[2], 0))),
+                      Gate("x", (t[0],), ((a, 1), (t[1], 1), (t[2], 0))), *circ.gates]
+        return circ
+
+    monkeypatch.setattr(cli, "diffusion_projector_circuit", off_diagonal)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 2, "n_c": 2}}))
+    assert run(["validate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL zero-projector-block: 8 basis states"]
+
+
 @pytest.mark.parametrize("command", ["ripple", "simulate"])
 @pytest.mark.parametrize("config, message", [
     ({"physics": {"temperature": float("nan")}}, "physics.temperature must be a finite number"),
@@ -535,5 +556,14 @@ def test_scaling_fits_only_across_two_distinct_n(tmp_path, capsys, recwarn, kind
     assert run(["scaling", kind, "--sizes", sizes, "--out-dir", str(out)]) == 0
     assert json.loads((out / f"scaling_{kind}_fit.json").read_text()) == {}
     assert (out / f"scaling_{kind}.svg").read_text().count("<line") == 2     # the axes only
-    assert f"{kind}: single size, points only" in capsys.readouterr().out
+    assert (f"{kind}: 2 sizes share one N (42 physical sites), points only"
+            in capsys.readouterr().out)
     assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("kind", ["cond", "trace"])
+def test_scaling_on_one_size_writes_points_only(tmp_path, capsys, kind):
+    out = tmp_path / "o"
+    assert run(["scaling", kind, "--sizes", "3x2", "--out-dir", str(out)]) == 0
+    assert json.loads((out / f"scaling_{kind}_fit.json").read_text()) == {}
+    assert capsys.readouterr().out == f"{kind}: single size, points only\n"

@@ -7,7 +7,7 @@ from scipy.special import jv
 
 from qenm import encoding, enm, oracles
 from qenm.circuits import simulate
-from qenm.lattice import LatticeSpec
+from qenm.lattice import SPARSITY, LatticeSpec, neighbor
 
 
 @pytest.fixture(scope="module")
@@ -390,13 +390,18 @@ def test_doubled_mass_spectrum_and_dynamics(small_sheet):
 
 @pytest.mark.parametrize("spec", [LatticeSpec(2, 1), LatticeSpec(2, 2)])
 def test_incidence_block_matches_expected(spec):
-    circ = oracles.incidence_block_circuit(spec)
-    for j in range(spec.n_total):
-        got = oracles.incidence_block_column(circ, spec, j)
-        expect = oracles.expected_incidence_column(spec, j)
-        keys = set(got) | set(expect)
-        for key in keys:
-            assert got.get(key, 0.0) == pytest.approx(expect.get(key, 0.0), abs=1e-10)
+    # column j is +-1/sqrt(2d) on the row (min, max) of each valid bond of j, + where j is
+    # the smaller end, re-derived here from the scalar neighbor rule
+    n = spec.n_total
+    expect = np.zeros((n * n, n))
+    for j in range(n):
+        for slot in range(SPARSITY):
+            k, valid = neighbor(j, slot, spec)
+            if valid:
+                expect[min(j, k) * n + max(j, k), j] += ((1.0 if k >= j else -1.0)
+                                                        / math.sqrt(2.0 * SPARSITY))
+    got = oracles.incidence_block(oracles.incidence_block_circuit(spec), spec, np.arange(n))
+    assert np.abs(got.toarray() - expect).max() <= 1e-10
 
 
 def test_incidence_block_matches_dense_b(small_sheet):
@@ -409,12 +414,8 @@ def test_incidence_block_matches_dense_b(small_sheet):
         bt[j * n + k, j] = small_sheet.B[j, col]
         bt[j * n + k, k] = small_sheet.B[k, col]
     bt /= bh.scale
-    for j in range(n):
-        got = oracles.incidence_block_column(circ, spec, j)
-        dense = np.zeros(n * n, dtype=complex)
-        for (jj, kk), amp in got.items():
-            dense[jj * n + kk] = amp
-        assert np.abs(dense - bt[:, j]).max() <= 1e-10
+    got = oracles.incidence_block(circ, spec, np.arange(n))
+    assert np.abs(got.toarray() - bt).max() <= 1e-10
 
 
 def test_diffusion_projector_block():
@@ -432,23 +433,10 @@ def test_hamiltonian_block_full_entrywise(small_sheet):
     spec = small_sheet.spec
     n = small_sheet.n
     bh = encoding.build_block_H(small_sheet)
-    target = bh.dense() / bh.scale
     circ = oracles.hamiltonian_block_circuit(spec)
-    worst = 0.0
-    for part in range(2):
-        for j in range(n):
-            for k in range(n):
-                got = oracles.hamiltonian_block_column(circ, spec, part, j, k)
-                col = target[:, part * n * n + j * n + k]
-                expect = {}
-                for row in np.flatnonzero(np.abs(col) > 1e-14):
-                    pr, rest = divmod(int(row), n * n)
-                    expect[(pr, *divmod(rest, n))] = col[row]
-                keys = set(got) | set(expect)
-                err = max((abs(got.get(key, 0.0) - expect.get(key, 0.0)) for key in keys),
-                          default=0.0)
-                worst = max(worst, err)
-    assert worst <= 1e-10
+    part, j, k = np.unravel_index(np.arange(2 * n * n), (2, n, n))
+    got = oracles.hamiltonian_block(circ, spec, part, j, k)
+    assert np.abs(got.toarray() - bh.dense() / bh.scale).max() <= 1e-10
 
 
 def test_state_dump(tmp_path, small_sheet):

@@ -2,7 +2,11 @@
 
 No module imports or reads another module's ``_``-prefixed name, and the
 amplitude layer (``encoding``) depends on no package module but ``enm`` and
-``lattice``: every circuit lives in ``circuits`` and ``oracles``.
+``lattice``: every circuit lives in ``circuits`` and ``oracles``.  Every
+circuit the program runs goes through the batched ``circuits.simulate_keys``:
+the dict simulator (``simulate``, ``run_basis``, ``SparseState``) is the
+tests' reference, used by no module but ``circuits``.  The package's
+``__init__`` re-exports it and calls nothing.
 """
 
 import ast
@@ -13,6 +17,8 @@ import qenm
 PACKAGE_DIR = Path(qenm.__file__).parent
 MODULES = {path.stem for path in PACKAGE_DIR.glob("*.py")} - {"__init__"}
 ENCODING_DEPENDENCIES = {"enm", "lattice"}
+REFERENCE_SIMULATOR = {"simulate", "run_basis", "SparseState"}
+REFERENCE_HOLDERS = {"circuits", "__init__"}     # its module and the package's re-exports
 
 
 def _package_module(node: ast.ImportFrom) -> str | None:
@@ -50,11 +56,19 @@ def layering_violations(name: str, source: str) -> list[str]:
                     imported.add(module)
                 if alias.name.startswith("_") and module != name:
                     found.append(f"{name} imports {module or 'qenm'}.{alias.name}")
+                if (module == "circuits" and alias.name in REFERENCE_SIMULATOR
+                        and name not in REFERENCE_HOLDERS):
+                    found.append(f"{name} imports circuits.{alias.name}")
     for node in nodes:
-        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
-                and isinstance(node.value, ast.Name) and node.value.id in module_aliases
-                and module_aliases[node.value.id] != name):
-            found.append(f"{name} reads {module_aliases[node.value.id]}.{node.attr}")
+        if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in module_aliases):
+            continue
+        module = module_aliases[node.value.id]
+        if node.attr.startswith("_") and module != name:
+            found.append(f"{name} reads {module}.{node.attr}")
+        if (module == "circuits" and node.attr in REFERENCE_SIMULATOR
+                and name not in REFERENCE_HOLDERS):
+            found.append(f"{name} reads circuits.{node.attr}")
     if name == "encoding":
         found += [f"encoding imports qenm.{m}"
                   for m in sorted(imported - ENCODING_DEPENDENCIES - {name})]
@@ -66,3 +80,11 @@ def test_no_module_crosses_a_layer_boundary():
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         found += layering_violations(path.stem, path.read_text())
     assert not found, "\n".join(found)
+
+
+def test_reference_simulator_uses_are_found():
+    assert layering_violations("oracles", "from .circuits import Circuit, simulate\n") == [
+        "oracles imports circuits.simulate"]
+    assert layering_violations("cli", "from . import circuits\ncircuits.run_basis(c)\n") == [
+        "cli reads circuits.run_basis"]
+    assert layering_violations("circuits", "def f():\n    return simulate\n") == []
