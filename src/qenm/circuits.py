@@ -10,10 +10,10 @@ is one ``uint64`` key in a numpy array, carried with its input row and a
 complex amplitude.  Each x, swap, add, sub, lt and lookup gate, with its
 controls, is a few array operations over all keys; z, s, sdg and gphase
 multiply the amplitudes of the entries they fire on; h and ry scale those
-entries and append a copy of each with the target flipped.  After the last
-gate, equal (row, key) entries are summed and sums of modulus <=
-``PRUNE_EPS`` dropped; until then each h or ry gate adds one entry per
-entry it fires on, so the batch can hold more entries than the output.
+entries, append a copy of each with the target flipped, then sum equal
+(row, key) entries and drop sums of modulus <= ``PRUNE_EPS``, the dict
+reference's rule.  ``postselect`` runs register values through it and
+keeps the outputs whose registers hold given values.
 
 ``permute_keys`` (and ``permute_basis``, with ``basis_keys`` and
 ``key_values`` around it) returns the batch's keys for basis-permutation
@@ -34,7 +34,7 @@ against the functional behavior exhaustively on small widths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,6 +80,13 @@ class Circuit:
         self.registers: dict[str, Register] = {}
         self.n_qubits = 0
         self.gates: list[Gate] = []
+
+    def blank(self) -> Circuit:
+        """A gate-free circuit over a copy of this circuit's registers."""
+        out = Circuit()
+        out.registers = dict(self.registers)
+        out.n_qubits = self.n_qubits
+        return out
 
     def register(self, name: str, width: int) -> Register:
         if name in self.registers:
@@ -149,27 +156,17 @@ _INVERSE = {"x": "x", "z": "z", "h": "h", "swap": "swap", "lt": "lt",
 
 
 def inverted_gates(gates) -> list[Gate]:
-    out = []
-    for g in reversed(gates):
-        if g.kind in ("ry", "gphase"):
-            out.append(Gate(g.kind, g.targets, g.controls, theta=-g.theta, a=g.a, b=g.b,
-                            table=g.table))
-        else:
-            out.append(Gate(_INVERSE[g.kind], g.targets, g.controls, theta=g.theta,
-                            a=g.a, b=g.b, table=g.table))
-    return out
+    return [replace(g, theta=-g.theta) if g.kind in ("ry", "gphase")
+            else replace(g, kind=_INVERSE[g.kind]) for g in reversed(gates)]
 
 
 def controlled_gates(gates, extra_controls) -> list[Gate]:
     extra = _norm_controls(extra_controls)
-    return [Gate(g.kind, g.targets, g.controls + extra, theta=g.theta, a=g.a, b=g.b,
-                 table=g.table) for g in gates]
+    return [replace(g, controls=g.controls + extra) for g in gates]
 
 
 def inverse(circ: Circuit) -> Circuit:
-    inv = Circuit()
-    inv.registers = dict(circ.registers)
-    inv.n_qubits = circ.n_qubits
+    inv = circ.blank()
     inv.gates = inverted_gates(circ.gates)
     return inv
 
@@ -404,17 +401,29 @@ def _phase_gate(gate: Gate, keys: np.ndarray, amps: np.ndarray) -> np.ndarray:
 
 
 def _superpose_gate(gate: Gate, rows: np.ndarray, keys: np.ndarray, amps: np.ndarray):
-    """An h or ry gate: each entry it fires on keeps its key with the diagonal
-    coefficient and gains a copy, target flipped, with the off-diagonal one."""
+    """An h or ry gate: each entry it fires on keeps its key with the diagonal coefficient
+    and gains a copy, target flipped, with the off-diagonal one; then ``_merge``."""
     t = gate.targets[0]
     m00, m01, m10, m11 = _matrix(gate)
     fires = np.broadcast_to(_fires(keys, gate.controls), keys.shape)
     one = ((keys >> t) & 1) == 1
     copies = amps[fires] * np.where(one[fires], m01, m10)
     amps = np.where(fires, amps * np.where(one, m11, m00), amps)
-    return (np.concatenate([rows, rows[fires]]),
-            np.concatenate([keys, keys[fires] ^ np.uint64(1 << t)]),
-            np.concatenate([amps, copies]))
+    return _merge(np.concatenate([rows, rows[fires]]),
+                  np.concatenate([keys, keys[fires] ^ np.uint64(1 << t)]),
+                  np.concatenate([amps, copies]))
+
+
+def _merge(rows: np.ndarray, keys: np.ndarray, amps: np.ndarray):
+    """Sum equal (row, key) entries, drop sums of modulus <= ``PRUNE_EPS``, sort by row, key."""
+    order = np.lexsort((keys, rows))
+    rows, keys, amps = rows[order], keys[order], amps[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (keys[1:] != keys[:-1])
+    group = np.cumsum(first) - 1
+    sums = np.bincount(group, amps.real) + 1j * np.bincount(group, amps.imag)
+    kept = np.abs(sums) > PRUNE_EPS
+    return rows[first][kept], keys[first][kept], sums[kept]
 
 
 def basis_keys(circ: Circuit, values: dict[str, object]) -> np.ndarray:
@@ -446,9 +455,9 @@ def simulate_keys(circ: Circuit, keys) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Run any circuit on a batch of ``uint64`` basis keys at once.
 
     Returns ``(rows, keys, amps)``: for each input row (its position in the
-    flattened ``keys``), every output key of nonzero amplitude.  Entries are
-    sorted by row, then key; equal (row, key) entries are summed after the
-    last gate and sums of modulus <= ``PRUNE_EPS`` dropped.
+    flattened ``keys``), every output key of nonzero amplitude, sorted by row,
+    then key.  Each h or ry gate merges equal (row, key) entries and the other
+    gates map a row's entries one to one, so every (row, key) occurs once.
     """
     _check_key_width(circ)
     keys = np.asarray(keys, dtype=np.uint64).ravel()
@@ -464,13 +473,18 @@ def simulate_keys(circ: Circuit, keys) -> tuple[np.ndarray, np.ndarray, np.ndarr
         else:
             raise ValueError(f"unknown gate kind {gate.kind!r}")
     order = np.lexsort((keys, rows))
-    rows, keys, amps = rows[order], keys[order], amps[order]
-    first = np.ones(rows.size, dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (keys[1:] != keys[:-1])
-    group = np.cumsum(first) - 1
-    sums = np.bincount(group, amps.real) + 1j * np.bincount(group, amps.imag)
-    kept = np.abs(sums) > PRUNE_EPS
-    return rows[first][kept], keys[first][kept], sums[kept]
+    return rows[order], keys[order], amps[order]
+
+
+def postselect(circ: Circuit, inputs: dict[str, object], conditions: dict[str, int]
+               ) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
+    """Run ``circ`` on basis inputs (register value arrays, as for ``basis_keys``) and keep
+    the outputs whose registers equal ``conditions``: ``(rows, values, amps)`` are each kept
+    entry's input row, register values (as ``key_values``) and unnormalized amplitude."""
+    rows, keys, amps = simulate_keys(circ, basis_keys(circ, inputs))
+    mask = sum(1 << q for name in conditions for q in circ.registers[name].bits)
+    kept = (keys & np.uint64(mask)) == basis_keys(circ, conditions)
+    return rows[kept], key_values(circ, keys[kept]), amps[kept]
 
 
 def permute_keys(circ: Circuit, keys: np.ndarray) -> np.ndarray:
@@ -550,9 +564,7 @@ def _lookup_expansion(index_bits, value_bits, table, controls) -> list[Gate]:
 
 def expand_composites(circ: Circuit) -> Circuit:
     """Rewrite add/sub/lt/lookup into elementary gates (one scratch qubit)."""
-    out = Circuit()
-    out.registers = dict(circ.registers)
-    out.n_qubits = circ.n_qubits
+    out = circ.blank()
     scratch = out.register("scratch", 1)[0] if any(
         g.kind in ("add", "sub", "lt") for g in circ.gates) else None
     for g in circ.gates:

@@ -119,7 +119,7 @@ def _uniform_coupling(sys: SystemMatrices) -> tuple[float, float, int]:
     kappa, mass = sys.coupling, sys.masses
     if len(kappa) == 0:
         raise ValueError("system has no bonds")
-    if not (np.allclose(kappa, kappa[0]) and np.allclose(mass, mass[0])):
+    if not (np.allclose(kappa, kappa[0], atol=0) and np.allclose(mass, mass[0], atol=0)):
         raise ValueError("block encoding requires uniform coupling and mass")
     return float(kappa[0]), float(mass[0]), sparsity(sys)
 

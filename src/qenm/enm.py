@@ -253,9 +253,11 @@ def eigenvalues(sys: SystemMatrices) -> np.ndarray:
     return np.sort(np.concatenate([zeros, eig_banded(band, eigvals_only=True)]))
 
 
-def _nonzero_eigenvalues(sys: SystemMatrices) -> np.ndarray:
-    # relative to lambda_max only, so the cut scales with kappa / mass
-    w = eigenvalues(sys)
+def nonzero_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """The eigenvalues of ascending ``w`` above ``RANK_RTOL`` times the largest.
+
+    The cut is relative to lambda_max only, so it scales with kappa / mass.
+    """
     return w[w > RANK_RTOL * w[-1]]
 
 
@@ -534,7 +536,7 @@ def b_factor(msd_time_average: float) -> float:
 
 def pseudoinverse_trace(sys: SystemMatrices) -> float:
     """Tr(A^+) = sum of reciprocals of the nonzero eigenvalues."""
-    return float(np.sum(1.0 / _nonzero_eigenvalues(sys)))
+    return float(np.sum(1.0 / nonzero_eigenvalues(eigenvalues(sys))))
 
 
 def condition_number_B(sys: SystemMatrices) -> float:
@@ -543,7 +545,7 @@ def condition_number_B(sys: SystemMatrices) -> float:
     B B^T = A, so the singular values of B are the square roots of A's
     eigenvalues and cond(B) = sqrt(lambda_max / smallest nonzero lambda).
     """
-    w = _nonzero_eigenvalues(sys)
+    w = nonzero_eigenvalues(eigenvalues(sys))
     return float(np.sqrt(w[-1] / w[0]))
 
 

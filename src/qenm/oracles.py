@@ -37,11 +37,11 @@ Circuit block encodings (uniform mass and coupling):
   Hamiltonian of ``encoding.build_block_H`` over its scale.
 
 ``incidence_block`` and ``hamiltonian_block`` extract whole blocks: every
-requested column is one basis input of a single ``circuits.simulate_keys``
-batch, the outputs are projected onto ancillas |0>, and the block comes
+requested column is one basis input of a single ``circuits.postselect``
+batch that keeps the outputs with every ancilla at |0>, and the block comes
 back as a sparse matrix with one column per input and its rows in the flat
 ``part N^2 + j N + k`` index of ``encoding.active_slots`` (``j N + k`` for
-the incidence block).  The velocity loaders postselect on the same batch.
+the incidence block).  The velocity loaders postselect the same way.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from scipy import sparse
 
 from .boltzmann import BucketKey
 from .circuits import (Circuit, Gate, Register, basis_keys, controlled_gates, inverted_gates,
-                       key_values, permute_keys, simulate_keys)
+                       key_values, permute_keys, postselect)
 from .lattice import (SHIFT_TABLE, SPARSITY, Adjacency, LatticeSpec, NodeCoord, adjacency,
                       decode_index, encode_coord)
 
@@ -312,12 +312,10 @@ def _postselect(circ: Circuit, conditions: dict[str, int], read: str
                 ) -> tuple[np.ndarray, float]:
     """Run ``circ`` from |0>, keep the outputs whose registers match ``conditions``
     and renormalize; returns (amplitudes indexed by register ``read``, success prob)."""
-    _, keys, amps = simulate_keys(circ, np.zeros(1, dtype=np.uint64))
-    values = key_values(circ, keys)
-    kept = np.logical_and.reduce([values[name] == v for name, v in conditions.items()])
-    prob = float(np.sum(np.abs(amps[kept]) ** 2))
+    _, values, amps = postselect(circ, {}, conditions)
+    prob = float(np.sum(np.abs(amps) ** 2))
     out = np.zeros(1 << circ.registers[read].width, dtype=complex)
-    out[values[read][kept]] = amps[kept] / math.sqrt(prob)
+    out[values[read]] = amps / math.sqrt(prob)
     return out, prob
 
 
@@ -382,16 +380,9 @@ def emit_slot_superposition(circ: Circuit, ell: Register) -> None:
 # -- gate-level block encodings ----------------------------------------------
 
 
-def _shadow(circ: Circuit) -> Circuit:
-    sh = Circuit()
-    sh.registers = circ.registers
-    sh.n_qubits = circ.n_qubits
-    return sh
-
-
 def _emit_incidence_dagger(circ: Circuit) -> list[Gate]:
     """Gate list whose |0>-ancilla block is B^T / sqrt(2 kappa/m d)."""
-    sh = _shadow(circ)
+    sh = circ.blank()
     cmp_q, ord_q = circ.registers["cmp"], circ.registers["ord"]
     emit_slot_superposition(sh, circ.registers["ell"])
     _emit_connectivity(sh)
@@ -404,7 +395,7 @@ def _emit_incidence_dagger(circ: Circuit) -> list[Gate]:
 
 def _emit_ucond(circ: Circuit, a_bit: int, t_bits) -> list[Gate]:
     """H . (a=0)-controlled (2|0><0| - 1) . H; self-adjoint."""
-    sh = _shadow(circ)
+    sh = circ.blank()
     sh.h(a_bit)
     for q in t_bits:
         sh.x(q)
@@ -468,19 +459,15 @@ def _block(circ: Circuit, spec: LatticeSpec, inputs: dict) -> sparse.csr_array:
     """Run every input as one batch and project all qubits outside the node
     registers and the part qubit p, where the circuit has one, onto |0>: one
     column per input, row (p, j, k) flattened as p N^2 + j N + k."""
-    input_keys = basis_keys(circ, inputs).ravel()
-    cols, keys, amps = simulate_keys(circ, input_keys)
     kept = ("r", "c", "s", "rp", "cp", "sp", "p")
-    ancilla_mask = sum(1 << q for name, reg in circ.registers.items() if name not in kept
-                       for q in reg.bits)
-    on_block = (keys & np.uint64(ancilla_mask)) == 0
-    out = key_values(circ, keys[on_block])
+    cols, out, amps = postselect(circ, inputs, {name: 0 for name in circ.registers
+                                                if name not in kept})
     n = spec.n_total
     rows = ((out.get("p", 0) * n + encode_coord(NodeCoord(out["r"], out["c"], out["s"]), spec))
             * n + encode_coord(NodeCoord(out["rp"], out["cp"], out["sp"]), spec))
     n_parts = 2 if "p" in circ.registers else 1
-    return sparse.csr_array((amps[on_block], (rows.astype(np.int64), cols[on_block])),
-                            shape=(n_parts * n * n, input_keys.size))
+    return sparse.csr_array((amps, (rows.astype(np.int64), cols)),
+                            shape=(n_parts * n * n, np.broadcast(*inputs.values()).size))
 
 
 def incidence_block(circ: Circuit, spec: LatticeSpec, j) -> sparse.csr_array:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from qenm import circuits
 from qenm.circuits import (PRUNE_EPS, Circuit, basis_keys, circuit_text, expand_composites,
                            inverse, permute_basis, permute_keys, run_basis, simulate,
                            simulate_keys)
+from qenm.oracles import inequality_test_loader
 
 
 def bell_pair():
@@ -299,6 +301,30 @@ def test_simulate_keys_matches_simulate_on_random_circuits(seed):
         got = dict(zip(keys[row].tolist(), amps[row].tolist()))
         assert max(abs(got.get(key, 0.0) - expected.get(key, 0.0))
                    for key in got.keys() | expected.keys()) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [*range(10), "inequality-loader"])
+def test_superposing_gates_receive_each_row_and_key_once(monkeypatch, seed):
+    """Each h or ry gate merges equal (row, key) entries, as the dict reference does."""
+    superpose = circuits._superpose_gate
+    calls = []
+
+    def checked(gate, rows, keys, amps):
+        entries = np.stack([rows.astype(np.uint64), keys], axis=1)
+        calls.append((len(entries), len(np.unique(entries, axis=0))))
+        return superpose(gate, rows, keys, amps)
+
+    monkeypatch.setattr(circuits, "_superpose_gate", checked)
+    if seed == "inequality-loader":     # unmerged, its batch would grow as 2^n 4^r
+        circ = inequality_test_loader([3, -5, 7, 1, 0, 6, -2, 4], 5)
+        keys = np.zeros(1, dtype=np.uint64)
+    else:
+        widths = {"a": 4, "b": 3, "c": 3}
+        circ = random_permutation_circuit(np.random.default_rng(seed), widths, 40,
+                                          (*PERMUTATION_KINDS, "h", "ry"))
+        keys = np.arange(1 << circ.n_qubits, dtype=np.uint64)
+    simulate_keys(circ, keys)
+    assert calls and all(size == unique for size, unique in calls)
 
 
 def test_permute_basis_broadcasts_and_defaults_registers_to_zero():

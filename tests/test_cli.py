@@ -567,3 +567,18 @@ def test_scaling_on_one_size_writes_points_only(tmp_path, capsys, kind):
     assert run(["scaling", kind, "--sizes", "3x2", "--out-dir", str(out)]) == 0
     assert json.loads((out / f"scaling_{kind}_fit.json").read_text()) == {}
     assert capsys.readouterr().out == f"{kind}: single size, points only\n"
+
+
+# each config fails validate where the factorization, semidefiniteness and null-space bounds are
+# absolute; kappa / mass >= 1e5 fails there too, but validate's evolution then takes seconds
+@pytest.mark.parametrize("size, physics", [
+    *((size, physics) for size in ((3, 2), (4, 3), (5, 5))
+      for physics in ({"kappa": 1e-9}, {"mass": 1e9})),
+    ((5, 5), {"kappa": 1e4}),
+    ((3, 2), {"kappa": 3e5, "mass": 3e5}),
+])
+def test_validate_bounds_scale_with_kappa_and_mass(tmp_path, capsys, size, physics):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": size[0], "n_c": size[1]}, "physics": physics}))
+    assert run(["validate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.endswith("16 checks, 0 failed\n")

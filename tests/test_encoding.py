@@ -278,6 +278,12 @@ def test_block_h_requires_uniform_system():
         encoding.build_block_H(sys)
 
 
+def test_block_h_compares_couplings_relative_to_their_size():
+    sys = enm.system_from_bonds(3, [(0, 1), (1, 2)], kappa=[1e-9, 3e-9])
+    with pytest.raises(ValueError, match="uniform coupling"):
+        encoding.build_block_H(sys)
+
+
 # -- alternative encoding ---------------------------------------------------------------
 
 def test_alternative_velocity_free(small_sheet):

@@ -3,10 +3,11 @@
 No module imports or reads another module's ``_``-prefixed name, and the
 amplitude layer (``encoding``) depends on no package module but ``enm`` and
 ``lattice``: every circuit lives in ``circuits`` and ``oracles``.  Every
-circuit the program runs goes through the batched ``circuits.simulate_keys``:
-the dict simulator (``simulate``, ``run_basis``, ``SparseState``) is the
-tests' reference, used by no module but ``circuits``.  The package's
-``__init__`` re-exports it and calls nothing.
+circuit the program runs goes through the batched ``circuits.simulate_keys``,
+which no module but ``circuits`` calls: the others run circuits through
+``postselect`` and ``permute_keys``.  The dict simulator (``simulate``,
+``run_basis``, ``SparseState``) is the tests' reference, used by no module
+but ``circuits``.  The package's ``__init__`` re-exports it and calls nothing.
 """
 
 import ast
@@ -19,6 +20,7 @@ MODULES = {path.stem for path in PACKAGE_DIR.glob("*.py")} - {"__init__"}
 ENCODING_DEPENDENCIES = {"enm", "lattice"}
 REFERENCE_SIMULATOR = {"simulate", "run_basis", "SparseState"}
 REFERENCE_HOLDERS = {"circuits", "__init__"}     # its module and the package's re-exports
+BATCH_SIMULATOR = {"simulate_keys"}
 
 
 def _package_module(node: ast.ImportFrom) -> str | None:
@@ -27,6 +29,13 @@ def _package_module(node: ast.ImportFrom) -> str | None:
         parts = (node.module or "").split(".") + [""]
         return parts[1] if parts[0] == "qenm" else None
     return node.module.split(".")[0] if node.module else ""
+
+
+def _restricted(name: str, module: str, attr: str) -> bool:
+    """Whether module ``name`` may not use ``circuits``' simulator entry ``attr``."""
+    return module == "circuits" and (
+        (attr in REFERENCE_SIMULATOR and name not in REFERENCE_HOLDERS)
+        or (attr in BATCH_SIMULATOR and name != "circuits"))
 
 
 def layering_violations(name: str, source: str) -> list[str]:
@@ -56,8 +65,7 @@ def layering_violations(name: str, source: str) -> list[str]:
                     imported.add(module)
                 if alias.name.startswith("_") and module != name:
                     found.append(f"{name} imports {module or 'qenm'}.{alias.name}")
-                if (module == "circuits" and alias.name in REFERENCE_SIMULATOR
-                        and name not in REFERENCE_HOLDERS):
+                if _restricted(name, module, alias.name):
                     found.append(f"{name} imports circuits.{alias.name}")
     for node in nodes:
         if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -66,8 +74,7 @@ def layering_violations(name: str, source: str) -> list[str]:
         module = module_aliases[node.value.id]
         if node.attr.startswith("_") and module != name:
             found.append(f"{name} reads {module}.{node.attr}")
-        if (module == "circuits" and node.attr in REFERENCE_SIMULATOR
-                and name not in REFERENCE_HOLDERS):
+        if _restricted(name, module, node.attr):
             found.append(f"{name} reads circuits.{node.attr}")
     if name == "encoding":
         found += [f"encoding imports qenm.{m}"
@@ -88,3 +95,13 @@ def test_reference_simulator_uses_are_found():
     assert layering_violations("cli", "from . import circuits\ncircuits.run_basis(c)\n") == [
         "cli reads circuits.run_basis"]
     assert layering_violations("circuits", "def f():\n    return simulate\n") == []
+
+
+def test_batch_simulator_uses_are_found():
+    assert layering_violations("oracles", "from .circuits import postselect, simulate_keys\n") == [
+        "oracles imports circuits.simulate_keys"]
+    assert layering_violations("cli", "from . import circuits\ncircuits.simulate_keys(c, k)\n") == [
+        "cli reads circuits.simulate_keys"]
+    assert layering_violations("__init__", "from .circuits import simulate_keys\n") == [
+        "__init__ imports circuits.simulate_keys"]
+    assert layering_violations("circuits", "def f():\n    return simulate_keys\n") == []
