@@ -105,9 +105,8 @@ def bucket_velocities(n_nodes: int, key: BucketKey, disc: DiscretizedMB) -> np.n
     """Velocity per node index under a two-bucket key assignment, for all nodes at once."""
     if disc.k == 1:
         return np.full(n_nodes, disc.velocities[0])
-    masked = np.arange(n_nodes) & key.s
-    ones = sum(((masked >> b) & 1 for b in range(key.s.bit_length())), np.full(n_nodes, key.r))
-    return np.asarray(disc.velocities)[ones & 1]
+    ones = np.bitwise_count(np.arange(n_nodes) & key.s)
+    return np.asarray(disc.velocities)[(ones + key.r) & 1]
 
 
 def thermal_velocities(params: MBParams, keys: list[BucketKey], n_nodes: int, sites) -> np.ndarray:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys as _sys
 from pathlib import Path
 
@@ -203,6 +204,12 @@ def _spec(cfg) -> LatticeSpec:
     return LatticeSpec(cfg["lattice"]["n_r"], cfg["lattice"]["n_c"])
 
 
+def _require_physical(spec: LatticeSpec, key: str, study: str) -> None:
+    """ConfigError when every site of the sheet is padding, as every n_r = 1 sheet is."""
+    if dummy_mask(spec).all():
+        raise ConfigError(f"{key} {spec.n_r}x{spec.n_c} has no physical site to {study}")
+
+
 def _times(cfg) -> np.ndarray:
     t = cfg["times"]
     return np.linspace(t["start"], t["stop"], t["steps"])
@@ -246,14 +253,14 @@ def cmd_lattice(cfg, out: Path) -> int:
 
 def _validation_checks(cfg):
     spec = _spec(cfg)
+    _require_physical(spec, "lattice", "validate")    # the drifts below would divide by 0
     checks = []
 
     adj = adjacency(spec)
-    geo = brute_force_adjacency(spec)
     j = np.arange(spec.n_total)
     round_trip = bool(np.array_equal(encode_coord(decode_index(j, spec), spec), j))
     checks.append(("encode-decode-roundtrip", round_trip, f"{spec.n_total} indices"))
-    adj_bonds, geo_bonds = adj.bond_set(), geo.bond_set()
+    adj_bonds, geo_bonds = adj.bond_set(), brute_force_adjacency(spec)
     checks.append(("shift-table-vs-geometric-adjacency", adj_bonds == geo_bonds,
                    f"{len(adj_bonds)} bonds"))
     ghosts_rule = Adjacency(adj.neighbors, ~adj.valid).bond_set()
@@ -268,9 +275,8 @@ def _validation_checks(cfg):
     checks.append(("degree-profile", deg_ok,
                    f"degrees {sorted(set(int(d) for d in degrees))}"))
 
-    sys = enm.build_system(spec, cfg["physics"]["kappa"], cfg["physics"]["mass"])
-    if not sys.physical.any():     # n_r = 1: the energy and F drifts below would divide by 0
-        raise ConfigError(f"lattice {spec.n_r}x{spec.n_c} has no physical site to validate")
+    kappa, mass = cfg["physics"]["kappa"], cfg["physics"]["mass"]
+    sys = enm.build_system(spec, kappa, mass)
     # B has two nonzeros per column: sparse products, compared over every nonzero of both sides
     b = sys.sparse_B
     # roundoff bounds scale with the entries of A and F, so they hold at any kappa and mass
@@ -296,7 +302,8 @@ def _validation_checks(cfg):
     x0 = np.zeros((2, sys.n))
     xdot0 = np.zeros((2, sys.n))
     xdot0[:, phys] = rng.normal(0.0, 1.0, (2, len(phys)))
-    ts = np.linspace(0.0, 10.0, 200)
+    # ten units of sqrt(m / kappa): the sheet moves as far, at the same series degree, at any scale
+    ts = np.linspace(0.0, 10.0 * math.sqrt(mass / kappa), 200)
     traj = enm.evolve_classical(sys, x0, xdot0, ts)
     e0 = enm.total_energy(traj, 0)
     drift = max(abs(enm.total_energy(traj, ti) - e0) for ti in range(len(ts))) / e0
@@ -382,8 +389,7 @@ def cmd_simulate(cfg, out: Path) -> int:
 def cmd_heat(cfg, out: Path) -> int:
     lat = cfg["heat_lattice"]
     spec = LatticeSpec(lat["n_r"], lat["n_c"])
-    if dummy_mask(spec).all():     # n_r = 1: no hotspot to heat
-        raise ConfigError(f"heat_lattice {spec.n_r}x{spec.n_c} has no physical site to heat")
+    _require_physical(spec, "heat_lattice", "heat")
     result = measure.heat_experiment(
         spec, np.asarray(cfg["probe_times"], dtype=float),
         n_regions=cfg["regions"], temperature=cfg["physics"]["temperature"],
@@ -408,8 +414,7 @@ def cmd_heat(cfg, out: Path) -> int:
 
 def cmd_ripple(cfg, out: Path) -> int:
     spec = _spec(cfg)
-    if dummy_mask(spec).all():     # n_r = 1: no sheet to ripple
-        raise ConfigError(f"lattice {spec.n_r}x{spec.n_c} has no physical site to ripple")
+    _require_physical(spec, "lattice", "ripple")
     window = cfg["times"]["stop"] if cfg["window"] is None else cfg["window"]
     if window <= 0:     # a configured window is checked positive with the config
         raise ConfigError(f"times.stop is the ripple window when window is null and must be "
@@ -440,8 +445,7 @@ def cmd_scaling(cfg, out: Path, kind: str) -> int:
         if spec.n_total > 1 << 12:     # 6x6 (8192 sites) takes 24-33 s on one Xeon core
             raise ConfigError(f"lattice {spec.n_r}x{spec.n_c} has {spec.n_total} sites; the "
                               f"exact banded eigenvalue solve is capped at {1 << 12}")
-        if dummy_mask(spec).all():     # n_r = 1: an empty spectrum has no cond(B) or Tr(A^+)
-            raise ConfigError(f"lattice {spec.n_r}x{spec.n_c} has no physical site to scale")
+        _require_physical(spec, "lattice", "scale")    # no cond(B) or Tr(A^+) of an empty spectrum
     records = []
     for spec in specs:
         sys = enm.build_system(spec, cfg["physics"]["kappa"], cfg["physics"]["mass"])

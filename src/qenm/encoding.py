@@ -50,7 +50,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -222,7 +223,6 @@ class BlockHamiltonian:
     active: np.ndarray            # flat indices into the 2 N^2 space
     scale: float                  # sqrt(2 kappa/m d) >= ||H||
     n_nodes: int
-    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def H_active(self) -> np.ndarray:
@@ -230,11 +230,12 @@ class BlockHamiltonian:
             raise ValueError("dense block Hamiltonian exceeds the desk limit")
         return self.H.toarray()
 
+    @cached_property
+    def _eigh(self):
+        return np.linalg.eigh(self.H_active)
+
     def eig(self):
-        if self._eig is None:
-            w, v = np.linalg.eigh(self.H_active)
-            self._eig = (w, v)
-        return self._eig
+        return self._eigh
 
     def dense(self) -> np.ndarray:
         dim = 2 * self.n_nodes * self.n_nodes

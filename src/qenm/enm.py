@@ -109,22 +109,14 @@ class SystemMatrices:
     B = cached_property(lambda self: _dense(self.sparse_B))
 
     @cached_property
-    def _spectral(self) -> "SpectralData":
-        w, v = np.linalg.eigh(self.A)
-        return SpectralData(w, v, RANK_RTOL * max(w[-1], 1.0) if len(w) else 0.0)
+    def _spectral(self):
+        return np.linalg.eigh(self.A)
 
 
 def _dense(m: sparse.csr_array) -> np.ndarray:
     out = m.toarray()
     out.flags.writeable = False
     return out
-
-
-@dataclass
-class SpectralData:
-    eigenvalues: np.ndarray     # ascending
-    eigenvectors: np.ndarray    # columns
-    rank_tol: float
 
 
 def _system(masses, bonds, coupling, physical, spec=None) -> SystemMatrices:
@@ -197,8 +189,12 @@ def build_system(spec: LatticeSpec, kappa=1.0, mass=1.0) -> SystemMatrices:
                    float(kappa), ~dummy_mask(spec), spec)
 
 
-def spectral(sys: SystemMatrices) -> SpectralData:
-    """Dense eigendecomposition of A, cached; the reference for the sparse paths."""
+def spectral(sys: SystemMatrices):
+    """numpy's ``eigh`` of the dense A, cached; the reference for the sparse paths.
+
+    The result has ascending ``eigenvalues`` and the matching ``eigenvectors``
+    as columns.
+    """
     return sys._spectral
 
 
@@ -409,25 +405,21 @@ def evolve_spectral(sys, x0, xdot0, times, axes=None) -> Trajectory:
     """Reference for ``evolve_classical`` through the dense eigendecomposition of A.
 
     Per eigenmode with frequency w = sqrt(lambda): y_k(t) = cos(w t) y_k(0)
-    + sin(w t)/w ydot_k(0), and y_k(0) + t ydot_k(0) on the zero modes.
+    + sin(w t)/w ydot_k(0), with sin(w t)/w = t sinc(w t / pi) -> t on the
+    zero modes, so no eigenvalue needs a zero-mode cut.
     """
     x0, xdot0, times, axes = _initial_state(sys, x0, xdot0, times, axes)
     d = x0.shape[0]
     sp = spectral(sys)
     omega = np.sqrt(np.maximum(sp.eigenvalues, 0.0))[:, None]
-    zero = sp.eigenvalues <= sp.rank_tol
     sqrt_m = np.sqrt(sys.masses)
 
     # modal coefficients for every (mode, time) at once: y = c_y cy + c_v cv and
-    # ydot = d_y cy + c_y cv, with (1, t, 0) in place of (cos, sin/w, -w sin) on zero modes
+    # ydot = d_y cy + c_y cv
     wt = omega * times
     c_y = np.cos(wt)
-    sin_wt = np.sin(wt)
-    d_y = -omega * sin_wt
-    c_v = np.divide(sin_wt, omega, out=np.broadcast_to(times, wt.shape).copy(),
-                    where=~zero[:, None])
-    c_y[zero] = 1.0
-    d_y[zero] = 0.0
+    d_y = -omega * np.sin(wt)
+    c_v = times * np.sinc(wt / np.pi)
 
     xs = np.empty((times.size, d, sys.n))
     vs = np.empty((times.size, d, sys.n))

@@ -129,8 +129,8 @@ def neighbor(j: int, l: int, spec: LatticeSpec) -> tuple[int, bool]:
 class Adjacency:
     """Per-node neighbor slots with bond validity flags.
 
-    ``neighbors[j, l]`` is -1 when the slot is unused (geometric oracle on
-    boundary nodes); ``valid[j, l]`` marks physical bonds.
+    ``neighbors[j, l]`` is the site in slot l of j; ``valid[j, l]`` marks
+    physical bonds.
     """
 
     neighbors: np.ndarray
@@ -170,32 +170,22 @@ def node_positions(spec: LatticeSpec) -> np.ndarray:
     return np.stack([np.sqrt(3.0) * (co.c - 0.5 * (co.r & 1)), 1.5 * co.r + co.s], axis=1)
 
 
-def brute_force_adjacency(spec: LatticeSpec) -> Adjacency:
-    """Geometric adjacency oracle, independent of the shift table.
+def brute_force_adjacency(spec: LatticeSpec) -> set[tuple[int, int]]:
+    """Geometric bond set, as (min, max) pairs, independent of the shift table.
 
     Physical sites are embedded in the plane and every pair at unit
     distance is bonded.  The tests and ``qenm validate``'s
-    shift-table-vs-geometric-adjacency check compare ``adjacency`` with it.
+    shift-table-vs-geometric-adjacency check compare ``adjacency``'s
+    ``bond_set`` with it.
     """
     if spec.n_total > 1 << 14:
         raise ValueError("geometric oracle is meant for small lattices")
     from scipy.spatial import cKDTree   # imported here: only this oracle needs it
-    dummies = dummy_mask(spec)
-    pos = node_positions(spec)
-    phys = np.flatnonzero(~dummies)
-    neighbors = np.full((spec.n_total, SPARSITY), -1, dtype=np.int64)
-    valid = np.zeros((spec.n_total, SPARSITY), dtype=bool)
-    if len(phys) == 0:
-        return Adjacency(neighbors, valid)
-    tree = cKDTree(pos[phys])
-    slots = np.zeros(spec.n_total, dtype=int)
-    for a, b in tree.query_pairs(r=1.0 + 1e-6):
-        ja, jb = int(phys[a]), int(phys[b])
-        for j, k in ((ja, jb), (jb, ja)):
-            neighbors[j, slots[j]] = k
-            valid[j, slots[j]] = True
-            slots[j] += 1
-    return Adjacency(neighbors, valid)
+    phys = np.flatnonzero(~dummy_mask(spec))
+    # pairs (a, b) with a < b index the ascending phys, so each bond is (min, max)
+    pairs = phys[cKDTree(node_positions(spec)[phys]).query_pairs(r=1.0 + 1e-6,
+                                                                 output_type="ndarray")]
+    return set(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
 
 
 def lattice_rows(spec: LatticeSpec) -> list[dict]:

@@ -517,6 +517,7 @@ def test_validate_sheet_without_physical_sites(tmp_path, capsys, n_c):
 
 
 @pytest.mark.parametrize("command, config, message", [
+    ("validate", {"lattice": {"n_r": 1, "n_c": 2}}, "lattice 1x2 has no physical site to validate"),
     ("heat", {"heat_lattice": {"n_r": 1, "n_c": 3}}, "heat_lattice 1x3 has no physical site to heat"),
     ("ripple", {"lattice": {"n_r": 1, "n_c": 2}}, "lattice 1x2 has no physical site to ripple"),
 ])
@@ -570,12 +571,15 @@ def test_scaling_on_one_size_writes_points_only(tmp_path, capsys, kind):
 
 
 # each config fails validate where the factorization, semidefiniteness and null-space bounds are
-# absolute; kappa / mass >= 1e5 fails there too, but validate's evolution then takes seconds
+# absolute; kappa / mass >= 1e5 fails there too.  The last two ran out of memory where validate
+# evolved over t in [0, 10] whatever the scale: at kappa / m = 1e9 the series needs a 2 TiB table
 @pytest.mark.parametrize("size, physics", [
     *((size, physics) for size in ((3, 2), (4, 3), (5, 5))
       for physics in ({"kappa": 1e-9}, {"mass": 1e9})),
     ((5, 5), {"kappa": 1e4}),
     ((3, 2), {"kappa": 3e5, "mass": 3e5}),
+    ((3, 2), {"kappa": 1e9}),
+    ((3, 2), {"mass": 1e-9}),
 ])
 def test_validate_bounds_scale_with_kappa_and_mass(tmp_path, capsys, size, physics):
     cfg = tmp_path / "cfg.json"
