@@ -288,7 +288,8 @@ def _validation_checks(cfg):
     err_f = float(abs(sqrt_mb @ sqrt_mb.T - sys.sparse_F).max())
     checks.append(("factorization-sqrtMB-equals-F", err_f <= 16 * eps * abs(sys.sparse_F).max(),
                    f"max err {err_f:.2e}"))
-    eigs = enm.eigenvalues(sys)
+    # both spectral checks need only the ends of the spectrum
+    eigs = enm.extreme_eigenvalues(sys)
     checks.append(("A-positive-semidefinite", eigs[0] >= -sys.n * eps * eigs[-1],
                    f"min eig {eigs[0]:.2e}"))
     # no bond touches a dummy site, so each is an isolated zero row of A and one null direction

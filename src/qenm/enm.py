@@ -21,6 +21,12 @@ connected component of the bond graph, each unbonded site being its own
 component.  So the projector P onto range(A) is y - V0 (V0^T y), and
 A^+ v is conjugate gradients on range(A).
 
+Each eigenvalue question has one solver.  ``eigenvalues``, a banded solve
+of the whole spectrum, gives cond(B) and Tr(A^+) and is the reference for
+the tests; ``extreme_eigenvalues``, two shift-invert Lanczos solves for the
+spectrum's ends, gives the semidefiniteness and null-space checks of
+``qenm validate``.
+
 The weighted incidence matrix B has one column per bonded pair (j, k),
 j < k, ordered lexicographically, with entries +sqrt(kappa_jk/m_j) on row
 j and -sqrt(kappa_jk/m_k) on row k, so that B B^T = A and
@@ -42,6 +48,8 @@ from .lattice import LatticeSpec, adjacency, dummy_mask
 RANK_RTOL = 1e-9  # eigenvalue/singular-value threshold relative to the largest
 CHEB_EPS = 1e-15  # bound on the truncated tail of each classical Chebyshev series
 CG_RTOL = 1e-14   # conjugate-gradient stop: residual norm relative to the right-hand side
+SHIFT_RTOL = 1e-6  # how far each shift of ``extreme_eigenvalues`` lies outside the Gershgorin
+                   # interval, relative to the interval's upper end
 
 
 @dataclass
@@ -249,6 +257,38 @@ def eigenvalues(sys: SystemMatrices) -> np.ndarray:
     return np.sort(np.concatenate([zeros, eig_banded(band, eigvals_only=True)]))
 
 
+def extreme_eigenvalues(sys: SystemMatrices) -> np.ndarray:
+    """The c + 1 smallest and the largest eigenvalues of A, ascending, by shift-invert Lanczos.
+
+    c counts the connected components of the sites that have a bond, and
+    every site without a bond adds an exact zero, as in ``eigenvalues``.  A
+    correct A has exactly c null directions on those sites, so the result
+    holds the null count and lambda_min^+; an A with more nulls saturates
+    the count at c + 1.  Two ``eigsh`` calls in shift-invert mode run on the
+    bonded block, each shifted outside the Gershgorin interval [lo, hi] of
+    the assembled matrix: the small ones just below min(lo, 0), so that a
+    negative eigenvalue is found as surely as a zero, and the largest just
+    above hi.  A seeded random start vector, which has a component along
+    every eigenvector, makes every rerun identical whatever ARPACK ran before.
+    """
+    from scipy.sparse.linalg import eigsh     # kept off the `import qenm.cli` path
+
+    sites = np.unique(sys.bonds)
+    zeros = np.zeros(sys.n - len(sites))
+    if len(sites) == 0:
+        return zeros
+    A = sys.sparse_A[sites][:, sites]
+    diag = A.diagonal()
+    radius = abs(A).sum(axis=1) - np.abs(diag)
+    lo, hi = float((diag - radius).min()), float((diag + radius).max())
+    margin = SHIFT_RTOL * hi
+    k = min(len(np.unique(sys.components[sites])) + 1, len(sites) - 1)
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, len(sites))
+    small = eigsh(A, k, sigma=min(lo, 0.0) - margin, v0=v0, return_eigenvectors=False)
+    largest = eigsh(A, 1, sigma=hi + margin, v0=v0, return_eigenvectors=False)
+    return np.sort(np.concatenate([zeros, small, largest]))
+
+
 def nonzero_eigenvalues(w: np.ndarray) -> np.ndarray:
     """The eigenvalues of ascending ``w`` above ``RANK_RTOL`` times the largest.
 
@@ -343,6 +383,25 @@ def chebyshev_basis(S, block: np.ndarray, degree: int, scale: float = 1.0) -> np
     return basis
 
 
+def chebyshev_coefficients(samples: np.ndarray) -> np.ndarray:
+    """Coefficients c_k of the interpolant sum_k c_k T_k of samples at Chebyshev-Gauss nodes.
+
+    Row j of the (K, T) ``samples`` holds f(cos theta_j), theta_j = pi (j +
+    1/2) / K.  Row k of the result is (2 / K) sum_j cos(k theta_j) f_j,
+    halved at k = 0.  That sum is a type-II cosine transform: with Y the FFT
+    of the even extension [f, f reversed], of length 2K, it is
+    Re(exp(-i pi k / 2K) Y_k) / 2.  So it costs O(K log K) per column and
+    needs no (K, K) cosine matrix.
+    """
+    nodes = samples.shape[0]
+    spectrum = np.fft.rfft(np.concatenate([samples, samples[::-1]]), axis=0)[:nodes]
+    half_angle = 0.5 * np.pi * np.arange(nodes)[:, None] / nodes
+    coeffs = spectrum.real * np.cos(half_angle) + spectrum.imag * np.sin(half_angle)
+    coeffs /= nodes
+    coeffs[0] /= 2.0
+    return coeffs
+
+
 def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
     """Solution of M x'' = -F x from x(0), xdot(0), without eigenvectors.
 
@@ -356,9 +415,11 @@ def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
     Each function is a Chebyshev series in S = 2 L / lambda_bar - 1 of degree
     K = ``chebyshev_degree(lambda_bar, max|t|)``.  One cosine transform of
     the three functions, sampled at the K + 1 Chebyshev nodes for every time,
-    gives all coefficients; ``chebyshev_basis`` of the (N, 2D) block of
-    initial conditions, K sparse products, gives T_k(S) x0, T_k(S) xdot0;
-    and one GEMM per axis forms every sample.  The basis takes 16 D (K + 1) N bytes: K is
+    gives all coefficients (``chebyshev_coefficients``, an FFT, so a long
+    window needs no (K + 1)^2 matrix); ``chebyshev_basis`` of the (N, 2D)
+    block of initial conditions, K sparse products, gives T_k(S) x0,
+    T_k(S) xdot0; and two GEMMs per axis write every position and velocity
+    sample into the trajectory.  The basis takes 16 D (K + 1) N bytes: K is
     29 for max|t| sqrt(lambda_bar) = 24.5 (``validate``, 2 MB at 5x5) and 496
     for 707 (``ripple``'s 1000 ps window in physical units, 4 MB at 4x4).
     The cosine is transformed as cos - 1 with the 1 put on T_0, and working
@@ -377,10 +438,7 @@ def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
     sin_wt = np.sin(wt)
     samples = np.concatenate([-2.0 * np.sin(wt / 2.0) ** 2,    # cos(wt) - 1
                               sin_wt / root, -root * sin_wt], axis=1)
-    coeffs = np.cos(np.outer(np.arange(nodes), theta)) @ samples
-    coeffs *= 2.0 / nodes
-    coeffs[0] /= 2.0
-    c_cos, c_sin, c_dsin = np.split(coeffs, 3, axis=1)
+    c_cos, c_sin, c_dsin = np.split(chebyshev_coefficients(samples), 3, axis=1)
     c_cos[0] += 1.0
     # x(t) = [basis of x0, basis of xdot0]^T [c_cos; c_sin], xdot(t) likewise
     mixing = np.block([[c_cos, c_dsin], [c_sin, c_cos]])
@@ -395,9 +453,10 @@ def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
     vs = np.empty((steps, d, n))
     for a in range(d):
         # the reshape copies: row k is T_k(S) x0[a], row nodes + k is T_k(S) xdot0[a]
-        out = basis[:, :, 2 * a:2 * a + 2].transpose(2, 0, 1).reshape(2 * nodes, n).T @ mixing
-        xs[:, a] = out[:, :steps].T
-        vs[:, a] = out[:, steps:].T
+        rows = basis[:, :, 2 * a:2 * a + 2].transpose(2, 0, 1).reshape(2 * nodes, n)
+        # each GEMM writes its samples in place, with no (N, 2T) product in between
+        np.matmul(mixing[:, :steps].T, rows, out=xs[:, a])
+        np.matmul(mixing[:, steps:].T, rows, out=vs[:, a])
     return Trajectory(times, xs, vs, axes, sys)
 
 

@@ -232,12 +232,12 @@ def test_initial_nodes_must_be_sites_of_the_lattice(tmp_path, capsys, node):
 
 
 def test_cli_import_skips_heavy_scipy_modules():
-    # scipy.stats/integrate/spatial cost most of the import time and scipy.linalg
-    # and scipy.special add more; none is needed to start
+    # scipy.stats/integrate/spatial cost most of the import time and scipy.linalg,
+    # scipy.sparse.linalg, scipy.special and scipy.fft add more; none is needed to start
     env = {**os.environ, "PYTHONPATH": str(Path(qenm.__file__).resolve().parents[1])}
     code = ("import sys, qenm.cli; print(sorted(m for m in sys.modules if m in "
             "('scipy.stats', 'scipy.integrate', 'scipy.spatial', 'scipy.linalg', "
-            "'scipy.special')))")
+            "'scipy.sparse.linalg', 'scipy.special', 'scipy.fft')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
@@ -327,6 +327,73 @@ def test_validate_factorization_checks_read_the_system_B(tmp_path, capsys, monke
     failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
               if line.startswith("FAIL")]
     assert failed == ["FAIL factorization-BBt-equals-A", "FAIL factorization-sqrtMB-equals-F"]
+
+
+def _validate_4x4(tmp_path, name="o"):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 4, "n_c": 4}}))
+    return run(["validate", "--config", str(cfg), "--out-dir", str(tmp_path / name)])
+
+
+@pytest.mark.filterwarnings("ignore:physical subgraph is disconnected")
+def test_validate_counts_the_null_direction_of_a_cut_sheet(tmp_path, capsys, monkeypatch):
+    # the first bond, cut off from the rest of the sheet, is a second bonded component and adds
+    # one null direction inside the bonded block, which only the shift-invert solve can see
+    build = enm.build_system
+
+    def cut_build(*args, **kwargs):
+        sys = build(*args, **kwargs)
+        crossing = np.isin(sys.bonds, sys.bonds[0]).sum(axis=1) == 1
+        cut = enm.system_from_bonds(sys.n, sys.bonds[~crossing], physical=sys.physical)
+        bonded = np.unique(cut.bonds)
+        assert np.array_equal(bonded, np.flatnonzero(sys.physical))
+        assert len(np.unique(cut.components[bonded])) == 2
+        return cut
+
+    monkeypatch.setattr(enm, "build_system", cut_build)
+    assert _validate_4x4(tmp_path) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL null-space-dimension: dim 2"]
+
+
+def test_validate_finds_a_negative_eigenvalue_of_A(tmp_path, capsys, monkeypatch):
+    # a spring of stiffness 1 - 3 on the first bond keeps A 1 = 0 and gives A exactly one
+    # negative eigenvalue, far below the small shift a semidefinite A would allow
+    build = enm.build_system
+
+    def negative_spring(*args, **kwargs):
+        sys = build(*args, **kwargs)
+        (j, k), a = sys.bonds[0], sys.sparse_A
+        a[j, j] -= 3.0
+        a[k, k] -= 3.0
+        a[j, k] += 3.0
+        a[k, j] += 3.0
+        assert np.count_nonzero(np.linalg.eigvalsh(a.toarray()) < -1e-12) == 1
+        return sys
+
+    monkeypatch.setattr(enm, "build_system", negative_spring)
+    assert _validate_4x4(tmp_path) == 1
+    assert "FAIL A-positive-semidefinite: min eig -3.18e+00" in capsys.readouterr().out
+
+
+def test_validate_reruns_are_identical_after_other_arpack_calls(tmp_path, capsys):
+    # eigsh without a start vector draws one from ARPACK's own seed, which persists
+    from scipy import sparse
+    from scipy.sparse.linalg import eigsh
+
+    assert _validate_4x4(tmp_path, "first") == 0
+    eigsh(sparse.diags_array(np.arange(1.0, 51.0)), k=2, sigma=0.0)
+    assert _validate_4x4(tmp_path, "second") == 0
+    first, second = ((tmp_path / name / "validation.txt").read_bytes()
+                     for name in ("first", "second"))
+    assert first == second
+
+
+def test_validate_passes_at_6x6(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 6, "n_c": 6}}))
+    assert run(["validate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.endswith("16 checks, 0 failed\n")
 
 
 @pytest.mark.parametrize("command, code", [("simulate", 0), ("heat", 2)])

@@ -250,6 +250,58 @@ def test_eigenvalues_without_bonds_are_zero():
         sys = enm.system_from_bonds(5, [])
     assert enm.eigenvalues(sys).tolist() == [0.0] * 5
     assert enm.pseudoinverse_trace(sys) == 0.0
+    assert enm.extreme_eigenvalues(sys).tolist() == [0.0] * 5
+
+
+def _two_component_graph():
+    # a bonded 4-site path and a bonded triangle, one unbonded site between them; masses differ
+    bonds = [(0, 1), (1, 2), (2, 3), (5, 6), (6, 7), (5, 7)]
+    return enm.system_from_bonds(8, bonds, kappa=[1.0, 2.5, 0.7, 1.3, 3.0, 0.4],
+                                 mass=[1.0, 2.0, 3.0, 1.5, 1.0, 4.0, 0.5, 2.0])
+
+
+EXTREME_CASES = {
+    **SPECTRUM_CASES,
+    "two-node": lambda: enm.system_from_bonds(2, [(0, 1)]),
+    "graph-two-components": _two_component_graph,
+    "sheet-5x5": lambda: enm.build_system(LatticeSpec(5, 5)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:physical subgraph is disconnected")
+@pytest.mark.parametrize("case", sorted(EXTREME_CASES))
+def test_extreme_eigenvalues_match_the_banded_solve(case):
+    sys = EXTREME_CASES[case]()
+    bonded = np.unique(sys.bonds)
+    components = len(np.unique(sys.components[bonded]))
+    k = min(components + 1, len(bonded) - 1)
+    unbonded = sys.n - len(bonded)
+    w, ends = enm.eigenvalues(sys), enm.extreme_eigenvalues(sys)
+    assert ends.shape == (unbonded + k + 1,) and np.all(np.diff(ends) >= 0)
+    assert np.abs(ends[:-1] - w[:unbonded + k]).max() <= 1e-10 * w[-1]
+    assert abs(ends[-1] - w[-1]) <= 1e-10 * w[-1]
+    # one null direction per connected component, unbonded sites included, and no more
+    # (graph-two-components: the two bonded nulls, both inside the shift-invert solve, and site 4)
+    assert len(ends) - len(enm.nonzero_eigenvalues(ends)) == len(np.unique(sys.components))
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 30, 4000])
+def test_chebyshev_coefficients_match_the_cosine_matrix(nodes):
+    samples = np.random.default_rng(nodes).standard_normal((nodes, 5))
+    theta = np.pi * (np.arange(nodes) + 0.5) / nodes
+    k = np.arange(nodes)
+
+    def reference(cosines):
+        coeffs = cosines @ samples * (2.0 / nodes)
+        coeffs[0] /= 2.0
+        return coeffs
+
+    got = enm.chebyshev_coefficients(samples)
+    by_matrix = reference(np.cos(np.outer(k, theta)))
+    # the matrix's own cos(k theta_j) loses digits as k theta_j grows; reduce the angle exactly
+    exact = reference(np.cos(np.pi * (np.outer(k, 2 * k + 1) % (4 * nodes)) / (2 * nodes)))
+    assert np.abs(got - by_matrix).max() <= 1e-12 * np.abs(by_matrix).max()
+    assert np.abs(got - exact).max() <= 1e-14 * np.abs(exact).max()
 
 
 def _evolve_per_sample(sys, x0, xdot0, times):
