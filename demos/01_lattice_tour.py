@@ -6,6 +6,8 @@ Writes out/lattice.svg with physical sites solid and padding hollow.
 
 from pathlib import Path
 
+import numpy as np
+
 from qenm.lattice import (LatticeSpec, adjacency, brute_force_adjacency,
                           decode_index, dummy_mask, neighbor, shift_vector)
 from qenm.svgplot import lattice_svg
@@ -19,9 +21,9 @@ for j in (0, 11, 77):
     print(f"  j={j:3d} -> {decode_index(j, spec)}")
 
 # neighbor slots always flip the sublattice; the unit-cell shift depends on
-# row parity and sublattice only
-print("shift table row (r0=0, s=0):",
-      [shift_vector(0, 0, l) for l in range(3)])
+# row parity and sublattice only (shift_vector and neighbor take arrays too)
+dr, dc = shift_vector(0, 0, np.arange(3))
+print("shift table row (r0=0, s=0):", list(zip(dr.tolist(), dc.tolist())))
 
 dummies = dummy_mask(spec)
 print(f"padding: {int(dummies.sum())} dummy sites out of {spec.n_total}")

@@ -16,7 +16,8 @@ sublattice bit s.  Coordinate additions wrap modulo the register sizes;
 sites in the padding region are flagged as dummies by four boundary rules,
 and a bond is valid only when neither endpoint is a dummy.  Ghost bonds
 created by the wrap-around always terminate on a dummy, so no wrap is ever
-special-cased.
+special-cased.  ``neighbor`` is the one rule combining all of this, for ints
+or int arrays alike; ``adjacency`` is a single call of it on every slot.
 
 The geometric embedding used by the brute-force test oracle places a site
 at ``x = sqrt(3) * (c - r0/2)``, ``y = 1.5 * r + s`` with bond length 1.
@@ -94,11 +95,18 @@ def encode_coord(coord: NodeCoord, spec: LatticeSpec) -> int | np.ndarray:
     return (coord.r << (spec.n_c + 1)) | (coord.c << 1) | coord.s
 
 
-def shift_vector(r0: int, s: int, l: int) -> tuple[int, int]:
-    """Unit-cell offset of neighbor slot l for a source with parity r0, sublattice s."""
-    if l not in (0, 1, 2):
-        raise ValueError(f"neighbor slot must be 0, 1 or 2, got {l}")
-    return SHIFT_TABLE[(r0, s, l)]
+def shift_vector(r0: int | np.ndarray, s: int | np.ndarray, l: int | np.ndarray) -> tuple:
+    """Unit-cell offset of slot l for a source with parity r0, sublattice s; ints or arrays.
+
+    Read from ``SHIFT_TABLE`` on every call, so an edit to the table takes effect at once.
+    """
+    l = np.asarray(l)
+    bad = (l < 0) | (l >= SPARSITY)
+    if bad.any():
+        raise ValueError(f"neighbor slot must be 0, 1 or 2, got {l[bad][0]}")
+    dr, dc = np.moveaxis(np.array([[[SHIFT_TABLE[r, t, k] for k in range(SPARSITY)]
+                                    for t in (0, 1)] for r in (0, 1)]), -1, 0)
+    return dr[r0, s, l], dc[r0, s, l]
 
 
 def is_dummy(coord: NodeCoord, spec: LatticeSpec) -> bool | np.ndarray:
@@ -115,14 +123,12 @@ def is_dummy(coord: NodeCoord, spec: LatticeSpec) -> bool | np.ndarray:
     return c1 | c2 | c3 | c4
 
 
-def neighbor(j: int, l: int, spec: LatticeSpec) -> tuple[int, bool]:
-    """Neighbor index in slot l and whether the bond is physical."""
+def neighbor(j: int | np.ndarray, l: int | np.ndarray, spec: LatticeSpec) -> tuple:
+    """Site in slot l of j and whether the bond is physical; ints or arrays that broadcast."""
     src = decode_index(j, spec)
     dr, dc = shift_vector(src.r & 1, src.s, l)
     dst = NodeCoord((src.r + dr) % spec.rows, (src.c + dc) % spec.cols, src.s ^ 1)
-    k = encode_coord(dst, spec)
-    valid = not (is_dummy(src, spec) or is_dummy(dst, spec))
-    return k, valid
+    return encode_coord(dst, spec), ~(is_dummy(src, spec) | is_dummy(dst, spec))
 
 
 @dataclass
@@ -147,16 +153,8 @@ class Adjacency:
 
 
 def adjacency(spec: LatticeSpec) -> Adjacency:
-    """Shift-table adjacency over the full padded lattice."""
-    n = spec.n_total
-    neighbors = np.empty((n, SPARSITY), dtype=np.int64)
-    valid = np.zeros((n, SPARSITY), dtype=bool)
-    for j in range(n):
-        for l in range(SPARSITY):
-            k, ok = neighbor(j, l, spec)
-            neighbors[j, l] = k
-            valid[j, l] = ok
-    return Adjacency(neighbors, valid)
+    """Shift-table adjacency over the full padded lattice, one ``neighbor`` call."""
+    return Adjacency(*neighbor(np.arange(spec.n_total)[:, None], np.arange(SPARSITY), spec))
 
 
 def dummy_mask(spec: LatticeSpec) -> np.ndarray:

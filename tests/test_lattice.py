@@ -65,6 +65,16 @@ def test_shift_vector_invalid_slot():
         shift_vector(0, 0, 3)
 
 
+@pytest.mark.parametrize("bad", [3, -1])
+def test_slot_array_out_of_range_raises(bad):
+    # unchecked, numpy indexing would wrap -1 round to slot 2
+    slots = np.array([0, 1, bad, 2])
+    with pytest.raises(ValueError, match=f"neighbor slot must be 0, 1 or 2, got {bad}"):
+        shift_vector(np.zeros(4, dtype=int), np.ones(4, dtype=int), slots)
+    with pytest.raises(ValueError, match=f"neighbor slot must be 0, 1 or 2, got {bad}"):
+        neighbor(np.arange(8)[:, None], slots, LatticeSpec(2, 1))
+
+
 def test_neighbor_slot0_same_cell():
     spec = LatticeSpec(3, 3)
     j = encode_coord(NodeCoord(2, 1, 0), spec)
@@ -81,7 +91,17 @@ def test_neighbor_dummy_source_invalid():
         assert not valid
 
 
-@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("n_r, n_c", [(n_r, n_c) for n_r in range(2, 6) for n_c in range(1, 6)])
+def test_neighbor_array_equals_scalar(n_r, n_c):
+    spec = LatticeSpec(n_r, n_c)
+    k, valid = neighbor(np.arange(spec.n_total)[:, None], np.arange(3), spec)
+    assert k.shape == valid.shape == (spec.n_total, 3) and valid.dtype == bool
+    scalar = [neighbor(j, l, spec) for j in range(spec.n_total) for l in range(3)]
+    assert scalar == list(zip(k.ravel().tolist(), valid.ravel().tolist()))
+
+
+@pytest.mark.parametrize("spec", SPECS + [LatticeSpec(5, 5), LatticeSpec(6, 6),
+                                          LatticeSpec(6, 7)])
 def test_adjacency_matches_geometric_oracle(spec):
     assert adjacency(spec).bond_set() == brute_force_adjacency(spec)
 
