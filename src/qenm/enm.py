@@ -18,14 +18,26 @@ validated against these trajectories.
 
 The null space of A is known without a solve: one sqrt(m) vector per
 connected component of the bond graph, each unbonded site being its own
-component.  So the projector P onto range(A) is y - V0 (V0^T y), and
-A^+ v is conjugate gradients on range(A).
+component.  So the projector P onto range(A) is y - V0 (V0^T y).  Dropping
+the lowest site of every component leaves the grounded A, which is positive
+definite; its inverse, padded with zeros, is a generalized inverse X of A,
+so A^+ = P X P.  The grounded A is banded, in node order or in
+breadth-first level order, and one block-tridiagonal factorization of it
+(``SystemMatrices._grounded``, numpy only) gives A^+ v, Tr(A^+) and
+lambda_min^+ exactly in O(N w^2) time and O(N w) memory.  Where that
+memory would pass FACTOR_ENTRIES (8x8 sheets), A^+ v is conjugate
+gradients on range(A), and Tr(A^+) and cond(B) refuse.
 
-Each eigenvalue question has one solver.  ``eigenvalues``, a banded solve
-of the whole spectrum, gives cond(B) and Tr(A^+) and is the reference for
-the tests; ``extreme_eigenvalues``, two shift-invert Lanczos solves for the
-spectrum's ends, gives the semidefiniteness and null-space checks of
-``qenm validate``.
+Each eigenvalue question has one solver.  ``condition_number_B`` and
+``pseudoinverse_trace`` read that factorization: Tr(A^+) from the diagonal
+blocks of X, and the ends of the spectrum from two short Lanczos runs, one
+on A^+ and one on (sigma - A)^-1, which bisection finishes on long narrow
+sheets.  ``extreme_eigenvalues``, two
+shift-invert ARPACK solves for the spectrum's ends, gives the
+semidefiniteness and null-space checks of ``qenm validate``; it is
+independent of the factorization, so the tests compare the two.
+``eigenvalues``, a banded solve of the whole spectrum, is the tests'
+reference for both.
 
 The weighted incidence matrix B has one column per bonded pair (j, k),
 j < k, ordered lexicographically, with entries +sqrt(kappa_jk/m_j) on row
@@ -47,7 +59,11 @@ from .lattice import LatticeSpec, adjacency, dummy_mask
 
 RANK_RTOL = 1e-9  # eigenvalue/singular-value threshold relative to the largest
 CHEB_EPS = 1e-15  # bound on the truncated tail of each classical Chebyshev series
+RITZ_RTOL = 1e-13  # Lanczos stop: residual norm of the largest Ritz pair relative to its value
 CG_RTOL = 1e-14   # conjugate-gradient stop: residual norm relative to the right-hand side
+FACTOR_ENTRIES = 1 << 23  # most entries per array of a block factorization (64 MB of float64)
+BLOCK_SITES = 32  # narrowest block of a factorization: below it Python calls cost more than BLAS
+LANCZOS_STEPS = 64  # most Lanczos steps for lambda_max before bisection takes over
 SHIFT_RTOL = 1e-6  # how far each shift of ``extreme_eigenvalues`` lies outside the Gershgorin
                    # interval, relative to the interval's upper end
 
@@ -119,6 +135,136 @@ class SystemMatrices:
     @cached_property
     def _spectral(self):
         return np.linalg.eigh(self.A)
+
+    @cached_property
+    def _grounded(self) -> tuple[np.ndarray, _BlockTridiagonal | None]:
+        """The sites of the grounded A, in ``_narrow_order``, and its ``_factor``.
+
+        The grounded A keeps every site but the lowest of each component, so
+        it drops one site per bonded component and every unbonded site.
+        """
+        keep = np.ones(self.n, dtype=bool)
+        keep[np.unique(self.components, return_index=True)[1]] = False
+        sites = np.flatnonzero(keep)
+        m = self.sparse_A[sites][:, sites]
+        order = _narrow_order(m)
+        return sites[order], _factor(m[order][:, order])
+
+
+def _bandwidth(m: sparse.csr_array | sparse.coo_array) -> int:
+    coo = m.tocoo()
+    return int(np.abs(coo.row - coo.col).max(initial=0))
+
+
+def _narrow_order(m: sparse.csr_array) -> np.ndarray:
+    """An order of ``m``'s sites: node order, or breadth-first level order
+    where that has the smaller bandwidth.
+
+    Levels grow from the lowest site of each connected piece, and a bond
+    joins sites of one level or of two adjacent ones, so the bandwidth is
+    below two levels' width.  A sheet's levels run across its shorter side:
+    the grounded 5x5 sheet has bandwidth 46 in level order and 63 in node
+    order, 7x7 190 and 255, 2x9 6 and 1023.  One long bond stays narrow.
+    """
+    n = m.shape[0]
+    width = _bandwidth(m)
+    if width <= BLOCK_SITES:        # no order makes the blocks narrower
+        return np.arange(n)
+    seen = np.zeros(n, dtype=bool)
+    levels, frontier, count = [], np.empty(0, dtype=np.intp), 0
+    while count < n:
+        if len(frontier) == 0:      # the next connected piece, from its lowest site
+            frontier = np.array([np.argmin(seen)])
+            seen[frontier] = True
+        levels.append(frontier)
+        count += len(frontier)
+        counts = m.indptr[frontier + 1] - m.indptr[frontier]
+        reach = m.indices[np.repeat(m.indptr[frontier + 1] - np.cumsum(counts), counts)
+                          + np.arange(counts.sum())]
+        frontier = np.unique(reach[~seen[reach]])
+        seen[frontier] = True
+    order = np.concatenate(levels)
+    return order if _bandwidth(m[order][:, order]) < width else np.arange(n)
+
+
+def _factor(m: sparse.csr_array) -> _BlockTridiagonal | None:
+    """``m``'s block factorization, or None when each of its arrays would hold
+    more than FACTOR_ENTRIES entries (the block width w is known before any
+    is allocated).  w is the bandwidth, but at least BLOCK_SITES.  In
+    ``_narrow_order`` a sheet's arrays fit through 7x7 (6.1e6 entries); at
+    8x8 each would hold about eight times that.
+    """
+    coo = m.tocoo()
+    w = max(_bandwidth(coo), BLOCK_SITES)
+    if -(-m.shape[0] // w) * w * w > FACTOR_ENTRIES:
+        return None
+    return _BlockTridiagonal(coo, w)
+
+
+def _fitted(factor: _BlockTridiagonal | None) -> _BlockTridiagonal:
+    """``factor``, for the exact Tr(A^+) and cond(B), which have no fallback."""
+    if factor is None:
+        raise ValueError(f"the block factorization of A would hold more than {FACTOR_ENTRIES} "
+                         f"entries per array")
+    return factor
+
+
+class _BlockTridiagonal:
+    """Block LDL^T factorization of a positive definite matrix of bandwidth at most w.
+
+    Cut into blocks of w consecutive sites, the matrix is block tridiagonal:
+    D_i on the diagonal and E_i = M[block i + 1, block i] below it.  The
+    Schur complements S_0 = D_0, S_i = D_i - E_{i-1} S_{i-1}^-1 E_{i-1}^T give
+    M = L diag(S_i) L^T, L_{i+1,i} = E_i S_i^-1.  ``inv`` holds the S_i^-1 and
+    ``low`` the E_i S_i^-1 (zero for the last block, which has no next one),
+    each (blocks, w, w): O(N w) memory and O(N w^2) time.  The last block is
+    padded with a unit diagonal that couples to nothing.
+    """
+
+    def __init__(self, coo: sparse.coo_array, w: int):
+        n = coo.shape[0]
+        r, c = coo.row, coo.col
+        blocks = -(-n // w)
+        inv = np.zeros((blocks, w, w))
+        low = np.zeros((blocks, w, w))
+        same = r // w == c // w
+        inv[r[same] // w, r[same] % w, c[same] % w] = coo.data[same]
+        below = r // w == c // w + 1
+        low[c[below] // w, r[below] % w, c[below] % w] = coo.data[below]
+        pad = np.arange(n, blocks * w)
+        inv[pad // w, pad % w, pad % w] = 1.0
+        for i in range(blocks):
+            if i:
+                factor = low[i - 1] @ inv[i - 1]
+                inv[i] -= factor @ low[i - 1].T
+                low[i - 1] = factor
+            inv[i] = np.linalg.inv(inv[i])
+        self.n, self.inv, self.low = n, inv, low
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """M^-1 b for an (n,) vector or (n, k) block by block forward and back substitution."""
+        blocks, w, _ = self.inv.shape
+        x = np.zeros(((blocks + 1) * w, *b.shape[1:]))       # a zero block past the last
+        x[:self.n] = b
+        x = x.reshape(blocks + 1, w, *b.shape[1:])
+        for i in range(1, blocks):
+            x[i] -= self.low[i - 1] @ x[i - 1]
+        for i in reversed(range(blocks)):
+            x[i] = self.inv[i] @ x[i] - self.low[i].T @ x[i + 1]
+        return x.reshape((blocks + 1) * w, *b.shape[1:])[:self.n]
+
+    def inverse_trace(self) -> float:
+        """Tr M^-1 from the diagonal blocks G_i of M^-1.
+
+        G_last = S_last^-1 and G_i = S_i^-1 + L_{i+1,i}^T G_{i+1} L_{i+1,i}.
+        """
+        blocks, w, _ = self.inv.shape
+        diagonal = np.empty((blocks, w))
+        g = np.zeros((w, w))
+        for i in reversed(range(blocks)):
+            g = self.inv[i] + self.low[i].T @ g @ self.low[i]
+            diagonal[i] = g.diagonal()
+        return float(diagonal.reshape(-1)[:self.n].sum())
 
 
 def _dense(m: sparse.csr_array) -> np.ndarray:
@@ -236,11 +382,12 @@ def project_range(sys: SystemMatrices, y: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues(sys: SystemMatrices) -> np.ndarray:
-    """Eigenvalues of A, ascending, without eigenvectors.
+    """Eigenvalues of A, ascending, without eigenvectors; the tests' reference.
 
     A is banded in the node order (a sheet's bonds span at most 2 cols + 1
     indices), so one eigenvalues-only banded solve over the sites that have
     a bond gives the spectrum; every site without a bond adds an exact zero.
+    The solve costs O(N^2 w), so no command calls it.
     """
     from scipy.linalg import eig_banded     # kept off the `import qenm.cli` path
 
@@ -255,6 +402,14 @@ def eigenvalues(sys: SystemMatrices) -> np.ndarray:
     band[width] = A.diagonal()[sites]
     band[width + j - k, k] = A[sys.bonds[:, 0], sys.bonds[:, 1]]
     return np.sort(np.concatenate([zeros, eig_banded(band, eigvals_only=True)]))
+
+
+def _bonded_block(sys: SystemMatrices, sites: np.ndarray):
+    """A over the bonded ``sites`` and the ends [lo, hi] of its Gershgorin interval."""
+    A = sys.sparse_A[sites][:, sites]
+    diag = A.diagonal()
+    radius = abs(A).sum(axis=1) - np.abs(diag)
+    return A, float((diag - radius).min()), float((diag + radius).max())
 
 
 def extreme_eigenvalues(sys: SystemMatrices) -> np.ndarray:
@@ -277,10 +432,7 @@ def extreme_eigenvalues(sys: SystemMatrices) -> np.ndarray:
     zeros = np.zeros(sys.n - len(sites))
     if len(sites) == 0:
         return zeros
-    A = sys.sparse_A[sites][:, sites]
-    diag = A.diagonal()
-    radius = abs(A).sum(axis=1) - np.abs(diag)
-    lo, hi = float((diag - radius).min()), float((diag + radius).max())
+    A, lo, hi = _bonded_block(sys, sites)
     margin = SHIFT_RTOL * hi
     k = min(len(np.unique(sys.components[sites])) + 1, len(sites) - 1)
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, len(sites))
@@ -585,32 +737,125 @@ def b_factor(msd_time_average: float) -> float:
     return 8.0 * np.pi**2 * msd_time_average
 
 
+def _largest_ritz_value(apply, start: np.ndarray, steps: int) -> tuple[float, bool]:
+    """Largest eigenvalue of the positive semidefinite operator ``apply`` by Lanczos.
+
+    Every new Krylov vector is orthogonalized twice against all earlier ones
+    (full reorthogonalization), so the basis stays orthonormal and no Ritz
+    value repeats.  The run stops when the residual |beta_k s_k| of the
+    largest Ritz pair is ``RITZ_RTOL`` of its value, which then lies within
+    that of an eigenvalue, or after ``steps`` steps.  It returns the largest
+    Ritz value, never above the largest eigenvalue, and whether it converged:
+    by that residual, or because ``len(start)`` steps span the whole space,
+    where the Ritz values are exact.
+    """
+    basis = [start / np.linalg.norm(start)]
+    alpha, beta = [], []
+    while True:
+        w = apply(basis[-1])
+        alpha.append(float(basis[-1] @ w))
+        q = np.array(basis)
+        w -= q.T @ (q @ w)
+        w -= q.T @ (q @ w)
+        b = float(np.linalg.norm(w))
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        converged = len(alpha) == len(start) or b * abs(s[-1, -1]) <= RITZ_RTOL * theta[-1]
+        if converged or len(alpha) == steps:
+            return float(theta[-1]), converged
+        beta.append(b)
+        basis.append(w / b)
+
+
 def pseudoinverse_trace(sys: SystemMatrices) -> float:
-    """Tr(A^+) = sum of reciprocals of the nonzero eigenvalues."""
-    return float(np.sum(1.0 / nonzero_eigenvalues(eigenvalues(sys))))
+    """Tr(A^+) = Tr(P X P) = Tr X - sum_c v_c^T X v_c.
+
+    X is the zero-padded inverse of the grounded A and v_c the unit null
+    vector of component c; only bonded components have v_c on the grounded
+    sites, and one block solve gives all their X v_c.
+    """
+    sites, factor = sys._grounded
+    factor = _fitted(factor)
+    bonded, labels = np.unique(sys.components[sites], return_inverse=True)
+    v = np.zeros((len(sites), len(bonded)))
+    v[np.arange(len(sites)), labels] = _null_vectors(sys)[sites]
+    return factor.inverse_trace() - float(np.sum(v * factor.solve(v)))
+
+
+def _largest_eigenvalue(sys: SystemMatrices) -> float:
+    """lambda_max of A, from Lanczos on (sigma - A)^-1 and, if need be, bisection.
+
+    A is taken over the bonded sites and sigma lies just above its
+    Gershgorin interval, as in ``extreme_eigenvalues``.  On a sheet about as
+    wide as it is long, lambda_max lies close to sigma, so theta, the largest
+    eigenvalue of (sigma - A)^-1, stands far above the rest and Lanczos
+    gives lambda_max = sigma - 1 / theta in 14-20 steps.  On a long narrow
+    sheet (2x7, 8x2, 10x1) lambda_max lies well below sigma and the top of
+    the spectrum is crowded, so Lanczos would need hundreds of steps (over
+    900 at 10x1, 60 s); after LANCZOS_STEPS it stops, and bisection between
+    its Ritz value, a lower bound, and sigma finds the least mu for which
+    mu - A is positive definite, one factorization per halving.
+    """
+    sites = np.unique(sys.bonds)
+    A, _, hi = _bonded_block(sys, sites)
+    order = _narrow_order(A)
+    A = A[order][:, order]
+    sigma = hi + SHIFT_RTOL * hi
+    eye = sparse.eye_array(len(sites))
+    shifted = _fitted(_factor(sigma * eye - A))
+    theta, converged = _largest_ritz_value(
+        shifted.solve, np.random.default_rng(0).uniform(-1.0, 1.0, len(sites)), LANCZOS_STEPS)
+    if converged:
+        return sigma - 1.0 / theta
+    lower, upper = sigma - 1.0 / theta, sigma
+    while upper - lower > RITZ_RTOL * upper:
+        mid = 0.5 * (lower + upper)
+        try:    # mid - A is positive definite exactly when every Schur complement is
+            np.linalg.cholesky(_factor(mid * eye - A).inv)
+            upper = mid
+        except np.linalg.LinAlgError:
+            lower = mid
+    return 0.5 * (lower + upper)
 
 
 def condition_number_B(sys: SystemMatrices) -> float:
     """sigma_max / smallest nonzero sigma of the incidence matrix.
 
     B B^T = A, so the singular values of B are the square roots of A's
-    eigenvalues and cond(B) = sqrt(lambda_max / smallest nonzero lambda).
+    eigenvalues and cond(B) = sqrt(lambda_max / lambda_min^+).  Both ends
+    come from Lanczos (``_largest_ritz_value``) with a seeded random start
+    vector, which has a component along every eigenvector, so reruns are
+    identical: lambda_max from ``_largest_eigenvalue``, whose factorization
+    is freed before the grounded one is built, and 1 / lambda_min^+ as the
+    largest eigenvalue of A^+ (``pinv_apply``) on range(A).
     """
-    w = nonzero_eigenvalues(eigenvalues(sys))
-    return float(np.sqrt(w[-1] / w[0]))
+    if len(sys.bonds) == 0:
+        raise ValueError("A has no nonzero eigenvalue, so B has no condition number")
+    lambda_max = _largest_eigenvalue(sys)
+    sites, factor = sys._grounded
+    _fitted(factor)
+    start = project_range(sys, np.random.default_rng(0).uniform(-1.0, 1.0, sys.n))
+    inv_min = _largest_ritz_value(lambda v: pinv_apply(sys, v), start, len(sites))[0]
+    return math.sqrt(lambda_max * inv_min)
 
 
 def pinv_apply(sys: SystemMatrices, vec: np.ndarray) -> np.ndarray:
-    """A^+ vec by conjugate gradients on range(A).
+    """A^+ vec = P X P vec, X the zero-padded inverse of the grounded A.
 
-    b = P vec lies in range(A), where A is positive definite, so CG from 0
-    stays there (up to roundoff, projected off at the end) and converges to
-    A^+ vec.  Each step costs one sparse matvec; the iteration stops once the
-    residual is CG_RTOL of |b|.
+    One block forward and back substitution with the cached factorization
+    of the grounded A, between two projections onto range(A).  Where that
+    factorization would not fit in FACTOR_ENTRIES (8x8 sheets) it is
+    conjugate gradients on range(A) instead: b = P vec lies in range(A),
+    where A is positive definite, so CG from 0 stays there (up to roundoff,
+    projected off at the end) and converges to A^+ vec.  Each step costs one
+    sparse matvec; the iteration stops once the residual is CG_RTOL of |b|.
     """
-    A = sys.sparse_A
+    sites, factor = sys._grounded
     b = project_range(sys, np.asarray(vec, dtype=float))
     x = np.zeros_like(b)
+    if factor is not None:
+        x[sites] = factor.solve(b[sites])
+        return project_range(sys, x)
+    A = sys.sparse_A
     r = b.copy()
     p = b.copy()
     rr = float(r @ r)

@@ -273,11 +273,12 @@ def test_scaling_sizes_must_not_be_empty(tmp_path, capsys):
 
 def test_scaling_refuses_sheets_past_the_banded_solve_cap(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"sizes": [[3, 2], [6, 6]]}))
+    cfg.write_text(json.dumps({"sizes": [[3, 2], [8, 8]]}))
     assert run(["scaling", "trace", "--config", str(cfg),
                 "--out-dir", str(tmp_path / "o")]) == 2
-    assert ("config error: lattice 6x6 has 8192 sites; the exact banded eigenvalue solve is "
-            "capped at 4096") in capsys.readouterr().err
+    assert ("config error: lattice 8x8 has 131072 sites; the exact block-tridiagonal solve is "
+            "capped at 32768 sites and 8388608 entries per factor array"
+            ) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["cond", "trace"])
@@ -285,7 +286,7 @@ def test_scaling_refuses_sheets_past_the_banded_solve_cap(tmp_path, capsys):
     ("1x1,2x1", "lattice 1x1 has no physical site to scale"),
     ("3x2,1x1", "lattice 1x1 has no physical site to scale"),
     ("3x2,1x2,6x6", "lattice 1x2 has no physical site to scale"),
-    ("3x2,6x6,1x1", "lattice 6x6 has 8192 sites"),
+    ("3x2,8x8,1x1", "lattice 8x8 has 131072 sites"),
 ])
 def test_scaling_checks_every_size_before_the_first_solve(tmp_path, capsys, monkeypatch,
                                                           kind, sizes, message):
@@ -452,6 +453,38 @@ def test_dynamics_commands_leave_scipy_linalg_unloaded(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
+def test_scaling_leaves_scipy_linalg_unloaded(tmp_path):
+    # the block-tridiagonal factor and Lanczos need only numpy and scipy.sparse
+    env = {**os.environ, "PYTHONPATH": str(Path(qenm.__file__).resolve().parents[1])}
+    code = ("import sys\nfrom qenm import cli\n"
+            "for kind in ('cond', 'trace'):\n"
+            "    assert cli.main(['scaling', kind, '--sizes', '3x2,4x4', "
+            f"'--out-dir', {str(tmp_path)!r} + '/' + kind]) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m in ('scipy.linalg', 'scipy.sparse.linalg')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_scaling_reruns_are_identical_after_unseeded_draws(tmp_path, capsys):
+    # the Lanczos start vectors are seeded, so the global numpy generator cannot move them
+    for name in ("first", "second"):
+        np.random.uniform(size=3)
+        assert run(["scaling", "cond", "--sizes", "3x2,4x4",
+                    "--out-dir", str(tmp_path / name)]) == 0
+    first, second = ((tmp_path / name / "scaling_cond.csv").read_bytes()
+                     for name in ("first", "second"))
+    assert first == second
+
+
+@pytest.mark.parametrize("kind", ["cond", "trace"])
+def test_scaling_runs_past_the_dense_ceiling(tmp_path, capsys, kind):
+    assert run(["scaling", kind, "--sizes", "5x5,6x6", "--out-dir", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / f"scaling_{kind}.csv").read_text().splitlines()
+    assert rows[0] == "n_physical,value" and len(rows) == 3
+
+
 def test_commands_run_without_dense_eigensolvers(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense eigensolver called")
@@ -537,7 +570,7 @@ def test_validate_zero_projector_check_reads_the_whole_block(tmp_path, capsys, m
     ({"times": {"start": float("nan")}}, "times.start must be a finite number"),
 ])
 def test_physics_and_times_must_be_finite(tmp_path, capsys, command, config, message):
-    # NaN temperature and bad k_B used to end in a conjugate-gradients traceback (exit 1),
+    # NaN temperature and bad k_B used to end in a traceback from solving with A^+ (exit 1),
     # NaN kappa and an infinite stop in "cannot convert float NaN to integer"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lattice": {"n_r": 2, "n_c": 1}, **config}))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,9 @@ def test_eigenvalues_without_bonds_are_zero():
     assert enm.eigenvalues(sys).tolist() == [0.0] * 5
     assert enm.pseudoinverse_trace(sys) == 0.0
     assert enm.extreme_eigenvalues(sys).tolist() == [0.0] * 5
+    assert enm.pinv_apply(sys, np.arange(1.0, 6.0)).tolist() == [0.0] * 5
+    with pytest.raises(ValueError, match="no nonzero eigenvalue"):
+        enm.condition_number_B(sys)
 
 
 def _two_component_graph():
@@ -283,6 +288,41 @@ def test_extreme_eigenvalues_match_the_banded_solve(case):
     # one null direction per connected component, unbonded sites included, and no more
     # (graph-two-components: the two bonded nulls, both inside the shift-invert solve, and site 4)
     assert len(ends) - len(enm.nonzero_eigenvalues(ends)) == len(np.unique(sys.components))
+
+
+@pytest.mark.filterwarnings("ignore:physical subgraph is disconnected")
+@pytest.mark.parametrize("case", sorted(EXTREME_CASES))
+def test_factored_trace_and_condition_number_match_the_banded_solve(case):
+    sys = EXTREME_CASES[case]()
+    nz = enm.nonzero_eigenvalues(enm.eigenvalues(sys))
+    assert enm.pseudoinverse_trace(sys) == pytest.approx(np.sum(1.0 / nz), rel=1e-10)
+    assert enm.condition_number_B(sys) == pytest.approx(np.sqrt(nz[-1] / nz[0]), rel=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore:physical subgraph is disconnected")
+@pytest.mark.parametrize("case", sorted(EXTREME_CASES))
+def test_condition_number_by_bisection_matches_the_banded_solve(case, monkeypatch):
+    # two Lanczos steps converge only where A has at most two bonded sites
+    monkeypatch.setattr(enm, "LANCZOS_STEPS", 2)
+    sys = EXTREME_CASES[case]()
+    nz = enm.nonzero_eigenvalues(enm.eigenvalues(sys))
+    assert enm.condition_number_B(sys) == pytest.approx(np.sqrt(nz[-1] / nz[0]), rel=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(2, 6), (8, 1)])
+def test_condition_number_of_long_narrow_sheets_matches_the_banded_solve(shape):
+    # the top of the spectrum is crowded: Lanczos for lambda_max stops after LANCZOS_STEPS
+    # (it would need 74 steps at 2x6 and over 150 at 8x1) and bisection finishes it
+    sys = enm.build_system(LatticeSpec(*shape))
+    nz = enm.nonzero_eigenvalues(enm.eigenvalues(sys))
+    assert enm.condition_number_B(sys) == pytest.approx(np.sqrt(nz[-1] / nz[0]), rel=1e-10)
+    assert enm.pseudoinverse_trace(sys) == pytest.approx(np.sum(1.0 / nz), rel=1e-10)
+
+
+def test_condition_number_matches_shift_invert_ends_at_6x6():
+    sys = enm.build_system(LatticeSpec(6, 6))
+    nz = enm.nonzero_eigenvalues(enm.extreme_eigenvalues(sys))
+    assert enm.condition_number_B(sys) == pytest.approx(np.sqrt(nz[-1] / nz[0]), rel=1e-10)
 
 
 @pytest.mark.parametrize("nodes", [1, 2, 30, 4000])
@@ -523,6 +563,42 @@ def test_range_projection_and_pinv_match_eigh_on_sheets(ladder_sheet):
 @pytest.mark.parametrize("case", sorted(GRAPHS))
 def test_range_projection_and_pinv_match_eigh_on_graphs(case):
     _assert_range_ops_match_eigh(GRAPHS[case](), 42)
+
+
+@pytest.mark.filterwarnings("ignore:physical subgraph is disconnected")
+@pytest.mark.parametrize("case", sorted(EXTREME_CASES))
+def test_range_projection_and_pinv_match_eigh_on_spectrum_cases(case):
+    _assert_range_ops_match_eigh(EXTREME_CASES[case](), 43)
+
+
+@pytest.mark.filterwarnings("ignore:physical subgraph is disconnected")
+@pytest.mark.parametrize("case", sorted(EXTREME_CASES))
+def test_pinv_past_the_factor_bound_is_conjugate_gradients(case, monkeypatch):
+    monkeypatch.setattr(enm, "FACTOR_ENTRIES", 0)
+    sys = EXTREME_CASES[case]()
+    _assert_range_ops_match_eigh(sys, 44)
+    # the exact Tr(A^+) and cond(B) have no such fallback and refuse
+    for exact in (enm.pseudoinverse_trace, enm.condition_number_B):
+        with pytest.raises(ValueError, match="block factorization of A would hold more than 0"):
+            exact(sys)
+
+
+def test_pinv_with_one_long_bond_stays_within_memory():
+    # in node order the bond (1, 2999) makes the grounded A one dense block of 2998^2
+    # entries, 72 MB per factor array; in level order its bandwidth is 2
+    n = 3000
+    sys = enm.system_from_bonds(n, [(j, j + 1) for j in range(n - 1)] + [(1, n - 1)])
+    vec = np.random.default_rng(7).normal(0.0, 1.0, n)
+    tracemalloc.start()
+    try:
+        x = enm.pinv_apply(sys, vec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    b = enm.project_range(sys, vec)
+    assert np.abs(sys.sparse_A @ x - b).max() <= 1e-10 * np.abs(b).max()
+    assert np.abs(enm.project_range(sys, x) - x).max() <= 1e-12 * np.abs(x).max()
 
 
 def test_components_label_unbonded_sites_alone():
