@@ -316,11 +316,14 @@ def dump_state_csv(state: EncodedState, path) -> None:
     n = state.n
     part, rest = np.divmod(active_slots(state.sys), n * n)
     j, k = np.divmod(rest, n)
+    # one % per axis over a row template of the kept slots, as in enm.dump_trajectory_csv
+    slots = [f"%s,{p},{jj},{kk},%.17g,%.17g\n"
+             for p, jj, kk in zip(part.tolist(), j.tolist(), k.tolist())]
     with open(path, "w") as fh:
         fh.write("axis,part,j,k,re,im\n")
         for a, row in enumerate(state.amps):
             keep = np.flatnonzero(np.abs(row) > 1e-12)
-            fh.writelines(
-                f"{a},{p},{jj},{kk},{amp.real:.17g},{amp.imag:.17g}\n"
-                for p, jj, kk, amp in zip(part[keep].tolist(), j[keep].tolist(),
-                                          k[keep].tolist(), row[keep].tolist()))
+            vals = [a] * (3 * keep.size)
+            vals[1::3] = row[keep].real.tolist()
+            vals[2::3] = row[keep].imag.tolist()
+            fh.write("".join([slots[i] for i in keep.tolist()]) % tuple(vals))

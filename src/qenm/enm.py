@@ -880,13 +880,17 @@ def conserved_F(sys: SystemMatrices, y: np.ndarray, ydot: np.ndarray) -> float:
 
 
 def dump_trajectory_csv(traj: Trajectory, path) -> None:
-    # Python floats format faster than numpy scalars; one write per (t, axis) block.
-    # Convert one sample at a time: the whole trajectory as Python floats would
-    # take about 32 bytes per value
+    # One % per sample over a row template whose node and axis columns are fixed
+    # text; '%.17g' % x and f'{x:.17g}' share CPython's float formatter, so the
+    # bytes are those of a per-row f-string.  Convert one sample at a time: the
+    # whole trajectory as Python floats would take about 32 bytes per value
+    n = traj.x.shape[2]
+    template = "".join(f"%s,{j},{axis.replace('%', '%%')},%.17g,%.17g\n"
+                       for axis in traj.axes for j in range(n))
     with open(path, "w") as fh:
         fh.write("t,node,axis,x,xdot\n")
         for ti, t in enumerate(traj.times.tolist()):
-            for axis, x, v in zip(traj.axes, traj.x[ti].tolist(), traj.xdot[ti].tolist()):
-                head, tail = f"{t:.17g},", f",{axis},"
-                fh.write("".join([f"{head}{j}{tail}{xj:.17g},{vj:.17g}\n"
-                                  for j, (xj, vj) in enumerate(zip(x, v))]))
+            vals = [f"{t:.17g}"] * (3 * traj.x[ti].size)
+            vals[1::3] = traj.x[ti].ravel().tolist()
+            vals[2::3] = traj.xdot[ti].ravel().tolist()
+            fh.write(template % tuple(vals))

@@ -90,6 +90,19 @@ def test_heat_command(tmp_path):
     ET.parse(tmp_path / "o" / "heat_regions.svg")
 
 
+def test_heat_search_follows_the_moving_front(tmp_path):
+    # on 4x4 at seed 0 the hottest region moves 0 -> 1 -> 2 over these probes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"heat_lattice": {"n_r": 4, "n_c": 4}, "regions": 8,
+                               "probe_times": [0, 4.5, 15, 20, 40]}))
+    assert run(["heat", "--config", str(cfg), "--seed", "0",
+                "--out-dir", str(tmp_path / "o")]) == 0
+    rows = [r.split(",") for r in
+            (tmp_path / "o" / "heat_search.csv").read_text().splitlines()[1:]]
+    assert [r[1] for r in rows] == ["0", "0", "1", "1", "2"]
+    assert all(r[4] == "1" for r in rows)
+
+
 def test_ripple_command(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lattice": {"n_r": 2, "n_c": 1},

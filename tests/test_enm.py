@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -450,6 +451,61 @@ def test_trajectory_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,node,axis,x,xdot"
     assert len(lines) == 1 + 2 * 2
+    assert path.read_bytes() == _reference_trajectory_csv(traj)
+
+
+def _reference_trajectory_csv(traj):
+    # one f-string per row: the bytes the writer must reproduce
+    rows = ["t,node,axis,x,xdot\n"]
+    for ti, t in enumerate(traj.times.tolist()):
+        for a, axis in enumerate(traj.axes):
+            for j in range(traj.x.shape[2]):
+                xj, vj = float(traj.x[ti, a, j]), float(traj.xdot[ti, a, j])
+                rows.append(f"{t:.17g},{j},{axis},{xj:.17g},{vj:.17g}\n")
+    return "".join(rows).encode()
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.7, 1.3, 2.9], [0.5]], ids=["grid", "one-sample"])
+def test_trajectory_csv_bytes_three_axes(tmp_path, sheet, times):
+    rng = np.random.default_rng(4)
+    assert sheet.n >= 12                      # node column of more than one digit
+    traj = enm.evolve_classical(sheet, rng.normal(0.0, 1.0, (3, sheet.n)),
+                                rng.normal(0.0, 1.0, (3, sheet.n)), times)
+    path = tmp_path / "traj.csv"
+    enm.dump_trajectory_csv(traj, path)
+    assert path.read_bytes() == _reference_trajectory_csv(traj)
+    assert len(path.read_text().splitlines()) == 1 + len(times) * 3 * sheet.n
+
+
+def test_trajectory_csv_bytes_of_edge_floats(tmp_path):
+    edge = [-0.0, 5e-324, 1e-7, 0.1, 1e16, 1e17, 1.7976931348623157e308, float("nan"),
+            float("inf")]
+    values = np.array(edge + [-v for v in edge[1:]])          # 17 sites
+    x = np.stack([values, values[::-1]])[None]                # (1, 2, 17)
+    times = np.array([-0.0, 1e-7, 0.1, 1e17])
+    # an axis name with % in it must reach the file as written
+    traj = enm.Trajectory(times, np.repeat(x, 4, 0), np.repeat(-x, 4, 0), ("x", "y%"),
+                          sys=None)                          # the writer reads no system
+    path = tmp_path / "traj.csv"
+    enm.dump_trajectory_csv(traj, path)
+    data = path.read_bytes()
+    assert data == _reference_trajectory_csv(traj)
+    assert b"\n-0,0,x,-0,0\n" in data and b",4.9406564584124654e-324," in data
+
+
+def test_trajectory_csv_formats_one_sample_at_a_time():
+    # samples of the 5x5 sheet, 2 axes x 2048 sites: formatting one costs about 1 MB at
+    # peak, while all 64 converted to Python floats up front would take about 17 MB
+    rng = np.random.default_rng(5)
+    x = rng.normal(0.0, 1.0, (64, 2, 2048))
+    traj = enm.Trajectory(np.linspace(0.0, 10.0, 64), x, -x, ("x", "y"), sys=None)
+    tracemalloc.start()
+    try:
+        enm.dump_trajectory_csv(traj, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 LADDER = ((2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4), (5, 4), (5, 5))
