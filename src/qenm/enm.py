@@ -1,8 +1,12 @@
 """Classical coupled-oscillator reference dynamics and observables.
 
 The system is N point masses joined by harmonic springs, stored as its bond
-list (``SystemMatrices``): the matrices below are CSR matrices built from it,
-and dense forms exist only for the tests and the ``spectral`` reference.
+list (``SystemMatrices``).  Every matrix below is a ``BondOperator`` built
+from it: the (row, col, value) triples of its nonzeros, applied by
+gathering each row's entries, its diagonal and at most ``lattice.SPARSITY``
+bonds on a sheet.  So no command needs scipy; the CSR forms are views for
+``qenm validate`` and the tests, and the dense forms exist only for the
+tests and the ``spectral`` reference.
 Newton's equation M x'' = -F x, with F the weighted graph Laplacian, becomes
 y'' = -A y in the mass-weighted coordinates y = sqrt(M) x, with
 A = sqrt(M)^-1 F sqrt(M)^-1 positive semidefinite.  Its solution
@@ -10,7 +14,7 @@ A = sqrt(M)^-1 F sqrt(M)^-1 positive semidefinite.  Its solution
     y(t) = cos(t sqrt(A)) y(0) + sin(t sqrt(A))/sqrt(A) ydot(0)
 
 applies entire functions of A, so ``evolve_classical`` evaluates them as a
-Chebyshev series in the sparse matrix and needs no eigenvectors; zero modes
+Chebyshev series in the bond operator and needs no eigenvectors; zero modes
 (cos -> 1, sin(t w)/w -> t) need no branch.  ``spectral`` and
 ``evolve_spectral`` (one eigenmode at a time) are the dense references the
 tests compare it with.  Everything downstream, quantum included, is
@@ -22,8 +26,8 @@ component.  So the projector P onto range(A) is y - V0 (V0^T y).  Dropping
 the lowest site of every component leaves the grounded A, which is positive
 definite; its inverse, padded with zeros, is a generalized inverse X of A,
 so A^+ = P X P.  The grounded A is banded, in node order or in
-breadth-first level order, and one block-tridiagonal factorization of it
-(``SystemMatrices._grounded``, numpy only) gives A^+ v, Tr(A^+) and
+breadth-first level order, and one block-tridiagonal factorization of its
+renumbered triples (``SystemMatrices._grounded``) gives A^+ v, Tr(A^+) and
 lambda_min^+ exactly in O(N w^2) time and O(N w) memory.  Where that
 memory would pass FACTOR_ENTRIES (8x8 sheets), A^+ v is conjugate
 gradients on range(A), and Tr(A^+) and cond(B) refuse.
@@ -53,7 +57,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .lattice import LatticeSpec, adjacency, dummy_mask
 
@@ -68,14 +71,73 @@ SHIFT_RTOL = 1e-6  # how far each shift of ``extreme_eigenvalues`` lies outside 
                    # interval, relative to the interval's upper end
 
 
+class BondOperator:
+    """The matrix with ``vals`` at (``rows``, ``cols``), each position once, applied by gathers.
+
+    A row of A holds its diagonal and one entry per bond of its site, a row
+    of B one per bond, a row of B^T two: at most w = SPARSITY + 1 on a sheet.
+    So the triples are kept, for the factorization and the views, and on
+    the first product also as two (w, rows) tables: ``index[l, i]``, the
+    column of row i's l-th entry in ascending column order, and
+    ``weight[l, i]`` its value, 0 in the empty slots of shorter rows.
+    ``op @ x``, for a (cols,) vector or (cols, k) block, real or complex, is
+    one gather of every slot, one product with the weights, and a sum that
+    starts every row at 0 and adds its entries in column order, so it
+    rounds as a CSR product does.
+    """
+
+    dtype = np.dtype(float)
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                 shape: tuple[int, int]):
+        self.rows, self.cols, self.vals, self.shape = rows, cols, vals, shape
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        order = np.lexsort((self.cols, self.rows))
+        rows = self.rows[order]
+        counts = np.bincount(rows, minlength=self.shape[0])
+        slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        index = np.zeros((counts.max(initial=0), self.shape[0]), dtype=np.intp)
+        weight = np.zeros(index.shape)
+        index[slot, rows] = self.cols[order]
+        weight[slot, rows] = self.vals[order]
+        return index, weight
+
+    @property
+    def T(self) -> BondOperator:
+        return BondOperator(self.cols, self.rows, self.vals, self.shape[::-1])
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x)
+        x = x.astype(np.result_type(x.dtype, self.dtype), copy=False)
+        index, weight = self._tables
+        terms = np.take(x, index, axis=0, mode="clip")      # (w, rows, ...); every index is valid
+        terms *= weight.reshape(weight.shape + (1,) * (x.ndim - 1))
+        return terms.sum(axis=0, initial=0.0)               # slot by slot, from 0
+
+    def diagonal(self) -> np.ndarray:
+        out = np.zeros(min(self.shape))
+        on = self.rows == self.cols
+        out[self.rows[on]] = self.vals[on]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+
 @dataclass
 class SystemMatrices:
     """N masses joined by P springs, stored as the bond list alone.
 
     Every matrix is built from these arrays on first access and cached: the
-    CSR ``sparse_F``, ``sparse_A`` and ``sparse_B`` that the program uses,
-    and the read-only dense ``kappa``, ``F``, ``A`` and ``B`` that only
-    tests, demos and the ``spectral`` reference read.
+    ``BondOperator`` forms ``op_F``, ``op_A``, ``op_L`` = M^-1 F and ``op_B``
+    that the program uses; the CSR ``sparse_F``, ``sparse_A`` and
+    ``sparse_B`` that ``qenm validate`` and the tests read, which import
+    scipy; and the read-only dense ``kappa``, ``F``, ``A`` and ``B`` that
+    only tests, demos and the ``spectral`` reference read.
     """
 
     masses: np.ndarray          # (N,)
@@ -93,44 +155,52 @@ class SystemMatrices:
     def pairs(self) -> list[tuple[int, int]]:
         return [tuple(p) for p in self.bonds.tolist()]
 
-    def _symmetric(self, off: np.ndarray, diag: np.ndarray) -> sparse.csr_array:
-        """CSR matrix with off[c] at (j, k) and (k, j) for bond c, diag on the diagonal."""
+    def _symmetric(self, off: np.ndarray, diag: np.ndarray) -> BondOperator:
+        """off[c] at (j, k) for each bond c, then at (k, j), then diag on the diagonal."""
         j, k = self.bonds.T
         sites = np.arange(self.n)
-        return sparse.csr_array(
-            (np.concatenate([off, off, diag]),
-             (np.concatenate([j, k, sites]), np.concatenate([k, j, sites]))),
-            shape=(self.n, self.n))
+        return BondOperator(np.concatenate([j, k, sites]), np.concatenate([k, j, sites]),
+                            np.concatenate([off, off, diag]), (self.n, self.n))
 
     @cached_property
-    def sparse_F(self) -> sparse.csr_array:
+    def op_F(self) -> BondOperator:
         j, k = self.bonds.T
         return self._symmetric(-self.coupling, np.bincount(j, self.coupling, self.n)
                                + np.bincount(k, self.coupling, self.n))
 
     @cached_property
-    def sparse_A(self) -> sparse.csr_array:
+    def op_A(self) -> BondOperator:
         j, k = self.bonds.T
         inv_sqrt_m = 1.0 / np.sqrt(self.masses)
         return self._symmetric(-self.coupling * inv_sqrt_m[j] * inv_sqrt_m[k],
-                               self.sparse_F.diagonal() / self.masses)
+                               self.op_F.diagonal() / self.masses)
 
     @cached_property
-    def sparse_B(self) -> sparse.csr_array:
+    def op_L(self) -> BondOperator:
+        """M^-1 F = sqrt(M)^-1 A sqrt(M), similar to A: -kappa_jk / m_j off the diagonal."""
+        a = self.op_A
+        sqrt_m = np.sqrt(self.masses)
+        return BondOperator(a.rows, a.cols, a.vals * (1.0 / sqrt_m)[a.rows] * sqrt_m[a.cols],
+                            a.shape)
+
+    @cached_property
+    def op_B(self) -> BondOperator:
         j, k = self.bonds.T
         cols = np.arange(len(j))
         root_kappa = np.sqrt(self.coupling)
         inv_sqrt_m = 1.0 / np.sqrt(self.masses)
-        return sparse.csr_array(
-            (np.concatenate([root_kappa * inv_sqrt_m[j], -root_kappa * inv_sqrt_m[k]]),
-             (np.concatenate([j, k]), np.concatenate([cols, cols]))),
-            shape=(self.n, len(j)))
+        return BondOperator(np.concatenate([j, k]), np.concatenate([cols, cols]),
+                            np.concatenate([root_kappa * inv_sqrt_m[j],
+                                            -root_kappa * inv_sqrt_m[k]]), (self.n, len(j)))
 
+    sparse_F = cached_property(lambda self: _csr(self.op_F))
+    sparse_A = cached_property(lambda self: _csr(self.op_A))
+    sparse_B = cached_property(lambda self: _csr(self.op_B))
     kappa = cached_property(lambda self: _dense(self._symmetric(self.coupling,
                                                                 np.zeros(self.n))))
-    F = cached_property(lambda self: _dense(self.sparse_F))
-    A = cached_property(lambda self: _dense(self.sparse_A))
-    B = cached_property(lambda self: _dense(self.sparse_B))
+    F = cached_property(lambda self: _dense(self.op_F))
+    A = cached_property(lambda self: _dense(self.op_A))
+    B = cached_property(lambda self: _dense(self.op_B))
 
     @cached_property
     def _spectral(self):
@@ -146,17 +216,32 @@ class SystemMatrices:
         keep = np.ones(self.n, dtype=bool)
         keep[np.unique(self.components, return_index=True)[1]] = False
         sites = np.flatnonzero(keep)
-        m = self.sparse_A[sites][:, sites]
+        m = _restricted(self.op_A, sites)
         order = _narrow_order(m)
-        return sites[order], _factor(m[order][:, order])
+        return sites[order], _factor(_reordered(m, order))
 
 
-def _bandwidth(m: sparse.csr_array | sparse.coo_array) -> int:
-    coo = m.tocoo()
-    return int(np.abs(coo.row - coo.col).max(initial=0))
+def _restricted(m: BondOperator, sites: np.ndarray) -> BondOperator:
+    """The square ``m`` over the ascending ``sites`` alone, renumbered 0, 1, ..."""
+    rank = np.full(m.shape[0], -1)
+    rank[sites] = np.arange(len(sites))
+    rows, cols = rank[m.rows], rank[m.cols]
+    keep = (rows >= 0) & (cols >= 0)
+    return BondOperator(rows[keep], cols[keep], m.vals[keep], (len(sites), len(sites)))
 
 
-def _narrow_order(m: sparse.csr_array) -> np.ndarray:
+def _reordered(m: BondOperator, order: np.ndarray) -> BondOperator:
+    """The square ``m`` with its old site order[i] as site i."""
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return BondOperator(rank[m.rows], rank[m.cols], m.vals, m.shape)
+
+
+def _bandwidth(m: BondOperator) -> int:
+    return int(np.abs(m.rows - m.cols).max(initial=0))
+
+
+def _narrow_order(m: BondOperator) -> np.ndarray:
     """An order of ``m``'s sites: node order, or breadth-first level order
     where that has the smaller bandwidth.
 
@@ -170,6 +255,8 @@ def _narrow_order(m: sparse.csr_array) -> np.ndarray:
     width = _bandwidth(m)
     if width <= BLOCK_SITES:        # no order makes the blocks narrower
         return np.arange(n)
+    indices = m.cols[np.argsort(m.rows, kind="stable")]     # row i's columns, then row i + 1's
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(m.rows, minlength=n))])
     seen = np.zeros(n, dtype=bool)
     levels, frontier, count = [], np.empty(0, dtype=np.intp), 0
     while count < n:
@@ -178,27 +265,26 @@ def _narrow_order(m: sparse.csr_array) -> np.ndarray:
             seen[frontier] = True
         levels.append(frontier)
         count += len(frontier)
-        counts = m.indptr[frontier + 1] - m.indptr[frontier]
-        reach = m.indices[np.repeat(m.indptr[frontier + 1] - np.cumsum(counts), counts)
-                          + np.arange(counts.sum())]
+        counts = indptr[frontier + 1] - indptr[frontier]
+        reach = indices[np.repeat(indptr[frontier + 1] - np.cumsum(counts), counts)
+                        + np.arange(counts.sum())]
         frontier = np.unique(reach[~seen[reach]])
         seen[frontier] = True
     order = np.concatenate(levels)
-    return order if _bandwidth(m[order][:, order]) < width else np.arange(n)
+    return order if _bandwidth(_reordered(m, order)) < width else np.arange(n)
 
 
-def _factor(m: sparse.csr_array) -> _BlockTridiagonal | None:
+def _factor(m: BondOperator) -> _BlockTridiagonal | None:
     """``m``'s block factorization, or None when each of its arrays would hold
     more than FACTOR_ENTRIES entries (the block width w is known before any
     is allocated).  w is the bandwidth, but at least BLOCK_SITES.  In
     ``_narrow_order`` a sheet's arrays fit through 7x7 (6.1e6 entries); at
     8x8 each would hold about eight times that.
     """
-    coo = m.tocoo()
-    w = max(_bandwidth(coo), BLOCK_SITES)
+    w = max(_bandwidth(m), BLOCK_SITES)
     if -(-m.shape[0] // w) * w * w > FACTOR_ENTRIES:
         return None
-    return _BlockTridiagonal(coo, w)
+    return _BlockTridiagonal(m, w)
 
 
 def _fitted(factor: _BlockTridiagonal | None) -> _BlockTridiagonal:
@@ -221,16 +307,16 @@ class _BlockTridiagonal:
     padded with a unit diagonal that couples to nothing.
     """
 
-    def __init__(self, coo: sparse.coo_array, w: int):
-        n = coo.shape[0]
-        r, c = coo.row, coo.col
+    def __init__(self, m: BondOperator, w: int):
+        n = m.shape[0]
+        r, c = m.rows, m.cols
         blocks = -(-n // w)
         inv = np.zeros((blocks, w, w))
         low = np.zeros((blocks, w, w))
         same = r // w == c // w
-        inv[r[same] // w, r[same] % w, c[same] % w] = coo.data[same]
+        inv[r[same] // w, r[same] % w, c[same] % w] = m.vals[same]
         below = r // w == c // w + 1
-        low[c[below] // w, r[below] % w, c[below] % w] = coo.data[below]
+        low[c[below] // w, r[below] % w, c[below] % w] = m.vals[below]
         pad = np.arange(n, blocks * w)
         inv[pad // w, pad % w, pad % w] = 1.0
         for i in range(blocks):
@@ -267,10 +353,15 @@ class _BlockTridiagonal:
         return float(diagonal.reshape(-1)[:self.n].sum())
 
 
-def _dense(m: sparse.csr_array) -> np.ndarray:
+def _dense(m: BondOperator) -> np.ndarray:
     out = m.toarray()
     out.flags.writeable = False
     return out
+
+
+def _csr(m: BondOperator):
+    from scipy import sparse        # only validate and the tests read the CSR views
+    return sparse.csr_array((m.vals, (m.rows, m.cols)), shape=m.shape)
 
 
 def _system(masses, bonds, coupling, physical, spec=None) -> SystemMatrices:
@@ -398,18 +489,17 @@ def eigenvalues(sys: SystemMatrices) -> np.ndarray:
     j, k = np.searchsorted(sites, sys.bonds).T      # bond ends, renumbered
     width = int((k - j).max())
     band = np.zeros((width + 1, len(sites)))        # upper: band[width + j - k, k] = A[j, k]
-    A = sys.sparse_A
+    A = sys.op_A        # its first P values are those of the bonds (j, k)
     band[width] = A.diagonal()[sites]
-    band[width + j - k, k] = A[sys.bonds[:, 0], sys.bonds[:, 1]]
+    band[width + j - k, k] = A.vals[:len(sys.bonds)]
     return np.sort(np.concatenate([zeros, eig_banded(band, eigvals_only=True)]))
 
 
-def _bonded_block(sys: SystemMatrices, sites: np.ndarray):
-    """A over the bonded ``sites`` and the ends [lo, hi] of its Gershgorin interval."""
-    A = sys.sparse_A[sites][:, sites]
-    diag = A.diagonal()
-    radius = abs(A).sum(axis=1) - np.abs(diag)
-    return A, float((diag - radius).min()), float((diag + radius).max())
+def _gershgorin(m: BondOperator) -> tuple[float, float]:
+    """The ends [lo, hi] of the square ``m``'s Gershgorin interval."""
+    diag = m.diagonal()
+    radius = np.bincount(m.rows, np.abs(m.vals), m.shape[0]) - np.abs(diag)
+    return float((diag - radius).min()), float((diag + radius).max())
 
 
 def extreme_eigenvalues(sys: SystemMatrices) -> np.ndarray:
@@ -432,7 +522,9 @@ def extreme_eigenvalues(sys: SystemMatrices) -> np.ndarray:
     zeros = np.zeros(sys.n - len(sites))
     if len(sites) == 0:
         return zeros
-    A, lo, hi = _bonded_block(sys, sites)
+    A = sys.sparse_A[sites][:, sites]       # the CSR view validate's factorization checks read
+    coo = A.tocoo()
+    lo, hi = _gershgorin(BondOperator(coo.row, coo.col, coo.data, A.shape))
     margin = SHIFT_RTOL * hi
     k = min(len(np.unique(sys.components[sites])) + 1, len(sites) - 1)
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, len(sites))
@@ -569,11 +661,12 @@ def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
     the three functions, sampled at the K + 1 Chebyshev nodes for every time,
     gives all coefficients (``chebyshev_coefficients``, an FFT, so a long
     window needs no (K + 1)^2 matrix); ``chebyshev_basis`` of the (N, 2D)
-    block of initial conditions, K sparse products, gives T_k(S) x0,
-    T_k(S) xdot0; and two GEMMs per axis write every position and velocity
-    sample into the trajectory.  The basis takes 16 D (K + 1) N bytes: K is
-    29 for max|t| sqrt(lambda_bar) = 24.5 (``validate``, 2 MB at 5x5) and 496
-    for 707 (``ripple``'s 1000 ps window in physical units, 4 MB at 4x4).
+    block of initial conditions, K products with the ``BondOperator`` S,
+    gives T_k(S) x0, T_k(S) xdot0; and two GEMMs per axis write every
+    position and velocity sample into the trajectory.  The basis takes
+    16 D (K + 1) N bytes: K is 29 for max|t| sqrt(lambda_bar) = 24.5
+    (``validate``, 2 MB at 5x5) and 496 for 707 (``ripple``'s 1000 ps
+    window in physical units, 4 MB at 4x4).
     The cosine is transformed as cos - 1 with the 1 put on T_0, and working
     in x rather than y = sqrt(M) x keeps T_0 the identity, so x(0) = x0 and
     xdot(0) = xdot0 exactly.
@@ -595,9 +688,8 @@ def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
     # x(t) = [basis of x0, basis of xdot0]^T [c_cos; c_sin], xdot(t) likewise
     mixing = np.block([[c_cos, c_dsin], [c_sin, c_cos]])
 
-    L = sparse.diags_array(1.0 / np.sqrt(sys.masses)) @ sys.sparse_A @ sparse.diags_array(
-        np.sqrt(sys.masses))
-    S = (2.0 / lam_bar) * L - sparse.eye_array(n)
+    L = sys.op_L
+    S = BondOperator(L.rows, L.cols, (2.0 / lam_bar) * L.vals - (L.rows == L.cols), L.shape)
     # (K + 1, N, 2D); column 2a: of x0[a], column 2a + 1: of xdot0[a]
     basis = chebyshev_basis(S, np.stack([x0, xdot0], axis=1).reshape(2 * d, n).T, nodes - 1)
 
@@ -653,10 +745,10 @@ def velocity_verlet(sys: SystemMatrices, x0, xdot0, dt: float, steps: int) -> Tr
     vs = np.empty((steps + 1, d, sys.n))
     xs[0], vs[0] = x0, xdot0
     inv_m = 1.0 / sys.masses
-    acc = -(xs[0] @ sys.sparse_F) * inv_m       # x F = (F x)^T, F symmetric
+    acc = -(sys.op_F @ xs[0].T).T * inv_m
     for i in range(steps):
         xs[i + 1] = xs[i] + dt * vs[i] + 0.5 * dt * dt * acc
-        acc_new = -(xs[i + 1] @ sys.sparse_F) * inv_m
+        acc_new = -(sys.op_F @ xs[i + 1].T).T * inv_m
         vs[i + 1] = vs[i] + 0.5 * dt * (acc + acc_new)
         acc = acc_new
     return Trajectory(times, xs, vs, ("x", "y", "z")[:d], sys)
@@ -781,6 +873,11 @@ def pseudoinverse_trace(sys: SystemMatrices) -> float:
     return factor.inverse_trace() - float(np.sum(v * factor.solve(v)))
 
 
+def _shifted(m: BondOperator, mu: float) -> BondOperator:
+    """mu - m, for a square ``m`` that has every diagonal entry."""
+    return BondOperator(m.rows, m.cols, mu * (m.rows == m.cols) - m.vals, m.shape)
+
+
 def _largest_eigenvalue(sys: SystemMatrices) -> float:
     """lambda_max of A, from Lanczos on (sigma - A)^-1 and, if need be, bisection.
 
@@ -795,22 +892,20 @@ def _largest_eigenvalue(sys: SystemMatrices) -> float:
     its Ritz value, a lower bound, and sigma finds the least mu for which
     mu - A is positive definite, one factorization per halving.
     """
-    sites = np.unique(sys.bonds)
-    A, _, hi = _bonded_block(sys, sites)
-    order = _narrow_order(A)
-    A = A[order][:, order]
+    A = _restricted(sys.op_A, np.unique(sys.bonds))
+    hi = _gershgorin(A)[1]
+    A = _reordered(A, _narrow_order(A))
     sigma = hi + SHIFT_RTOL * hi
-    eye = sparse.eye_array(len(sites))
-    shifted = _fitted(_factor(sigma * eye - A))
+    shifted = _fitted(_factor(_shifted(A, sigma)))
     theta, converged = _largest_ritz_value(
-        shifted.solve, np.random.default_rng(0).uniform(-1.0, 1.0, len(sites)), LANCZOS_STEPS)
+        shifted.solve, np.random.default_rng(0).uniform(-1.0, 1.0, A.shape[0]), LANCZOS_STEPS)
     if converged:
         return sigma - 1.0 / theta
     lower, upper = sigma - 1.0 / theta, sigma
     while upper - lower > RITZ_RTOL * upper:
         mid = 0.5 * (lower + upper)
         try:    # mid - A is positive definite exactly when every Schur complement is
-            np.linalg.cholesky(_factor(mid * eye - A).inv)
+            np.linalg.cholesky(_factor(_shifted(A, mid)).inv)
             upper = mid
         except np.linalg.LinAlgError:
             lower = mid
@@ -847,7 +942,7 @@ def pinv_apply(sys: SystemMatrices, vec: np.ndarray) -> np.ndarray:
     conjugate gradients on range(A) instead: b = P vec lies in range(A),
     where A is positive definite, so CG from 0 stays there (up to roundoff,
     projected off at the end) and converges to A^+ vec.  Each step costs one
-    sparse matvec; the iteration stops once the residual is CG_RTOL of |b|.
+    product with ``op_A``; the iteration stops once the residual is CG_RTOL of |b|.
     """
     sites, factor = sys._grounded
     b = project_range(sys, np.asarray(vec, dtype=float))
@@ -855,7 +950,7 @@ def pinv_apply(sys: SystemMatrices, vec: np.ndarray) -> np.ndarray:
     if factor is not None:
         x[sites] = factor.solve(b[sites])
         return project_range(sys, x)
-    A = sys.sparse_A
+    A = sys.op_A
     r = b.copy()
     p = b.copy()
     rr = float(r @ r)

@@ -142,11 +142,12 @@ class Adjacency:
     neighbors: np.ndarray
     valid: np.ndarray
 
-    def bond_set(self) -> set[tuple[int, int]]:
-        """Unordered physical bonds as (min, max) pairs."""
+    def bond_set(self) -> np.ndarray:
+        """Physical bonds as (min, max) rows, each once, lexsorted: a (P, 2) int array."""
         j, l = np.nonzero(self.valid)
         k = self.neighbors[j, l]
-        return set(zip(np.minimum(j, k).tolist(), np.maximum(j, k).tolist()))
+        n = len(self.neighbors)
+        return np.stack(np.divmod(np.unique(np.minimum(j, k) * n + np.maximum(j, k)), n), axis=1)
 
     def degrees(self) -> np.ndarray:
         return self.valid.sum(axis=1)
@@ -168,8 +169,8 @@ def node_positions(spec: LatticeSpec) -> np.ndarray:
     return np.stack([np.sqrt(3.0) * (co.c - 0.5 * (co.r & 1)), 1.5 * co.r + co.s], axis=1)
 
 
-def brute_force_adjacency(spec: LatticeSpec) -> set[tuple[int, int]]:
-    """Geometric bond set, as (min, max) pairs, independent of the shift table.
+def brute_force_adjacency(spec: LatticeSpec) -> np.ndarray:
+    """Geometric bonds as lexsorted (min, max) rows, independent of the shift table.
 
     Physical sites are embedded in the plane and every pair at unit
     distance is bonded.  The tests and ``qenm validate``'s
@@ -183,7 +184,7 @@ def brute_force_adjacency(spec: LatticeSpec) -> set[tuple[int, int]]:
     # pairs (a, b) with a < b index the ascending phys, so each bond is (min, max)
     pairs = phys[cKDTree(node_positions(spec)[phys]).query_pairs(r=1.0 + 1e-6,
                                                                  output_type="ndarray")]
-    return set(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 def lattice_rows(spec: LatticeSpec) -> list[dict]:

@@ -39,7 +39,7 @@ Circuit block encodings (uniform mass and coupling):
 ``incidence_block`` and ``hamiltonian_block`` extract whole blocks: every
 requested column is one basis input of a single ``circuits.postselect``
 batch that keeps the outputs with every ancilla at |0>, and the block comes
-back as a sparse matrix with one column per input and its rows in the flat
+back as a CSR matrix with one column per input and its rows in the flat
 ``part N^2 + j N + k`` index of ``encoding.active_slots`` (``j N + k`` for
 the incidence block).  The velocity loaders postselect the same way.
 """
@@ -47,15 +47,18 @@ the incidence block).  The velocity loaders postselect the same way.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .boltzmann import BucketKey
 from .circuits import (Circuit, Gate, Register, basis_keys, controlled_gates, inverted_gates,
                        key_values, permute_keys, postselect)
 from .lattice import (SHIFT_TABLE, SPARSITY, Adjacency, LatticeSpec, NodeCoord, adjacency,
                       decode_index, encode_coord)
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 def _twos(value: int, width: int) -> int:
@@ -203,14 +206,14 @@ def connectivity_oracle(spec: LatticeSpec) -> Circuit:
     return circ
 
 
-def oracle_mismatches(circ: Circuit, spec: LatticeSpec) -> tuple[int, int, set[tuple[int, int]]]:
+def oracle_mismatches(circ: Circuit, spec: LatticeSpec) -> tuple[int, int, np.ndarray]:
     """Run a built S_a on every (j, slot) basis input and check it against ``lattice.adjacency``.
 
     All 3N inputs go through ``permute_keys`` as one batch.  An output
     matches when its whole key equals the expected one: the source, the
     neighbor, f = 1 exactly for ghost bonds and 0 in every other register
-    (slot, scratch).  Returns (inputs, mismatching outputs, bonds (min, max)
-    read off the f = 0 outputs).
+    (slot, scratch).  Returns (inputs, mismatching outputs, the bonds read
+    off the f = 0 outputs as ``Adjacency.bond_set`` gives them).
     """
     adj = adjacency(spec)
     j = np.repeat(np.arange(spec.n_total), SPARSITY)
@@ -459,6 +462,7 @@ def _block(circ: Circuit, spec: LatticeSpec, inputs: dict) -> sparse.csr_array:
     """Run every input as one batch and project all qubits outside the node
     registers and the part qubit p, where the circuit has one, onto |0>: one
     column per input, row (p, j, k) flattened as p N^2 + j N + k."""
+    from scipy import sparse        # only the block-encoding checks extract blocks
     kept = ("r", "c", "s", "rp", "cp", "sp", "p")
     cols, out, amps = postselect(circ, inputs, {name: 0 for name in circ.registers
                                                 if name not in kept})

@@ -244,13 +244,16 @@ def test_initial_nodes_must_be_sites_of_the_lattice(tmp_path, capsys, node):
     assert "config error: initial.nodes entries must be non-padding sites in [0, 16)" in err
 
 
+# the scipy modules loaded so far, printed as the last line of a child's output
+SCIPY_LOADED = ("print(sorted(m for m in sys.modules\n"
+                "             if m == 'scipy' or m.startswith('scipy.')))")
+
+
 def test_cli_import_skips_heavy_scipy_modules():
-    # scipy.stats/integrate/spatial cost most of the import time and scipy.linalg,
-    # scipy.sparse.linalg, scipy.special and scipy.fft add more; none is needed to start
+    # any scipy module loads scipy._lib._util, whose array-API shim loads numpy.f2py,
+    # numpy.testing, numpy.ma and numpy.random: about half of the import; none is needed
     env = {**os.environ, "PYTHONPATH": str(Path(qenm.__file__).resolve().parents[1])}
-    code = ("import sys, qenm.cli; print(sorted(m for m in sys.modules if m in "
-            "('scipy.stats', 'scipy.integrate', 'scipy.spatial', 'scipy.linalg', "
-            "'scipy.sparse.linalg', 'scipy.special', 'scipy.fft')))")
+    code = "import sys, qenm.cli\n" + SCIPY_LOADED
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
@@ -453,31 +456,41 @@ def _dynamics_config(tmp_path):
 
 
 def test_dynamics_commands_leave_scipy_linalg_unloaded(tmp_path):
-    # the classical series, the null space and A^+ need only numpy and scipy.sparse
+    # the bond operators, the null space, A^+ and the Bessel values need only numpy
     env = {**os.environ, "PYTHONPATH": str(Path(qenm.__file__).resolve().parents[1])}
     code = ("import sys\nfrom qenm import cli\n"
-            "for command in ('simulate', 'ripple', 'heat'):\n"
+            "for command in ('lattice', 'simulate', 'ripple', 'heat'):\n"
             f"    assert cli.main([command, '--config', {_dynamics_config(tmp_path)!r}, "
-            f"'--out-dir', {str(tmp_path)!r} + '/' + command]) == 0\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m in ('scipy.linalg', 'scipy.sparse.linalg')))")
+            f"'--out-dir', {str(tmp_path)!r} + '/' + command]) == 0\n" + SCIPY_LOADED)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_scaling_leaves_scipy_linalg_unloaded(tmp_path):
-    # the block-tridiagonal factor and Lanczos need only numpy and scipy.sparse
+    # the block-tridiagonal factor of the bond list's triples and Lanczos need only numpy
     env = {**os.environ, "PYTHONPATH": str(Path(qenm.__file__).resolve().parents[1])}
     code = ("import sys\nfrom qenm import cli\n"
             "for kind in ('cond', 'trace'):\n"
             "    assert cli.main(['scaling', kind, '--sizes', '3x2,4x4', "
-            f"'--out-dir', {str(tmp_path)!r} + '/' + kind]) == 0\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m in ('scipy.linalg', 'scipy.sparse.linalg')))")
+            f"'--out-dir', {str(tmp_path)!r} + '/' + kind]) == 0\n" + SCIPY_LOADED)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_validate_imports_scipy_itself_and_passes(tmp_path):
+    # validate is the one command that reads the CSR views, eigsh and cKDTree; it loads scipy
+    # on its first call, in a process that started without it
+    env = {**os.environ, "PYTHONPATH": str(Path(qenm.__file__).resolve().parents[1])}
+    code = ("import sys\nfrom qenm import cli\n"
+            "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
+            f"sys.exit(cli.main(['validate', '--out-dir', {str(tmp_path)!r}]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.splitlines()[-1] == "16 checks, 0 failed"
+    assert (tmp_path / "validation.txt").read_text().endswith("16 checks, 0 failed\n")
 
 
 def test_scaling_reruns_are_identical_after_unseeded_draws(tmp_path, capsys):

@@ -197,6 +197,51 @@ def test_series_degree_bounds_the_jacobi_anger_tail():
     assert encoding.series_degree(-7.3) == encoding.series_degree(7.3)
 
 
+BESSEL_TAUS = [0.0, 1e-3, -1e-3, 2.45, 14.7, -23.3, 24.5, 707.0, 4000.0]
+
+
+@pytest.mark.parametrize("tau", BESSEL_TAUS)
+def test_bessel_j_matches_scipy(tau):
+    degree = encoding.series_degree(abs(tau))
+    got = encoding.bessel_j(degree, np.array([tau]))
+    assert got.shape == (degree + 1, 1)
+    err = np.abs(got[:, 0] - jv(np.arange(degree + 1), tau)).max()
+    assert err <= (1e-15 if abs(tau) <= 25.0 else 1e-13)
+
+
+def test_bessel_j_on_one_grid_at_the_largest_degree():
+    # evolve_exact takes every sample's values to the degree of the longest time, and a time
+    # below 2^-30 (there J_k = (tau/2)^k / k!) must neither overflow nor divide by zero
+    taus = np.array([*BESSEL_TAUS, -1e-200, 1e-12, 5e-9])
+    degree = encoding.series_degree(4000.0)
+    got = encoding.bessel_j(degree, taus)
+    assert np.isfinite(got).all()
+    assert np.abs(got - jv(np.arange(degree + 1)[:, None], taus)).max() <= 1e-13
+    # orders far below |tau| start their recurrence past |tau|, not past the degree
+    assert np.abs(encoding.bessel_j(3, taus) - jv(np.arange(4)[:, None], taus)).max() <= 1e-13
+
+
+def test_block_H_matches_csr_bmat():
+    from scipy import sparse
+    rng = np.random.default_rng(12)
+    for n_r in range(2, 6):
+        for n_c in range(1, 6):
+            sys = enm.build_system(LatticeSpec(n_r, n_c))
+            if len(sys.bonds) == 0:
+                continue
+            B = sys.sparse_B
+            want_H = -sparse.bmat([[None, B], [B.T, None]], format="csr")
+            H = encoding.build_block_H(sys).H
+            assert H.shape == want_H.shape
+            for shape in ((H.shape[0],), (H.shape[0], 3)):
+                for x in (rng.normal(size=shape),
+                          rng.normal(size=shape) + 1j * rng.normal(size=shape)):
+                    want = want_H @ x
+                    got = H @ x
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_tensor_scatters_amps_into_padded_layout(small_sheet):
     sys = small_sheet
     x0, xdot0 = thermalish_ics(sys, seed=4, displaced=4)

@@ -536,6 +536,36 @@ GRAPHS = {"graph-unbonded-full-band": _full_band_graph, "sheet-3x3-masses": _mas
           "graph-disconnected": _disconnected_graph}
 
 
+OPERATOR_CASES = {
+    **{f"sheet-{n_r}x{n_c}": (lambda n_r=n_r, n_c=n_c: enm.build_system(LatticeSpec(n_r, n_c)))
+       for n_r in range(2, 6) for n_c in range(1, 6)},
+    **GRAPHS, "graph-no-bonds": lambda: enm.system_from_bonds(3, []),
+}
+
+
+@pytest.mark.filterwarnings("ignore:physical subgraph is disconnected")
+@pytest.mark.parametrize("case", list(OPERATOR_CASES))
+def test_bond_operators_match_csr(case):
+    # A x, M^-1 F x, B w and B^T u by gathers against the CSR views, on (N,) vectors and
+    # (N, k) blocks, real and complex
+    from scipy import sparse
+    sys = OPERATOR_CASES[case]()
+    rng = np.random.default_rng(13)
+    pairs = [(sys.op_A, sys.sparse_A), (sys.op_L, sparse.diags_array(1.0 / sys.masses)
+                                        @ sys.sparse_F),
+             (sys.op_F, sys.sparse_F), (sys.op_B, sys.sparse_B), (sys.op_B.T, sys.sparse_B.T)]
+    for op, csr in pairs:
+        assert op.shape == csr.shape
+        for shape in ((op.shape[1],), (op.shape[1], 4)):
+            for x in (rng.normal(size=shape),
+                      rng.normal(size=shape) + 1j * rng.normal(size=shape)):
+                want = csr @ x
+                got = op @ x
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(want).max(
+                    initial=0.0)
+
+
 def _assert_matches_spectral(sys, times, seed, tol):
     rng = np.random.default_rng(seed)
     x0 = rng.normal(0.0, 0.2, (2, sys.n))

@@ -134,7 +134,7 @@ def test_connectivity_oracle_exhaustive_past_twelve_address_bits():
     assert (spec.address_bits, circ.n_qubits) == (13, 35)
     states, mismatches, bonds = oracle_mismatches(circ, spec)
     assert (states, mismatches) == (24576, 0)
-    assert bonds == brute_force_adjacency(spec)
+    assert np.array_equal(bonds, brute_force_adjacency(spec))
 
 
 def test_connectivity_oracle_reversible():
