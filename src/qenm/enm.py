@@ -5,8 +5,8 @@ list (``SystemMatrices``).  Every matrix below is a ``BondOperator`` built
 from it: the (row, col, value) triples of its nonzeros, applied by
 gathering each row's entries, its diagonal and at most ``lattice.SPARSITY``
 bonds on a sheet.  So no command needs scipy; the CSR forms are views for
-``qenm validate`` and the tests, and the dense forms exist only for the
-tests and the ``spectral`` reference.
+the tests, and the dense forms exist only for the tests and the
+``spectral`` reference.
 Newton's equation M x'' = -F x, with F the weighted graph Laplacian, becomes
 y'' = -A y in the mass-weighted coordinates y = sqrt(M) x, with
 A = sqrt(M)^-1 F sqrt(M)^-1 positive semidefinite.  Its solution
@@ -32,16 +32,16 @@ lambda_min^+ exactly in O(N w^2) time and O(N w) memory.  Where that
 memory would pass FACTOR_ENTRIES (8x8 sheets), A^+ v is conjugate
 gradients on range(A), and Tr(A^+) and cond(B) refuse.
 
-Each eigenvalue question has one solver.  ``condition_number_B`` and
-``pseudoinverse_trace`` read that factorization: Tr(A^+) from the diagonal
-blocks of X, and the ends of the spectrum from two short Lanczos runs, one
-on A^+ and one on (sigma - A)^-1, which bisection finishes on long narrow
-sheets.  ``extreme_eigenvalues``, two
-shift-invert ARPACK solves for the spectrum's ends, gives the
-semidefiniteness and null-space checks of ``qenm validate``; it is
-independent of the factorization, so the tests compare the two.
-``eigenvalues``, a banded solve of the whole spectrum, is the tests'
-reference for both.
+Every eigenvalue question is answered by block factorizations of this kind.
+``pseudoinverse_trace`` reads Tr(A^+) from the diagonal blocks of X, and
+``condition_number_B`` the ends of the spectrum from two short Lanczos
+runs, one on A^+ and one on (sigma - A)^-1, factored the same way, which
+bisection finishes on long narrow sheets.  ``extreme_eigenvalues``, for
+the semidefiniteness and null-space checks of ``qenm validate``, shares
+that lambda_max and finds the smallest eigenvalues by block Lanczos on
+(A - sigma)^-1, with the shift just below the spectrum, so that it sees a
+negative eigenvalue as surely as a zero.  ``eigenvalues``, a banded solve
+of the whole spectrum, is the tests' reference for all three.
 
 The weighted incidence matrix B has one column per bonded pair (j, k),
 j < k, ordered lexicographically, with entries +sqrt(kappa_jk/m_j) on row
@@ -69,6 +69,7 @@ BLOCK_SITES = 32  # narrowest block of a factorization: below it Python calls co
 LANCZOS_STEPS = 64  # most Lanczos steps for lambda_max before bisection takes over
 SHIFT_RTOL = 1e-6  # how far each shift of ``extreme_eigenvalues`` lies outside the Gershgorin
                    # interval, relative to the interval's upper end
+ENERGY_CHUNK_BYTES = 1 << 22  # most bytes of one gather in ``total_energy``'s op_F products
 
 
 class BondOperator:
@@ -135,9 +136,9 @@ class SystemMatrices:
     Every matrix is built from these arrays on first access and cached: the
     ``BondOperator`` forms ``op_F``, ``op_A``, ``op_L`` = M^-1 F and ``op_B``
     that the program uses; the CSR ``sparse_F``, ``sparse_A`` and
-    ``sparse_B`` that ``qenm validate`` and the tests read, which import
-    scipy; and the read-only dense ``kappa``, ``F``, ``A`` and ``B`` that
-    only tests, demos and the ``spectral`` reference read.
+    ``sparse_B`` that only the tests read, which import scipy; and the
+    read-only dense ``kappa``, ``F``, ``A`` and ``B`` that only tests, demos
+    and the ``spectral`` reference read.
     """
 
     masses: np.ndarray          # (N,)
@@ -360,7 +361,7 @@ def _dense(m: BondOperator) -> np.ndarray:
 
 
 def _csr(m: BondOperator):
-    from scipy import sparse        # only validate and the tests read the CSR views
+    from scipy import sparse        # only the tests read the CSR views
     return sparse.csr_array((m.vals, (m.rows, m.cols)), shape=m.shape)
 
 
@@ -467,8 +468,14 @@ def _null_vectors(sys: SystemMatrices) -> np.ndarray:
 
 
 def project_range(sys: SystemMatrices, y: np.ndarray) -> np.ndarray:
-    """P y = y - V0 (V0^T y), the orthogonal projection of an (N,) vector onto range(A)."""
+    """P y = y - V0 (V0^T y), the orthogonal projection onto range(A) of an
+    (N,) vector or of each column of an (N, k) block."""
     v = _null_vectors(sys)
+    if np.ndim(y) == 2:     # one label per (component, column), so one bincount sums them all
+        k = y.shape[1]
+        labels = (sys.components[:, None] * k + np.arange(k)).ravel()
+        sums = np.bincount(labels, weights=(v[:, None] * y).ravel()).reshape(-1, k)
+        return y - v[:, None] * sums[sys.components]
     return y - v * np.bincount(sys.components, weights=v * y)[sys.components]
 
 
@@ -509,28 +516,69 @@ def extreme_eigenvalues(sys: SystemMatrices) -> np.ndarray:
     every site without a bond adds an exact zero, as in ``eigenvalues``.  A
     correct A has exactly c null directions on those sites, so the result
     holds the null count and lambda_min^+; an A with more nulls saturates
-    the count at c + 1.  Two ``eigsh`` calls in shift-invert mode run on the
-    bonded block, each shifted outside the Gershgorin interval [lo, hi] of
-    the assembled matrix: the small ones just below min(lo, 0), so that a
-    negative eigenvalue is found as surely as a zero, and the largest just
-    above hi.  A seeded random start vector, which has a component along
-    every eigenvector, makes every rerun identical whatever ARPACK ran before.
+    the count at c + 1.  Both ends come from block factorizations of the
+    bonded block, each shifted outside its Gershgorin interval [lo, hi]:
+    the small ones from ``_smallest_eigenvalues``, shifted just below
+    min(lo, 0), so that a negative eigenvalue is found as surely as a zero,
+    and the largest from ``_largest_eigenvalue``, shifted just above hi.
+    Seeded random starts, which have a component along every eigenvector,
+    make every rerun identical.  Like ``condition_number_B`` it refuses
+    where a factorization would pass FACTOR_ENTRIES.
     """
-    from scipy.sparse.linalg import eigsh     # kept off the `import qenm.cli` path
-
     sites = np.unique(sys.bonds)
     zeros = np.zeros(sys.n - len(sites))
     if len(sites) == 0:
         return zeros
-    A = sys.sparse_A[sites][:, sites]       # the CSR view validate's factorization checks read
-    coo = A.tocoo()
-    lo, hi = _gershgorin(BondOperator(coo.row, coo.col, coo.data, A.shape))
-    margin = SHIFT_RTOL * hi
+    A = _bonded(sys)
     k = min(len(np.unique(sys.components[sites])) + 1, len(sites) - 1)
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, len(sites))
-    small = eigsh(A, k, sigma=min(lo, 0.0) - margin, v0=v0, return_eigenvectors=False)
-    largest = eigsh(A, 1, sigma=hi + margin, v0=v0, return_eigenvectors=False)
-    return np.sort(np.concatenate([zeros, small, largest]))
+    return np.sort(np.concatenate([zeros, _smallest_eigenvalues(A, k), [_largest_eigenvalue(A)]]))
+
+
+def _bonded(sys: SystemMatrices) -> BondOperator:
+    """A over the sites that have a bond, in ``_narrow_order``."""
+    A = _restricted(sys.op_A, np.unique(sys.bonds))
+    return _reordered(A, _narrow_order(A))
+
+
+def _smallest_eigenvalues(A: BondOperator, k: int) -> np.ndarray:
+    """The k smallest eigenvalues of the symmetric ``A``, by block shift-invert Lanczos.
+
+    With sigma just below min(lo, 0) of A's Gershgorin interval [lo, hi],
+    A - sigma is positive definite and its inverse T has the eigenvalues
+    theta = 1 / (lambda - sigma): A's smallest become T's largest, standing
+    far above the rest (Ericsson and Ruhe, Math. Comp. 35, 1980).  From a
+    seeded random block of k vectors, each step solves with the newest
+    block of the basis Q and orthogonalizes the result W twice against all
+    of Q (full reorthogonalization); the first pass's coefficients Q^T W are
+    the new columns of H = Q^T T Q, and the orthonormal basis of W, k
+    vectors at most and never more than fill the space, is the next block,
+    so k equal eigenvalues are found as surely as one.  Rayleigh-Ritz on H
+    gives the Ritz pairs (theta, Q s), and as T Q lies in the span of Q and
+    W, the residual T Q s - theta Q s of each is W times the newest block's
+    rows of s.  The run stops when each of the k largest Ritz pairs has a
+    residual within RITZ_RTOL of theta_max, or when Q spans the whole
+    space and they are exact.
+    """
+    n = A.shape[0]
+    lo, hi = _gershgorin(A)
+    sigma = min(lo, 0.0) - SHIFT_RTOL * hi
+    shifted = BondOperator(A.rows, A.cols, A.vals - sigma * (A.rows == A.cols), A.shape)
+    solve = _fitted(_factor(shifted)).solve                         # (A - sigma)^-1
+    block = np.linalg.qr(np.random.default_rng(0).uniform(-1.0, 1.0, (n, k)))[0]
+    basis, h = np.empty((n, 0)), np.empty((0, 0))
+    while True:
+        w = solve(block)
+        basis = np.hstack([basis, block])
+        m, b = basis.shape[1], block.shape[1]
+        columns = basis.T @ w
+        h = np.block([[h, columns[:-b]], [columns.T]])
+        w -= basis @ columns
+        w -= basis @ (basis.T @ w)
+        theta, s = np.linalg.eigh(h)
+        theta, s = theta[-k:], s[:, -k:]
+        if m == n or np.all(np.linalg.norm(w @ s[-b:], axis=0) <= RITZ_RTOL * theta[-1]):
+            return sigma + 1.0 / theta
+        block = np.linalg.qr(w)[0][:, :n - m]
 
 
 def nonzero_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -539,6 +587,28 @@ def nonzero_eigenvalues(w: np.ndarray) -> np.ndarray:
     The cut is relative to lambda_max only, so it scales with kappa / mass.
     """
     return w[w > RANK_RTOL * w[-1]]
+
+
+def factorization_error(b: BondOperator, target: BondOperator) -> float:
+    """max |b b^T - target| over every entry that either side stores, from the triples.
+
+    Joining b's triples on their column gives one term b[i, c] b[j, c] for
+    each c that rows i and j share.  The terms of each (i, j), in ascending
+    c, then -target[i, j], are summed from 0, so every entry of b b^T
+    rounds as in a CSR product.
+    """
+    order = np.argsort(b.cols, kind="stable")
+    rows, cols, vals = b.rows[order], b.cols[order], b.vals[order]
+    # pair each entry with every entry of its column, itself included
+    size = np.bincount(cols, minlength=b.shape[1])[cols]    # entries in each one's column
+    first = np.searchsorted(cols, cols)                     # where each one's column starts
+    left = np.repeat(np.arange(len(cols)), size)
+    right = np.repeat(first - np.cumsum(size) + size, size) + np.arange(size.sum())
+    n = b.shape[0]
+    keys, slot = np.unique(np.concatenate([rows[left] * n + rows[right],
+                                           target.rows * n + target.cols]), return_inverse=True)
+    diff = np.bincount(slot, np.concatenate([vals[left] * vals[right], -target.vals]), len(keys))
+    return float(np.abs(diff).max(initial=0.0))
 
 
 @dataclass
@@ -803,8 +873,27 @@ def potential_energy_subset(traj: Trajectory, ti: int, bonds=None) -> float:
     return potential_energy(traj.sys, traj.x[ti], bonds)
 
 
-def total_energy(traj: Trajectory, ti: int) -> float:
-    return kinetic_energy_subset(traj, ti) + potential_energy_subset(traj, ti)
+def total_energy(traj: Trajectory, ti):
+    """Kinetic plus potential energy, all axes, at sample ``ti``: one index, whose
+    energy is a float, or an index array, whose energies come back as an array.
+
+    The potential is (1/2) x^T F x per axis, the bond sum of
+    ``potential_energy``.  The samples go through ``op_F`` a chunk at a
+    time, so that no product's gather holds more than about
+    ENERGY_CHUNK_BYTES, whatever the number of samples.
+    """
+    sys, samples = traj.sys, np.atleast_1d(ti)
+    _, d, n = traj.x.shape
+    F = sys.op_F
+    chunk = max(1, ENERGY_CHUNK_BYTES // (F._tables[0].nbytes * d))
+    energy = np.empty(len(samples))
+    for start in range(0, len(samples), chunk):
+        part = samples[start:start + chunk]
+        x = traj.x[part].reshape(-1, n).T                   # (N, samples * D)
+        potential = np.sum(x * (F @ x), axis=0).reshape(len(part), d).sum(axis=1)
+        kinetic = np.sum(sys.masses * traj.xdot[part] ** 2, axis=(1, 2))
+        energy[start:start + chunk] = 0.5 * (kinetic + potential)
+    return energy if np.ndim(ti) else float(energy[0])
 
 
 def msd_subset(traj: Trajectory, ti: int, nodes) -> float:
@@ -878,10 +967,11 @@ def _shifted(m: BondOperator, mu: float) -> BondOperator:
     return BondOperator(m.rows, m.cols, mu * (m.rows == m.cols) - m.vals, m.shape)
 
 
-def _largest_eigenvalue(sys: SystemMatrices) -> float:
-    """lambda_max of A, from Lanczos on (sigma - A)^-1 and, if need be, bisection.
+def _largest_eigenvalue(A: BondOperator) -> float:
+    """lambda_max of the positive semidefinite ``A``, from Lanczos on (sigma - A)^-1
+    and, if need be, bisection.
 
-    A is taken over the bonded sites and sigma lies just above its
+    ``A`` is the bonded block of ``_bonded``, and sigma lies just above its
     Gershgorin interval, as in ``extreme_eigenvalues``.  On a sheet about as
     wide as it is long, lambda_max lies close to sigma, so theta, the largest
     eigenvalue of (sigma - A)^-1, stands far above the rest and Lanczos
@@ -892,9 +982,7 @@ def _largest_eigenvalue(sys: SystemMatrices) -> float:
     its Ritz value, a lower bound, and sigma finds the least mu for which
     mu - A is positive definite, one factorization per halving.
     """
-    A = _restricted(sys.op_A, np.unique(sys.bonds))
     hi = _gershgorin(A)[1]
-    A = _reordered(A, _narrow_order(A))
     sigma = hi + SHIFT_RTOL * hi
     shifted = _fitted(_factor(_shifted(A, sigma)))
     theta, converged = _largest_ritz_value(
@@ -925,7 +1013,7 @@ def condition_number_B(sys: SystemMatrices) -> float:
     """
     if len(sys.bonds) == 0:
         raise ValueError("A has no nonzero eigenvalue, so B has no condition number")
-    lambda_max = _largest_eigenvalue(sys)
+    lambda_max = _largest_eigenvalue(_bonded(sys))
     sites, factor = sys._grounded
     _fitted(factor)
     start = project_range(sys, np.random.default_rng(0).uniform(-1.0, 1.0, sys.n))
@@ -934,18 +1022,24 @@ def condition_number_B(sys: SystemMatrices) -> float:
 
 
 def pinv_apply(sys: SystemMatrices, vec: np.ndarray) -> np.ndarray:
-    """A^+ vec = P X P vec, X the zero-padded inverse of the grounded A.
+    """A^+ vec = P X P vec, X the zero-padded inverse of the grounded A, for
+    an (N,) vector or each column of an (N, k) block.
 
     One block forward and back substitution with the cached factorization
-    of the grounded A, between two projections onto range(A).  Where that
+    of the grounded A, between two projections onto range(A); a block of
+    columns is one substitution with (w, k) blocks.  Where that
     factorization would not fit in FACTOR_ENTRIES (8x8 sheets) it is
     conjugate gradients on range(A) instead: b = P vec lies in range(A),
     where A is positive definite, so CG from 0 stays there (up to roundoff,
     projected off at the end) and converges to A^+ vec.  Each step costs one
-    product with ``op_A``; the iteration stops once the residual is CG_RTOL of |b|.
+    product with ``op_A``; the iteration stops once the residual is CG_RTOL of
+    |b|, and a block is solved one column at a time.
     """
     sites, factor = sys._grounded
-    b = project_range(sys, np.asarray(vec, dtype=float))
+    vec = np.asarray(vec, dtype=float)
+    if factor is None and vec.ndim == 2:
+        return np.stack([pinv_apply(sys, column) for column in vec.T], axis=1)
+    b = project_range(sys, vec)
     x = np.zeros_like(b)
     if factor is not None:
         x[sites] = factor.solve(b[sites])
@@ -968,10 +1062,15 @@ def pinv_apply(sys: SystemMatrices, vec: np.ndarray) -> np.ndarray:
     raise RuntimeError("conjugate gradients did not converge")
 
 
-def conserved_F(sys: SystemMatrices, y: np.ndarray, ydot: np.ndarray) -> float:
-    """F = (1/2) y^T P y + (1/2) ydot^T A^+ ydot, constant along trajectories."""
-    return (0.5 * float(y @ project_range(sys, y))
-            + 0.5 * float(ydot @ pinv_apply(sys, ydot)))
+def conserved_F(sys: SystemMatrices, y: np.ndarray, ydot: np.ndarray):
+    """F = (1/2) y^T P y + (1/2) ydot^T A^+ ydot, constant along trajectories.
+
+    ``y`` and ``ydot`` are one (N,) state, whose F is a float, or (N, k)
+    blocks of k states, whose F values come back as a (k,) array from one
+    block solve.
+    """
+    return (0.5 * np.sum(y * project_range(sys, y), axis=0)
+            + 0.5 * np.sum(ydot * pinv_apply(sys, ydot), axis=0))
 
 
 def dump_trajectory_csv(traj: Trajectory, path) -> None:

@@ -173,17 +173,33 @@ def brute_force_adjacency(spec: LatticeSpec) -> np.ndarray:
     """Geometric bonds as lexsorted (min, max) rows, independent of the shift table.
 
     Physical sites are embedded in the plane and every pair at unit
-    distance is bonded.  The tests and ``qenm validate``'s
-    shift-table-vs-geometric-adjacency check compare ``adjacency``'s
-    ``bond_set`` with it.
+    distance is bonded.  A cell list finds the pairs: binned into square
+    cells as wide as that distance, two sites that close lie in one cell or
+    in two neighbouring ones, so each site is measured against the sites of
+    its own cell and its eight neighbours alone.  The tests and ``qenm
+    validate``'s shift-table-vs-geometric-adjacency check compare
+    ``adjacency``'s ``bond_set`` with it.
     """
     if spec.n_total > 1 << 14:
         raise ValueError("geometric oracle is meant for small lattices")
-    from scipy.spatial import cKDTree   # imported here: only this oracle needs it
     phys = np.flatnonzero(~dummy_mask(spec))
-    # pairs (a, b) with a < b index the ascending phys, so each bond is (min, max)
-    pairs = phys[cKDTree(node_positions(spec)[phys]).query_pairs(r=1.0 + 1e-6,
-                                                                 output_type="ndarray")]
+    pos = node_positions(spec)[phys]
+    reach = 1.0 + 1e-6
+    # cell (x, y) of each site, numbered from 1, so that no neighbour of a cell wraps to another row
+    cell = np.floor((pos - pos.min(axis=0, initial=0.0)) / reach).astype(np.intp) + 1
+    width = int(cell[:, 0].max(initial=0)) + 2
+    key = cell[:, 1] * width + cell[:, 0]
+    offsets = (np.arange(-1, 2)[:, None] * width + np.arange(-1, 2)).ravel()    # the 3 x 3 cells
+    near = (key[:, None] + offsets).ravel()
+    # in key order, each cell's sites are one run: where each near cell's run starts, how long
+    order = np.argsort(key, kind="stable")
+    size = np.bincount(key, minlength=near.max(initial=0) + 1)
+    start, count = (np.cumsum(size) - size)[near], size[near]
+    a = np.repeat(np.arange(len(phys)).repeat(len(offsets)), count)
+    b = order[np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())]
+    a, b = a[a < b], b[a < b]       # a < b index the ascending phys, so each bond is (min, max)
+    bonded = np.hypot(*(pos[a] - pos[b]).T) <= reach
+    pairs = phys[np.stack([a[bonded], b[bonded]], axis=1)]
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 

@@ -329,12 +329,15 @@ def test_out_dir_blocked_by_a_file(tmp_path, capsys, under):
 
 
 def test_validate_factorization_checks_read_the_system_B(tmp_path, capsys, monkeypatch):
-    # one flipped sign in the CSR incidence must fail both factorization checks and nothing else
+    # one flipped sign in the incidence operator must fail both factorization checks and nothing
+    # else
     build = enm.build_system
 
     def flipped_build(*args, **kwargs):
         sys = build(*args, **kwargs)
-        sys.sparse_B.data[0] = -sys.sparse_B.data[0]
+        b = sys.op_B
+        sys.__dict__["op_B"] = enm.BondOperator(b.rows, b.cols, np.append(-b.vals[0], b.vals[1:]),
+                                                b.shape)
         return sys
 
     monkeypatch.setattr(enm, "build_system", flipped_build)
@@ -380,12 +383,12 @@ def test_validate_finds_a_negative_eigenvalue_of_A(tmp_path, capsys, monkeypatch
 
     def negative_spring(*args, **kwargs):
         sys = build(*args, **kwargs)
-        (j, k), a = sys.bonds[0], sys.sparse_A
-        a[j, j] -= 3.0
-        a[k, k] -= 3.0
-        a[j, k] += 3.0
-        a[k, j] += 3.0
-        assert np.count_nonzero(np.linalg.eigvalsh(a.toarray()) < -1e-12) == 1
+        (j, k), a = sys.bonds[0], sys.op_A
+        vals = a.vals.copy()
+        for r, c, change in ((j, j, -3.0), (k, k, -3.0), (j, k, 3.0), (k, j, 3.0)):
+            vals[(a.rows == r) & (a.cols == c)] += change
+        sys.__dict__["op_A"] = enm.BondOperator(a.rows, a.cols, vals, a.shape)
+        assert np.count_nonzero(np.linalg.eigvalsh(sys.op_A.toarray()) < -1e-12) == 1
         return sys
 
     monkeypatch.setattr(enm, "build_system", negative_spring)
@@ -479,17 +482,16 @@ def test_scaling_leaves_scipy_linalg_unloaded(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
-def test_validate_imports_scipy_itself_and_passes(tmp_path):
-    # validate is the one command that reads the CSR views, eigsh and cKDTree; it loads scipy
-    # on its first call, in a process that started without it
+def test_validate_loads_no_scipy_and_passes(tmp_path):
+    # the spectral ends, the geometric oracle and the factorization checks need only numpy
     env = {**os.environ, "PYTHONPATH": str(Path(qenm.__file__).resolve().parents[1])}
     code = ("import sys\nfrom qenm import cli\n"
-            "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
-            f"sys.exit(cli.main(['validate', '--out-dir', {str(tmp_path)!r}]))")
+            f"assert cli.main(['validate', '--out-dir', {str(tmp_path)!r}]) == 0\n"
+            + SCIPY_LOADED)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
-    assert out.stdout.splitlines()[-1] == "16 checks, 0 failed"
+    assert out.stdout.splitlines()[-2:] == ["16 checks, 0 failed", "[]"]
     assert (tmp_path / "validation.txt").read_text().endswith("16 checks, 0 failed\n")
 
 
@@ -512,11 +514,20 @@ def test_scaling_runs_past_the_dense_ceiling(tmp_path, capsys, kind):
 
 
 def test_commands_run_without_dense_eigensolvers(tmp_path, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense eigensolver called")
+    # no command eigendecomposes A, its bonded block (42 of the 3x2 sheet's 64 sites) or any
+    # matrix that large; the Lanczos runs of validate's spectral ends solve only their
+    # Rayleigh-Ritz problems, 22 x 22 at most from 3x2 to 6x6
+    bonded = len(np.unique(enm.build_system(LatticeSpec(3, 2)).bonds))
 
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    def refuse(solver):
+        def small_only(a, *args, **kwargs):
+            if np.shape(a)[-1] >= bonded:
+                raise AssertionError("dense eigensolver called")
+            return solver(a, *args, **kwargs)
+        return small_only
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse(np.linalg.eigvalsh))
     cfg = _dynamics_config(tmp_path)
     for command in ("validate", "simulate", "ripple", "heat"):
         assert run([command, "--config", cfg, "--out-dir", str(tmp_path / command)]) == 0

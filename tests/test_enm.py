@@ -115,6 +115,22 @@ def test_energy_conservation_long_run(sheet):
     assert drift / e0 <= 1e-9
 
 
+@pytest.mark.parametrize("chunk_bytes", [1, enm.ENERGY_CHUNK_BYTES], ids=["sample", "default"])
+def test_total_energy_of_many_samples_matches_the_bond_sums(chunk_bytes, monkeypatch):
+    # x^T F x over op_F products, a chunk of samples at a time, against the bond sums
+    monkeypatch.setattr(enm, "ENERGY_CHUNK_BYTES", chunk_bytes)
+    sys = _masses_sheet()
+    rng = np.random.default_rng(29)
+    x0, xdot0 = rng.normal(0.0, 0.3, (2, 3, sys.n))
+    traj = enm.evolve_classical(sys, x0, xdot0, np.linspace(0.0, 5.0, 70))
+    energy = enm.total_energy(traj, np.arange(70))
+    ref = [enm.kinetic_energy_subset(traj, ti) + enm.potential_energy_subset(traj, ti)
+           for ti in range(70)]
+    assert energy.shape == (70,) and energy == pytest.approx(ref, rel=1e-13)
+    assert isinstance(enm.total_energy(traj, 7), float)
+    assert enm.total_energy(traj, 7) == pytest.approx(ref[7], rel=1e-13)
+
+
 def test_null_space_linear_motion():
     # uniform translation: both masses drift together, no oscillation
     sys = enm.system_from_bonds(2, [(0, 1)])
@@ -429,6 +445,28 @@ def test_conserved_F_constant_along_trajectory(sheet):
     assert (max(fs) - min(fs)) / max(fs) <= 1e-8
 
 
+@pytest.mark.filterwarnings("ignore:physical subgraph is disconnected")
+@pytest.mark.parametrize("cg", [False, True], ids=["factor", "cg"])
+@pytest.mark.parametrize("case", ["graph-two-components", "graph-isolated-full-band", "sheet-4x4"])
+def test_range_operators_on_blocks_match_each_column(case, cg, monkeypatch):
+    # validate's F-conservation takes its ten states as one (N, 10) block
+    if cg:
+        monkeypatch.setattr(enm, "FACTOR_ENTRIES", 0)
+    sys = EXTREME_CASES[case]()
+    rng = np.random.default_rng(23)
+    y, ydot = rng.normal(size=(2, sys.n, 5))
+    proj = enm.project_range(sys, y)
+    assert all(np.array_equal(proj[:, i], enm.project_range(sys, y[:, i])) for i in range(5))
+    pinv = enm.pinv_apply(sys, ydot)
+    for i in range(5):
+        column = enm.pinv_apply(sys, ydot[:, i])
+        assert np.abs(pinv[:, i] - column).max() <= 1e-12 * np.abs(column).max()
+    f = enm.conserved_F(sys, y, ydot)
+    assert f.shape == (5,)
+    assert f == pytest.approx([enm.conserved_F(sys, y[:, i], ydot[:, i]) for i in range(5)],
+                              rel=1e-12)
+
+
 def test_thermal_pinv_quadratic_form_expectation(sheet):
     # E[ydot^T A+ ydot] = (k_B T / m) Tr(A+) for iid N(0, k_B T/m) components
     kbt_over_m = 0.8
@@ -564,6 +602,28 @@ def test_bond_operators_match_csr(case):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(want).max(
                     initial=0.0)
+
+
+FACTORIZATION_CASES = {**{name: build for name, build in OPERATOR_CASES.items()
+                          if name.startswith("sheet-")},
+                       "graph-two-components": _two_component_graph}
+
+
+@pytest.mark.filterwarnings("ignore:physical subgraph is disconnected")
+@pytest.mark.parametrize("case", list(FACTORIZATION_CASES))
+def test_factorization_error_matches_csr(case):
+    # validate's max |B B^T - A| and |sqrt(M) B (sqrt(M) B)^T - F| from the triples against the
+    # CSR products, for the system's B and for a perturbed B that factors neither
+    from scipy import sparse
+    sys = FACTORIZATION_CASES[case]()
+    b = sys.op_B
+    noise = np.random.default_rng(17).uniform(1.0 - 1e-3, 1.0 + 1e-3, len(b.vals))
+    for vals in (b.vals, b.vals * noise):
+        for scale, target, ref in ((np.ones(sys.n), sys.op_A, sys.sparse_A),
+                                   (np.sqrt(sys.masses), sys.op_F, sys.sparse_F)):
+            op = enm.BondOperator(b.rows, b.cols, scale[b.rows] * vals, b.shape)
+            csr = sparse.csr_array((op.vals, (op.rows, op.cols)), shape=op.shape)
+            assert enm.factorization_error(op, target) == float(abs(csr @ csr.T - ref).max())
 
 
 def _assert_matches_spectral(sys, times, seed, tol):

@@ -165,6 +165,19 @@ def test_geometric_oracle_degree_profile(spec):
     assert np.array_equal(bonds, np.unique(bonds, axis=0))     # lexsorted, each once
 
 
+@pytest.mark.parametrize("n_r, n_c", [(n_r, n_c) for n_r in range(1, 7) for n_c in range(1, 8)])
+def test_geometric_oracle_matches_kd_tree_pairs(n_r, n_c):
+    # the cell list against scipy's k-d tree, on every sheet under the cap
+    from scipy.spatial import cKDTree
+    spec = LatticeSpec(n_r, n_c)
+    phys = np.flatnonzero(~dummy_mask(spec))
+    pairs = phys[cKDTree(node_positions(spec)[phys]).query_pairs(r=1.0 + 1e-6,
+                                                                 output_type="ndarray")]
+    got = brute_force_adjacency(spec)
+    assert got.shape == pairs.shape
+    assert np.array_equal(got, pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))])
+
+
 def test_geometric_oracle_is_capped_at_two_to_the_fourteen_sites():
     # kept on purpose: validate's banded eigenvalue solve had not finished after 9 minutes at 7x7
     brute_force_adjacency(LatticeSpec(6, 7))
