@@ -306,13 +306,21 @@ def _validation_checks(cfg):
     xdot0[:, phys] = rng.normal(0.0, 1.0, (2, len(phys)))
     # ten units of sqrt(m / kappa): the sheet moves as far, at the same series degree, at any scale
     ts = np.linspace(0.0, 10.0 * math.sqrt(mass / kappa), 200)
-    traj = enm.evolve_classical(sys, x0, xdot0, ts)
-    energy = enm.total_energy(traj, np.arange(len(ts)))
+    # the trajectory streams by in blocks: each gives its energies and its every-20th axis-0
+    # states, so no (200, 2, N) array is ever held
+    energy, states, start = np.empty(len(ts)), [], 0
+    for block in enm.evolve_classical_blocks(sys, x0, xdot0, ts):
+        stop = start + len(block.times)
+        energy[start:stop] = enm.total_energy(block, np.arange(stop - start))
+        picks = np.arange(-start % 20, stop - start, 20)
+        states.append(np.stack([block.x[picks, 0], block.xdot[picks, 0]]))
+        start = stop
+    del block       # with the exhausted iterator went the series, so the solve below has room
     drift = float(np.abs(energy - energy[0]).max() / energy[0])
     checks.append(("energy-conservation", drift <= 1e-9, f"rel drift {drift:.2e}"))
     sqm = np.sqrt(sys.masses)[:, None]
-    every_20th = slice(0, len(ts), 20)     # one (N, 10) block of states
-    fvals = enm.conserved_F(sys, sqm * traj.x[every_20th, 0].T, sqm * traj.xdot[every_20th, 0].T)
+    x, xdot = np.concatenate(states, axis=1)       # (10, N) each
+    fvals = enm.conserved_F(sys, sqm * x.T, sqm * xdot.T)
     fdrift = float((fvals.max() - fvals.min()) / fvals.max())
     checks.append(("F-conservation", fdrift <= 1e-8, f"rel drift {fdrift:.2e}"))
 

@@ -15,7 +15,11 @@ A = sqrt(M)^-1 F sqrt(M)^-1 positive semidefinite.  Its solution
 
 applies entire functions of A, so ``evolve_classical`` evaluates them as a
 Chebyshev series in the bond operator and needs no eigenvectors; zero modes
-(cos -> 1, sin(t w)/w -> t) need no branch.  ``spectral`` and
+(cos -> 1, sin(t w)/w -> t) need no branch.  The series is built once
+(``classical_series``) and writes any slice of the time grid, so
+``evolve_classical_blocks`` can hand a long grid over a block of samples at
+a time, and a caller that reads each block and drops it never holds the
+whole trajectory.  ``spectral`` and
 ``evolve_spectral`` (one eigenmode at a time) are the dense references the
 tests compare it with.  Everything downstream, quantum included, is
 validated against these trajectories.
@@ -25,10 +29,11 @@ connected component of the bond graph, each unbonded site being its own
 component.  So the projector P onto range(A) is y - V0 (V0^T y).  Dropping
 the lowest site of every component leaves the grounded A, which is positive
 definite; its inverse, padded with zeros, is a generalized inverse X of A,
-so A^+ = P X P.  The grounded A is banded, in node order or in
-breadth-first level order, and one block-tridiagonal factorization of its
-renumbered triples (``SystemMatrices._grounded``) gives A^+ v, Tr(A^+) and
-lambda_min^+ exactly in O(N w^2) time and O(N w) memory.  Where that
+so A^+ = P X P.  The grounded A is banded in the order of the bonded
+sites (node order or breadth-first level order, found once per system),
+and one block-tridiagonal factorization of its renumbered triples
+(``SystemMatrices._grounded``) gives A^+ v, Tr(A^+) and lambda_min^+
+exactly in O(N w^2) time and O(N w) memory.  Where that
 memory would pass FACTOR_ENTRIES (8x8 sheets), A^+ v is conjugate
 gradients on range(A), and Tr(A^+) and cond(B) refuse.
 
@@ -69,7 +74,8 @@ BLOCK_SITES = 32  # narrowest block of a factorization: below it Python calls co
 LANCZOS_STEPS = 64  # most Lanczos steps for lambda_max before bisection takes over
 SHIFT_RTOL = 1e-6  # how far each shift of ``extreme_eigenvalues`` lies outside the Gershgorin
                    # interval, relative to the interval's upper end
-ENERGY_CHUNK_BYTES = 1 << 22  # most bytes of one gather in ``total_energy``'s op_F products
+ENERGY_CHUNK_BYTES = 1 << 22  # most bytes of one gather in ``total_energy``'s op_F products,
+                              # and of a block of ``evolve_classical_blocks`` with its gather
 
 
 class BondOperator:
@@ -208,34 +214,35 @@ class SystemMatrices:
         return np.linalg.eigh(self.A)
 
     @cached_property
+    def _bonded_order(self) -> np.ndarray:
+        """The sites that have a bond, in the ``_narrow_order`` of A over them."""
+        # not np.unique, whose first call imports numpy.ma (1.2 MB), which ripple never needs
+        sites = np.flatnonzero(np.bincount(self.bonds.ravel(), minlength=self.n))
+        return sites[_narrow_order(_restricted(self.op_A, sites))]
+
+    @cached_property
     def _grounded(self) -> tuple[np.ndarray, _BlockTridiagonal | None]:
-        """The sites of the grounded A, in ``_narrow_order``, and its ``_factor``.
+        """The sites of the grounded A, in ``_bonded_order``, and its ``_factor``.
 
         The grounded A keeps every site but the lowest of each component, so
-        it drops one site per bonded component and every unbonded site.
+        it drops every unbonded site and one site per bonded component: its
+        sites are the bonded ones, in their order, less those lowest sites.
+        Dropping sites cannot widen the band, so the bonded order serves
+        both, and one breadth-first pass does for the system.
         """
-        keep = np.ones(self.n, dtype=bool)
-        keep[np.unique(self.components, return_index=True)[1]] = False
-        sites = np.flatnonzero(keep)
-        m = _restricted(self.op_A, sites)
-        order = _narrow_order(m)
-        return sites[order], _factor(_reordered(m, order))
+        lowest = np.zeros(self.n, dtype=bool)
+        lowest[np.unique(self.components, return_index=True)[1]] = True
+        sites = self._bonded_order[~lowest[self._bonded_order]]
+        return sites, _factor(_restricted(self.op_A, sites))
 
 
 def _restricted(m: BondOperator, sites: np.ndarray) -> BondOperator:
-    """The square ``m`` over the ascending ``sites`` alone, renumbered 0, 1, ..."""
+    """The square ``m`` over ``sites`` alone, with its old site sites[i] as site i."""
     rank = np.full(m.shape[0], -1)
     rank[sites] = np.arange(len(sites))
     rows, cols = rank[m.rows], rank[m.cols]
     keep = (rows >= 0) & (cols >= 0)
     return BondOperator(rows[keep], cols[keep], m.vals[keep], (len(sites), len(sites)))
-
-
-def _reordered(m: BondOperator, order: np.ndarray) -> BondOperator:
-    """The square ``m`` with its old site order[i] as site i."""
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return BondOperator(rank[m.rows], rank[m.cols], m.vals, m.shape)
 
 
 def _bandwidth(m: BondOperator) -> int:
@@ -249,8 +256,9 @@ def _narrow_order(m: BondOperator) -> np.ndarray:
     Levels grow from the lowest site of each connected piece, and a bond
     joins sites of one level or of two adjacent ones, so the bandwidth is
     below two levels' width.  A sheet's levels run across its shorter side:
-    the grounded 5x5 sheet has bandwidth 46 in level order and 63 in node
-    order, 7x7 190 and 255, 2x9 6 and 1023.  One long bond stays narrow.
+    the bonded block of the 5x5 sheet has bandwidth 46 in level order and
+    63 in node order, 7x7 190 and 255, 2x9 4 and 1023.  One long bond
+    stays narrow.
     """
     n = m.shape[0]
     width = _bandwidth(m)
@@ -272,7 +280,7 @@ def _narrow_order(m: BondOperator) -> np.ndarray:
         frontier = np.unique(reach[~seen[reach]])
         seen[frontier] = True
     order = np.concatenate(levels)
-    return order if _bandwidth(_reordered(m, order)) < width else np.arange(n)
+    return order if _bandwidth(_restricted(m, order)) < width else np.arange(n)
 
 
 def _factor(m: BondOperator) -> _BlockTridiagonal | None:
@@ -536,8 +544,7 @@ def extreme_eigenvalues(sys: SystemMatrices) -> np.ndarray:
 
 def _bonded(sys: SystemMatrices) -> BondOperator:
     """A over the sites that have a bond, in ``_narrow_order``."""
-    A = _restricted(sys.op_A, np.unique(sys.bonds))
-    return _reordered(A, _narrow_order(A))
+    return _restricted(sys.op_A, sys._bonded_order)
 
 
 def _smallest_eigenvalues(A: BondOperator, k: int) -> np.ndarray:
@@ -716,8 +723,42 @@ def chebyshev_coefficients(samples: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
-    """Solution of M x'' = -F x from x(0), xdot(0), without eigenvectors.
+@dataclass
+class ClassicalSeries:
+    """``evolve_classical``'s series, built once, from which ``samples`` writes any slice.
+
+    Sample i of axis a is x(t_i) = rows[a]^T mixing[:, i] and xdot(t_i) =
+    rows[a]^T mixing[:, T + i]: rows[a] holds T_k(S) x0[a] in row k and
+    T_k(S) xdot0[a] in row K + 1 + k.
+    """
+
+    times: np.ndarray           # (T,)
+    mixing: np.ndarray          # (2 (K + 1), 2 T)
+    rows: np.ndarray            # (D, 2 (K + 1), N)
+    axes: tuple[str, ...]
+    sys: SystemMatrices
+
+    def samples(self, start: int, stop: int) -> Trajectory:
+        """The trajectory at times[start:stop], two GEMMs per axis.
+
+        Each sample is the same dot products whatever the slice, so slices
+        of two or more samples match the whole grid's bit for bit.  A
+        one-sample slice of a longer grid goes through a matrix-vector
+        product, which may round differently.
+        """
+        steps = self.times.size
+        d, _, n = self.rows.shape
+        xs = np.empty((stop - start, d, n))
+        vs = np.empty((stop - start, d, n))
+        for a in range(d):
+            # each GEMM writes its samples in place, with no (N, 2T) product in between
+            np.matmul(self.mixing[:, start:stop].T, self.rows[a], out=xs[:, a])
+            np.matmul(self.mixing[:, steps + start:steps + stop].T, self.rows[a], out=vs[:, a])
+        return Trajectory(self.times[start:stop], xs, vs, self.axes, self.sys)
+
+
+def classical_series(sys, x0, xdot0, times, axes=None) -> ClassicalSeries:
+    """The series of ``evolve_classical``, without any sample.
 
     ``x0`` / ``xdot0`` are (N,) for a single axis or (D, N); each axis
     evolves independently.  With L = M^-1 F = sqrt(M)^-1 A sqrt(M), similar
@@ -730,19 +771,19 @@ def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
     K = ``chebyshev_degree(lambda_bar, max|t|)``.  One cosine transform of
     the three functions, sampled at the K + 1 Chebyshev nodes for every time,
     gives all coefficients (``chebyshev_coefficients``, an FFT, so a long
-    window needs no (K + 1)^2 matrix); ``chebyshev_basis`` of the (N, 2D)
-    block of initial conditions, K products with the ``BondOperator`` S,
-    gives T_k(S) x0, T_k(S) xdot0; and two GEMMs per axis write every
-    position and velocity sample into the trajectory.  The basis takes
-    16 D (K + 1) N bytes: K is 29 for max|t| sqrt(lambda_bar) = 24.5
-    (``validate``, 2 MB at 5x5) and 496 for 707 (``ripple``'s 1000 ps
-    window in physical units, 4 MB at 4x4).
+    window needs no (K + 1)^2 matrix), the (2 (K + 1), 2 T) mixing matrix.
+    ``chebyshev_basis`` of the (N, 2D) block of initial conditions, K
+    products with the ``BondOperator`` S, gives T_k(S) x0, T_k(S) xdot0,
+    which are copied out as the rows of each axis; the (K + 1, N, 2D) basis
+    is then freed.  The rows take 16 D (K + 1) N bytes: K is 29 for
+    max|t| sqrt(lambda_bar) = 24.5 (``validate``, 2 MB at 5x5) and 496 for
+    707 (``ripple``'s 1000 ps window in physical units, 4 MB at 4x4).
     The cosine is transformed as cos - 1 with the 1 put on T_0, and working
     in x rather than y = sqrt(M) x keeps T_0 the identity, so x(0) = x0 and
     xdot(0) = xdot0 exactly.
     """
     x0, xdot0, times, axes = _initial_state(sys, x0, xdot0, times, axes)
-    d, n, steps = x0.shape[0], sys.n, times.size
+    d, n = x0.shape[0], sys.n
     lam_bar = gershgorin_bound(sys) or 1.0        # without bonds any interval holds {0}
     nodes = chebyshev_degree(lam_bar, float(np.abs(times).max())) + 1
 
@@ -762,16 +803,41 @@ def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
     S = BondOperator(L.rows, L.cols, (2.0 / lam_bar) * L.vals - (L.rows == L.cols), L.shape)
     # (K + 1, N, 2D); column 2a: of x0[a], column 2a + 1: of xdot0[a]
     basis = chebyshev_basis(S, np.stack([x0, xdot0], axis=1).reshape(2 * d, n).T, nodes - 1)
+    # the reshape copies: rows[a, k] = basis[k, :, 2a], rows[a, nodes + k] = basis[k, :, 2a + 1]
+    rows = basis.reshape(nodes, n, d, 2).transpose(2, 3, 0, 1).reshape(d, 2 * nodes, n)
+    return ClassicalSeries(times, mixing, rows, axes, sys)
 
-    xs = np.empty((steps, d, n))
-    vs = np.empty((steps, d, n))
-    for a in range(d):
-        # the reshape copies: row k is T_k(S) x0[a], row nodes + k is T_k(S) xdot0[a]
-        rows = basis[:, :, 2 * a:2 * a + 2].transpose(2, 0, 1).reshape(2 * nodes, n)
-        # each GEMM writes its samples in place, with no (N, 2T) product in between
-        np.matmul(mixing[:, :steps].T, rows, out=xs[:, a])
-        np.matmul(mixing[:, steps:].T, rows, out=vs[:, a])
-    return Trajectory(times, xs, vs, axes, sys)
+
+def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
+    """Solution of M x'' = -F x from x(0), xdot(0), without eigenvectors:
+    every sample of ``classical_series`` at once."""
+    series = classical_series(sys, x0, xdot0, times, axes)
+    return series.samples(0, series.times.size)
+
+
+def evolve_classical_blocks(sys, x0, xdot0, times, axes=None):
+    """``evolve_classical`` as consecutive blocks of samples, each a ``Trajectory``.
+
+    A block holds as many samples as fit in ENERGY_CHUNK_BYTES together
+    with the ``op_F`` gather of their energies (``total_energy``), but at
+    least two, so a caller that reads each block and drops it holds one
+    block at a time besides the series: 21 samples at 5x5.  A one-sample
+    tail is joined to the block before it: only a grid of one sample gives
+    a one-sample block.  Concatenated, the blocks equal ``evolve_classical``
+    bit for bit.
+    """
+    series = classical_series(sys, x0, xdot0, times, axes)
+    steps = series.times.size
+    d, _, n = series.rows.shape
+    # per sample: the gather of its d axes, then its x and xdot
+    size = max(2, ENERGY_CHUNK_BYTES // (d * (sys.op_F._tables[0].nbytes + 16 * n)))
+    start = 0
+    while start < steps:
+        stop = min(start + size, steps)
+        if stop == steps - 1:
+            stop = steps
+        yield series.samples(start, stop)
+        start = stop
 
 
 def evolve_spectral(sys, x0, xdot0, times, axes=None) -> Trajectory:

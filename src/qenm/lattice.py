@@ -180,7 +180,7 @@ def brute_force_adjacency(spec: LatticeSpec) -> np.ndarray:
     validate``'s shift-table-vs-geometric-adjacency check compare
     ``adjacency``'s ``bond_set`` with it.
     """
-    if spec.n_total > 1 << 14:
+    if spec.n_total > 1 << 15:
         raise ValueError("geometric oracle is meant for small lattices")
     phys = np.flatnonzero(~dummy_mask(spec))
     pos = node_positions(spec)[phys]

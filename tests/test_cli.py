@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -396,13 +397,10 @@ def test_validate_finds_a_negative_eigenvalue_of_A(tmp_path, capsys, monkeypatch
     assert "FAIL A-positive-semidefinite: min eig -3.18e+00" in capsys.readouterr().out
 
 
-def test_validate_reruns_are_identical_after_other_arpack_calls(tmp_path, capsys):
-    # eigsh without a start vector draws one from ARPACK's own seed, which persists
-    from scipy import sparse
-    from scipy.sparse.linalg import eigsh
-
+def test_validate_reruns_are_identical_after_unseeded_draws(tmp_path, capsys):
+    # the Lanczos start vectors are seeded, so the global numpy generator cannot move them
     assert _validate_4x4(tmp_path, "first") == 0
-    eigsh(sparse.diags_array(np.arange(1.0, 51.0)), k=2, sigma=0.0)
+    np.random.uniform(size=3)
     assert _validate_4x4(tmp_path, "second") == 0
     first, second = ((tmp_path / name / "validation.txt").read_bytes()
                      for name in ("first", "second"))
@@ -414,6 +412,61 @@ def test_validate_passes_at_6x6(tmp_path, capsys):
     cfg.write_text(json.dumps({"lattice": {"n_r": 6, "n_c": 6}}))
     assert run(["validate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
     assert capsys.readouterr().out.endswith("16 checks, 0 failed\n")
+
+
+def test_validate_passes_at_7x7(tmp_path, capsys):
+    # 2^15 sites, the geometric oracle's cap: the trajectory streams, so no (200, 2, N) array
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 7, "n_c": 7}}))
+    assert run(["validate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.endswith("16 checks, 0 failed\n")
+
+
+def test_validate_at_8x8_stops_at_the_oracle_before_any_solve(tmp_path, capsys, monkeypatch):
+    def no_system(*args, **kwargs):
+        raise AssertionError("validate built a system past the oracle's cap")
+
+    monkeypatch.setattr(enm, "build_system", no_system)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 8, "n_c": 8}}))
+    assert run(["validate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: geometric oracle is meant for small lattices\n"
+
+
+def test_validate_holds_no_whole_trajectory(capsys):
+    # x and xdot of 200 samples, 2 axes and 2048 sites took 13.1 MB alone; the whole run now
+    # peaks below that
+    cfg = cli._merge(cli.DEFAULTS, {"lattice": {"n_r": 5, "n_c": 5}})
+    cli._validation_checks(cfg)     # the first run fills the caches of imports and oracles
+    tracemalloc.start()
+    try:
+        checks = cli._validation_checks(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(passed for _, passed, _ in checks)
+    assert peak < 200 * 2 * 2 * 2048 * 8
+
+
+def test_validate_reads_every_block_of_the_trajectory(tmp_path, capsys, monkeypatch):
+    # at 4x4 the 200 samples come in blocks of 85, 85 and 30; a kick to the last sample of the
+    # last block must fail the energy check, which a loop over the first block alone would pass
+    samples = enm.ClassicalSeries.samples
+    stops = []
+
+    def kicked(self, start, stop):
+        traj = samples(self, start, stop)
+        stops.append(stop)
+        if stop == self.times.size:
+            traj.xdot[-1] *= 1.5
+        return traj
+
+    monkeypatch.setattr(enm.ClassicalSeries, "samples", kicked)
+    assert _validate_4x4(tmp_path) == 1
+    assert stops == [85, 170, 200]
+    failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL")]
+    assert failed == ["FAIL energy-conservation"]
 
 
 @pytest.mark.parametrize("command, code", [("simulate", 0), ("heat", 2)])

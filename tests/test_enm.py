@@ -411,6 +411,43 @@ def test_evolve_classical_matches_per_sample_loop(case):
                                rtol=0.0, atol=1e-12)
 
 
+# (sheet, samples, samples per block budget or None for the default, block lengths)
+BLOCK_CASES = {
+    "3x2-budget-of-7": ((3, 2), 200, 7, [7] * 28 + [4]),
+    "5x5-default": ((5, 5), 200, None, [21] * 9 + [11]),
+    # 190 = 9 * 21 + 1: the one-sample tail joins the block before it
+    "5x5-tail-of-one": ((5, 5), 190, None, [21] * 8 + [22]),
+    # a budget of one sample still gives blocks of two, and a tail of one is joined
+    "3x2-budget-of-one": ((3, 2), 5, 1, [2, 3]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_evolve_classical_blocks_concatenate_to_evolve_classical(case, monkeypatch):
+    (n_r, n_c), steps, budget, lengths = BLOCK_CASES[case]
+    sys = enm.build_system(LatticeSpec(n_r, n_c))
+    if budget is not None:      # a sample of two axes: their gather, then x and xdot
+        per_sample = 2 * (sys.op_F._tables[0].nbytes + 16 * sys.n)
+        monkeypatch.setattr(enm, "ENERGY_CHUNK_BYTES", budget * per_sample)
+    rng = np.random.default_rng(5)
+    x0, xdot0 = rng.normal(0.0, 0.2, (2, sys.n)), rng.normal(0.0, 1.0, (2, sys.n))
+    ts = np.linspace(0.0, 10.0, steps)
+    blocks = list(enm.evolve_classical_blocks(sys, x0, xdot0, ts))
+    assert [len(b.times) for b in blocks] == lengths
+    whole = enm.evolve_classical(sys, x0, xdot0, ts)
+    for name in ("times", "x", "xdot"):
+        assert np.array_equal(np.concatenate([getattr(b, name) for b in blocks]),
+                              getattr(whole, name))
+    assert all(b.axes == whole.axes and b.sys is sys for b in blocks)
+
+
+def test_evolve_classical_blocks_of_a_one_sample_grid():
+    sys = enm.system_from_bonds(3, [(0, 1), (1, 2)])
+    (block,) = enm.evolve_classical_blocks(sys, [0.1, 0.0, -0.1], [0.0, 0.2, 0.0], [0.7])
+    whole = enm.evolve_classical(sys, [0.1, 0.0, -0.1], [0.0, 0.2, 0.0], [0.7])
+    assert np.array_equal(block.x, whole.x) and np.array_equal(block.xdot, whole.xdot)
+
+
 def test_evolve_classical_single_sample_shape():
     sys = enm.system_from_bonds(3, [(0, 1), (1, 2)], mass=[1.0, 2.0, 3.0])
     x0 = np.array([[1.0, 0.0, -1.0], [0.5, 0.2, 0.0]])
@@ -745,6 +782,24 @@ def test_pinv_with_one_long_bond_stays_within_memory():
     b = enm.project_range(sys, vec)
     assert np.abs(sys.sparse_A @ x - b).max() <= 1e-10 * np.abs(b).max()
     assert np.abs(enm.project_range(sys, x) - x).max() <= 1e-12 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("n_r, n_c", [(2, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (7, 7),
+                                      (2, 7), (2, 9), (8, 2), (10, 1), (6, 3), (3, 6)])
+def test_grounded_order_is_the_bonded_order_less_the_lowest_sites(n_r, n_c):
+    sys = enm.build_system(LatticeSpec(n_r, n_c))
+    sites, _ = sys._grounded
+    order = sys._bonded_order
+    lowest = np.unique(sys.components, return_index=True)[1]
+    assert np.array_equal(sites, order[~np.isin(order, lowest)])
+    # dropping sites cannot widen the band, and the bonded order is as narrow as a fresh
+    # _narrow_order of the grounded sites on every sheet; narrower on 2x7, 2x9 and 3x6
+    width = enm._bandwidth(enm._restricted(sys.op_A, sites))
+    grounded = enm._restricted(sys.op_A, np.sort(sites))
+    fresh = enm._bandwidth(enm._restricted(grounded, enm._narrow_order(grounded)))
+    assert width <= enm._bandwidth(enm._bonded(sys))
+    assert width <= fresh
+    assert (width < fresh) == ((n_r, n_c) in {(2, 7), (2, 9), (3, 6)})
 
 
 def test_components_label_unbonded_sites_alone():

@@ -178,11 +178,12 @@ def test_geometric_oracle_matches_kd_tree_pairs(n_r, n_c):
     assert np.array_equal(got, pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))])
 
 
-def test_geometric_oracle_is_capped_at_two_to_the_fourteen_sites():
-    # kept on purpose: validate's banded eigenvalue solve had not finished after 9 minutes at 7x7
-    brute_force_adjacency(LatticeSpec(6, 7))
+def test_geometric_oracle_is_capped_at_two_to_the_fifteen_sites():
+    # the site cap of scaling too: validate runs at 7x7 and refuses 8x8 before any solve
+    spec = LatticeSpec(7, 7)
+    assert np.array_equal(brute_force_adjacency(spec), adjacency(spec).bond_set())
     with pytest.raises(ValueError, match="small lattices"):
-        brute_force_adjacency(LatticeSpec(7, 7))
+        brute_force_adjacency(LatticeSpec(8, 7))
 
 
 def test_geometric_positions_unit_bonds():
