@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import sys as _sys
@@ -264,7 +265,9 @@ def _validation_checks(cfg):
                    f"{len(adj_bonds)} bonds"))
     ghosts_rule = Adjacency(adj.neighbors, ~adj.valid).bond_set()
     key = np.array([spec.n_total, 1])       # one int per (min, max) pair
-    ghosts_physical = np.isin(ghosts_rule @ key, geo_bonds @ key).any()
+    # each bond set lists a pair once, and without that promise np.isin's np.unique
+    # imports numpy.ma (1.2 MB)
+    ghosts_physical = np.isin(ghosts_rule @ key, geo_bonds @ key, assume_unique=True).any()
     checks.append(("dummy-rules-vs-geometry", not ghosts_physical,
                    f"{len(ghosts_rule)} flagged ghost bonds, none physical"))
     # every slot (j, l) -> k has a back slot of k that points to j with the same validity
@@ -501,7 +504,9 @@ def cmd_scaling(cfg, out: Path, kind: str) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qenm`` argument parser, built once per process: ``parse_args`` leaves it as it is."""
     parser = argparse.ArgumentParser(prog="qenm", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("lattice", "validate", "simulate", "heat", "ripple", "scaling"):

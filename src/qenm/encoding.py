@@ -37,11 +37,14 @@ in x = H / alpha with tau = alpha t and alpha = sqrt(2 kappa d / m) >= ||H||,
 truncated at the degree ``series_degree(tau)`` whose tail is at most
 ``SERIES_EPS`` in operator norm.  That degree is the query count of a block
 encoding of H / alpha for one time sample; on hardware each sample is its
-own run.  The emulator runs one Chebyshev recurrence (``enm.chebyshev_basis``,
-one product with H per degree) to the degree of the longest time in the grid
-and combines that basis for every sample, with the Bessel values J_k(tau)
-of ``bessel_j``, which saves products but leaves the query count
-unchanged.  ``evolve_dense``, the eigendecomposition of the dense active
+own run.  The emulator builds one series for the whole time grid: one
+Chebyshev recurrence (``enm.chebyshev_basis``, one product with H per degree)
+to the degree of the longest time, and the (K + 1, T) coefficients from the
+Bessel values J_k(tau) of ``bessel_j``.  That saves products but leaves the
+query count unchanged.  The series has two readers: ``evolve_exact`` yields
+one ``EncodedState`` per sample, and ``evolve_grid`` forms the amplitudes of
+every sample at once with one matrix product, for observables read over the
+whole grid.  ``evolve_dense``, the eigendecomposition of the dense active
 block, is kept only as the reference the tests compare against.  The
 gate-level block encoding of H / alpha (``oracles.hamiltonian_block_circuit``)
 is verified against ``build_block_H`` by amplitude extraction and is never
@@ -310,12 +313,13 @@ def bessel_j(degree: int, taus) -> np.ndarray:
     return out
 
 
-def evolve_exact(state: EncodedState, bh: BlockHamiltonian, times) -> Iterator[EncodedState]:
-    """exp(-iHt) on every axis slice for each t of ``times``, in grid order.
+def _jacobi_anger(state: EncodedState, bh: BlockHamiltonian,
+                  times) -> tuple[np.ndarray, np.ndarray]:
+    """The series of exp(-iHt) psi_0 on the grid: (K + 1, T) coefficients and the basis.
 
-    Runs the recurrence T_k(H / alpha) psi_0 to ``series_degree(alpha max|t|)``
-    before returning, so errors raise here; the iterator then forms each
-    sample as sum_k c_k(t) T_k psi_0, within SERIES_EPS of exp(-iHt) in norm.
+    The basis is T_k(H / alpha) psi_0 for k = 0..K, shaped (K + 1, N + P, D), to
+    K = ``series_degree(alpha max|t|)``; coefficient (k, t) is (2 - [k = 0]) (-i)^k
+    J_k(alpha t).  Sample t is sum_k c_k(t) T_k psi_0.
     """
     times = enm.time_grid(times)
     if bh.n_nodes != state.n:
@@ -326,8 +330,34 @@ def evolve_exact(state: EncodedState, bh: BlockHamiltonian, times) -> Iterator[E
     orders = np.arange(degree + 1)[:, None]
     coeffs = np.array([1.0, -1.0j, -1.0, 1.0j])[orders % 4] * bessel_j(degree, taus)  # (K + 1, T)
     coeffs[1:] *= 2.0
+    return coeffs, basis
+
+
+def evolve_exact(state: EncodedState, bh: BlockHamiltonian, times) -> Iterator[EncodedState]:
+    """exp(-iHt) on every axis slice for each t of ``times``, in grid order.
+
+    Runs the recurrence T_k(H / alpha) psi_0 to ``series_degree(alpha max|t|)``
+    before returning, so errors raise here; the iterator then forms each
+    sample as sum_k c_k(t) T_k psi_0, within SERIES_EPS of exp(-iHt) in norm.
+    """
+    coeffs, basis = _jacobi_anger(state, bh, times)
     return (replace(state, amps=np.ascontiguousarray(np.tensordot(c, basis, 1).T))
             for c in coeffs.T)
+
+
+def evolve_grid(state: EncodedState, bh: BlockHamiltonian, times) -> np.ndarray:
+    """The ``amps`` of exp(-iHt) psi_0 for every t of ``times`` at once, shape (T, D, N + P).
+
+    The same series as ``evolve_exact``, read with one product of the
+    (T, K + 1) coefficients and the basis viewed as (K + 1, (N + P) D), so
+    the basis is never copied; it agrees with ``evolve_exact`` to roundoff.
+    It holds every sample, T (N + P) D amplitudes, where ``evolve_exact``
+    holds one at a time.
+    """
+    coeffs, basis = _jacobi_anger(state, bh, times)
+    terms, cols, axes = basis.shape
+    grid = coeffs.T @ basis.reshape(terms, cols * axes)
+    return grid.reshape(-1, cols, axes).transpose(0, 2, 1)
 
 
 def evolve_dense(state: EncodedState, bh: BlockHamiltonian, t: float) -> EncodedState:

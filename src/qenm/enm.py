@@ -277,7 +277,8 @@ def _narrow_order(m: BondOperator) -> np.ndarray:
         counts = indptr[frontier + 1] - indptr[frontier]
         reach = indices[np.repeat(indptr[frontier + 1] - np.cumsum(counts), counts)
                         + np.arange(counts.sum())]
-        frontier = np.unique(reach[~seen[reach]])
+        frontier = np.sort(reach[~seen[reach]])
+        frontier = frontier[np.diff(frontier, prepend=-1) != 0]     # not np.unique: numpy.ma
         seen[frontier] = True
     order = np.concatenate(levels)
     return order if _bandwidth(_restricted(m, order)) < width else np.arange(n)
@@ -533,12 +534,13 @@ def extreme_eigenvalues(sys: SystemMatrices) -> np.ndarray:
     make every rerun identical.  Like ``condition_number_B`` it refuses
     where a factorization would pass FACTOR_ENTRIES.
     """
-    sites = np.unique(sys.bonds)
+    # bincounts, not np.unique, whose first call imports numpy.ma (1.2 MB)
+    sites = np.flatnonzero(np.bincount(sys.bonds.ravel(), minlength=sys.n))
     zeros = np.zeros(sys.n - len(sites))
     if len(sites) == 0:
         return zeros
     A = _bonded(sys)
-    k = min(len(np.unique(sys.components[sites])) + 1, len(sites) - 1)
+    k = min(np.count_nonzero(np.bincount(sys.components[sites])) + 1, len(sites) - 1)
     return np.sort(np.concatenate([zeros, _smallest_eigenvalues(A, k), [_largest_eigenvalue(A)]]))
 
 
@@ -890,13 +892,22 @@ def velocity_verlet(sys: SystemMatrices, x0, xdot0, dt: float, steps: int) -> Tr
     return Trajectory(times, xs, vs, ("x", "y", "z")[:d], sys)
 
 
-def kinetic_energy_subset(traj: Trajectory, ti: int, nodes=None) -> float:
-    """(1/2) sum_j m_j xdot_j^2 over the subset, all axes."""
-    v = traj.xdot[ti]
-    if nodes is not None:
+def kinetic_energy_subset(traj: Trajectory, ti, nodes=None):
+    """(1/2) sum_j m_j xdot_j^2 over the subset, all axes, at sample ``ti``: one
+    index, whose energy is a float, or an index array, whose energies come
+    back as an array.  Each sample's terms are summed as one contiguous row,
+    so both forms give the same bits.
+    """
+    samples = np.atleast_1d(ti)
+    if nodes is None:
+        energy = 0.5 * np.sum((traj.sys.masses * traj.xdot[samples] ** 2)
+                              .reshape(len(samples), -1), axis=1)
+    else:
         nodes = np.asarray(list(nodes), dtype=int)
-        return 0.5 * float(np.sum(traj.sys.masses[nodes] * v[:, nodes] ** 2))
-    return 0.5 * float(np.sum(traj.sys.masses * v**2))
+        v = _node_rows(traj.xdot, samples, nodes)
+        energy = 0.5 * np.sum((traj.sys.masses[nodes, None] * v**2)
+                              .reshape(len(samples), -1), axis=1)
+    return energy if np.ndim(ti) else float(energy[0])
 
 
 def potential_energy(sys: SystemMatrices, x: np.ndarray, bonds=None) -> float:
@@ -962,12 +973,29 @@ def total_energy(traj: Trajectory, ti):
     return energy if np.ndim(ti) else float(energy[0])
 
 
-def msd_subset(traj: Trajectory, ti: int, nodes) -> float:
-    """Mean squared displacement (1/|V|) sum_{i in V} |x_i|^2, axes summed."""
+def msd_subset(traj: Trajectory, ti, nodes):
+    """Mean squared displacement (1/|V|) sum_{i in V} |x_i|^2, axes summed, at
+    sample ``ti``: one index, whose MSD is a float, or an index array, whose
+    MSDs come back as an array, with the same bits as one index at a time.
+    """
     nodes = np.asarray(list(nodes), dtype=int)
     if nodes.size == 0:
         raise ValueError("empty node subset")
-    return float(np.sum(traj.x[ti][:, nodes] ** 2)) / nodes.size
+    samples = np.atleast_1d(ti)
+    block = _node_rows(traj.x, samples, nodes).reshape(len(samples), -1)
+    msd = np.sum(block**2, axis=1) / nodes.size
+    return msd if np.ndim(ti) else float(msd[0])
+
+
+def _node_rows(values: np.ndarray, samples: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """C-contiguous (samples, |V|, D) gather of the (T, D, N) ``values`` over V.
+
+    One sample's gather values[ti][:, nodes] is laid out node by node, and
+    np.sum reads it in that order; a reduction over each C-contiguous sample
+    of this array reads the same terms in the same order, so it gives the
+    same bits.
+    """
+    return np.ascontiguousarray(values[samples][:, :, nodes].transpose(0, 2, 1))
 
 
 def time_average(values, times) -> float:

@@ -22,6 +22,15 @@ lexicographically lower half); bands are unit-cell columns from
 ``lattice.decode_index``.  Rippling: out-of-plane thermal velocities,
 alternative encoding, time-averaged MSD and the B-factor 8 pi^2 <M>.
 Both load thermal velocities with ``boltzmann.thermal_velocities``.
+
+The two experiments read the one Jacobi-Anger series of ``encoding`` in
+its two ways.  Heat searches state by state, so it walks
+``encoding.evolve_exact``; rippling reads ``msd_fraction``'s MSD at every
+sample, so it takes the whole grid from ``encoding.evolve_grid`` and reduces
+the node block once, with the same formula.  Their classical references
+are one reduction over the time grid too: a (probes, regions) table of
+``enm.kinetic_energy_subset`` for the argmax region, ``enm.msd_subset``
+over every sample for the MSD.
 """
 
 from __future__ import annotations
@@ -104,9 +113,15 @@ def msd_fraction(state: encoding.EncodedState, sel: SubsetSelector) -> EstimateR
         raise ValueError("MSD requires the alternative encoding")
     frac = subset_probability(state, SubsetSelector("displacement", sel.nodes))
     nodes = np.asarray(sel.nodes, dtype=int)
-    weight = float(np.sum(np.abs(state.node_amps[0, nodes]) ** 2 / state.sys.masses[nodes]))
-    msd = 2.0 * state.norm_constant * weight / len(sel.nodes)
+    msd = float(_msd(state.node_amps[0, nodes], state.sys.masses[nodes], state.norm_constant))
     return EstimateReport(frac, "exact-expectation", observable=msd)
+
+
+def _msd(node_amps: np.ndarray, masses: np.ndarray, f_const: float) -> np.ndarray:
+    """(2F/|V|) sum_V |amp_j|^2 / m_j over the last axis of the alternative
+    encoding's amplitudes ``node_amps`` of V, whose masses are ``masses``."""
+    weight = np.sum(np.abs(node_amps) ** 2 / masses, axis=-1)
+    return 2.0 * f_const * weight / node_amps.shape[-1]
 
 
 def shot_sample(state: encoding.EncodedState, sel: SubsetSelector, shots: int,
@@ -217,8 +232,10 @@ def heat_experiment(spec: LatticeSpec, times, n_regions: int = 8, temperature: f
     st0 = encoding.prepare_standard(sys, x0, xdot0)
     bh = encoding.build_block_H(sys)
     logs = [heat_binary_search(st, regions) for st in encoding.evolve_exact(st0, bh, traj.times)]
-    argmax = [int(np.argmax([enm.kinetic_energy_subset(traj, ti, band) for band in regions]))
-              for ti in range(traj.times.size)]
+    probes = np.arange(traj.times.size)
+    kinetic = np.stack([enm.kinetic_energy_subset(traj, probes, band) for band in regions],
+                       axis=1)      # (probes, regions)
+    argmax = np.argmax(kinetic, axis=1).tolist()
     return HeatResult(traj.times, [res.region_index for res in logs], argmax, logs, n_regions)
 
 
@@ -242,8 +259,8 @@ def ripple_msd(spec: LatticeSpec, times, temperature: float,
     The z axis reuses the in-plane harmonic machinery (axes are uncoupled).
     Velocities are median-split thermal samples with the center-of-mass
     drift projected out, zero displacements; the quantum path evolves the
-    alternative encoding and reads the MSD fraction, the classical path is
-    the spectral trajectory.
+    alternative encoding over the whole grid and reads ``msd_fraction``'s
+    MSD at every sample, the classical path is ``enm.evolve_classical``'s.
     """
     times = np.asarray(times, dtype=float)
     sys = enm.build_system(spec, kappa=kappa, mass=mass)
@@ -265,13 +282,14 @@ def ripple_msd(spec: LatticeSpec, times, temperature: float,
     zdot0 = enm.project_range(sys, sqrt_m * zdot0) / sqrt_m
     z0 = np.zeros(sys.n)
 
-    traj = enm.evolve_classical(sys, z0, zdot0, times, axes=("z",))
+    # the trajectory is dropped before the quantum grid is formed, which then holds the peak
+    msd_c = enm.msd_subset(enm.evolve_classical(sys, z0, zdot0, times, axes=("z",)),
+                           np.arange(times.size), phys)
     st0 = encoding.prepare_alternative(sys, z0, zdot0)
     bh = encoding.build_block_H(sys)
-    sel = SubsetSelector("displacement", tuple(phys.tolist()))
-    msd_q = np.array([msd_fraction(st, sel).observable
-                      for st in encoding.evolve_exact(st0, bh, times)])
-    msd_c = np.array([enm.msd_subset(traj, ti, phys) for ti in range(times.size)])
+    # msd_fraction's observable at every sample, read off the grid's node block at once
+    msd_q = _msd(encoding.evolve_grid(st0, bh, times)[:, 0, phys], sys.masses[phys],
+                 st0.norm_constant)
     mean = enm.time_average(msd_q, times)
     return RippleResult(times, msd_q, msd_c, mean, enm.b_factor(mean))
 

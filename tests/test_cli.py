@@ -169,6 +169,21 @@ def test_bad_config_exit_code(tmp_path):
     assert run(["lattice", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
 
 
+def test_parser_is_built_once_and_keeps_no_flag_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sizes": [[3, 2], [3, 3]]}))
+    assert run(["scaling", "cond", "--sizes", "3x2", "--out-dir", str(tmp_path / "flag")]) == 0
+    assert run(["scaling", "cond", "--config", str(cfg), "--out-dir", str(tmp_path / "cfg")]) == 0
+    for name, rows in (("flag", 1), ("cfg", 2)):
+        assert len((tmp_path / name / "scaling_cond.csv").read_text().splitlines()) == 1 + rows
+    assert json.loads((tmp_path / "cfg" / "manifest.json").read_text())["sizes"] == [[3, 2],
+                                                                                     [3, 3]]
+    capsys.readouterr()
+    assert run(["scaling", "cond", "--no-such-flag"]) == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+
+
 def test_perturbation_budget_enforced(tmp_path):
     cfg = tmp_path / "cfg.json"
     bits = 2 + 1 + 1
@@ -546,6 +561,26 @@ def test_validate_loads_no_scipy_and_passes(tmp_path):
     assert out.returncode == 0, out.stderr[-2000:]
     assert out.stdout.splitlines()[-2:] == ["16 checks, 0 failed", "[]"]
     assert (tmp_path / "validation.txt").read_text().endswith("16 checks, 0 failed\n")
+
+
+def test_validate_and_scaling_leave_numpy_ma_unloaded(tmp_path):
+    # the first bare np.unique call imports numpy.ma (1.2 MB of RSS); 5x5 is the first sheet
+    # whose bonded sites take the breadth-first level order
+    env = {**os.environ, "PYTHONPATH": str(Path(qenm.__file__).resolve().parents[1])}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 5, "n_c": 5}}))
+    loaded = "print('numpy.ma loaded:', 'numpy.ma' in sys.modules)\n"
+    code = ("import sys\nfrom qenm import cli\n"
+            f"assert cli.main(['validate', '--config', {str(cfg)!r}, "
+            f"'--out-dir', {str(tmp_path)!r} + '/validate']) == 0\n" + loaded
+            + "for kind in ('cond', 'trace'):\n"
+            "    assert cli.main(['scaling', kind, '--sizes', '3x2,3x3,4x3,4x4,5x4,5x5', "
+            f"'--out-dir', {str(tmp_path)!r} + '/' + kind]) == 0\n" + loaded)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert [line for line in out.stdout.splitlines() if line.startswith("numpy.ma")] == \
+        ["numpy.ma loaded: False"] * 2
 
 
 def test_scaling_reruns_are_identical_after_unseeded_draws(tmp_path, capsys):

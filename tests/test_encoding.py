@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -166,6 +167,69 @@ def test_evolve_exact_size_mismatch_raises_at_the_call(small_sheet):
     other = encoding.build_block_H(enm.build_system(LatticeSpec(2, 2)))
     with pytest.raises(ValueError, match="sizes differ"):
         encoding.evolve_exact(st0, other, [1.0, 2.0])
+
+
+def test_evolve_grid_checks_its_inputs_and_runs_one_recurrence(small_sheet):
+    x0, xdot0 = thermalish_ics(small_sheet, seed=6)
+    st0 = encoding.prepare_standard(small_sheet, x0, xdot0)
+    bh = encoding.build_block_H(small_sheet)
+    for grid in (np.array([]), 1.5, np.ones((2, 3))):
+        with pytest.raises(ValueError):
+            encoding.evolve_grid(st0, bh, grid)
+    other = encoding.build_block_H(enm.build_system(LatticeSpec(2, 2)))
+    with pytest.raises(ValueError, match="sizes differ"):
+        encoding.evolve_grid(st0, other, [1.0, 2.0])
+    counting = CountingMatrix(bh.H)
+    amps = encoding.evolve_grid(st0, replace(bh, H=counting), [3.0, -9.5, 0.0, 4.25])
+    assert amps.shape == (4, *st0.amps.shape)
+    assert counting.products == encoding.series_degree(bh.scale * 9.5)
+
+
+GRIDS = {"default": (np.linspace(0.0, 6.0, 50), 1.0), "single": (np.array([2.5]), 1.0),
+         "negative": (np.array([-4.0, 1.25, -0.5, 0.0]), 1.0),
+         # the ripple window in physical units: carbon mass, 1000 ps, K = 985
+         "physical": (np.linspace(0.0, 1000.0, 50), 12.0)}
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=list(GRIDS))
+@pytest.mark.parametrize("shape", [(2, 1), (3, 2), (4, 4)])
+@pytest.mark.parametrize("tag", ["standard", "alternative"])
+def test_evolve_grid_matches_evolve_exact(shape, grid, tag):
+    times, mass = GRIDS[grid]
+    sys = enm.build_system(LatticeSpec(*shape), mass=mass)
+    x0, xdot0 = thermalish_ics(sys, seed=11, axes=2 if tag == "standard" else 1)
+    if tag == "standard":
+        st0 = encoding.prepare_standard(sys, x0, xdot0)
+    else:
+        st0 = encoding.prepare_alternative(sys, x0[0], xdot0[0])
+    bh = encoding.build_block_H(sys)
+    if grid == "physical":
+        assert encoding.series_degree(bh.scale * times[-1]) == 985
+    want = np.stack([st.amps for st in encoding.evolve_exact(st0, bh, times)])
+    got = encoding.evolve_grid(st0, bh, times)
+    assert got.shape == (len(times), *st0.amps.shape)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_evolve_grid_copies_no_basis():
+    # the product reads the basis in place: the peak holds the basis, the grid and the
+    # (K + 1, T) coefficients, and a second basis would not fit beside them
+    sys = enm.build_system(LatticeSpec(4, 4))
+    x0, xdot0 = thermalish_ics(sys, seed=4, axes=1)
+    st0 = encoding.prepare_alternative(sys, x0[0], xdot0[0])
+    bh = encoding.build_block_H(sys)
+    times = np.linspace(0.0, 60.0, 20)
+    terms = encoding.series_degree(bh.scale * times[-1]) + 1
+    basis_bytes = terms * st0.amps.nbytes
+    tracemalloc.start()
+    try:
+        grid = encoding.evolve_grid(st0, bh, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    coeff_bytes = terms * len(times) * 16
+    assert basis_bytes > 4 * (grid.nbytes + 4 * coeff_bytes)
+    assert peak <= 1.5 * basis_bytes + grid.nbytes + 4 * coeff_bytes
 
 
 def test_chebyshev_basis_matches_numpy_chebyshev():

@@ -196,6 +196,29 @@ def test_msd_values():
         enm.msd_subset(traj, 0, [])
 
 
+@pytest.mark.parametrize("axes", [1, 2, 3])
+def test_subset_sums_over_an_index_array_keep_the_bits_of_one_index(axes):
+    # the reference is each sample's own sum, as these functions took it one index at a time
+    sys = enm.build_system(LatticeSpec(4, 4), mass=12.0)
+    rng = np.random.default_rng(axes)
+    phys = np.flatnonzero(sys.physical)
+    x0, xdot0 = rng.normal(0.0, 1.0, (2, axes, sys.n)) * sys.physical
+    traj = enm.evolve_classical(sys, x0, xdot0, np.linspace(0.0, 6.0, 50))
+    samples = np.arange(50)
+    for nodes in (phys, phys[::3], rng.permutation(phys)[:17], phys[:1]):
+        msd = [float(np.sum(traj.x[ti][:, nodes] ** 2)) / len(nodes) for ti in samples]
+        kinetic = [0.5 * float(np.sum(sys.masses[nodes] * traj.xdot[ti][:, nodes] ** 2))
+                   for ti in samples]
+        assert enm.msd_subset(traj, samples, nodes).tolist() == msd
+        assert [enm.msd_subset(traj, ti, nodes) for ti in samples] == msd
+        assert enm.kinetic_energy_subset(traj, samples, nodes).tolist() == kinetic
+        assert [enm.kinetic_energy_subset(traj, ti, nodes) for ti in samples] == kinetic
+    whole = [0.5 * float(np.sum(sys.masses * traj.xdot[ti] ** 2)) for ti in samples]
+    assert enm.kinetic_energy_subset(traj, samples).tolist() == whole
+    assert isinstance(enm.msd_subset(traj, 3, phys), float)
+    assert isinstance(enm.kinetic_energy_subset(traj, 3), float)
+
+
 def test_b_factor_ratio():
     assert enm.b_factor(1.0) == pytest.approx(8.0 * np.pi**2)
     assert enm.b_factor(0.0) == 0.0

@@ -245,6 +245,55 @@ def test_ripple_quantum_matches_classical_at_carbon_mass():
     assert np.abs(res.msd - res.msd_classical).max() <= 1e-8 * res.msd.max()
 
 
+def _recording(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that keeps each call's (args, result)."""
+    calls, fn = [], getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append((args, fn(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("shape, mass, stop, seed",
+                         [((2, 1), 1.0, 6.0, 3), ((3, 2), 12.0, 20.0, 5), ((4, 4), 1.0, 6.0, 0),
+                          ((4, 4), 1.0, 6.0, 3)])
+def test_ripple_grid_msd_is_msd_fraction_of_each_state(monkeypatch, shape, mass, stop, seed):
+    grids = _recording(monkeypatch, encoding, "evolve_grid")
+    res = measure.ripple_msd(LatticeSpec(*shape), np.linspace(0.0, stop, 50), temperature=1.0,
+                             mass=mass, seed=seed)
+    (st0, bh, times), _ = grids[0]
+    sel = SubsetSelector("displacement", tuple(np.flatnonzero(st0.sys.physical).tolist()))
+    want = np.array([measure.msd_fraction(st, sel).observable
+                     for st in encoding.evolve_exact(st0, bh, times)])
+    assert np.abs(res.msd - want).max() <= 1e-14 * want.max()
+
+
+@pytest.mark.parametrize("shape, seed", [((2, 1), 3), ((4, 4), 0), ((4, 4), 3)])
+def test_ripple_classical_msd_is_msd_subset_bit_for_bit(monkeypatch, shape, seed):
+    trajs = _recording(monkeypatch, enm, "evolve_classical")
+    res = measure.ripple_msd(LatticeSpec(*shape), np.linspace(0.0, 6.0, 50), temperature=1.0,
+                             seed=seed)
+    _, traj = trajs[0]
+    phys = np.flatnonzero(traj.sys.physical)
+    assert res.msd_classical.tolist() == [enm.msd_subset(traj, ti, phys)
+                                          for ti in range(len(res.times))]
+
+
+def test_heat_argmax_table_is_the_per_probe_argmax(monkeypatch):
+    trajs = _recording(monkeypatch, enm, "evolve_classical")
+    spec = LatticeSpec(4, 4)
+    regions = measure.column_regions(spec, 8)
+    for seed in range(20):
+        res = measure.heat_experiment(spec, [0.0, 1.0, 2.0, 3.0, 4.0, 4.5], seed=seed)
+        _, traj = trajs[-1]
+        assert res.classical_argmax == [
+            int(np.argmax([enm.kinetic_energy_subset(traj, ti, band) for band in regions]))
+            for ti in range(len(res.times))]
+
+
 def test_ripple_linear_in_temperature():
     temps = np.array([0.4, 0.8, 1.2, 1.6])
     times = np.linspace(0.0, 15.0, 40)
