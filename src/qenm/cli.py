@@ -455,12 +455,10 @@ def cmd_ripple(cfg, out: Path) -> int:
 def cmd_scaling(cfg, out: Path, kind: str) -> int:
     specs = [LatticeSpec(n_r, n_c) for n_r, n_c in cfg["sizes"]]
     for spec in specs:     # every size is checked before the first solve
-        # Each factor array holds at most n_total max(2^(min(n_r, n_c) + 1), BLOCK_SITES)
-        # entries, so 7x7 fits in FACTOR_ENTRIES and 8x8 does not.  Sites cost time of their
-        # own: on a long narrow sheet lambda_max takes ~40 factorizations of n / BLOCK_SITES
-        # blocks each, and scaling cond at 13x1 (2^15 sites) takes 5.4 s, at 14x1 11 s.
-        factor = spec.n_total * max(2 << min(spec.n_r, spec.n_c), enm.BLOCK_SITES)
-        if spec.n_total > 1 << 15 or factor > enm.FACTOR_ENTRIES:
+        # Sites cost time of their own: on a long narrow sheet lambda_max takes ~40
+        # factorizations of n / BLOCK_SITES blocks each, and scaling cond at 13x1 (2^15
+        # sites) takes 5.4 s, at 14x1 11 s.
+        if spec.n_total > 1 << 15 or enm.sheet_factor_entries(spec) > enm.FACTOR_ENTRIES:
             raise ConfigError(f"lattice {spec.n_r}x{spec.n_c} has {spec.n_total} sites; the "
                               f"exact block-tridiagonal solve is capped at {1 << 15} sites "
                               f"and {enm.FACTOR_ENTRIES} entries per factor array")

@@ -37,18 +37,19 @@ in x = H / alpha with tau = alpha t and alpha = sqrt(2 kappa d / m) >= ||H||,
 truncated at the degree ``series_degree(tau)`` whose tail is at most
 ``SERIES_EPS`` in operator norm.  That degree is the query count of a block
 encoding of H / alpha for one time sample; on hardware each sample is its
-own run.  The emulator builds one series for the whole time grid: one
+own run.  The emulator builds one ``enm.ChebyshevSeries`` for the whole
+time grid, the series type of the classical reference too: its terms are one
 Chebyshev recurrence (``enm.chebyshev_basis``, one product with H per degree)
-to the degree of the longest time, and the (K + 1, T) coefficients from the
-Bessel values J_k(tau) of ``bessel_j``.  That saves products but leaves the
-query count unchanged.  The series has two readers: ``evolve_exact`` yields
-one ``EncodedState`` per sample, and ``evolve_grid`` forms the amplitudes of
-every sample at once with one matrix product, for observables read over the
-whole grid.  ``evolve_dense``, the eigendecomposition of the dense active
-block, is kept only as the reference the tests compare against.  The
-gate-level block encoding of H / alpha (``oracles.hamiltonian_block_circuit``)
-is verified against ``build_block_H`` by amplitude extraction and is never
-used for time evolution.
+to the degree of the longest time, and its (K + 1, T) coefficients come from
+the Bessel values J_k(tau) of ``bessel_j``.  That saves products but leaves
+the query count unchanged.  Its one reader, ``read``, forms a run of samples
+as one matrix product: ``evolve_exact`` reads one sample at a time and yields
+it as an ``EncodedState``, and ``evolve_grid`` reads every sample at once,
+for observables read over the whole grid.  ``evolve_dense``, the
+eigendecomposition of the dense active block, is kept only as the reference
+the tests compare against.  The gate-level block encoding of H / alpha
+(``oracles.hamiltonian_block_circuit``) is verified against ``build_block_H``
+by amplitude extraction and is never used for time evolution.
 """
 
 from __future__ import annotations
@@ -313,11 +314,10 @@ def bessel_j(degree: int, taus) -> np.ndarray:
     return out
 
 
-def _jacobi_anger(state: EncodedState, bh: BlockHamiltonian,
-                  times) -> tuple[np.ndarray, np.ndarray]:
-    """The series of exp(-iHt) psi_0 on the grid: (K + 1, T) coefficients and the basis.
+def _jacobi_anger(state: EncodedState, bh: BlockHamiltonian, times) -> enm.ChebyshevSeries:
+    """The series of exp(-iHt) psi_0 on the grid, whose ``read`` gives (samples, N + P, D).
 
-    The basis is T_k(H / alpha) psi_0 for k = 0..K, shaped (K + 1, N + P, D), to
+    Its terms are the basis T_k(H / alpha) psi_0 for k = 0..K, shaped (K + 1, N + P, D), to
     K = ``series_degree(alpha max|t|)``; coefficient (k, t) is (2 - [k = 0]) (-i)^k
     J_k(alpha t).  Sample t is sum_k c_k(t) T_k psi_0.
     """
@@ -330,34 +330,32 @@ def _jacobi_anger(state: EncodedState, bh: BlockHamiltonian,
     orders = np.arange(degree + 1)[:, None]
     coeffs = np.array([1.0, -1.0j, -1.0, 1.0j])[orders % 4] * bessel_j(degree, taus)  # (K + 1, T)
     coeffs[1:] *= 2.0
-    return coeffs, basis
+    return enm.ChebyshevSeries(coeffs, basis)
 
 
 def evolve_exact(state: EncodedState, bh: BlockHamiltonian, times) -> Iterator[EncodedState]:
     """exp(-iHt) on every axis slice for each t of ``times``, in grid order.
 
     Runs the recurrence T_k(H / alpha) psi_0 to ``series_degree(alpha max|t|)``
-    before returning, so errors raise here; the iterator then forms each
-    sample as sum_k c_k(t) T_k psi_0, within SERIES_EPS of exp(-iHt) in norm.
+    before returning, so errors raise here; the iterator then reads each
+    sample alone, sum_k c_k(t) T_k psi_0, within SERIES_EPS of exp(-iHt) in
+    norm, so it holds one sample at a time.
     """
-    coeffs, basis = _jacobi_anger(state, bh, times)
-    return (replace(state, amps=np.ascontiguousarray(np.tensordot(c, basis, 1).T))
-            for c in coeffs.T)
+    series = _jacobi_anger(state, bh, times)
+    return (replace(state, amps=np.ascontiguousarray(series.read(i, i + 1)[0].T))
+            for i in range(series.coeffs.shape[1]))
 
 
 def evolve_grid(state: EncodedState, bh: BlockHamiltonian, times) -> np.ndarray:
     """The ``amps`` of exp(-iHt) psi_0 for every t of ``times`` at once, shape (T, D, N + P).
 
-    The same series as ``evolve_exact``, read with one product of the
-    (T, K + 1) coefficients and the basis viewed as (K + 1, (N + P) D), so
-    the basis is never copied; it agrees with ``evolve_exact`` to roundoff.
-    It holds every sample, T (N + P) D amplitudes, where ``evolve_exact``
-    holds one at a time.
+    The same series as ``evolve_exact``, read whole, so the basis is never
+    copied; it agrees with ``evolve_exact`` to roundoff.  It holds every
+    sample, T (N + P) D amplitudes, where ``evolve_exact`` holds one at a
+    time.
     """
-    coeffs, basis = _jacobi_anger(state, bh, times)
-    terms, cols, axes = basis.shape
-    grid = coeffs.T @ basis.reshape(terms, cols * axes)
-    return grid.reshape(-1, cols, axes).transpose(0, 2, 1)
+    series = _jacobi_anger(state, bh, times)
+    return series.read(0, series.coeffs.shape[1]).transpose(0, 2, 1)
 
 
 def evolve_dense(state: EncodedState, bh: BlockHamiltonian, t: float) -> EncodedState:

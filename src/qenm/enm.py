@@ -15,11 +15,12 @@ A = sqrt(M)^-1 F sqrt(M)^-1 positive semidefinite.  Its solution
 
 applies entire functions of A, so ``evolve_classical`` evaluates them as a
 Chebyshev series in the bond operator and needs no eigenvectors; zero modes
-(cos -> 1, sin(t w)/w -> t) need no branch.  The series is built once
-(``classical_series``) and writes any slice of the time grid, so
-``evolve_classical_blocks`` can hand a long grid over a block of samples at
-a time, and a caller that reads each block and drops it never holds the
-whole trajectory.  ``spectral`` and
+(cos -> 1, sin(t w)/w -> t) need no branch.  The series is a
+``ChebyshevSeries``, the one series type of both evolutions, whose one
+reader forms a run of samples as one matrix product.  ``classical_series``
+builds it once, and ``evolve_classical_blocks`` reads a long grid a block
+of samples at a time, so a caller that reads each block and drops it
+never holds the whole trajectory.  ``spectral`` and
 ``evolve_spectral`` (one eigenmode at a time) are the dense references the
 tests compare it with.  Everything downstream, quantum included, is
 validated against these trajectories.
@@ -32,21 +33,21 @@ definite; its inverse, padded with zeros, is a generalized inverse X of A,
 so A^+ = P X P.  The grounded A is banded in the order of the bonded
 sites (node order or breadth-first level order, found once per system),
 and one block-tridiagonal factorization of its renumbered triples
-(``SystemMatrices._grounded``) gives A^+ v, Tr(A^+) and lambda_min^+
+(``SystemMatrices._grounded``) gives A^+ v and Tr(A^+)
 exactly in O(N w^2) time and O(N w) memory.  Where that
 memory would pass FACTOR_ENTRIES (8x8 sheets), A^+ v is conjugate
 gradients on range(A), and Tr(A^+) and cond(B) refuse.
 
 Every eigenvalue question is answered by block factorizations of this kind.
-``pseudoinverse_trace`` reads Tr(A^+) from the diagonal blocks of X, and
-``condition_number_B`` the ends of the spectrum from two short Lanczos
-runs, one on A^+ and one on (sigma - A)^-1, factored the same way, which
-bisection finishes on long narrow sheets.  ``extreme_eigenvalues``, for
-the semidefiniteness and null-space checks of ``qenm validate``, shares
-that lambda_max and finds the smallest eigenvalues by block Lanczos on
-(A - sigma)^-1, with the shift just below the spectrum, so that it sees a
-negative eigenvalue as surely as a zero.  ``eigenvalues``, a banded solve
-of the whole spectrum, is the tests' reference for all three.
+``pseudoinverse_trace`` reads Tr(A^+) from the diagonal blocks of X.
+``extreme_eigenvalues`` finds the ends of the spectrum, for
+``condition_number_B`` and for the semidefiniteness and null-space checks
+of ``qenm validate``: lambda_max by Lanczos on (sigma - A)^-1, which
+bisection finishes on long narrow sheets, and the smallest eigenvalues by
+block Lanczos on (A - sigma)^-1, with the shift just below the spectrum,
+so that it sees a negative eigenvalue as surely as a zero.
+``eigenvalues``, a banded solve of the whole spectrum, is the tests'
+reference for all three.
 
 The weighted incidence matrix B has one column per bonded pair (j, k),
 j < k, ordered lexicographically, with entries +sqrt(kappa_jk/m_j) on row
@@ -297,6 +298,19 @@ def _factor(m: BondOperator) -> _BlockTridiagonal | None:
     return _BlockTridiagonal(m, w)
 
 
+def sheet_factor_entries(spec: LatticeSpec) -> int:
+    """A bound on the entries of each array of ``_factor`` for the sheet ``spec``,
+    known before its system is built.
+
+    In ``_narrow_order`` a sheet's levels run across its shorter side, so
+    its bandwidth stays below 2^(min(n_r, n_c) + 1); with that width, at
+    least BLOCK_SITES, and all n_total sites, the count is ``_factor``'s.
+    7x7 fits in FACTOR_ENTRIES and 8x8 does not.
+    """
+    w = max(2 << min(spec.n_r, spec.n_c), BLOCK_SITES)
+    return -(-spec.n_total // w) * w * w
+
+
 def _fitted(factor: _BlockTridiagonal | None) -> _BlockTridiagonal:
     """``factor``, for the exact Tr(A^+) and cond(B), which have no fallback."""
     if factor is None:
@@ -531,8 +545,8 @@ def extreme_eigenvalues(sys: SystemMatrices) -> np.ndarray:
     min(lo, 0), so that a negative eigenvalue is found as surely as a zero,
     and the largest from ``_largest_eigenvalue``, shifted just above hi.
     Seeded random starts, which have a component along every eigenvector,
-    make every rerun identical.  Like ``condition_number_B`` it refuses
-    where a factorization would pass FACTOR_ENTRIES.
+    make every rerun identical.  It refuses where a factorization would
+    pass FACTOR_ENTRIES, and so does ``condition_number_B``, which reads it.
     """
     # bincounts, not np.unique, whose first call imports numpy.ma (1.2 MB)
     sites = np.flatnonzero(np.bincount(sys.bonds.ravel(), minlength=sys.n))
@@ -726,40 +740,29 @@ def chebyshev_coefficients(samples: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class ClassicalSeries:
-    """``evolve_classical``'s series, built once, from which ``samples`` writes any slice.
+class ChebyshevSeries:
+    """Samples sum_k coeffs[k, i] terms[k], ``read`` a run at a time: ``classical_series``
+    and ``encoding``'s Jacobi-Anger series."""
 
-    Sample i of axis a is x(t_i) = rows[a]^T mixing[:, i] and xdot(t_i) =
-    rows[a]^T mixing[:, T + i]: rows[a] holds T_k(S) x0[a] in row k and
-    T_k(S) xdot0[a] in row K + 1 + k.
-    """
+    coeffs: np.ndarray      # (K', T, ...): column i, with any trailing axes, gives sample i
+    terms: np.ndarray       # (K', ...): T_k(S) of the initial block
 
-    times: np.ndarray           # (T,)
-    mixing: np.ndarray          # (2 (K + 1), 2 T)
-    rows: np.ndarray            # (D, 2 (K + 1), N)
-    axes: tuple[str, ...]
-    sys: SystemMatrices
+    def read(self, start: int, stop: int) -> np.ndarray:
+        """Samples start..stop-1, shape (stop - start, *coeffs.shape[2:], *terms.shape[1:]).
 
-    def samples(self, start: int, stop: int) -> Trajectory:
-        """The trajectory at times[start:stop], two GEMMs per axis.
-
-        Each sample is the same dot products whatever the slice, so slices
-        of two or more samples match the whole grid's bit for bit.  A
-        one-sample slice of a longer grid goes through a matrix-vector
-        product, which may round differently.
+        One product of the coefficient columns with the terms viewed as
+        (K', rest), which copies no term.  Runs of two or more samples match
+        the whole grid's bit for bit; a product of one row, such as one
+        sample of the quantum series, is a matrix-vector product and may
+        round differently.
         """
-        steps = self.times.size
-        d, _, n = self.rows.shape
-        xs = np.empty((stop - start, d, n))
-        vs = np.empty((stop - start, d, n))
-        for a in range(d):
-            # each GEMM writes its samples in place, with no (N, 2T) product in between
-            np.matmul(self.mixing[:, start:stop].T, self.rows[a], out=xs[:, a])
-            np.matmul(self.mixing[:, steps + start:steps + stop].T, self.rows[a], out=vs[:, a])
-        return Trajectory(self.times[start:stop], xs, vs, self.axes, self.sys)
+        c = self.coeffs[:, start:stop]
+        k = len(c)
+        out = c.reshape(k, -1).T @ self.terms.reshape(k, -1)
+        return out.reshape(c.shape[1:] + self.terms.shape[1:])
 
 
-def classical_series(sys, x0, xdot0, times, axes=None) -> ClassicalSeries:
+def classical_series(sys, x0, xdot0, times) -> ChebyshevSeries:
     """The series of ``evolve_classical``, without any sample.
 
     ``x0`` / ``xdot0`` are (N,) for a single axis or (D, N); each axis
@@ -773,18 +776,20 @@ def classical_series(sys, x0, xdot0, times, axes=None) -> ClassicalSeries:
     K = ``chebyshev_degree(lambda_bar, max|t|)``.  One cosine transform of
     the three functions, sampled at the K + 1 Chebyshev nodes for every time,
     gives all coefficients (``chebyshev_coefficients``, an FFT, so a long
-    window needs no (K + 1)^2 matrix), the (2 (K + 1), 2 T) mixing matrix.
+    window needs no (K + 1)^2 matrix), as (2 (K + 1), T, 2) columns: [c_cos;
+    c_sin] for x(t_i), then [c_dsin; c_cos] for xdot(t_i).
     ``chebyshev_basis`` of the (N, 2D) block of initial conditions, K
     products with the ``BondOperator`` S, gives T_k(S) x0, T_k(S) xdot0,
-    which are copied out as the rows of each axis; the (K + 1, N, 2D) basis
-    is then freed.  The rows take 16 D (K + 1) N bytes: K is 29 for
+    which are copied out as the (2 (K + 1), D, N) terms, so ``read`` gives
+    x and xdot of each sample as (samples, 2, D, N); the (K + 1, N, 2D)
+    basis is then freed.  The terms take 16 D (K + 1) N bytes: K is 29 for
     max|t| sqrt(lambda_bar) = 24.5 (``validate``, 2 MB at 5x5) and 496 for
     707 (``ripple``'s 1000 ps window in physical units, 4 MB at 4x4).
     The cosine is transformed as cos - 1 with the 1 put on T_0, and working
     in x rather than y = sqrt(M) x keeps T_0 the identity, so x(0) = x0 and
     xdot(0) = xdot0 exactly.
     """
-    x0, xdot0, times, axes = _initial_state(sys, x0, xdot0, times, axes)
+    x0, xdot0, times, _ = _initial_state(sys, x0, xdot0, times, None)
     d, n = x0.shape[0], sys.n
     lam_bar = gershgorin_bound(sys) or 1.0        # without bonds any interval holds {0}
     nodes = chebyshev_degree(lam_bar, float(np.abs(times).max())) + 1
@@ -798,23 +803,23 @@ def classical_series(sys, x0, xdot0, times, axes=None) -> ClassicalSeries:
                               sin_wt / root, -root * sin_wt], axis=1)
     c_cos, c_sin, c_dsin = np.split(chebyshev_coefficients(samples), 3, axis=1)
     c_cos[0] += 1.0
-    # x(t) = [basis of x0, basis of xdot0]^T [c_cos; c_sin], xdot(t) likewise
-    mixing = np.block([[c_cos, c_dsin], [c_sin, c_cos]])
+    coeffs = np.stack([np.concatenate([c_cos, c_sin]), np.concatenate([c_dsin, c_cos])], axis=2)
 
     L = sys.op_L
     S = BondOperator(L.rows, L.cols, (2.0 / lam_bar) * L.vals - (L.rows == L.cols), L.shape)
     # (K + 1, N, 2D); column 2a: of x0[a], column 2a + 1: of xdot0[a]
     basis = chebyshev_basis(S, np.stack([x0, xdot0], axis=1).reshape(2 * d, n).T, nodes - 1)
-    # the reshape copies: rows[a, k] = basis[k, :, 2a], rows[a, nodes + k] = basis[k, :, 2a + 1]
-    rows = basis.reshape(nodes, n, d, 2).transpose(2, 3, 0, 1).reshape(d, 2 * nodes, n)
-    return ClassicalSeries(times, mixing, rows, axes, sys)
+    # the reshape copies: terms[k, a] = basis[k, :, 2a], terms[nodes + k, a] = basis[k, :, 2a + 1]
+    terms = basis.reshape(nodes, n, d, 2).transpose(3, 0, 2, 1).reshape(2 * nodes, d, n)
+    return ChebyshevSeries(coeffs, terms)
 
 
 def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
     """Solution of M x'' = -F x from x(0), xdot(0), without eigenvectors:
-    every sample of ``classical_series`` at once."""
-    series = classical_series(sys, x0, xdot0, times, axes)
-    return series.samples(0, series.times.size)
+    every sample of ``classical_series`` in one ``read``."""
+    x0, xdot0, times, axes = _initial_state(sys, x0, xdot0, times, axes)
+    samples = classical_series(sys, x0, xdot0, times).read(0, times.size)
+    return Trajectory(times, samples[:, 0], samples[:, 1], axes, sys)
 
 
 def evolve_classical_blocks(sys, x0, xdot0, times, axes=None):
@@ -825,21 +830,19 @@ def evolve_classical_blocks(sys, x0, xdot0, times, axes=None):
     least two, so a caller that reads each block and drops it holds one
     block at a time besides the series: 21 samples at 5x5.  A one-sample
     tail is joined to the block before it: only a grid of one sample gives
-    a one-sample block.  Concatenated, the blocks equal ``evolve_classical``
-    bit for bit.
+    a one-sample block.  Each block is one ``read``, and concatenated, the
+    blocks equal ``evolve_classical`` bit for bit.
     """
-    series = classical_series(sys, x0, xdot0, times, axes)
-    steps = series.times.size
-    d, _, n = series.rows.shape
+    x0, xdot0, times, axes = _initial_state(sys, x0, xdot0, times, axes)
+    series = classical_series(sys, x0, xdot0, times)
+    d, n = x0.shape
     # per sample: the gather of its d axes, then its x and xdot
     size = max(2, ENERGY_CHUNK_BYTES // (d * (sys.op_F._tables[0].nbytes + 16 * n)))
-    start = 0
-    while start < steps:
-        stop = min(start + size, steps)
-        if stop == steps - 1:
-            stop = steps
-        yield series.samples(start, stop)
-        start = stop
+    # the range ends short of T - 1, so a one-sample tail joins the block before it
+    stops = [*range(size, times.size - 1, size), times.size]
+    for start, stop in zip([0, *stops], stops):
+        samples = series.read(start, stop)
+        yield Trajectory(times[start:stop], samples[:, 0], samples[:, 1], axes, sys)
 
 
 def evolve_spectral(sys, x0, xdot0, times, axes=None) -> Trajectory:
@@ -1098,21 +1101,14 @@ def condition_number_B(sys: SystemMatrices) -> float:
     """sigma_max / smallest nonzero sigma of the incidence matrix.
 
     B B^T = A, so the singular values of B are the square roots of A's
-    eigenvalues and cond(B) = sqrt(lambda_max / lambda_min^+).  Both ends
-    come from Lanczos (``_largest_ritz_value``) with a seeded random start
-    vector, which has a component along every eigenvector, so reruns are
-    identical: lambda_max from ``_largest_eigenvalue``, whose factorization
-    is freed before the grounded one is built, and 1 / lambda_min^+ as the
-    largest eigenvalue of A^+ (``pinv_apply``) on range(A).
+    eigenvalues and cond(B) = sqrt(lambda_max / lambda_min^+), both ends
+    read from ``extreme_eigenvalues``: lambda_min^+ is its smallest
+    nonzero eigenvalue.
     """
     if len(sys.bonds) == 0:
         raise ValueError("A has no nonzero eigenvalue, so B has no condition number")
-    lambda_max = _largest_eigenvalue(_bonded(sys))
-    sites, factor = sys._grounded
-    _fitted(factor)
-    start = project_range(sys, np.random.default_rng(0).uniform(-1.0, 1.0, sys.n))
-    inv_min = _largest_ritz_value(lambda v: pinv_apply(sys, v), start, len(sites))[0]
-    return math.sqrt(lambda_max * inv_min)
+    nonzero = nonzero_eigenvalues(extreme_eigenvalues(sys))
+    return math.sqrt(nonzero[-1] / nonzero[0])
 
 
 def pinv_apply(sys: SystemMatrices, vec: np.ndarray) -> np.ndarray:

@@ -23,8 +23,9 @@ lexicographically lower half); bands are unit-cell columns from
 alternative encoding, time-averaged MSD and the B-factor 8 pi^2 <M>.
 Both load thermal velocities with ``boltzmann.thermal_velocities``.
 
-The two experiments read the one Jacobi-Anger series of ``encoding`` in
-its two ways.  Heat searches state by state, so it walks
+The two experiments read the one Jacobi-Anger series of ``encoding``, an
+``enm.ChebyshevSeries``, through its one reader, a sample or a whole grid
+at a time.  Heat searches state by state, so it walks
 ``encoding.evolve_exact``; rippling reads ``msd_fraction``'s MSD at every
 sample, so it takes the whole grid from ``encoding.evolve_grid`` and reduces
 the node block once, with the same formula.  Their classical references

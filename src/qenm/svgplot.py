@@ -102,14 +102,15 @@ def lattice_svg(path, spec: LatticeSpec) -> None:
     scale, margin = 34.0, 40.0
     xs = pos[:, 0] * scale
     ys = pos[:, 1] * scale
-    w = xs.max() - xs.min() + 2 * margin
-    h = ys.max() - ys.min() + 2 * margin
+    x_min, y_min = xs.min(), ys.min()
+    w = xs.max() - x_min + 2 * margin
+    h = ys.max() - y_min + 2 * margin
 
     def px(j):
-        return xs[j] - xs.min() + margin
+        return xs[j] - x_min + margin
 
     def py(j):
-        return h - (ys[j] - ys.min() + margin)
+        return h - (ys[j] - y_min + margin)
 
     body = [f'<rect x="0" y="0" width="{w:.0f}" height="{h:.0f}" fill="white"/>']
     for j in range(spec.n_total):

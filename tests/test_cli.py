@@ -464,21 +464,22 @@ def test_validate_holds_no_whole_trajectory(capsys):
 
 
 def test_validate_reads_every_block_of_the_trajectory(tmp_path, capsys, monkeypatch):
-    # at 4x4 the 200 samples come in blocks of 85, 85 and 30; a kick to the last sample of the
-    # last block must fail the energy check, which a loop over the first block alone would pass
-    samples = enm.ClassicalSeries.samples
-    stops = []
+    # at 4x4 the 200 samples come in blocks of 85, 85 and 30, one read each; a kick to the last
+    # sample of the last block must fail the energy check, which a loop over the first block
+    # alone would pass
+    read = enm.ChebyshevSeries.read
+    reads = []
 
     def kicked(self, start, stop):
-        traj = samples(self, start, stop)
-        stops.append(stop)
-        if stop == self.times.size:
-            traj.xdot[-1] *= 1.5
-        return traj
+        samples = read(self, start, stop)      # (samples, 2, D, N): x, then xdot
+        reads.append((start, stop))
+        if stop == self.coeffs.shape[1]:
+            samples[-1, 1] *= 1.5
+        return samples
 
-    monkeypatch.setattr(enm.ClassicalSeries, "samples", kicked)
+    monkeypatch.setattr(enm.ChebyshevSeries, "read", kicked)
     assert _validate_4x4(tmp_path) == 1
-    assert stops == [85, 170, 200]
+    assert reads == [(0, 85), (85, 170), (170, 200)]
     failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
               if line.startswith("FAIL")]
     assert failed == ["FAIL energy-conservation"]

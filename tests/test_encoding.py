@@ -232,6 +232,24 @@ def test_evolve_grid_copies_no_basis():
     assert peak <= 1.5 * basis_bytes + grid.nbytes + 4 * coeff_bytes
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (4, 4)])
+@pytest.mark.parametrize("kind", ["classical", "quantum"])
+def test_series_runs_of_two_or_more_samples_match_the_whole_read(kind, shape):
+    # validate's blocks of classical samples concatenate to the whole trajectory bit for bit
+    sys = enm.build_system(LatticeSpec(*shape))
+    x0, xdot0 = thermalish_ics(sys, seed=13)
+    times = np.linspace(0.0, 8.0, 12)
+    if kind == "classical":
+        series = enm.classical_series(sys, x0, xdot0, times)
+    else:
+        series = encoding._jacobi_anger(encoding.prepare_standard(sys, x0, xdot0),
+                                        encoding.build_block_H(sys), times)
+    whole = series.read(0, len(times))
+    for start in range(len(times) - 1):
+        for stop in range(start + 2, len(times) + 1):
+            assert np.array_equal(series.read(start, stop), whole[start:stop]), (start, stop)
+
+
 def test_chebyshev_basis_matches_numpy_chebyshev():
     rng = np.random.default_rng(8)
     m = rng.normal(size=(6, 6))

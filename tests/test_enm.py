@@ -365,6 +365,17 @@ def test_condition_number_matches_shift_invert_ends_at_6x6():
     assert enm.condition_number_B(sys) == pytest.approx(np.sqrt(nz[-1] / nz[0]), rel=1e-10)
 
 
+@pytest.mark.filterwarnings("ignore:physical subgraph is disconnected")
+def test_sheet_factor_entries_bounds_the_grounded_factor():
+    # scaling checks every size against this bound before the first solve
+    shapes = [(n_r, n_c) for n_r in range(1, 7) for n_c in range(1, 7)] + [(8, 1), (10, 1)]
+    for shape in shapes:
+        spec = LatticeSpec(*shape)
+        factor = enm.build_system(spec)._grounded[1]
+        bound = enm.sheet_factor_entries(spec)
+        assert factor.inv.size <= bound and factor.low.size <= bound, shape
+
+
 @pytest.mark.parametrize("nodes", [1, 2, 30, 4000])
 def test_chebyshev_coefficients_match_the_cosine_matrix(nodes):
     samples = np.random.default_rng(nodes).standard_normal((nodes, 5))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qenm import svgplot
 from qenm.lattice import (LatticeSpec, NodeCoord, adjacency, brute_force_adjacency,
                           decode_index, dummy_mask, encode_coord, is_dummy,
                           lattice_rows, neighbor, node_positions, shift_vector)
@@ -202,6 +203,25 @@ def test_dummy_mask_and_positions_equal_per_site_forms(spec):
     assert all(type(is_dummy(co, spec)) is bool for co in coords[:8])
     pos = [(np.sqrt(3.0) * (co.c - 0.5 * (co.r & 1)), 1.5 * co.r + co.s) for co in coords]
     assert np.array_equal(node_positions(spec), np.array(pos))
+
+
+def test_lattice_svg_takes_each_minimum_once_whatever_the_sheet(tmp_path, monkeypatch):
+    # its px and py took xs.min() and ys.min() for every coordinate, so 8x8 took 41 s
+    calls = []
+
+    class Counting(np.ndarray):
+        def min(self, *args, **kwargs):
+            calls.append(1)
+            return super().min(*args, **kwargs)
+
+    monkeypatch.setattr(svgplot, "node_positions",
+                        lambda spec: node_positions(spec).view(Counting))
+    counts = []
+    for spec in (LatticeSpec(2, 1), LatticeSpec(4, 4)):
+        calls.clear()
+        svgplot.lattice_svg(tmp_path / "lattice.svg", spec)
+        counts.append(len(calls))
+    assert counts == [2, 2]
 
 
 def test_lattice_rows_schema(tmp_path):
