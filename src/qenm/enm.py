@@ -64,6 +64,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .boltzmann import prf_uniform
 from .lattice import LatticeSpec, adjacency, dummy_mask
 
 RANK_RTOL = 1e-9  # eigenvalue/singular-value threshold relative to the largest
@@ -544,9 +545,11 @@ def extreme_eigenvalues(sys: SystemMatrices) -> np.ndarray:
     the small ones from ``_smallest_eigenvalues``, shifted just below
     min(lo, 0), so that a negative eigenvalue is found as surely as a zero,
     and the largest from ``_largest_eigenvalue``, shifted just above hi.
-    Seeded random starts, which have a component along every eigenvector,
-    make every rerun identical.  It refuses where a factorization would
-    pass FACTOR_ENTRIES, and so does ``condition_number_B``, which reads it.
+    Counter-based starts, uniforms on [-1, 1) from ``boltzmann.prf_uniform``
+    (the ``prf64`` mix of key 0), have a component along every eigenvector
+    and make every rerun identical, whatever numpy's generators have drawn.
+    It refuses where a factorization would pass FACTOR_ENTRIES, and so does
+    ``condition_number_B``, which reads it.
     """
     # bincounts, not np.unique, whose first call imports numpy.ma (1.2 MB)
     sites = np.flatnonzero(np.bincount(sys.bonds.ravel(), minlength=sys.n))
@@ -569,25 +572,25 @@ def _smallest_eigenvalues(A: BondOperator, k: int) -> np.ndarray:
     With sigma just below min(lo, 0) of A's Gershgorin interval [lo, hi],
     A - sigma is positive definite and its inverse T has the eigenvalues
     theta = 1 / (lambda - sigma): A's smallest become T's largest, standing
-    far above the rest (Ericsson and Ruhe, Math. Comp. 35, 1980).  From a
-    seeded random block of k vectors, each step solves with the newest
-    block of the basis Q and orthogonalizes the result W twice against all
-    of Q (full reorthogonalization); the first pass's coefficients Q^T W are
-    the new columns of H = Q^T T Q, and the orthonormal basis of W, k
-    vectors at most and never more than fill the space, is the next block,
-    so k equal eigenvalues are found as surely as one.  Rayleigh-Ritz on H
-    gives the Ritz pairs (theta, Q s), and as T Q lies in the span of Q and
-    W, the residual T Q s - theta Q s of each is W times the newest block's
-    rows of s.  The run stops when each of the k largest Ritz pairs has a
-    residual within RITZ_RTOL of theta_max, or when Q spans the whole
-    space and they are exact.
+    far above the rest (Ericsson and Ruhe, Math. Comp. 35, 1980).  From the
+    orthonormalized (n, k) block of ``prf_uniform(0, n, k)`` uniforms, each
+    step solves with the newest block of the basis Q and orthogonalizes the
+    result W twice against all of Q (full reorthogonalization); the first
+    pass's coefficients Q^T W are the new columns of H = Q^T T Q, and the
+    orthonormal basis of W, k vectors at most and never more than fill the
+    space, is the next block, so k equal eigenvalues are found as surely as
+    one.  Rayleigh-Ritz on H gives the Ritz pairs (theta, Q s), and as T Q
+    lies in the span of Q and W, the residual T Q s - theta Q s of each is
+    W times the newest block's rows of s.  The run stops when each of the k
+    largest Ritz pairs has a residual within RITZ_RTOL of theta_max, or when
+    Q spans the whole space and they are exact.
     """
     n = A.shape[0]
     lo, hi = _gershgorin(A)
     sigma = min(lo, 0.0) - SHIFT_RTOL * hi
     shifted = BondOperator(A.rows, A.cols, A.vals - sigma * (A.rows == A.cols), A.shape)
     solve = _fitted(_factor(shifted)).solve                         # (A - sigma)^-1
-    block = np.linalg.qr(np.random.default_rng(0).uniform(-1.0, 1.0, (n, k)))[0]
+    block = np.linalg.qr(prf_uniform(0, n, k))[0]
     basis, h = np.empty((n, 0)), np.empty((0, 0))
     while True:
         w = solve(block)
@@ -1071,8 +1074,9 @@ def _largest_eigenvalue(A: BondOperator) -> float:
     ``A`` is the bonded block of ``_bonded``, and sigma lies just above its
     Gershgorin interval, as in ``extreme_eigenvalues``.  On a sheet about as
     wide as it is long, lambda_max lies close to sigma, so theta, the largest
-    eigenvalue of (sigma - A)^-1, stands far above the rest and Lanczos
-    gives lambda_max = sigma - 1 / theta in 14-20 steps.  On a long narrow
+    eigenvalue of (sigma - A)^-1, stands far above the rest and Lanczos,
+    started from the ``prf_uniform(0, n)`` uniforms, gives
+    lambda_max = sigma - 1 / theta in 14-20 steps.  On a long narrow
     sheet (2x7, 8x2, 10x1) lambda_max lies well below sigma and the top of
     the spectrum is crowded, so Lanczos would need hundreds of steps (over
     900 at 10x1, 60 s); after LANCZOS_STEPS it stops, and bisection between
@@ -1083,7 +1087,7 @@ def _largest_eigenvalue(A: BondOperator) -> float:
     sigma = hi + SHIFT_RTOL * hi
     shifted = _fitted(_factor(_shifted(A, sigma)))
     theta, converged = _largest_ritz_value(
-        shifted.solve, np.random.default_rng(0).uniform(-1.0, 1.0, A.shape[0]), LANCZOS_STEPS)
+        shifted.solve, prf_uniform(0, A.shape[0]), LANCZOS_STEPS)
     if converged:
         return sigma - 1.0 / theta
     lower, upper = sigma - 1.0 / theta, sigma

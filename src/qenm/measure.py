@@ -221,8 +221,8 @@ def heat_experiment(spec: LatticeSpec, times, n_regions: int = 8, temperature: f
     """
     sys = enm.build_system(spec, kappa=kappa, mass=mass)
     regions = column_regions(spec, n_regions)
-    rng = np.random.default_rng(seed)
-    keys = [boltzmann.BucketKey.random(spec.address_bits, rng) for _ in range(2)]
+    stream = boltzmann.KeyStream(seed)
+    keys = [boltzmann.BucketKey.random(spec.address_bits, stream) for _ in range(2)]
     params = boltzmann.MBParams(m=mass, T=temperature, k_B=k_B)
     xdot0 = boltzmann.thermal_velocities(params, keys, sys.n, list(regions[0]))
     if not xdot0.any():
@@ -275,7 +275,7 @@ def ripple_msd(spec: LatticeSpec, times, temperature: float,
         import warnings
         warnings.warn("averaging window shorter than one oscillation period")
 
-    key = boltzmann.BucketKey.random(spec.address_bits, np.random.default_rng(seed))
+    key = boltzmann.BucketKey.random(spec.address_bits, boltzmann.KeyStream(seed))
     params = boltzmann.MBParams(m=mass, T=temperature, k_B=k_B)
     zdot0 = boltzmann.thermal_velocities(params, [key], sys.n, phys)[0]
     # zero net momentum: project the mass-weighted velocity onto range(A)

@@ -166,6 +166,55 @@ def test_prf_deterministic_and_spread():
     assert prf64(42, 7) != prf64(43, 7)
 
 
+def test_vectorised_prf64_equals_the_scalar_mix():
+    i = np.arange(1000, dtype=np.uint64)
+    for key in (0, (1 << 64) - 1, -12345):
+        bits = prf64(key, i)
+        assert bits.dtype == np.uint64
+        assert [int(b) for b in bits] == [prf64(key, j) for j in range(1000)]
+
+
+def test_prf_uniform_reads_the_top_bits_of_prf64():
+    u = boltzmann.prf_uniform(-7, 40, 25)
+    assert u.shape == (40, 25) and u.min() >= -1.0 and u.max() < 1.0
+    top = [prf64(-7, j) >> 11 for j in range(1000)]
+    assert u.ravel().tolist() == [b * 2.0**-52 - 1.0 for b in top]
+    assert abs(u.mean()) < 0.1 and np.array_equal(u, boltzmann.prf_uniform(-7, 40, 25))
+
+
+def test_key_stream_draws_numpys_pcg64_integers():
+    # 2**32 and 2**64 + 5 take two and three words of seed entropy; after each 1 << n draw
+    # below 2**32, integers(0, 2) takes the buffered high half of its 64-bit draw, and
+    # 1 << 40 and 1 << 63 take the 64-bit path
+    mismatches = []
+    for seed in [*range(300), 2**31 - 1, 2**32, 2**64 + 5]:
+        for n in range(64):
+            ours, theirs = boltzmann.KeyStream(seed), np.random.default_rng(seed)
+            for high in (1 << n, 2, 1 << n, 1 << 40, 2, 1 << 63, 3, 1 << n):
+                if ours.integers(0, high) != int(theirs.integers(0, high)):
+                    mismatches.append((seed, n, high))
+        ours, theirs = boltzmann.KeyStream(seed), np.random.default_rng(seed)
+        if [ours.integers(-5, 11) for _ in range(20)] != theirs.integers(-5, 11, 20).tolist():
+            mismatches.append((seed, -5, 11))
+    assert not mismatches, mismatches[:10]
+
+
+def test_key_stream_draws_numpys_bucket_keys():
+    for seed in (0, 7, 2**31 - 1):
+        stream, rng = boltzmann.KeyStream(seed), np.random.default_rng(seed)
+        for n in (5, 9, 31, 32, 33, 40):
+            assert BucketKey.random(n, stream) == BucketKey.random(n, rng)
+
+
+def test_key_stream_refuses_what_numpy_refuses():
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError):
+        boltzmann.KeyStream(-1)
+    with pytest.raises(ValueError):
+        boltzmann.KeyStream(0).integers(3, 3)
+
+
 def test_inverse_cdf_bucket_basic():
     cdf = cdf_table([0.5, 0.5], scale=100)
     assert inverse_cdf_bucket(10, cdf) == 0

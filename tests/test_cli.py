@@ -584,6 +584,29 @@ def test_validate_and_scaling_leave_numpy_ma_unloaded(tmp_path):
         ["numpy.ma loaded: False"] * 2
 
 
+def test_no_command_loads_numpy_random(tmp_path):
+    # numpy.random brings secrets, hmac and OpenSSL's _hashlib, about 6 MB of a fresh
+    # process's peak RSS; commands draw keys from boltzmann.KeyStream and starts from prf64
+    env = {**os.environ, "PYTHONPATH": str(Path(qenm.__file__).resolve().parents[1])}
+    code = "import sys\nfrom qenm import cli\n"
+    for n_r, n_c in ((3, 2), (5, 5)):
+        cfg = tmp_path / f"{n_r}x{n_c}.json"
+        cfg.write_text(json.dumps({"lattice": {"n_r": n_r, "n_c": n_c},
+                                   "heat_lattice": {"n_r": n_r, "n_c": n_c}, "regions": 4}))
+        for argv in (["lattice"], ["validate"], ["simulate"], ["ripple"], ["heat"],
+                     ["scaling", "cond"], ["scaling", "trace"]):
+            out_dir = tmp_path / f"{n_r}x{n_c}-{'-'.join(argv)}"
+            flags = argv + (["--sizes", f"{n_r}x{n_c}"] if argv[0] == "scaling" else [])
+            flags += ["--config", str(cfg), "--out-dir", str(out_dir)]
+            code += (f"assert cli.main({flags!r}) == 0\n"
+                     f"print({' '.join(argv)!r}, 'numpy.random' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    loaded = [line for line in out.stdout.splitlines() if line.endswith(("True", "False"))]
+    assert len(loaded) == 14 and all(line.endswith("False") for line in loaded), loaded
+
+
 def test_scaling_reruns_are_identical_after_unseeded_draws(tmp_path, capsys):
     # the Lanczos start vectors are seeded, so the global numpy generator cannot move them
     for name in ("first", "second"):

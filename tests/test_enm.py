@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qenm import enm
+from qenm import boltzmann, enm
 from qenm.lattice import LatticeSpec, adjacency, dummy_mask
 
 
@@ -328,6 +328,25 @@ def test_extreme_eigenvalues_match_the_banded_solve(case):
     # one null direction per connected component, unbonded sites included, and no more
     # (graph-two-components: the two bonded nulls, both inside the shift-invert solve, and site 4)
     assert len(ends) - len(enm.nonzero_eigenvalues(ends)) == len(np.unique(sys.components))
+
+
+def test_lanczos_starts_are_identical_across_reruns(monkeypatch):
+    # the starts are counter-based uniforms: no draw of numpy's generators moves them
+    starts = []
+
+    def recording(key, *shape):
+        starts.append(boltzmann.prf_uniform(key, *shape))
+        return starts[-1]
+
+    monkeypatch.setattr(enm, "prf_uniform", recording)
+    runs = []
+    for seed in (1, 2):
+        np.random.seed(seed)
+        np.random.default_rng(seed).uniform(size=3)
+        runs.append(enm.extreme_eigenvalues(enm.build_system(LatticeSpec(4, 4))))
+    assert [start.shape for start in starts] == [(434, 2), (434,)] * 2
+    assert all(np.array_equal(a, b) for a, b in zip(starts[:2], starts[2:]))
+    assert np.array_equal(runs[0], runs[1])
 
 
 @pytest.mark.filterwarnings("ignore:physical subgraph is disconnected")
