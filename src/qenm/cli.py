@@ -21,7 +21,8 @@ Units: the default is the reduced system kappa = m = k_B = 1.  With
 (m = 12), Angstrom lengths, picosecond times and k_B in amu A^2 ps^-2 K^-1;
 this is a pure multiplier layer over the same dimensionless dynamics.
 
-Exit codes: 0 ok, 1 validation failure, 2 configuration error.
+Exit codes: 0 ok, 1 validation failure, 2 configuration error, a
+configuration too large to allocate included.
 """
 
 from __future__ import annotations
@@ -319,7 +320,8 @@ def _validation_checks(cfg):
         stop = start + len(block.times)
         energy[start:stop] = enm.total_energy(block, np.arange(stop - start))
         picks = np.arange(-start % 20, stop - start, 20)
-        states.append(np.stack([block.x[picks, 0], block.xdot[picks, 0]]))
+        if picks.size:      # most blocks of a few samples hold no 20th
+            states.append(np.stack([block.x[picks, 0], block.xdot[picks, 0]]))
         start = stop
     del block       # with the exhausted iterator went the series, so the solve below has room
     drift = float(np.abs(energy - energy[0]).max() / energy[0])
@@ -546,7 +548,8 @@ def main(argv=None) -> int:
         return 2
     try:
         code = handlers[args.command](cfg, out)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, MemoryError) as exc:
+        # numpy's MemoryError names the size and shape of the array that did not fit
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
     _write_json(out / "manifest.json", cfg)

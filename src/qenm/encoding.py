@@ -315,18 +315,18 @@ def bessel_j(degree: int, taus) -> np.ndarray:
 
 
 def _jacobi_anger(state: EncodedState, bh: BlockHamiltonian, times) -> enm.ChebyshevSeries:
-    """The series of exp(-iHt) psi_0 on the grid, whose ``read`` gives (samples, N + P, D).
+    """The series of exp(-iHt) psi_0 on the grid, whose ``read`` gives (samples, D, N + P).
 
-    Its terms are the basis T_k(H / alpha) psi_0 for k = 0..K, shaped (K + 1, N + P, D), to
-    K = ``series_degree(alpha max|t|)``; coefficient (k, t) is (2 - [k = 0]) (-i)^k
-    J_k(alpha t).  Sample t is sum_k c_k(t) T_k psi_0.
+    Its terms are the basis T_k(H / alpha) psi_0 for k = 0..K, shaped (K + 1, D, N + P), to
+    K = ``series_degree(alpha max|t|)``, H applied along the last axis of ``amps``;
+    coefficient (k, t) is (2 - [k = 0]) (-i)^k J_k(alpha t).  Sample t is sum_k c_k(t) T_k psi_0.
     """
     times = enm.time_grid(times)
     if bh.n_nodes != state.n:
         raise ValueError("Hamiltonian and state sizes differ")
     taus = bh.scale * times
     degree = series_degree(float(np.abs(taus).max()))
-    basis = enm.chebyshev_basis(bh.H, state.amps.T, degree, bh.scale)    # (K + 1, N + P, D)
+    basis = enm.chebyshev_basis(bh.H, state.amps, degree, bh.scale)    # (K + 1, D, N + P)
     orders = np.arange(degree + 1)[:, None]
     coeffs = np.array([1.0, -1.0j, -1.0, 1.0j])[orders % 4] * bessel_j(degree, taus)  # (K + 1, T)
     coeffs[1:] *= 2.0
@@ -342,8 +342,7 @@ def evolve_exact(state: EncodedState, bh: BlockHamiltonian, times) -> Iterator[E
     norm, so it holds one sample at a time.
     """
     series = _jacobi_anger(state, bh, times)
-    return (replace(state, amps=np.ascontiguousarray(series.read(i, i + 1)[0].T))
-            for i in range(series.coeffs.shape[1]))
+    return (replace(state, amps=series.read(i, i + 1)[0]) for i in range(series.coeffs.shape[1]))
 
 
 def evolve_grid(state: EncodedState, bh: BlockHamiltonian, times) -> np.ndarray:
@@ -355,7 +354,7 @@ def evolve_grid(state: EncodedState, bh: BlockHamiltonian, times) -> np.ndarray:
     time.
     """
     series = _jacobi_anger(state, bh, times)
-    return series.read(0, series.coeffs.shape[1]).transpose(0, 2, 1)
+    return series.read(0, series.coeffs.shape[1])
 
 
 def evolve_dense(state: EncodedState, bh: BlockHamiltonian, t: float) -> EncodedState:

@@ -77,7 +77,7 @@ LANCZOS_STEPS = 64  # most Lanczos steps for lambda_max before bisection takes o
 SHIFT_RTOL = 1e-6  # how far each shift of ``extreme_eigenvalues`` lies outside the Gershgorin
                    # interval, relative to the interval's upper end
 ENERGY_CHUNK_BYTES = 1 << 22  # most bytes of one gather in ``total_energy``'s op_F products,
-                              # and of a block of ``evolve_classical_blocks`` with its gather
+                              # which a caller passing many samples splits into chunks
 
 
 class BondOperator:
@@ -92,7 +92,9 @@ class BondOperator:
     ``op @ x``, for a (cols,) vector or (cols, k) block, real or complex, is
     one gather of every slot, one product with the weights, and a sum that
     starts every row at 0 and adds its entries in column order, so it
-    rounds as a CSR product does.
+    rounds as a CSR product does.  ``apply`` makes the same product along
+    any axis of x, the last one for a block stacked site-last, with the
+    same bits for each row.
     """
 
     dtype = np.dtype(float)
@@ -118,12 +120,18 @@ class BondOperator:
         return BondOperator(self.cols, self.rows, self.vals, self.shape[::-1])
 
     def __matmul__(self, x) -> np.ndarray:
+        return self.apply(x)
+
+    def apply(self, x, axis: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+        """The product with every 1-D slice of x along ``axis``, which becomes the rows
+        axis; written into ``out`` when it is given."""
         x = np.asarray(x)
         x = x.astype(np.result_type(x.dtype, self.dtype), copy=False)
+        axis %= x.ndim
         index, weight = self._tables
-        terms = np.take(x, index, axis=0, mode="clip")      # (w, rows, ...); every index is valid
-        terms *= weight.reshape(weight.shape + (1,) * (x.ndim - 1))
-        return terms.sum(axis=0, initial=0.0)               # slot by slot, from 0
+        terms = np.take(x, index, axis=axis, mode="clip")   # axis -> (w, rows); indices valid
+        terms *= weight.reshape(weight.shape + (1,) * (x.ndim - 1 - axis))
+        return terms.sum(axis=axis, initial=0.0, out=out)   # slot by slot, from 0
 
     def diagonal(self) -> np.ndarray:
         out = np.zeros(min(self.shape))
@@ -676,16 +684,29 @@ def bessel_tail_degree(tau: float, eps: float) -> int:
 
     With |J_k(tau)| <= (|tau|/2)^k / k! and K + 2 >= |tau|, consecutive
     terms of that bound shrink by at least half, so 2 sum_{k>K} |J_k(tau)|
-    <= eps: the cut of a Jacobi-Anger series at degree K.
+    <= eps: the cut of a Jacobi-Anger series at degree K.  From K + 2 >=
+    |tau| on, each step shrinks the bound, so the test is monotone in K and
+    doubling steps then bisection find K in O(log |tau|) tests.
     """
     a = abs(tau)
     if a == 0.0:
         return 0
-    k = max(0, math.ceil(a) - 2)
-    log_eps = math.log(eps / 4.0)
-    while (k + 1) * math.log(a / 2.0) - math.lgamma(k + 2) > log_eps:
-        k += 1
-    return k
+    log_half, log_eps = math.log(a / 2.0), math.log(eps / 4.0)
+
+    def above(k: int) -> bool:
+        return (k + 1) * log_half - math.lgamma(k + 2) > log_eps
+
+    lo = hi = max(0, math.ceil(a) - 2)
+    step = 1
+    while above(hi):        # every degree below lo is above eps, hi is not
+        lo, hi, step = hi + 1, hi + step, 2 * step
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if above(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return hi
 
 
 def chebyshev_degree(lam_bar: float, t_max: float) -> int:
@@ -704,23 +725,29 @@ def chebyshev_degree(lam_bar: float, t_max: float) -> int:
     return (bessel_tail_degree(omega, CHEB_EPS / 2.0) + 1) // 2
 
 
-def chebyshev_basis(S, block: np.ndarray, degree: int, scale: float = 1.0) -> np.ndarray:
-    """T_k(S / scale) block for k = 0..degree, stacked on a new first axis.
+def chebyshev_basis(S: BondOperator, block: np.ndarray, degree: int, scale: float = 1.0,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """T_k(S / scale) applied along the last axis of ``block``, for k = 0..degree, stacked
+    on a new first axis of ``out`` (a new array when it is None).
 
     The recurrence T_{k+1} = 2 (S / scale) T_k - T_{k-1} makes exactly
-    ``degree`` products with the (M, M) matrix ``S``, whose scale divides
-    each product.
+    ``degree`` products ``S.apply`` along the site axis, whose scale
+    divides each product.  Each term has the bits of the ``S @`` product of
+    the block stacked site-first, which it replaces, and is written in
+    place, so a caller that passes a view of its own array, such as
+    ``classical_series``, holds no second basis.
     """
-    basis = np.empty((degree + 1, *block.shape), dtype=np.result_type(S.dtype, block.dtype))
-    basis[0] = block
+    if out is None:
+        out = np.empty((degree + 1, *block.shape), dtype=np.result_type(S.dtype, block.dtype))
+    out[0] = block
     if degree >= 1:
-        basis[1] = S @ block
-        basis[1] /= scale
+        S.apply(out[0], -1, out=out[1])
+        out[1] /= scale
     for k in range(2, degree + 1):
-        basis[k] = S @ basis[k - 1]
-        basis[k] *= 2.0 / scale
-        basis[k] -= basis[k - 2]
-    return basis
+        S.apply(out[k - 1], -1, out=out[k])
+        out[k] *= 2.0 / scale
+        out[k] -= out[k - 2]
+    return out
 
 
 def chebyshev_coefficients(samples: np.ndarray) -> np.ndarray:
@@ -781,11 +808,12 @@ def classical_series(sys, x0, xdot0, times) -> ChebyshevSeries:
     gives all coefficients (``chebyshev_coefficients``, an FFT, so a long
     window needs no (K + 1)^2 matrix), as (2 (K + 1), T, 2) columns: [c_cos;
     c_sin] for x(t_i), then [c_dsin; c_cos] for xdot(t_i).
-    ``chebyshev_basis`` of the (N, 2D) block of initial conditions, K
-    products with the ``BondOperator`` S, gives T_k(S) x0, T_k(S) xdot0,
-    which are copied out as the (2 (K + 1), D, N) terms, so ``read`` gives
-    x and xdot of each sample as (samples, 2, D, N); the (K + 1, N, 2D)
-    basis is then freed.  The terms take 16 D (K + 1) N bytes: K is 29 for
+    ``chebyshev_basis`` of the (2, D, N) block [x0, xdot0], K products with
+    the ``BondOperator`` S along its site axis, writes T_k(S) x0 and
+    T_k(S) xdot0 straight into the (2, K + 1, D, N) terms through a
+    transposed view, so no other basis exists, and ``read`` of the terms
+    viewed as (2 (K + 1), D, N) gives x and xdot of each sample as
+    (samples, 2, D, N).  The terms take 16 D (K + 1) N bytes: K is 29 for
     max|t| sqrt(lambda_bar) = 24.5 (``validate``, 2 MB at 5x5) and 496 for
     707 (``ripple``'s 1000 ps window in physical units, 4 MB at 4x4).
     The cosine is transformed as cos - 1 with the 1 put on T_0, and working
@@ -810,11 +838,9 @@ def classical_series(sys, x0, xdot0, times) -> ChebyshevSeries:
 
     L = sys.op_L
     S = BondOperator(L.rows, L.cols, (2.0 / lam_bar) * L.vals - (L.rows == L.cols), L.shape)
-    # (K + 1, N, 2D); column 2a: of x0[a], column 2a + 1: of xdot0[a]
-    basis = chebyshev_basis(S, np.stack([x0, xdot0], axis=1).reshape(2 * d, n).T, nodes - 1)
-    # the reshape copies: terms[k, a] = basis[k, :, 2a], terms[nodes + k, a] = basis[k, :, 2a + 1]
-    terms = basis.reshape(nodes, n, d, 2).transpose(3, 0, 2, 1).reshape(2 * nodes, d, n)
-    return ChebyshevSeries(coeffs, terms)
+    terms = np.empty((2, nodes, d, n))     # T_k(S) x0 at [0, k], T_k(S) xdot0 at [1, k]
+    chebyshev_basis(S, np.stack([x0, xdot0]), nodes - 1, out=terms.transpose(1, 0, 2, 3))
+    return ChebyshevSeries(coeffs, terms.reshape(2 * nodes, d, n))
 
 
 def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
@@ -828,19 +854,21 @@ def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
 def evolve_classical_blocks(sys, x0, xdot0, times, axes=None):
     """``evolve_classical`` as consecutive blocks of samples, each a ``Trajectory``.
 
-    A block holds as many samples as fit in ENERGY_CHUNK_BYTES together
-    with the ``op_F`` gather of their energies (``total_energy``), but at
-    least two, so a caller that reads each block and drops it holds one
-    block at a time besides the series: 21 samples at 5x5.  A one-sample
-    tail is joined to the block before it: only a grid of one sample gives
-    a one-sample block.  Each block is one ``read``, and concatenated, the
-    blocks equal ``evolve_classical`` bit for bit.
+    A block is sized by the series: its samples together with the ``op_F``
+    gather of their energies (``total_energy``) take at most half the bytes
+    of the series terms, but it holds at least two samples.  That is
+    (K + 1) // 6 samples on a sheet, whose widest row of F has 4 entries,
+    so 5 at ``validate``'s K = 29 on any sheet: a caller that reads each
+    block and drops it holds the series and a block a fraction of its
+    size.  A one-sample tail is joined to the block before it: only a grid
+    of one sample gives a one-sample block.  Each block is one ``read``,
+    and concatenated, the blocks equal ``evolve_classical`` bit for bit.
     """
     x0, xdot0, times, axes = _initial_state(sys, x0, xdot0, times, axes)
     series = classical_series(sys, x0, xdot0, times)
     d, n = x0.shape
     # per sample: the gather of its d axes, then its x and xdot
-    size = max(2, ENERGY_CHUNK_BYTES // (d * (sys.op_F._tables[0].nbytes + 16 * n)))
+    size = max(2, series.terms.nbytes // (2 * d * (sys.op_F._tables[0].nbytes + 16 * n)))
     # the range ends short of T - 1, so a one-sample tail joins the block before it
     stops = [*range(size, times.size - 1, size), times.size]
     for start, stop in zip([0, *stops], stops):
@@ -963,7 +991,8 @@ def total_energy(traj: Trajectory, ti):
     The potential is (1/2) x^T F x per axis, the bond sum of
     ``potential_energy``.  The samples go through ``op_F`` a chunk at a
     time, so that no product's gather holds more than about
-    ENERGY_CHUNK_BYTES, whatever the number of samples.
+    ENERGY_CHUNK_BYTES, whatever the number of samples; a block of
+    ``evolve_classical_blocks`` is one chunk.
     """
     sys, samples = traj.sys, np.atleast_1d(ti)
     _, d, n = traj.x.shape

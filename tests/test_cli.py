@@ -203,6 +203,21 @@ def test_physical_units_displacement_cap(tmp_path):
     assert run(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
 
 
+def test_an_allocation_that_fails_exits_2_with_its_message(tmp_path, capsys, monkeypatch):
+    # as simulate over a million time units on 3x2 does (11.7 GiB); never tried for real,
+    # since a host that overcommits memory could grant it
+    message = ("Unable to allocate 11.7 GiB for an array with shape (10000000, 157) "
+               "and data type float64")
+
+    def too_big(cfg, out):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "cmd_simulate", too_big)
+    assert run(["simulate", "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_seed_stream_roles_are_stable():
     a = cli.derive_seed(0, "velocity-x")
     b = cli.derive_seed(0, "velocity-y")
@@ -449,8 +464,11 @@ def test_validate_at_8x8_stops_at_the_oracle_before_any_solve(tmp_path, capsys, 
 
 
 def test_validate_holds_no_whole_trajectory(capsys):
-    # x and xdot of 200 samples, 2 axes and 2048 sites took 13.1 MB alone; the whole run now
-    # peaks below that
+    # x and xdot of 200 samples, 2 axes and 2048 sites took 13.1 MB alone.  The run peaks at
+    # 4.95 MB while the energies stream: the 2.0 MB series terms and a block of 5 samples with
+    # its op_F gather.  The bound leaves 0.45 MB over that; a second copy of the terms while
+    # the series is built (5.7 MB) or a block of 21 samples with its 4 MB gather (9.1 MB)
+    # breaks it
     cfg = cli._merge(cli.DEFAULTS, {"lattice": {"n_r": 5, "n_c": 5}})
     cli._validation_checks(cfg)     # the first run fills the caches of imports and oracles
     tracemalloc.start()
@@ -460,11 +478,11 @@ def test_validate_holds_no_whole_trajectory(capsys):
     finally:
         tracemalloc.stop()
     assert all(passed for _, passed, _ in checks)
-    assert peak < 200 * 2 * 2 * 2048 * 8
+    assert peak < 5_400_000
 
 
 def test_validate_reads_every_block_of_the_trajectory(tmp_path, capsys, monkeypatch):
-    # at 4x4 the 200 samples come in blocks of 85, 85 and 30, one read each; a kick to the last
+    # at K = 29 the 200 samples come in 40 blocks of 5, one read each; a kick to the last
     # sample of the last block must fail the energy check, which a loop over the first block
     # alone would pass
     read = enm.ChebyshevSeries.read
@@ -479,7 +497,7 @@ def test_validate_reads_every_block_of_the_trajectory(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(enm.ChebyshevSeries, "read", kicked)
     assert _validate_4x4(tmp_path) == 1
-    assert reads == [(0, 85), (85, 170), (170, 200)]
+    assert reads == [(start, start + 5) for start in range(0, 200, 5)]
     failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
               if line.startswith("FAIL")]
     assert failed == ["FAIL energy-conservation"]

@@ -139,14 +139,17 @@ def test_evolve_exact_grid_matches_dense_reference(small_sheet, grid, tag):
 
 
 class CountingMatrix:
-    """Delegates ``@`` to a matrix and counts the products."""
+    """Delegates the products of a bond operator, along any axis, and counts them."""
 
-    def __init__(self, mat):
-        self.mat, self.dtype, self.products = mat, mat.dtype, 0
+    def __init__(self, op):
+        self.op, self.dtype, self.products = op, op.dtype, 0
+
+    def apply(self, x, axis=0, out=None):
+        self.products += 1
+        return self.op.apply(x, axis, out)
 
     def __matmul__(self, other):
-        self.products += 1
-        return self.mat @ other
+        return self.apply(other)
 
 
 def test_evolve_exact_runs_one_recurrence_per_grid(small_sheet):
@@ -250,20 +253,74 @@ def test_series_runs_of_two_or_more_samples_match_the_whole_read(kind, shape):
             assert np.array_equal(series.read(start, stop), whole[start:stop]), (start, stop)
 
 
+def _operator(m):
+    rows, cols = np.nonzero(m)
+    return enm.BondOperator(rows, cols, m[rows, cols], m.shape)
+
+
 def test_chebyshev_basis_matches_numpy_chebyshev():
     rng = np.random.default_rng(8)
     m = rng.normal(size=(6, 6))
     S = m + m.T
     S /= 1.05 * np.linalg.norm(S, 2)            # spectrum inside [-1, 1]
-    block = rng.normal(size=(6, 3))
+    block = rng.normal(size=(3, 6))             # three vectors, sites last
     degree = 9
     w, v = np.linalg.eigh(S)
     vander = np.polynomial.chebyshev.chebvander(w, degree)     # T_k(w_i) at [i, k]
-    expect = np.stack([v @ (vander[:, k, None] * (v.T @ block)) for k in range(degree + 1)])
-    assert np.abs(enm.chebyshev_basis(S, block, degree) - expect).max() <= 1e-12
-    scaled = enm.chebyshev_basis(3.0 * S, block[:, 0], degree, scale=3.0)
-    assert np.abs(scaled - expect[:, :, 0]).max() <= 1e-12
-    assert enm.chebyshev_basis(S, block, 0).shape == (1, 6, 3)
+    expect = np.stack([(v @ (vander[:, k, None] * (v.T @ block.T))).T
+                       for k in range(degree + 1)])
+    basis = enm.chebyshev_basis(_operator(S), block, degree)
+    assert basis.shape == (degree + 1, 3, 6)
+    assert np.abs(basis - expect).max() <= 1e-12
+    scaled = enm.chebyshev_basis(_operator(3.0 * S), block[0], degree, scale=3.0)
+    assert np.abs(scaled - expect[:, 0]).max() <= 1e-12
+    assert enm.chebyshev_basis(_operator(S), block, 0).shape == (1, 3, 6)
+    # into the caller's array through a transposed view, as classical_series writes its terms
+    out = np.empty((3, degree + 1, 6))
+    into = enm.chebyshev_basis(_operator(S), block, degree, out=out.transpose(1, 0, 2))
+    assert into.base is out and np.array_equal(out.transpose(1, 0, 2), basis)
+
+
+def _site_first_basis(S, block, degree, scale=1.0):
+    """T_k(S / scale) of an (M, cols) block by products ``S @``, as the recurrence ran before
+    it worked along the site axis: (degree + 1, M, cols)."""
+    basis = np.empty((degree + 1, *block.shape), dtype=np.result_type(S.dtype, block.dtype))
+    basis[0] = block
+    if degree >= 1:
+        basis[1] = S @ block
+        basis[1] /= scale
+    for k in range(2, degree + 1):
+        basis[k] = S @ basis[k - 1]
+        basis[k] *= 2.0 / scale
+        basis[k] -= basis[k - 2]
+    return basis
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (3, 2), (4, 4), (5, 5)])
+def test_classical_terms_equal_the_site_first_recurrence_bit_for_bit(shape):
+    sys = enm.build_system(LatticeSpec(*shape))
+    x0, xdot0 = thermalish_ics(sys, seed=17)
+    times = np.linspace(0.0, 10.0, 200)
+    lam_bar = enm.gershgorin_bound(sys)
+    degree = enm.chebyshev_degree(lam_bar, 10.0)
+    L = sys.op_L
+    S = enm.BondOperator(L.rows, L.cols, (2.0 / lam_bar) * L.vals - (L.rows == L.cols), L.shape)
+    # (K + 1, N, 2D), column 2a of x0[a] and 2a + 1 of xdot0[a], laid out as the terms
+    old = _site_first_basis(S, np.stack([x0, xdot0], axis=1).reshape(-1, sys.n).T, degree)
+    old = old.reshape(degree + 1, sys.n, 2, 2).transpose(3, 0, 2, 1).reshape(-1, 2, sys.n)
+    assert np.array_equal(enm.classical_series(sys, x0, xdot0, times).terms, old)
+
+
+def test_quantum_terms_equal_the_site_first_recurrence_bit_for_bit():
+    sys = enm.build_system(LatticeSpec(3, 2))
+    x0, xdot0 = thermalish_ics(sys, seed=19)
+    st0 = encoding.prepare_standard(sys, x0, xdot0)
+    bh = encoding.build_block_H(sys)
+    times = np.linspace(0.0, 6.0, 50)
+    degree = encoding.series_degree(bh.scale * 6.0)
+    old = _site_first_basis(bh.H, st0.amps.T, degree, bh.scale)       # (K + 1, N + P, D)
+    terms = encoding._jacobi_anger(st0, bh, times).terms
+    assert terms.dtype == complex and np.array_equal(terms, old.transpose(0, 2, 1))
 
 
 def test_series_degree_bounds_the_jacobi_anger_tail():

@@ -1,10 +1,12 @@
+import math
 import os
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qenm import boltzmann, enm
+from qenm import boltzmann, encoding, enm
 from qenm.lattice import LatticeSpec, adjacency, dummy_mask
 
 
@@ -464,27 +466,25 @@ def test_evolve_classical_matches_per_sample_loop(case):
                                rtol=0.0, atol=1e-12)
 
 
-# (sheet, samples, samples per block budget or None for the default, block lengths)
+# (sheet, samples, window, block lengths).  The window sets the series degree K, and a block
+# holds (K + 1) // 6 samples on a sheet, but at least two
 BLOCK_CASES = {
-    "3x2-budget-of-7": ((3, 2), 200, 7, [7] * 28 + [4]),
-    "5x5-default": ((5, 5), 200, None, [21] * 9 + [11]),
-    # 190 = 9 * 21 + 1: the one-sample tail joins the block before it
-    "5x5-tail-of-one": ((5, 5), 190, None, [21] * 8 + [22]),
-    # a budget of one sample still gives blocks of two, and a tail of one is joined
-    "3x2-budget-of-one": ((3, 2), 5, 1, [2, 3]),
+    "3x2-window-60": ((3, 2), 200, 60.0, [19] * 10 + [10]),     # K = 115
+    "5x5-default": ((5, 5), 200, 10.0, [5] * 40),               # K = 29, as validate runs it
+    # 196 = 39 * 5 + 1: the one-sample tail joins the block before it
+    "5x5-tail-of-one": ((5, 5), 196, 10.0, [5] * 38 + [6]),
+    # K = 10 still gives blocks of two, and a tail of one is joined
+    "3x2-window-1": ((3, 2), 5, 1.0, [2, 3]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
-def test_evolve_classical_blocks_concatenate_to_evolve_classical(case, monkeypatch):
-    (n_r, n_c), steps, budget, lengths = BLOCK_CASES[case]
+def test_evolve_classical_blocks_concatenate_to_evolve_classical(case):
+    (n_r, n_c), steps, window, lengths = BLOCK_CASES[case]
     sys = enm.build_system(LatticeSpec(n_r, n_c))
-    if budget is not None:      # a sample of two axes: their gather, then x and xdot
-        per_sample = 2 * (sys.op_F._tables[0].nbytes + 16 * sys.n)
-        monkeypatch.setattr(enm, "ENERGY_CHUNK_BYTES", budget * per_sample)
     rng = np.random.default_rng(5)
     x0, xdot0 = rng.normal(0.0, 0.2, (2, sys.n)), rng.normal(0.0, 1.0, (2, sys.n))
-    ts = np.linspace(0.0, 10.0, steps)
+    ts = np.linspace(0.0, window, steps)
     blocks = list(enm.evolve_classical_blocks(sys, x0, xdot0, ts))
     assert [len(b.times) for b in blocks] == lengths
     whole = enm.evolve_classical(sys, x0, xdot0, ts)
@@ -750,6 +750,37 @@ def test_evolve_spectral_holds_at_small_kappa_over_mass(physics):
     t_max = 98.0 / np.sqrt(enm.gershgorin_bound(sys))
     _assert_matches_spectral(sys, np.concatenate([[0.0], np.linspace(-t_max, t_max, 40)]),
                              34, 1e-12)
+
+
+def _unit_step_degree(tau, eps):
+    """``bessel_tail_degree`` by the scan it replaced: one degree at a time from |tau| - 2."""
+    a = abs(tau)
+    if a == 0.0:
+        return 0
+    k = max(0, math.ceil(a) - 2)
+    while (k + 1) * math.log(a / 2.0) - math.lgamma(k + 2) > math.log(eps / 4.0):
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("eps", [enm.CHEB_EPS / 2.0, encoding.SERIES_EPS])
+@pytest.mark.parametrize("tau", [0.0, 1e-3, 2.45, 24.5, 707.0, 24495.0])
+def test_bessel_tail_degree_equals_the_unit_step_scan(tau, eps):
+    assert enm.bessel_tail_degree(tau, eps) == _unit_step_degree(tau, eps)
+    assert enm.bessel_tail_degree(-tau, eps) == _unit_step_degree(tau, eps)
+
+
+def test_bessel_tail_degree_of_a_huge_window_is_quick():
+    # the scan took seconds at 1e7 and had not ended after 120 s at 1e9
+    start = time.perf_counter()
+    degree = enm.bessel_tail_degree(1e9, enm.CHEB_EPS / 2.0)
+    assert time.perf_counter() - start < 0.5
+
+    def log_bound(k):       # log (|tau|/2)^(k+1) / (k+1)!
+        return (k + 1) * math.log(5e8) - math.lgamma(k + 2)
+
+    # the smallest degree that passes: its bound is at most eps / 4, the one below it is not
+    assert log_bound(degree) <= math.log(enm.CHEB_EPS / 8.0) < log_bound(degree - 1)
 
 
 def test_evolve_classical_physical_units_ripple_window():
