@@ -313,22 +313,17 @@ def _validation_checks(cfg):
     xdot0[:, phys] = boltzmann.prf_uniform(derive_seed(cfg["seed"], "bucket-key"), 2, len(phys))
     # ten units of sqrt(m / kappa): the sheet moves as far, at the same series degree, at any scale
     ts = np.linspace(0.0, 10.0 * math.sqrt(mass / kappa), 200)
-    # the trajectory streams by in blocks: each gives its energies and its every-20th axis-0
-    # states, so no (200, 2, N) array is ever held
-    energy, states, start = np.empty(len(ts)), [], 0
-    for block in enm.evolve_classical_blocks(sys, x0, xdot0, ts):
-        stop = start + len(block.times)
-        energy[start:stop] = enm.total_energy(block, np.arange(stop - start))
-        picks = np.arange(-start % 20, stop - start, 20)
-        if picks.size:      # most blocks of a few samples hold no 20th
-            states.append(np.stack([block.x[picks, 0], block.xdot[picks, 0]]))
-        start = stop
-    del block       # with the exhausted iterator went the series, so the solve below has room
+    # the energies come off the series' Gram matrices and F-conservation reads the every-20th
+    # samples alone, so no (200, 2, N) array is ever formed
+    series = enm.classical_series(sys, x0, xdot0, ts)
+    energy = enm.series_energies(sys, series)
+    every_20th = enm.ChebyshevSeries(series.coeffs[:, ::20], series.terms[:, 0])    # axis 0
+    states = every_20th.read(0, every_20th.coeffs.shape[1])     # (10, 2, N): x, then xdot
+    del series, every_20th      # the terms go before the grounded factor below is built
     drift = float(np.abs(energy - energy[0]).max() / energy[0])
     checks.append(("energy-conservation", drift <= 1e-9, f"rel drift {drift:.2e}"))
     sqm = np.sqrt(sys.masses)[:, None]
-    x, xdot = np.concatenate(states, axis=1)       # (10, N) each
-    fvals = enm.conserved_F(sys, sqm * x.T, sqm * xdot.T)
+    fvals = enm.conserved_F(sys, sqm * states[:, 0].T, sqm * states[:, 1].T)     # (N, 10) each
     fdrift = float((fvals.max() - fvals.min()) / fvals.max())
     checks.append(("F-conservation", fdrift <= 1e-8, f"rel drift {fdrift:.2e}"))
 

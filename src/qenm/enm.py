@@ -18,9 +18,9 @@ Chebyshev series in the bond operator and needs no eigenvectors; zero modes
 (cos -> 1, sin(t w)/w -> t) need no branch.  The series is a
 ``ChebyshevSeries``, the one series type of both evolutions, whose one
 reader forms a run of samples as one matrix product.  ``classical_series``
-builds it once, and ``evolve_classical_blocks`` reads a long grid a block
-of samples at a time, so a caller that reads each block and drops it
-never holds the whole trajectory.  ``spectral`` and
+builds it once, and ``series_energies`` reads the energy of every sample
+off two Gram matrices of its terms, so a caller that needs only the
+energies never forms a sample.  ``spectral`` and
 ``evolve_spectral`` (one eigenmode at a time) are the dense references the
 tests compare it with.  Everything downstream, quantum included, is
 validated against these trajectories.
@@ -77,7 +77,7 @@ LANCZOS_STEPS = 64  # most Lanczos steps for lambda_max before bisection takes o
 SHIFT_RTOL = 1e-6  # how far each shift of ``extreme_eigenvalues`` lies outside the Gershgorin
                    # interval, relative to the interval's upper end
 ENERGY_CHUNK_BYTES = 1 << 22  # most bytes of one gather in ``total_energy``'s op_F products,
-                              # which a caller passing many samples splits into chunks
+                              # through which many samples go a chunk at a time
 
 
 class BondOperator:
@@ -851,31 +851,6 @@ def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
     return Trajectory(times, samples[:, 0], samples[:, 1], axes, sys)
 
 
-def evolve_classical_blocks(sys, x0, xdot0, times, axes=None):
-    """``evolve_classical`` as consecutive blocks of samples, each a ``Trajectory``.
-
-    A block is sized by the series: its samples together with the ``op_F``
-    gather of their energies (``total_energy``) take at most half the bytes
-    of the series terms, but it holds at least two samples.  That is
-    (K + 1) // 6 samples on a sheet, whose widest row of F has 4 entries,
-    so 5 at ``validate``'s K = 29 on any sheet: a caller that reads each
-    block and drops it holds the series and a block a fraction of its
-    size.  A one-sample tail is joined to the block before it: only a grid
-    of one sample gives a one-sample block.  Each block is one ``read``,
-    and concatenated, the blocks equal ``evolve_classical`` bit for bit.
-    """
-    x0, xdot0, times, axes = _initial_state(sys, x0, xdot0, times, axes)
-    series = classical_series(sys, x0, xdot0, times)
-    d, n = x0.shape
-    # per sample: the gather of its d axes, then its x and xdot
-    size = max(2, series.terms.nbytes // (2 * d * (sys.op_F._tables[0].nbytes + 16 * n)))
-    # the range ends short of T - 1, so a one-sample tail joins the block before it
-    stops = [*range(size, times.size - 1, size), times.size]
-    for start, stop in zip([0, *stops], stops):
-        samples = series.read(start, stop)
-        yield Trajectory(times[start:stop], samples[:, 0], samples[:, 1], axes, sys)
-
-
 def evolve_spectral(sys, x0, xdot0, times, axes=None) -> Trajectory:
     """Reference for ``evolve_classical`` through the dense eigendecomposition of A.
 
@@ -991,8 +966,7 @@ def total_energy(traj: Trajectory, ti):
     The potential is (1/2) x^T F x per axis, the bond sum of
     ``potential_energy``.  The samples go through ``op_F`` a chunk at a
     time, so that no product's gather holds more than about
-    ENERGY_CHUNK_BYTES, whatever the number of samples; a block of
-    ``evolve_classical_blocks`` is one chunk.
+    ENERGY_CHUNK_BYTES, whatever the number of samples.
     """
     sys, samples = traj.sys, np.atleast_1d(ti)
     _, d, n = traj.x.shape
@@ -1006,6 +980,45 @@ def total_energy(traj: Trajectory, ti):
         kinetic = np.sum(sys.masses * traj.xdot[part] ** 2, axis=(1, 2))
         energy[start:start + chunk] = 0.5 * (kinetic + potential)
     return energy if np.ndim(ti) else float(energy[0])
+
+
+def series_energies(sys: SystemMatrices, series: ChebyshevSeries) -> np.ndarray:
+    """``total_energy`` of every sample of a ``classical_series``, without forming a sample.
+
+    Sample i's x and xdot mix the terms by its coefficient columns c_x and
+    c_xdot, so its energy is the quadratic form (1/2) (c_x^T G_F c_x +
+    c_xdot^T G_M c_xdot) in the Gram matrices G_F = sum_a X_a F X_a^T and
+    G_M = sum_a X_a M X_a^T, X_a being the (2 (K + 1), N) terms of axis a.
+    Both are symmetric, so only their blocks on and above the diagonal are
+    formed, at a cost of (2 (K + 1))^2 D N, and the forms cost
+    T (2 (K + 1))^2, where the samples alone would cost 2 T (2 (K + 1)) D N:
+    fewer terms than samples (60 against 200 in ``validate``) is where this
+    wins, and a long window of few samples (``ripple``'s in physical units,
+    994 terms for 50 samples) is where it loses.  Zero rows before the first
+    nonzero term or after the last add nothing and are left out: a sheet
+    that starts at rest, as in ``validate``, has no x0 rows.  F goes through
+    the rest a few rows at a time, so that its ``op_F`` gather and product
+    take at most half their bytes.
+    """
+    _, d, n = series.terms.shape
+    nonzero = np.flatnonzero(series.terms.reshape(-1, d * n).any(axis=1))
+    live = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0)
+    terms = series.terms[live]
+    k = len(terms)
+    F = sys.op_F
+    flat = terms.reshape(k, d * n)
+    gram_f, gram_m = np.zeros((k, k)), np.zeros((k, k))
+    rows = max(1, terms.nbytes // (2 * d * (F._tables[0].nbytes + 8 * n)))
+    for start in range(0, k, rows):
+        stop = min(start + rows, k)
+        part = terms[start:stop]
+        gram_f[:stop, start:stop] = flat[:stop] @ F.apply(part, -1).reshape(stop - start, -1).T
+        gram_m[:stop, start:stop] = flat[:stop] @ (part * sys.masses).reshape(stop - start, -1).T
+    gram_f = np.triu(gram_f) + np.triu(gram_f, 1).T
+    gram_m = np.triu(gram_m) + np.triu(gram_m, 1).T
+    c_x, c_xdot = np.moveaxis(series.coeffs[live], -1, 0)     # (k, T) each
+    return 0.5 * (np.sum(c_x * (gram_f @ c_x), axis=0)
+                  + np.sum(c_xdot * (gram_m @ c_xdot), axis=0))
 
 
 def msd_subset(traj: Trajectory, ti, nodes):

@@ -445,7 +445,8 @@ def test_validate_passes_at_6x6(tmp_path, capsys):
 
 
 def test_validate_passes_at_7x7(tmp_path, capsys):
-    # 2^15 sites, the geometric oracle's cap: the trajectory streams, so no (200, 2, N) array
+    # 2^15 sites, the geometric oracle's cap: the energies come off the series' Gram matrices,
+    # so no (200, 2, N) array is formed
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lattice": {"n_r": 7, "n_c": 7}}))
     assert run(["validate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
@@ -465,10 +466,9 @@ def test_validate_at_8x8_stops_at_the_oracle_before_any_solve(tmp_path, capsys, 
 
 def test_validate_holds_no_whole_trajectory(capsys):
     # x and xdot of 200 samples, 2 axes and 2048 sites took 13.1 MB alone.  The run peaks at
-    # 4.95 MB while the energies stream: the 2.0 MB series terms and a block of 5 samples with
-    # its op_F gather.  The bound leaves 0.45 MB over that; a second copy of the terms while
-    # the series is built (5.7 MB) or a block of 21 samples with its 4 MB gather (9.1 MB)
-    # breaks it
+    # 4.17 MB while the energies come off the series' Gram matrices: the 2.0 MB series terms
+    # and 3 of their 30 nonzero rows with their op_F gather (0.5 MB).  A copy of the terms
+    # (5.8 MB) or all 30 rows through op_F at once (8.2 MB) breaks the bound
     cfg = cli._merge(cli.DEFAULTS, {"lattice": {"n_r": 5, "n_c": 5}})
     cli._validation_checks(cfg)     # the first run fills the caches of imports and oracles
     tracemalloc.start()
@@ -482,22 +482,28 @@ def test_validate_holds_no_whole_trajectory(capsys):
 
 
 def test_validate_reads_every_block_of_the_trajectory(tmp_path, capsys, monkeypatch):
-    # at K = 29 the 200 samples come in 40 blocks of 5, one read each; a kick to the last
-    # sample of the last block must fail the energy check, which a loop over the first block
-    # alone would pass
-    read = enm.ChebyshevSeries.read
-    reads = []
+    # the energies come off the series' Gram matrices, so a kick to the last sample's xdot
+    # coefficients must fail the energy check, which a check of a few samples would pass; the
+    # only read is of the ten every-20th samples, for F-conservation, none of them the kicked one
+    build, read = enm.classical_series, enm.ChebyshevSeries.read
+    built, reads = [], []
 
-    def kicked(self, start, stop):
-        samples = read(self, start, stop)      # (samples, 2, D, N): x, then xdot
-        reads.append((start, stop))
-        if stop == self.coeffs.shape[1]:
-            samples[-1, 1] *= 1.5
-        return samples
+    def kicked_series(*args, **kwargs):
+        series = build(*args, **kwargs)
+        series.coeffs[:, -1, 1] *= 1.5
+        built.append(series)
+        return series
 
-    monkeypatch.setattr(enm.ChebyshevSeries, "read", kicked)
+    def recorded(self, start, stop):
+        reads.append(self.coeffs[:, start:stop])
+        return read(self, start, stop)
+
+    monkeypatch.setattr(enm, "classical_series", kicked_series)
+    monkeypatch.setattr(enm.ChebyshevSeries, "read", recorded)
     assert _validate_4x4(tmp_path) == 1
-    assert reads == [(start, start + 5) for start in range(0, 200, 5)]
+    (series,) = built
+    (coeffs,) = reads
+    assert np.array_equal(coeffs, series.coeffs[:, ::20]) and coeffs.shape[1] == 10
     failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
               if line.startswith("FAIL")]
     assert failed == ["FAIL energy-conservation"]

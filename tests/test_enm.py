@@ -466,39 +466,41 @@ def test_evolve_classical_matches_per_sample_loop(case):
                                rtol=0.0, atol=1e-12)
 
 
-# (sheet, samples, window, block lengths).  The window sets the series degree K, and a block
-# holds (K + 1) // 6 samples on a sheet, but at least two
-BLOCK_CASES = {
-    "3x2-window-60": ((3, 2), 200, 60.0, [19] * 10 + [10]),     # K = 115
-    "5x5-default": ((5, 5), 200, 10.0, [5] * 40),               # K = 29, as validate runs it
-    # 196 = 39 * 5 + 1: the one-sample tail joins the block before it
-    "5x5-tail-of-one": ((5, 5), 196, 10.0, [5] * 38 + [6]),
-    # K = 10 still gives blocks of two, and a tail of one is joined
-    "3x2-window-1": ((3, 2), 5, 1.0, [2, 3]),
-}
+def _unequal_graph():
+    # a ring of five with a chord: every mass and every coupling differs
+    return enm.system_from_bonds(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)],
+                                 kappa=[0.6, 1.4, 2.3, 0.9, 3.1, 1.7],
+                                 mass=[1.0, 2.5, 0.7, 4.0, 1.6])
 
 
-@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
-def test_evolve_classical_blocks_concatenate_to_evolve_classical(case):
-    (n_r, n_c), steps, window, lengths = BLOCK_CASES[case]
-    sys = enm.build_system(LatticeSpec(n_r, n_c))
-    rng = np.random.default_rng(5)
-    x0, xdot0 = rng.normal(0.0, 0.2, (2, sys.n)), rng.normal(0.0, 1.0, (2, sys.n))
-    ts = np.linspace(0.0, window, steps)
-    blocks = list(enm.evolve_classical_blocks(sys, x0, xdot0, ts))
-    assert [len(b.times) for b in blocks] == lengths
-    whole = enm.evolve_classical(sys, x0, xdot0, ts)
-    for name in ("times", "x", "xdot"):
-        assert np.array_equal(np.concatenate([getattr(b, name) for b in blocks]),
-                              getattr(whole, name))
-    assert all(b.axes == whole.axes and b.sys is sys for b in blocks)
+# validate's grid, a grid through negative times, and one sample
+GRAM_GRIDS = {"validate": np.linspace(0.0, 10.0, 200), "negative": np.linspace(-7.0, 3.0, 57),
+              "one-sample": np.array([2.5])}
 
 
-def test_evolve_classical_blocks_of_a_one_sample_grid():
-    sys = enm.system_from_bonds(3, [(0, 1), (1, 2)])
-    (block,) = enm.evolve_classical_blocks(sys, [0.1, 0.0, -0.1], [0.0, 0.2, 0.0], [0.7])
-    whole = enm.evolve_classical(sys, [0.1, 0.0, -0.1], [0.0, 0.2, 0.0], [0.7])
-    assert np.array_equal(block.x, whole.x) and np.array_equal(block.xdot, whole.xdot)
+@pytest.mark.parametrize("grid", sorted(GRAM_GRIDS))
+@pytest.mark.parametrize("shape", [(2, 1), (3, 2), (4, 4), (5, 5), "graph"],
+                         ids=["2x1", "3x2", "4x4", "5x5", "graph"])
+def test_series_energies_match_total_energy_of_the_samples(shape, grid):
+    sys = _unequal_graph() if shape == "graph" else enm.build_system(LatticeSpec(*shape))
+    times = GRAM_GRIDS[grid]
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3):
+        x, v = rng.normal(0.0, 0.3, (2, d, sys.n))
+        # moving and displaced, at rest (validate's start: no x0 rows), and displaced alone
+        for x0, xdot0 in ((x, v), (0.0 * x, v), (x, 0.0 * v)):
+            energy = enm.series_energies(sys, enm.classical_series(sys, x0, xdot0, times))
+            ref = enm.total_energy(enm.evolve_classical(sys, x0, xdot0, times),
+                                   np.arange(times.size))
+            e0 = enm.total_energy(enm.evolve_classical(sys, x0, xdot0, [0.0]), 0)
+            assert energy.shape == (times.size,)
+            assert np.abs(energy - ref).max() <= 1e-13 * e0
+
+
+def test_series_energies_of_a_sheet_that_never_moves():
+    sys = enm.build_system(LatticeSpec(3, 2))
+    series = enm.classical_series(sys, np.zeros((2, sys.n)), np.zeros((2, sys.n)), [0.0, 1.0])
+    assert np.array_equal(enm.series_energies(sys, series), [0.0, 0.0])
 
 
 def test_evolve_classical_single_sample_shape():
