@@ -297,15 +297,6 @@ def _validation_checks(cfg):
     err_f = enm.factorization_error(sqrt_mb, sys.op_F)
     checks.append(("factorization-sqrtMB-equals-F", err_f <= 16 * eps * np.abs(sys.op_F.vals).max(),
                    f"max err {err_f:.2e}"))
-    # both spectral checks need only the ends of the spectrum
-    eigs = enm.extreme_eigenvalues(sys)
-    checks.append(("A-positive-semidefinite", eigs[0] >= -sys.n * eps * eigs[-1],
-                   f"min eig {eigs[0]:.2e}"))
-    # no bond touches a dummy site, so each is an isolated zero row of A and one null direction
-    dummy_rows_zero = not (~sys.physical)[sys.bonds].any()
-    null_dim = len(eigs) - len(enm.nonzero_eigenvalues(eigs))
-    nulls = null_dim - int((~sys.physical).sum())
-    checks.append(("null-space-dimension", dummy_rows_zero and nulls == 1, f"dim {nulls}"))
     phys = np.flatnonzero(sys.physical)
 
     x0 = np.zeros((2, sys.n))
@@ -320,6 +311,7 @@ def _validation_checks(cfg):
     every_20th = enm.ChebyshevSeries(series.coeffs[:, ::20], series.terms[:, 0])    # axis 0
     states = every_20th.read(0, every_20th.coeffs.shape[1])     # (10, 2, N): x, then xdot
     del series, every_20th      # the terms go before the grounded factor below is built
+    checks += _spectral_checks(sys)
     drift = float(np.abs(energy - energy[0]).max() / energy[0])
     checks.append(("energy-conservation", drift <= 1e-9, f"rel drift {drift:.2e}"))
     sqm = np.sqrt(sys.masses)[:, None]
@@ -353,6 +345,26 @@ def _validation_checks(cfg):
     checks.append(("two-bucket-moments", moment_ok,
                    f"m2 err {abs(disc.moment(2) - params.sigma**2):.2e}"))
     return checks
+
+
+def _spectral_checks(sys) -> list:
+    """The semidefiniteness and null-space checks of A, from the inertia of its grounded
+    factor, which F-conservation then reuses; where that certifies nothing, from the ends of
+    the spectrum."""
+    certificate = enm.inertia_certificate(sys)
+    if certificate is None:
+        eigs = enm.extreme_eigenvalues(sys)
+        semidefinite = (eigs[0] >= -sys.n * np.finfo(float).eps * eigs[-1],
+                        f"min eig {eigs[0]:.2e}")
+        null_dim = len(eigs) - len(enm.nonzero_eigenvalues(eigs))
+    else:   # every eigenvalue is at least -spread >= -N eps lambda_max
+        null_dim, spread = certificate
+        semidefinite = (True, f"min eig >= -{spread:.2e}")
+    # no bond touches a dummy site, so each is an isolated zero row of A and one null direction
+    dummy_rows_zero = not (~sys.physical)[sys.bonds].any()
+    nulls = null_dim - int((~sys.physical).sum())
+    return [("A-positive-semidefinite", *semidefinite),
+            ("null-space-dimension", dummy_rows_zero and nulls == 1, f"dim {nulls}")]
 
 
 def cmd_validate(cfg, out: Path) -> int:

@@ -40,14 +40,16 @@ gradients on range(A), and Tr(A^+) and cond(B) refuse.
 
 Every eigenvalue question is answered by block factorizations of this kind.
 ``pseudoinverse_trace`` reads Tr(A^+) from the diagonal blocks of X.
+``inertia_certificate`` reads the semidefiniteness and the null count that
+``qenm validate`` checks off the same grounded factor, by Sylvester's law
+of inertia, with no other factorization and no Lanczos run.
 ``extreme_eigenvalues`` finds the ends of the spectrum, for
-``condition_number_B`` and for the semidefiniteness and null-space checks
-of ``qenm validate``: lambda_max by Lanczos on (sigma - A)^-1, which
-bisection finishes on long narrow sheets, and the smallest eigenvalues by
-block Lanczos on (A - sigma)^-1, with the shift just below the spectrum,
-so that it sees a negative eigenvalue as surely as a zero.
-``eigenvalues``, a banded solve of the whole spectrum, is the tests'
-reference for all three.
+``condition_number_B`` and for ``validate`` where the certificate declines:
+lambda_max by Lanczos on (sigma - A)^-1, which bisection finishes on long
+narrow sheets, and the smallest eigenvalues by block Lanczos on
+(A - sigma)^-1, with the shift just below the spectrum, so that it sees a
+negative eigenvalue as surely as a zero.  ``eigenvalues``, a banded solve
+of the whole spectrum, is the tests' reference for all of them.
 
 The weighted incidence matrix B has one column per bonded pair (j, k),
 j < k, ordered lexicographically, with entries +sqrt(kappa_jk/m_j) on row
@@ -105,7 +107,9 @@ class BondOperator:
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        order = np.lexsort((self.cols, self.rows))
+        # one distinct key per position, so sorting the keys gives lexsort's order; the
+        # stable sort (timsort) is the faster one on the ascending runs the triples hold
+        order = np.argsort(self.rows * self.shape[1] + self.cols, kind="stable")
         rows = self.rows[order]
         counts = np.bincount(rows, minlength=self.shape[0])
         slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -274,8 +278,22 @@ def _narrow_order(m: BondOperator) -> np.ndarray:
     width = _bandwidth(m)
     if width <= BLOCK_SITES:        # no order makes the blocks narrower
         return np.arange(n)
-    indices = m.cols[np.argsort(m.rows, kind="stable")]     # row i's columns, then row i + 1's
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(m.rows, minlength=n))])
+    order = _level_order(m)
+    return order if _bandwidth(_restricted(m, order)) < width else np.arange(n)
+
+
+def _level_order(m: BondOperator) -> np.ndarray:
+    """``m``'s sites level by level, each level ascending, each connected piece
+    grown from its lowest site.
+
+    A level is one gather of its sites' slots in the (w, n) neighbour table
+    ``index`` of ``m._tables``, one mark array of the sites it reaches and
+    one ``flatnonzero`` of those not seen before, which comes out sorted and
+    once each (not np.unique, whose first call imports numpy.ma).  The empty
+    slots of short rows read site 0, which the first level has seen.
+    """
+    n = m.shape[0]
+    index = m._tables[0]
     seen = np.zeros(n, dtype=bool)
     levels, frontier, count = [], np.empty(0, dtype=np.intp), 0
     while count < n:
@@ -284,14 +302,11 @@ def _narrow_order(m: BondOperator) -> np.ndarray:
             seen[frontier] = True
         levels.append(frontier)
         count += len(frontier)
-        counts = indptr[frontier + 1] - indptr[frontier]
-        reach = indices[np.repeat(indptr[frontier + 1] - np.cumsum(counts), counts)
-                        + np.arange(counts.sum())]
-        frontier = np.sort(reach[~seen[reach]])
-        frontier = frontier[np.diff(frontier, prepend=-1) != 0]     # not np.unique: numpy.ma
+        reached = np.zeros(n, dtype=bool)
+        reached[index[:, frontier]] = True
+        frontier = np.flatnonzero(reached > seen)
         seen[frontier] = True
-    order = np.concatenate(levels)
-    return order if _bandwidth(_restricted(m, order)) < width else np.arange(n)
+    return np.concatenate(levels)
 
 
 def _factor(m: BondOperator) -> _BlockTridiagonal | None:
@@ -371,6 +386,17 @@ class _BlockTridiagonal:
         for i in reversed(range(blocks)):
             x[i] = self.inv[i] @ x[i] - self.low[i].T @ x[i + 1]
         return x.reshape((blocks + 1) * w, *b.shape[1:])[:self.n]
+
+    def positive_definite(self) -> bool:
+        """Whether M is positive definite: by Sylvester's law of inertia exactly
+        when every S_i is, so when every S_i^-1 has a Cholesky factor.  One
+        block at a time, so no copy of ``inv`` is made."""
+        try:
+            for block in self.inv:
+                np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            return False
+        return True
 
     def inverse_trace(self) -> float:
         """Tr M^-1 from the diagonal blocks G_i of M^-1.
@@ -1104,6 +1130,56 @@ def pseudoinverse_trace(sys: SystemMatrices) -> float:
     return factor.inverse_trace() - float(np.sum(v * factor.solve(v)))
 
 
+def inertia_certificate(sys: SystemMatrices) -> tuple[int, float] | None:
+    """(nulls, e): every eigenvalue of A is at least -e, exactly ``nulls`` of them
+    lie within e of 0, and every other lies above RANK_RTOL times the upper end
+    hi of A's Gershgorin interval; or None where the grounded factor cannot
+    certify that.
+
+    Let G be the grounded sites and c the number of bonded components, each
+    of which the grounding drops one site of.  Every unbonded site must have
+    a zero row of A, an exact null direction, and no entry of A may join two
+    components.  By Sylvester's law of inertia A_GG = L diag(S_i) L^T is
+    positive definite when every S_i is, and then by Cauchy interlacing
+    the bonded block A_b of A has every eigenvalue past its c smallest at
+    least tau = lambda_min(A_GG) >= 1 / Tr(A_GG^-1).  In an orthonormal
+    basis [Y, Q], Q the c unit null vectors of the bonded components, A_b
+    is diag(Y^T A Y, 0) plus a matrix of norm at most e = 2 ||A Q||, so by
+    Weyl's inequality its eigenvalues lie within e of those of
+    diag(Y^T A Y, 0).  If Y^T A Y had an eigenvalue below tau - e, A_b
+    would have c + 1 below tau, so its c smallest lie within e of 0 when e
+    < tau.  The columns of A Q have disjoint supports, so ||A Q||_2 is at
+    most the 2-norm of one product of A with ``_null_vectors``.  The
+    certificate holds when
+
+    (a) every S_i is positive definite (``_BlockTridiagonal.positive_definite``),
+    (b) e <= min(N eps, RANK_RTOL) max_i A_ii, and
+    (c) Tr(A_GG^-1) RANK_RTOL hi < 1, so tau > RANK_RTOL hi >= e.
+
+    As max_i A_ii <= lambda_max <= hi, A then passes ``validate``'s
+    semidefiniteness bound -N eps lambda_max, and exactly nulls = N - |G|
+    eigenvalues fall under the cut RANK_RTOL lambda_max of
+    ``nonzero_eigenvalues``.  It declines where the factor would pass
+    FACTOR_ENTRIES, where A is indefinite, and where an eigenvalue lies too
+    near the cut to tell, as behind a bond far weaker than the rest.
+    """
+    sites, factor = sys._grounded
+    if factor is None or not factor.positive_definite():
+        return None
+    A = sys.op_A
+    bonded = np.zeros(sys.n, dtype=bool)
+    bonded[sys._bonded_order] = True
+    stray = ~bonded[A.rows] | (sys.components[A.rows] != sys.components[A.cols])
+    if np.any(A.vals[stray]):
+        return None
+    spread = 2.0 * float(np.linalg.norm(A @ _null_vectors(sys)))
+    if spread > min(sys.n * np.finfo(float).eps, RANK_RTOL) * A.diagonal().max(initial=0.0):
+        return None
+    if factor.inverse_trace() * RANK_RTOL * _gershgorin(A)[1] >= 1.0:
+        return None
+    return sys.n - len(sites), spread
+
+
 def _shifted(m: BondOperator, mu: float) -> BondOperator:
     """mu - m, for a square ``m`` that has every diagonal entry."""
     return BondOperator(m.rows, m.cols, mu * (m.rows == m.cols) - m.vals, m.shape)
@@ -1135,10 +1211,9 @@ def _largest_eigenvalue(A: BondOperator) -> float:
     lower, upper = sigma - 1.0 / theta, sigma
     while upper - lower > RITZ_RTOL * upper:
         mid = 0.5 * (lower + upper)
-        try:    # mid - A is positive definite exactly when every Schur complement is
-            np.linalg.cholesky(_factor(_shifted(A, mid)).inv)
+        if _factor(_shifted(A, mid)).positive_definite():
             upper = mid
-        except np.linalg.LinAlgError:
+        else:
             lower = mid
     return 0.5 * (lower + upper)
 

@@ -427,6 +427,55 @@ def test_validate_finds_a_negative_eigenvalue_of_A(tmp_path, capsys, monkeypatch
     assert "FAIL A-positive-semidefinite: min eig -3.18e+00" in capsys.readouterr().out
 
 
+def test_validate_reports_the_ends_where_the_certificate_declines(tmp_path, capsys, monkeypatch):
+    # the first bond's pair hangs on the rest of the sheet by springs of 1e-12, so lambda_2 lies
+    # under the null cut and Tr(A_GG^-1) is too large to certify it; validate then reads the
+    # ends of the spectrum and reports what it reported before the certificate
+    build, certify = enm.build_system, enm.inertia_certificate
+    certificates = []
+
+    def weak_build(*args, **kwargs):
+        sys = build(*args, **kwargs)
+        crossing = np.isin(sys.bonds, sys.bonds[0]).sum(axis=1) == 1
+        return enm.system_from_bonds(sys.n, sys.bonds, kappa=np.where(crossing, 1e-12, 1.0),
+                                     physical=sys.physical)
+
+    def recorded(sys):
+        certificates.append(certify(sys))
+        return certificates[-1]
+
+    monkeypatch.setattr(enm, "build_system", weak_build)
+    monkeypatch.setattr(enm, "inertia_certificate", recorded)
+    assert _validate_4x4(tmp_path, "certified") == 1
+    monkeypatch.setattr(enm, "inertia_certificate", lambda sys: None)
+    assert _validate_4x4(tmp_path, "ends") == 1
+    assert certificates == [None]
+    certified, ends = ((tmp_path / name / "validation.txt").read_text()
+                       for name in ("certified", "ends"))
+    assert certified == ends
+    assert "FAIL null-space-dimension: dim 2\n" in certified
+
+
+def test_validate_builds_one_factorization_and_reads_no_spectral_ends(tmp_path, capsys,
+                                                                      monkeypatch):
+    # the two spectral checks come from the inertia of the grounded factor that F-conservation
+    # builds: no shift-invert factor and no Lanczos run
+    def refuse(sys):
+        raise AssertionError("validate read the ends of the spectrum")
+
+    built, init = [], enm._BlockTridiagonal.__init__
+
+    def counted(self, m, w):
+        built.append(m.shape)
+        init(self, m, w)
+
+    monkeypatch.setattr(enm, "extreme_eigenvalues", refuse)
+    monkeypatch.setattr(enm._BlockTridiagonal, "__init__", counted)
+    assert _validate_4x4(tmp_path) == 0
+    assert len(built) == 1
+    assert "PASS A-positive-semidefinite: min eig >= -" in capsys.readouterr().out
+
+
 def test_validate_reruns_are_identical_after_unseeded_draws(tmp_path, capsys):
     # the Lanczos start vectors are seeded, so the global numpy generator cannot move them
     assert _validate_4x4(tmp_path, "first") == 0

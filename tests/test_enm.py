@@ -1,3 +1,4 @@
+import collections
 import math
 import os
 import time
@@ -886,6 +887,128 @@ def test_grounded_order_is_the_bonded_order_less_the_lowest_sites(n_r, n_c):
     assert width <= enm._bandwidth(enm._bonded(sys))
     assert width <= fresh
     assert (width < fresh) == ((n_r, n_c) in {(2, 7), (2, 9), (3, 6)})
+
+
+def _queue_level_order(m):
+    """Breadth-first levels by a plain queue, each piece from its lowest unseen site, each
+    level ascending: the reference for ``enm._level_order``."""
+    n = m.shape[0]
+    neighbours = [[] for _ in range(n)]
+    for r, c in zip(m.rows.tolist(), m.cols.tolist()):
+        neighbours[r].append(c)
+    level = [-1] * n
+    order = []
+    for root in range(n):
+        if level[root] >= 0:
+            continue
+        level[root], queue, piece = 0, collections.deque([root]), []
+        while queue:
+            site = queue.popleft()
+            piece.append(site)
+            for k in neighbours[site]:
+                if level[k] < 0:
+                    level[k] = level[site] + 1
+                    queue.append(k)
+        order += sorted(piece, key=lambda site: (level[site], site))
+    return np.array(order)
+
+
+LEVEL_ORDER_CASES = {
+    "sheet-2x9": lambda: enm._bonded(enm.build_system(LatticeSpec(2, 9))),
+    "sheet-5x5": lambda: enm._bonded(enm.build_system(LatticeSpec(5, 5))),
+    "one-long-bond": lambda: enm.system_from_bonds(
+        3000, [(j, j + 1) for j in range(2999)] + [(1, 2999)]).op_A,
+    "two-components": lambda: _two_component_graph().op_A,
+    "unbonded-sites": lambda: _full_band_graph().op_A,
+}
+
+
+@pytest.mark.filterwarnings("ignore:physical subgraph is disconnected")
+@pytest.mark.parametrize("case", sorted(LEVEL_ORDER_CASES))
+def test_level_order_matches_a_queue_bfs(case):
+    m = LEVEL_ORDER_CASES[case]()
+    assert np.array_equal(enm._level_order(m), _queue_level_order(m))
+
+
+@pytest.mark.parametrize("mu", [0.5, 5.8, 5.95, 12.0])
+def test_positive_definite_matches_the_dense_spectrum(mu):
+    # mu - A on the 3x3 sheet, whose lambda_max is 5.87, tested one block at a time
+    a = enm._bonded(enm.build_system(LatticeSpec(3, 3)))
+    assert np.linalg.eigvalsh(a.toarray())[-1] == pytest.approx(5.87, abs=0.01)
+    assert enm._factor(enm._shifted(a, mu)).positive_definite() == (mu > 5.87)
+
+
+def test_positive_definite_copies_no_factor():
+    # the bisection called np.linalg.cholesky on the whole stack of inverse Schur complements
+    factor = enm.build_system(LatticeSpec(5, 5))._grounded[1]
+    tracemalloc.start()
+    try:
+        assert factor.positive_definite()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < factor.inv.nbytes // 10
+
+
+def _cut_sheet():
+    # the first bond cut off from the rest of the 4x4 sheet: a second bonded component
+    sys = enm.build_system(LatticeSpec(4, 4))
+    crossing = np.isin(sys.bonds, sys.bonds[0]).sum(axis=1) == 1
+    return enm.system_from_bonds(sys.n, sys.bonds[~crossing], physical=sys.physical)
+
+
+def _negative_spring():
+    # a spring of stiffness 1 - 3 on the first bond of the 4x4 sheet: one negative eigenvalue
+    sys = enm.build_system(LatticeSpec(4, 4))
+    (j, k), a = sys.bonds[0], sys.op_A
+    vals = a.vals.copy()
+    for r, c, change in ((j, j, -3.0), (k, k, -3.0), (j, k, 3.0), (k, j, 3.0)):
+        vals[(a.rows == r) & (a.cols == c)] += change
+    sys.__dict__["op_A"] = enm.BondOperator(a.rows, a.cols, vals, a.shape)
+    return sys
+
+
+def _weak_bond():
+    # a path of unit bonds and one site hung on by 1e-12: lambda_2 lies under the null cut
+    n = 40
+    return enm.system_from_bonds(n, [(j, j + 1) for j in range(n - 1)],
+                                 kappa=[1.0] * (n - 2) + [1e-12])
+
+
+CERTIFICATE_CASES = {
+    **{f"sheet-{r}x{c}": (lambda r=r, c=c: enm.build_system(LatticeSpec(r, c)))
+       for r, c in LADDER},
+    "sheet-4x4-physical": lambda: enm.build_system(LatticeSpec(4, 4), mass=12.0),
+    **{f"sheet-{r}x{c}-{name}": (lambda r=r, c=c, kw=kw: enm.build_system(LatticeSpec(r, c), **kw))
+       for r, c in ((3, 2), (4, 3), (5, 5))
+       for name, kw in (("kappa-1e-9", {"kappa": 1e-9}), ("mass-1e9", {"mass": 1e9}))},
+    "cut-sheet": _cut_sheet,
+    "negative-spring": _negative_spring,
+    "graph-two-components": _two_component_graph,
+    "graph-unbonded-sites": _full_band_graph,
+    "weak-bond": _weak_bond,
+}
+DECLINED = {"negative-spring", "weak-bond"}
+
+
+@pytest.mark.filterwarnings("ignore:physical subgraph is disconnected")
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+def test_inertia_certificate_against_the_dense_spectrum(case):
+    sys = CERTIFICATE_CASES[case]()
+    certificate = enm.inertia_certificate(sys)
+    assert (certificate is None) == (case in DECLINED)
+    if certificate is None:
+        return
+    nulls, spread = certificate
+    w = np.linalg.eigvalsh(sys.op_A.toarray())
+    # validate's two verdicts from the dense spectrum follow from the certificate
+    assert w[0] >= -sys.n * np.finfo(float).eps * w[-1]
+    assert len(w) - len(enm.nonzero_eigenvalues(w)) == nulls == len(np.unique(sys.components))
+    # and so do its bounds, up to the roundoff of the dense solve
+    roundoff = 64 * np.finfo(float).eps * w[-1]
+    assert np.abs(w[:nulls]).max() <= spread + roundoff
+    assert spread <= sys.n * np.finfo(float).eps * np.diag(sys.op_A.toarray()).max()
+    assert w[nulls] >= 1.0 / sys._grounded[1].inverse_trace() - roundoff
 
 
 def test_components_label_unbonded_sites_alone():
