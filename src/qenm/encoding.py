@@ -388,14 +388,16 @@ def dump_state_csv(state: EncodedState, path) -> None:
     n = state.n
     part, rest = np.divmod(active_slots(state.sys), n * n)
     j, k = np.divmod(rest, n)
-    # one % per axis over a row template of the kept slots, as in enm.dump_trajectory_csv
-    slots = [f"%s,{p},{jj},{kk},%.17g,%.17g\n"
+    # one % per axis over a bytes row template of the kept slots; re and im are
+    # the rows of one enm.format_17g call per axis, the bytes of '%.17g' % x
+    slots = [f"%d,{p},{jj},{kk},%s,%s\n".encode()
              for p, jj, kk in zip(part.tolist(), j.tolist(), k.tolist())]
-    with open(path, "w") as fh:
-        fh.write("axis,part,j,k,re,im\n")
+    with open(path, "wb") as fh:
+        fh.write(b"axis,part,j,k,re,im\n")
         for a, row in enumerate(state.amps):
             keep = np.flatnonzero(np.abs(row) > 1e-12)
+            fields = enm.format_17g(np.stack([row[keep].real, row[keep].imag], -1))[0].tolist()
             vals = [a] * (3 * keep.size)
-            vals[1::3] = row[keep].real.tolist()
-            vals[2::3] = row[keep].imag.tolist()
-            fh.write("".join([slots[i] for i in keep.tolist()]) % tuple(vals))
+            vals[1::3] = fields[0::2]
+            vals[2::3] = fields[1::2]
+            fh.write(b"".join([slots[i] for i in keep.tolist()]) % tuple(vals))

@@ -83,6 +83,27 @@ def test_simulate_deviation_column_small(tmp_path):
     assert max(float(r.split(",")[1]) for r in comp) <= 1e-8
 
 
+@pytest.mark.parametrize("physics, seed", [({}, 0), ({}, 3), ({"units": "physical"}, 0)],
+                         ids=["reduced-seed0", "reduced-seed3", "physical"])
+def test_simulate_formats_almost_every_value_in_numpy(tmp_path, monkeypatch, physics, seed):
+    # simulate-4x4: at most 1 % of the values written may fall to Python's '%.17g'
+    seen = []
+    format_17g = enm.format_17g
+
+    def spy(values):
+        rows, python = format_17g(values)
+        seen.append(python)
+        return rows, python
+
+    monkeypatch.setattr(enm, "format_17g", spy)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 4, "n_c": 4}, "physics": physics,
+                               "seed": seed}))
+    assert run(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    python = np.concatenate(seen)
+    assert python.size >= 50 * 2 * 512 * 2 and python.mean() <= 0.01
+
+
 def test_heat_command(tmp_path):
     assert run(["heat", "--out-dir", str(tmp_path / "o")]) == 0
     rows = (tmp_path / "o" / "heat_search.csv").read_text().splitlines()[1:]

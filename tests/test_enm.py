@@ -624,6 +624,14 @@ def test_trajectory_csv_bytes_of_edge_floats(tmp_path):
     assert b"\n-0,0,x,-0,0\n" in data and b",4.9406564584124654e-324," in data
 
 
+def test_trajectory_csv_of_no_samples(tmp_path):
+    empty = np.zeros((0, 2, 3))
+    traj = enm.Trajectory(np.zeros(0), empty, empty, ("x", "y"), sys=None)
+    path = tmp_path / "traj.csv"
+    enm.dump_trajectory_csv(traj, path)
+    assert path.read_bytes() == b"t,node,axis,x,xdot\n"
+
+
 def test_trajectory_csv_formats_one_sample_at_a_time():
     # samples of the 5x5 sheet, 2 axes x 2048 sites: formatting one costs about 1 MB at
     # peak, while all 64 converted to Python floats up front would take about 17 MB
@@ -637,6 +645,100 @@ def test_trajectory_csv_formats_one_sample_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+def test_trajectory_csv_memory_at_the_simulate_4x4_shape():
+    # 51 samples x 2 axes x 512 sites: the formatter's temporaries and one block's rows
+    x = np.random.default_rng(6).normal(0.0, 1.0, (51, 2, 512))
+    traj = enm.Trajectory(np.linspace(0.0, 6.0, 51), x, -x, ("x", "y"), sys=None)
+    enm.dump_trajectory_csv(traj, os.devnull)        # the formatter's tables, built once
+    tracemalloc.start()
+    try:
+        enm.dump_trajectory_csv(traj, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
+
+
+def _python_17g(values):
+    return np.array([b"%.17g" % v for v in np.ravel(values).tolist()], dtype="S24")
+
+
+def test_format_17g_random_bit_patterns():
+    # every value formatted in numpy is checked; of those left to Python, which
+    # formats them itself, every 8th, to keep the test near 2 s
+    bits = np.random.default_rng(17).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
+    values = np.concatenate([bits.view(np.float64), [np.nan, -np.nan, np.inf, -np.inf]])
+    rows, python = enm.format_17g(values)
+    assert rows.dtype == np.dtype("S24") and rows.shape == values.shape
+    a = np.abs(values)
+    exact = (a >= 1e-6) & (a < 1e17)              # -6 <= E <= 16: every one in numpy
+    assert exact.sum() > 30_000 and np.array_equal(python, ~exact & (a > 0) | np.isnan(a))
+    assert np.array_equal(rows[~python], _python_17g(values[~python]))
+    checked = np.flatnonzero(python)[::8]
+    assert np.array_equal(rows[checked], _python_17g(values[checked]))
+    assert np.array_equal(rows[-4:], _python_17g(values[-4:]))
+
+
+def test_format_17g_random_values_of_the_exact_range():
+    # |v| from 10^-6 to 10^17, random signs: both forms of %g, every value in numpy
+    rng = np.random.default_rng(18)
+    values = 10.0 ** rng.uniform(-6.0, 17.0, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+    values = values[(np.abs(values) >= 1e-6) & (np.abs(values) < 1e17)]
+    rows, python = enm.format_17g(values)
+    assert np.array_equal(rows, _python_17g(values))
+    assert not python.any()
+
+
+def _with_neighbours(values):
+    values = np.asarray(values, dtype=float)
+    values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("values", [
+    _with_neighbours([float(f"1e{e}") for e in range(-323, 309)]),
+    _with_neighbours([1e-5, 1e-4, 1e16, 1e17]),                 # where %g switches form
+    [123456789012345.625, 123456789012345.875, -123456789012345.625],
+    [1.0, -1.0, 2.0 ** 52, -2.0 ** 52, 0.0, -0.0, 5e-324, -5e-324,
+     1.7976931348623157e308, -1.7976931348623157e308],
+], ids=["powers-of-ten", "switch-points", "ties", "edges"])
+def test_format_17g_equals_python(values):
+    rows, python = enm.format_17g(values)
+    assert np.array_equal(rows, _python_17g(values))
+    assert rows.tolist() == [b"%.17g" % v for v in np.ravel(values).tolist()]
+
+
+def test_format_17g_ties_go_to_even_and_zeros_stay_in_numpy():
+    rows, python = enm.format_17g([123456789012345.625, 123456789012345.875, 0.0, -0.0])
+    assert rows.tolist() == [b"123456789012345.62", b"123456789012345.88", b"0", b"-0"]
+    assert not python.any()
+
+
+def test_format_17g_of_trajectories():
+    # a 4x4 thermal-like trajectory as it is (fixed form, almost all in numpy), near 1e-5
+    # (the exponent form, partly below 1e-6) and in metres (all below 1e-6): bytes equal
+    sys = enm.build_system(LatticeSpec(4, 4))
+    rng = np.random.default_rng(8)
+    traj = enm.evolve_classical(sys, rng.normal(0.0, 0.1, (2, sys.n)),
+                                rng.normal(0.0, 1.0, (2, sys.n)), np.linspace(0.0, 6.0, 20))
+    for scale in (1.0, 1e-5, 1e-10):
+        values = scale * np.stack([traj.x, traj.xdot])
+        rows, python = enm.format_17g(values)
+        assert np.array_equal(rows, _python_17g(values))
+        a = np.abs(values).ravel()
+        assert not python[(a >= 1e-6) & (a < 1e17)].any()
+        if scale == 1.0:
+            assert python.mean() <= 0.01
+
+
+def test_format_17g_leaves_everything_to_python_on_a_big_endian_host(monkeypatch):
+    values = np.array([0.1, -2.5e-300, 7.0, np.nan])
+    monkeypatch.setattr(enm.np, "little_endian", False)
+    rows, python = enm.format_17g(values)
+    assert python.all()
+    assert rows.tolist() == [b"0.10000000000000001", b"-2.5e-300", b"7", b"nan"]
 
 
 LADDER = ((2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4), (5, 4), (5, 5))
