@@ -12,8 +12,10 @@ per axis can be nonzero, so a state is stored compactly as ``amps`` of shape
 * column N + c, slot (part 1, j, k) for bonded pair c = (j, k), j < k, of
   ``sys.pairs``: bond block, amplitude i sqrt(kappa_jk) (x_j - x_k) / sqrt(2E)
 
-``EncodedState.tensor`` scatters ``amps`` into the padded (D, 2, N, N)
-register layout on access, for structure checks.
+``standard_amplitudes`` forms these ``amps`` for any number of states at
+once, and ``prepare_standard`` is it for one.  ``EncodedState.tensor``
+scatters ``amps`` into the padded (D, 2, N, N) register layout on access,
+for structure checks.
 
 The alternative encoding reuses the same layout for one axis: the node
 columns hold P y (null-space-projected mass-weighted displacements), the
@@ -44,8 +46,11 @@ to the degree of the longest time, and its (K + 1, T) coefficients come from
 the Bessel values J_k(tau) of ``bessel_j``.  That saves products but leaves
 the query count unchanged.  Its one reader, ``read``, forms a run of samples
 as one matrix product: ``evolve_exact`` reads one sample at a time and yields
-it as an ``EncodedState``, and ``evolve_grid`` reads every sample at once,
-for observables read over the whole grid.  ``evolve_dense``, the
+it as an ``EncodedState``, ``evolve_grid`` reads every sample at once, for
+observables read over the whole grid, and ``cli``'s simulate reads the
+series of ``jacobi_anger`` a block of ``sample_blocks`` at a time, at least
+two samples, with ``evolve_grid``'s bits, beside ``standard_amplitudes`` of
+the block's classical samples.  ``evolve_dense``, the
 eigendecomposition of the dense active block, is kept only as the reference
 the tests compare against.  The gate-level block encoding of H / alpha
 (``oracles.hamiltonian_block_circuit``) is verified against ``build_block_H``
@@ -68,6 +73,7 @@ from .lattice import SPARSITY
 DESK_DIM_LIMIT = 1 << 13
 SERIES_EPS = 1e-12      # operator-norm bound on the truncated Jacobi-Anger tail
 BESSEL_RESCALE = 2.0**600     # bound on the unnormalized values of bessel_j's recurrence
+BLOCK_BYTES = 160_000   # most amplitude bytes of one block of ``sample_blocks``: 4 samples at 4x4
 
 
 def active_slots(sys: SystemMatrices) -> np.ndarray:
@@ -154,6 +160,37 @@ def aa_rounds(sys: SystemMatrices, alpha: float, beta: float,
                                / (2.0 * energy)))
 
 
+def standard_amplitudes(sys: SystemMatrices, x, xdot) -> tuple[np.ndarray, np.ndarray]:
+    """The standard encoding's ``amps`` of (..., D, N) positions and velocities, shaped
+    (..., D, N + P), and the energy E of each (...) state.
+
+    Node column j holds sqrt(m_j) xdot_j and pair column N + c holds i sqrt(kappa_c)
+    (x_j - x_k), both over sqrt(2E), E being the kinetic plus the potential energy
+    (``enm.potential_energy``).  ``prepare_standard`` is this formula for one state, and
+    ``cli``'s check against the classical trajectory takes it for a block of samples, with
+    the same bits for each sample.
+    """
+    x = np.asarray(x, dtype=float)
+    xdot = np.asarray(xdot, dtype=float)
+    n = sys.n
+    if x.ndim < 2 or x.shape != xdot.shape or x.shape[-1] != n:
+        raise ValueError("initial conditions must be (D, N) matching the system")
+    j, k = sys.bonds.T
+    # the bond differences laid out (..., P, D), as numpy lays out one state's gather x[:, j],
+    # so that each energy sums its terms in the order of enm.potential_energy
+    sites = np.swapaxes(x, -1, -2)
+    diff = np.take(sites, j, axis=-2) - np.take(sites, k, axis=-2)
+    kinetic = 0.5 * np.sum(sys.masses * xdot**2, axis=(-2, -1))
+    energy = kinetic + 0.5 * np.sum(sys.coupling[:, None] * diff**2, axis=(-2, -1))
+    if not np.all(energy > 0.0):
+        raise ValueError("zero-energy state has no encoding")
+    amps = np.empty(x.shape[:-1] + (n + len(j),), dtype=complex)
+    amps[..., :n] = np.sqrt(sys.masses) * xdot
+    amps[..., n:] = 1j * np.sqrt(sys.coupling) * np.swapaxes(diff, -1, -2)
+    amps /= np.sqrt(2.0 * energy)[..., None, None]
+    return amps, energy
+
+
 def prepare_standard(sys: SystemMatrices, x0, xdot0) -> EncodedState:
     """Velocity/bond-difference encoding (sqrt(M) xdot, i mu) / sqrt(2E).
 
@@ -164,19 +201,11 @@ def prepare_standard(sys: SystemMatrices, x0, xdot0) -> EncodedState:
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     xdot0 = np.atleast_2d(np.asarray(xdot0, dtype=float))
-    d_ax, n = x0.shape
-    if x0.shape != xdot0.shape or n != sys.n:
+    if x0.ndim != 2:
         raise ValueError("initial conditions must be (D, N) matching the system")
+    amps, energy = standard_amplitudes(sys, x0, xdot0)
+    energy = float(energy)
     kinetic = 0.5 * float(np.sum(sys.masses * xdot0**2))
-    energy = kinetic + enm.potential_energy(sys, x0)
-    if energy <= 0.0:
-        raise ValueError("zero-energy state has no encoding")
-
-    j, k = sys.bonds.T
-    amps = np.empty((d_ax, n + len(j)), dtype=complex)
-    amps[:, :n] = np.sqrt(sys.masses) * xdot0
-    amps[:, n:] = 1j * np.sqrt(sys.coupling) * (x0[:, j] - x0[:, k])
-    amps /= math.sqrt(2.0 * energy)
 
     alpha_sq = float(np.sum(xdot0**2))
     beta_sq = float(np.sum(x0**2))
@@ -186,7 +215,7 @@ def prepare_standard(sys: SystemMatrices, x0, xdot0) -> EncodedState:
     thetas = tuple(
         math.acos(math.sqrt(2.0 * kinetic)
                   / math.sqrt(2.0 * kinetic + kd * float(np.sum(x0[a] ** 2))))
-        for a in range(d_ax)
+        for a in range(len(x0))
     )
     rounds = aa_rounds(sys, math.sqrt(alpha_sq), math.sqrt(beta_sq), energy)
     return EncodedState(amps, "standard", sys, energy, e_max, rounds, thetas)
@@ -314,7 +343,7 @@ def bessel_j(degree: int, taus) -> np.ndarray:
     return out
 
 
-def _jacobi_anger(state: EncodedState, bh: BlockHamiltonian, times) -> enm.ChebyshevSeries:
+def jacobi_anger(state: EncodedState, bh: BlockHamiltonian, times) -> enm.ChebyshevSeries:
     """The series of exp(-iHt) psi_0 on the grid, whose ``read`` gives (samples, D, N + P).
 
     Its terms are the basis T_k(H / alpha) psi_0 for k = 0..K, shaped (K + 1, D, N + P), to
@@ -341,7 +370,7 @@ def evolve_exact(state: EncodedState, bh: BlockHamiltonian, times) -> Iterator[E
     sample alone, sum_k c_k(t) T_k psi_0, within SERIES_EPS of exp(-iHt) in
     norm, so it holds one sample at a time.
     """
-    series = _jacobi_anger(state, bh, times)
+    series = jacobi_anger(state, bh, times)
     return (replace(state, amps=series.read(i, i + 1)[0]) for i in range(series.coeffs.shape[1]))
 
 
@@ -353,8 +382,22 @@ def evolve_grid(state: EncodedState, bh: BlockHamiltonian, times) -> np.ndarray:
     sample, T (N + P) D amplitudes, where ``evolve_exact`` holds one at a
     time.
     """
-    series = _jacobi_anger(state, bh, times)
+    series = jacobi_anger(state, bh, times)
     return series.read(0, series.coeffs.shape[1])
+
+
+def sample_blocks(samples: int, sample_bytes: int) -> list[tuple[int, int]]:
+    """(start, stop) of each block of a ``samples``-long grid that is read off a series at once.
+
+    A block holds at most BLOCK_BYTES of samples of ``sample_bytes`` each, but at least two,
+    and the grid is split evenly, so no block holds a single sample unless the grid has only
+    one: every read is then a matrix product, with ``evolve_grid``'s bits.  Where the cap
+    leaves two samples a block and the grid is odd, one block holds three.
+    """
+    size = max(2, BLOCK_BYTES // max(sample_bytes, 1))
+    count = max(min(-(-samples // size), samples // 2), min(samples, 1))
+    bounds = [samples * i // max(count, 1) for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def evolve_dense(state: EncodedState, bh: BlockHamiltonian, t: float) -> EncodedState:

@@ -87,7 +87,7 @@ SHIFT_RTOL = 1e-6  # how far each shift of ``extreme_eigenvalues`` lies outside 
                    # interval, relative to the interval's upper end
 ENERGY_CHUNK_BYTES = 1 << 22  # most bytes of one gather in ``total_energy``'s op_F products,
                               # through which many samples go a chunk at a time
-FORMAT_CHUNK = 2048  # values per pass of ``format_17g``, whose temporaries then peak near 0.3 MB
+FORMAT_CHUNK = 8192  # values per pass of ``format_17g``, whose temporaries then peak near 0.9 MB
 
 
 class BondOperator:
@@ -847,9 +847,14 @@ def classical_series(sys, x0, xdot0, times) -> ChebyshevSeries:
     T_k(S) xdot0 straight into the (2, K + 1, D, N) terms through a
     transposed view, so no other basis exists, and ``read`` of the terms
     viewed as (2 (K + 1), D, N) gives x and xdot of each sample as
-    (samples, 2, D, N).  The terms take 16 D (K + 1) N bytes: K is 29 for
-    max|t| sqrt(lambda_bar) = 24.5 (``validate``, 2 MB at 5x5) and 496 for
-    707 (``ripple``'s 1000 ps window in physical units, 4 MB at 4x4).
+    (samples, 2, D, N).  A start that is zero keeps neither its terms nor
+    their coefficient rows: a sheet at rest (x0 = 0, as in ``simulate``'s
+    thermal starts, ``validate`` and ``ripple``) holds only the T_k(S) xdot0
+    half, and one released from rest (xdot0 = 0) only the T_k(S) x0 half;
+    adding the zero rows' products changed no bit of any sample.  Each half
+    takes 8 D (K + 1) N bytes: K is 29 for max|t| sqrt(lambda_bar) = 24.5
+    (``validate``, 1 MB at 5x5) and 496 for 707 (``ripple``'s 1000 ps window
+    in physical units, 2 MB at 4x4).
     The cosine is transformed as cos - 1 with the 1 put on T_0, and working
     in x rather than y = sqrt(M) x keeps T_0 the identity, so x(0) = x0 and
     xdot(0) = xdot0 exactly.
@@ -872,9 +877,14 @@ def classical_series(sys, x0, xdot0, times) -> ChebyshevSeries:
 
     L = sys.op_L
     S = BondOperator(L.rows, L.cols, (2.0 / lam_bar) * L.vals - (L.rows == L.cols), L.shape)
-    terms = np.empty((2, nodes, d, n))     # T_k(S) x0 at [0, k], T_k(S) xdot0 at [1, k]
-    chebyshev_basis(S, np.stack([x0, xdot0]), nodes - 1, out=terms.transpose(1, 0, 2, 3))
-    return ChebyshevSeries(coeffs, terms.reshape(2 * nodes, d, n))
+    # T_k(S) x0 at [0, k] and T_k(S) xdot0 at [1, k], each only where its start is nonzero
+    # (a sheet that never moves keeps the zero xdot0 rows)
+    kept = [i for i, start in enumerate((x0, xdot0)) if start.any()] or [1]
+    terms = np.empty((len(kept), nodes, d, n))
+    chebyshev_basis(S, np.stack([x0, xdot0])[kept], nodes - 1, out=terms.transpose(1, 0, 2, 3))
+    coeffs = coeffs.reshape(2, nodes, *coeffs.shape[1:])[kept]
+    return ChebyshevSeries(coeffs.reshape(-1, *coeffs.shape[2:]),
+                           terms.reshape(len(kept) * nodes, d, n))
 
 
 def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
@@ -1022,23 +1032,19 @@ def series_energies(sys: SystemMatrices, series: ChebyshevSeries) -> np.ndarray:
     Sample i's x and xdot mix the terms by its coefficient columns c_x and
     c_xdot, so its energy is the quadratic form (1/2) (c_x^T G_F c_x +
     c_xdot^T G_M c_xdot) in the Gram matrices G_F = sum_a X_a F X_a^T and
-    G_M = sum_a X_a M X_a^T, X_a being the (2 (K + 1), N) terms of axis a.
+    G_M = sum_a X_a M X_a^T, X_a being the (K', N) terms of axis a.
     Both are symmetric, so only their blocks on and above the diagonal are
-    formed, at a cost of (2 (K + 1))^2 D N, and the forms cost
-    T (2 (K + 1))^2, where the samples alone would cost 2 T (2 (K + 1)) D N:
-    fewer terms than samples (60 against 200 in ``validate``) is where this
+    formed, at a cost of K'^2 D N, and the forms cost T K'^2, where the
+    samples alone would cost 2 T K' D N: fewer terms than samples (30
+    against 200 in ``validate``, which starts at rest) is where this
     wins, and a long window of few samples (``ripple``'s in physical units,
-    994 terms for 50 samples) is where it loses.  Zero rows before the first
-    nonzero term or after the last add nothing and are left out: a sheet
-    that starts at rest, as in ``validate``, has no x0 rows.  F goes through
-    the rest a few rows at a time, so that its ``op_F`` gather and product
-    take at most half their bytes.
+    497 terms for 50 samples) is where it loses.  A sheet that starts at
+    rest, as in ``validate``, has no x0 rows (``classical_series``).  F goes
+    through the terms a few rows at a time, so that its ``op_F`` gather and
+    product take at most half their bytes.
     """
-    _, d, n = series.terms.shape
-    nonzero = np.flatnonzero(series.terms.reshape(-1, d * n).any(axis=1))
-    live = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0)
-    terms = series.terms[live]
-    k = len(terms)
+    terms = series.terms
+    k, d, n = terms.shape
     F = sys.op_F
     flat = terms.reshape(k, d * n)
     gram_f, gram_m = np.zeros((k, k)), np.zeros((k, k))
@@ -1050,7 +1056,7 @@ def series_energies(sys: SystemMatrices, series: ChebyshevSeries) -> np.ndarray:
         gram_m[:stop, start:stop] = flat[:stop] @ (part * sys.masses).reshape(stop - start, -1).T
     gram_f = np.triu(gram_f) + np.triu(gram_f, 1).T
     gram_m = np.triu(gram_m) + np.triu(gram_m, 1).T
-    c_x, c_xdot = np.moveaxis(series.coeffs[live], -1, 0)     # (k, T) each
+    c_x, c_xdot = np.moveaxis(series.coeffs, -1, 0)     # (k, T) each
     return 0.5 * (np.sum(c_x * (gram_f @ c_x), axis=0)
                   + np.sum(c_xdot * (gram_m @ c_xdot), axis=0))
 

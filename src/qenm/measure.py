@@ -25,8 +25,11 @@ Both load thermal velocities with ``boltzmann.thermal_velocities``.
 
 The two experiments read the one Jacobi-Anger series of ``encoding``, an
 ``enm.ChebyshevSeries``, through its one reader, a sample or a whole grid
-at a time.  Heat searches state by state, so it walks
-``encoding.evolve_exact``; rippling reads ``msd_fraction``'s MSD at every
+at a time; ``cli``'s simulate reads it a block of samples at a time and
+reduces each block with ``standard_comparison``: the largest deviation from
+the classical reference's amplitudes and ``energy_fraction``'s kinetic and
+potential fractions of every sample.  Heat searches state by state, so it
+walks ``encoding.evolve_exact``; rippling reads ``msd_fraction``'s MSD at every
 sample, so it takes the whole grid from ``encoding.evolve_grid`` and reduces
 the node block once, with the same formula.  Their classical references
 are one reduction over the time grid too: a (probes, regions) table of
@@ -96,8 +99,33 @@ def subset_probability(state: encoding.EncodedState, sel: SubsetSelector) -> flo
             "standard encoding carries no displacement amplitudes (all kappa_jj = 0)")
     else:
         raise ValueError(f"unknown selector target {sel.target!r}")
-    # one sum per axis: a single sum over the block moves comparison.csv in its last bits
-    return float(sum(np.sum(np.abs(row) ** 2) for row in block))
+    return float(_weight(block))
+
+
+def _weight(block: np.ndarray) -> np.ndarray:
+    """Summed |amplitude|^2 of each (..., D, columns) block: one sum per axis, then the axes
+    added in order (a single sum over the block moves comparison.csv in its last bits).
+
+    The squares are laid out row by row, so that each axis is summed pairwise as one
+    contiguous row, whatever the block's strides (a fancy-indexed block is column-major).
+    """
+    per_axis = np.sum(np.abs(block, order="C") ** 2, axis=-1)
+    total = per_axis[..., 0]
+    for a in range(1, per_axis.shape[-1]):
+        total = total + per_axis[..., a]
+    return total
+
+
+def standard_comparison(amps: np.ndarray, reference: np.ndarray,
+                        n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each sample of a block of standard-encoding ``amps`` (samples, D, N + P), N = ``n``:
+    the largest |amps - reference| and the kinetic and potential fractions.
+
+    The fractions are ``energy_fraction``'s over all nodes and over all bonds, summed by
+    ``subset_probability``'s rule, so each equals that of the sample's ``EncodedState``.
+    """
+    deviation = np.abs(amps - reference).reshape(len(amps), -1).max(axis=1)
+    return deviation, _weight(amps[..., :n]), _weight(amps[..., n:])
 
 
 def energy_fraction(state: encoding.EncodedState, sel: SubsetSelector) -> EstimateReport:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qenm
-from qenm import cli, enm
+from qenm import cli, encoding, enm, measure
 from qenm.lattice import SHIFT_TABLE, LatticeSpec, dummy_mask
 
 
@@ -82,6 +82,81 @@ def test_simulate_deviation_column_small(tmp_path):
     comp = (tmp_path / "o" / "comparison.csv").read_text().splitlines()[1:]
     assert max(float(r.split(",")[1]) for r in comp) <= 1e-8
 
+
+
+def _per_sample_comparison(cfg):
+    """comparison.csv's rows as simulate formed them one sample at a time: a one-row read of
+    the quantum series, an encoding of the classical sample and two energy fractions."""
+    sys = enm.build_system(cli._spec(cfg), cfg["physics"]["kappa"], cfg["physics"]["mass"])
+    x0, xdot0 = cli._initial_conditions(cfg, sys)
+    times = cli._times(cfg)
+    traj = enm.evolve_classical(sys, x0, xdot0, times)
+    st0 = encoding.prepare_standard(sys, x0, xdot0)
+    kinetic = measure.SubsetSelector("kinetic", tuple(range(sys.n)))
+    potential = measure.SubsetSelector("potential")
+    rows = []
+    for ti, st in enumerate(encoding.evolve_exact(st0, encoding.build_block_H(sys), times)):
+        ref = encoding.prepare_standard(sys, traj.x[ti], traj.xdot[ti])
+        rows.append((times[ti], float(np.abs(st.amps - ref.amps).max()),
+                     measure.energy_fraction(st, kinetic).estimate,
+                     measure.energy_fraction(st, potential).estimate))
+    return np.array(rows)
+
+
+SIMULATE_STARTS = {"at-rest": {"kind": "boltzmann"},
+                   "displaced": {"kind": "boltzmann", "nodes": [1], "displacements": [0.2]},
+                   "zero-kind": {"kind": "zero", "nodes": [1], "displacements": [0.2]}}
+
+
+@pytest.mark.parametrize("steps", [50, 1])
+@pytest.mark.parametrize("start", SIMULATE_STARTS, ids=list(SIMULATE_STARTS))
+@pytest.mark.parametrize("shape", [(2, 1), (3, 2), (4, 4)])
+def test_simulate_compares_in_blocks_as_it_did_sample_by_sample(tmp_path, shape, start, steps):
+    # The blocked reads of the quantum series are matrix products, the one-row reads of the
+    # per-sample loop matrix-vector products, so each sample's amplitudes move by a few ulps
+    # of the largest; the deviation then moves by at most eps and each fraction by at most
+    # 4 eps (two ulps near 1 on simulate-4x4, up to three on the 2x1 sheet, whose largest
+    # amplitudes are 0.29-0.5).  A grid of one sample is the one-row read, bit for bit.
+    over = {"lattice": {"n_r": shape[0], "n_c": shape[1]}, "initial": SIMULATE_STARTS[start],
+            "times": {"start": 0.0, "stop": 6.0, "steps": steps}, "seed": 3}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(over))
+    assert run(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    got = np.loadtxt(tmp_path / "o" / "comparison.csv", delimiter=",", skiprows=1, ndmin=2)
+    want = _per_sample_comparison(cli._merge(cli.DEFAULTS, over))
+    eps = np.finfo(float).eps
+    assert got.shape == want.shape == (steps, 4)
+    assert np.array_equal(got[:, 0], want[:, 0])
+    assert np.abs(got[:, 1] - want[:, 1]).max() <= (eps if steps > 1 else 0.0)
+    assert np.abs(got[:, 2:] - want[:, 2:]).max() <= (4 * eps if steps > 1 else 0.0)
+
+
+def test_simulate_encodes_the_start_once(tmp_path, monkeypatch):
+    # the classical references of every sample come from standard_amplitudes in blocks
+    calls = []
+    prepare_standard = encoding.prepare_standard
+
+    def counted(*args):
+        calls.append(args)
+        return prepare_standard(*args)
+
+    monkeypatch.setattr(encoding, "prepare_standard", counted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 4, "n_c": 4}}))
+    assert run(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+    assert len((tmp_path / "o" / "comparison.csv").read_text().splitlines()) == 51
+
+
+def test_simulate_refuses_a_zero_energy_start_before_writing(tmp_path, capsys):
+    # every physical node of a 2x1 sheet displaced alike: a rigid translation, at rest
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 2, "n_c": 1},
+                               "initial": {"kind": "zero", "nodes": [1, 4, 5, 6, 7, 8]}}))
+    assert run(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "config error: zero-energy state has no encoding" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "trajectory.csv").exists()
+    assert not (tmp_path / "o" / "state_t0.csv").exists()
 
 @pytest.mark.parametrize("physics, seed", [({}, 0), ({}, 3), ({"units": "physical"}, 0)],
                          ids=["reduced-seed0", "reduced-seed3", "physical"])
@@ -535,10 +610,11 @@ def test_validate_at_8x8_stops_at_the_oracle_before_any_solve(tmp_path, capsys, 
 
 
 def test_validate_holds_no_whole_trajectory(capsys):
-    # x and xdot of 200 samples, 2 axes and 2048 sites took 13.1 MB alone.  The run peaks at
-    # 4.17 MB while the energies come off the series' Gram matrices: the 2.0 MB series terms
-    # and 3 of their 30 nonzero rows with their op_F gather (0.5 MB).  A copy of the terms
-    # (5.8 MB) or all 30 rows through op_F at once (8.2 MB) breaks the bound
+    # x and xdot of 200 samples, 2 axes and 2048 sites took 13.1 MB alone.  The energies come
+    # off the series' Gram matrices: the 1.0 MB terms of the xdot0 half (the start is at rest)
+    # and 3 of their 30 rows at a time with their op_F gather (0.5 MB), 3.0 MB in all; the run
+    # peaks at 4.3 MB in the F-conservation check.  All 30 rows through op_F at once (8.2 MB)
+    # breaks the bound
     cfg = cli._merge(cli.DEFAULTS, {"lattice": {"n_r": 5, "n_c": 5}})
     cli._validation_checks(cfg)     # the first run fills the caches of imports and oracles
     tracemalloc.start()

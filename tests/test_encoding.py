@@ -66,6 +66,49 @@ def test_standard_matches_eq6_layout(small_sheet):
             1j * math.sqrt(sys.kappa[j, k]) * (x0[1, j] - x0[1, k]))
 
 
+
+def _standard_of_one_state(sys, x0, xdot0):
+    """The amplitudes and energy of one (D, N) state by the formula ``prepare_standard``
+    had before it took ``standard_amplitudes``: its energy through ``enm.potential_energy``."""
+    kinetic = 0.5 * float(np.sum(sys.masses * xdot0**2))
+    energy = kinetic + enm.potential_energy(sys, x0)
+    j, k = sys.bonds.T
+    amps = np.empty((len(x0), sys.n + len(j)), dtype=complex)
+    amps[:, :sys.n] = np.sqrt(sys.masses) * xdot0
+    amps[:, sys.n:] = 1j * np.sqrt(sys.coupling) * (x0[:, j] - x0[:, k])
+    amps /= math.sqrt(2.0 * energy)
+    return amps, energy
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (3, 2), (4, 4)])
+def test_standard_amplitudes_of_a_block_are_those_of_each_sample(shape):
+    # simulate's references: one encoding of a block of classical samples, strided rows of
+    # the trajectory, has every bit of each sample's own encoding, the signs of zeros included
+    sys = enm.build_system(LatticeSpec(*shape))
+    x0, xdot0 = thermalish_ics(sys, seed=5, displaced=4)
+    traj = enm.evolve_classical(sys, x0, xdot0, np.linspace(0.0, 6.0, 7))
+    amps, energy = encoding.standard_amplitudes(sys, traj.x[2:6], traj.xdot[2:6])
+    assert amps.shape == (4, 2, sys.n + len(sys.bonds)) and energy.shape == (4,)
+    for i, ti in enumerate(range(2, 6)):
+        want, e = _standard_of_one_state(sys, traj.x[ti], traj.xdot[ti])
+        st = encoding.prepare_standard(sys, traj.x[ti], traj.xdot[ti])
+        for got in (amps[i], st.amps):
+            assert np.array_equal(got.view(float), want.view(float))
+            assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+        assert energy[i] == st.norm_constant == e
+
+
+def test_standard_amplitudes_refuse_a_block_with_a_zero_energy_sample(small_sheet):
+    sys = small_sheet
+    x0, xdot0 = thermalish_ics(sys, seed=2)
+    x, xdot = np.stack([x0, x0, x0]), np.stack([xdot0, xdot0, xdot0])
+    x[1] = np.where(sys.physical, 0.1, 0.0)         # a rigid translation, at rest
+    xdot[1] = 0.0
+    with pytest.raises(ValueError, match="zero-energy state has no encoding"):
+        encoding.standard_amplitudes(sys, x, xdot)
+    with pytest.raises(ValueError, match="zero-energy state has no encoding"):
+        encoding.prepare_standard(sys, x[1], xdot[1])
+
 # -- evolution ----------------------------------------------------------------------
 
 def test_evolution_t0_identity(small_sheet):
@@ -245,13 +288,52 @@ def test_series_runs_of_two_or_more_samples_match_the_whole_read(kind, shape):
     if kind == "classical":
         series = enm.classical_series(sys, x0, xdot0, times)
     else:
-        series = encoding._jacobi_anger(encoding.prepare_standard(sys, x0, xdot0),
-                                        encoding.build_block_H(sys), times)
+        series = encoding.jacobi_anger(encoding.prepare_standard(sys, x0, xdot0),
+                                       encoding.build_block_H(sys), times)
     whole = series.read(0, len(times))
     for start in range(len(times) - 1):
         for stop in range(start + 2, len(times) + 1):
             assert np.array_equal(series.read(start, stop), whole[start:stop]), (start, stop)
 
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("displaced", [0, 2], ids=["at-rest", "displaced"])
+def test_blocked_reads_of_the_quantum_series_equal_evolve_grid(seed, displaced):
+    # simulate-4x4's grid: a read of 2 to 16 samples from any start, each tail included, has
+    # evolve_grid's bits, and so do simulate's blocks; one-sample reads may round differently
+    sys = enm.build_system(LatticeSpec(4, 4))
+    x0, xdot0 = thermalish_ics(sys, seed=seed, displaced=displaced)
+    st0 = encoding.prepare_standard(sys, x0, xdot0)
+    bh = encoding.build_block_H(sys)
+    times = np.linspace(0.0, 6.0, 50)
+    grid = encoding.evolve_grid(st0, bh, times)
+    series = encoding.jacobi_anger(st0, bh, times)
+    for size in range(2, 17):
+        for start in range(len(times) - 1):
+            stop = min(start + size, len(times))
+            assert np.array_equal(series.read(start, stop), grid[start:stop]), (size, start)
+        blocks = encoding.sample_blocks(len(times), encoding.BLOCK_BYTES // size)
+        assert np.array_equal(np.concatenate([series.read(*b) for b in blocks]), grid)
+    assert np.array_equal(series.read(0, len(times)), grid)
+
+
+@pytest.mark.parametrize("size", range(2, 17))
+def test_sample_blocks_split_the_grid_evenly_and_never_leave_one_sample(size):
+    sample_bytes = encoding.BLOCK_BYTES // size
+    cap = encoding.BLOCK_BYTES // sample_bytes
+    for samples in range(1, 70):
+        blocks = encoding.sample_blocks(samples, sample_bytes)
+        sizes = [stop - start for start, stop in blocks]
+        assert blocks[0][0] == 0 and blocks[-1][1] == samples
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert max(sizes) - min(sizes) <= 1
+        assert min(sizes) >= 2 or samples == 1
+        # two samples a block leaves one block of three on an odd grid
+        assert max(sizes) <= cap or (cap == 2 and samples % 2 and max(sizes) == 3)
+    assert encoding.sample_blocks(0, sample_bytes) == []
+    assert encoding.sample_blocks(50, encoding.BLOCK_BYTES + 1) == [
+        (2 * i, 2 * i + 2) for i in range(25)]
 
 def _operator(m):
     rows, cols = np.nonzero(m)
@@ -319,7 +401,7 @@ def test_quantum_terms_equal_the_site_first_recurrence_bit_for_bit():
     times = np.linspace(0.0, 6.0, 50)
     degree = encoding.series_degree(bh.scale * 6.0)
     old = _site_first_basis(bh.H, st0.amps.T, degree, bh.scale)       # (K + 1, N + P, D)
-    terms = encoding._jacobi_anger(st0, bh, times).terms
+    terms = encoding.jacobi_anger(st0, bh, times).terms
     assert terms.dtype == complex and np.array_equal(terms, old.transpose(0, 2, 1))
 
 

@@ -504,6 +504,30 @@ def test_series_energies_of_a_sheet_that_never_moves():
     assert np.array_equal(enm.series_energies(sys, series), [0.0, 0.0])
 
 
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("shape, times", [((4, 4), np.linspace(0.0, 6.0, 50)),
+                                          ((5, 5), np.linspace(0.0, 10.0, 200))],
+                         ids=["simulate-4x4", "validate-5x5"])
+def test_classical_series_of_a_start_at_rest_holds_half_the_terms(shape, times, seed):
+    # a zero x0 (or xdot0) keeps none of its terms or coefficient rows, and every sample has
+    # the bits of the whole series, whose zero rows add nothing
+    sys = enm.build_system(LatticeSpec(*shape))
+    phys = np.flatnonzero(sys.physical)
+    v = np.zeros((2, sys.n))
+    v[:, phys] = np.random.default_rng(seed).normal(0.0, 0.3, (2, phys.size))
+    full = enm.classical_series(sys, v, v, times)       # both starts move: every row
+    nodes = len(full.terms) // 2
+    for x0, xdot0, half in ((0.0 * v, v, slice(nodes, None)), (v, 0.0 * v, slice(nodes))):
+        series = enm.classical_series(sys, x0, xdot0, times)
+        assert series.terms.shape == (nodes, 2, sys.n)
+        assert np.array_equal(series.terms, full.terms[half])
+        assert np.array_equal(series.coeffs, full.coeffs[half])
+        terms = np.zeros_like(full.terms)
+        terms[half] = series.terms
+        whole = enm.ChebyshevSeries(full.coeffs, terms).read(0, len(times))
+        assert np.array_equal(series.read(0, len(times)), whole)
+
 def test_evolve_classical_single_sample_shape():
     sys = enm.system_from_bonds(3, [(0, 1), (1, 2)], mass=[1.0, 2.0, 3.0])
     x0 = np.array([[1.0, 0.0, -1.0], [0.5, 0.2, 0.0]])

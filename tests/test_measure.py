@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,6 +90,45 @@ def test_complement_law(evolved_sheet):
              + measure.energy_fraction(st, SubsetSelector("potential")).estimate)
     assert total == pytest.approx(1.0, abs=1e-10)
 
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (4, 4)])
+def test_standard_comparison_is_each_samples_energy_fraction(shape):
+    # simulate's block reductions: every bit of the deviation and of both fractions is that
+    # of the sample's own EncodedState, summed by subset_probability's rule
+    sys = enm.build_system(LatticeSpec(*shape))
+    rng = np.random.default_rng(11)
+    phys = np.flatnonzero(sys.physical)
+    x0, xdot0 = np.zeros((2, sys.n)), np.zeros((2, sys.n))
+    x0[:, phys[:3]] = rng.normal(0.0, 0.2, (2, 3))
+    xdot0[:, phys] = rng.normal(0.0, 1.0, (2, phys.size))
+    times = np.linspace(0.0, 6.0, 9)
+    st0 = encoding.prepare_standard(sys, x0, xdot0)
+    grid = encoding.evolve_grid(st0, encoding.build_block_H(sys), times)
+    traj = enm.evolve_classical(sys, x0, xdot0, times)
+    reference = encoding.standard_amplitudes(sys, traj.x, traj.xdot)[0]
+    dev, kin, pot = measure.standard_comparison(grid, reference, sys.n)
+    nodes = tuple(range(sys.n))
+    for ti in range(len(times)):
+        st = replace(st0, amps=grid[ti])
+        assert dev[ti] == np.abs(grid[ti] - reference[ti]).max()
+        assert kin[ti] == measure.energy_fraction(st, SubsetSelector("kinetic", nodes)).estimate
+        assert pot[ti] == measure.energy_fraction(st, SubsetSelector("potential")).estimate
+        assert pot[ti] == sum(np.sum(np.abs(row) ** 2) for row in st.pair_amps)
+
+
+def test_subset_probability_sums_each_axis_as_one_row():
+    # a fancy-indexed node block is column-major; summed in its memory order rather than
+    # row by row, the fractions move in their last bits
+    sys = enm.build_system(LatticeSpec(4, 4))
+    phys = np.flatnonzero(sys.physical)
+    xdot0 = np.zeros((2, sys.n))
+    xdot0[:, phys] = np.random.default_rng(0).normal(0.0, 1.0, (2, phys.size))
+    st = encoding.prepare_standard(sys, np.zeros_like(xdot0), xdot0)
+    for nodes in (np.arange(sys.n), phys[::-3], phys[:40]):
+        block = st.node_amps[:, nodes]
+        want = sum(np.sum(np.abs(row) ** 2) for row in block)
+        assert measure.subset_probability(st, SubsetSelector("kinetic", tuple(nodes))) == want
 
 def test_displacement_under_standard_rejected(evolved_sheet):
     _, _, states, _ = evolved_sheet
