@@ -37,13 +37,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import boltzmann, encoding, enm, measure, svgplot
+from . import boltzmann, encoding, enm, linalg, measure, output, svgplot
 from .boltzmann import BucketKey, MBParams, prf64
 from .circuits import permute_basis, postselect
 # neighbor is not called here; benchmarks/test_bench.py checks that its tracer rebinds it
 from .lattice import (SPARSITY, Adjacency, LatticeSpec, adjacency,  # noqa: F401
-                      brute_force_adjacency, decode_index, dummy_mask, dump_lattice_csv,
-                      encode_coord, is_dummy, neighbor)
+                      brute_force_adjacency, decode_index, dummy_mask, encode_coord, is_dummy,
+                      neighbor)
 from .oracles import (comparator, connectivity_oracle, diffusion_projector_circuit, mass_oracle,
                       oracle_mismatches)
 
@@ -220,12 +220,6 @@ def _times(cfg) -> np.ndarray:
     return np.linspace(t["start"], t["stop"], t["steps"])
 
 
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def _initial_conditions(cfg, sys):
     """(x0, xdot0) shaped (2, N) from the configured initial-condition spec."""
     init, phys = cfg["initial"], cfg["physics"]
@@ -247,7 +241,7 @@ def _initial_conditions(cfg, sys):
 
 def cmd_lattice(cfg, out: Path) -> int:
     spec = _spec(cfg)
-    dump_lattice_csv(spec, out / "lattice.csv")
+    output.dump_lattice_csv(spec, out / "lattice.csv")
     svgplot.lattice_svg(out / "lattice.svg", spec)
     dummies = int(dummy_mask(spec).sum())
     print(f"lattice {spec.rows}x{spec.cols} cells: {spec.n_total} sites, "
@@ -293,7 +287,7 @@ def _validation_checks(cfg):
     err_a = enm.factorization_error(b, sys.op_A)
     checks.append(("factorization-BBt-equals-A", err_a <= 16 * eps * np.abs(sys.op_A.vals).max(),
                    f"max err {err_a:.2e}"))
-    sqrt_mb = enm.BondOperator(b.rows, b.cols, np.sqrt(sys.masses)[b.rows] * b.vals, b.shape)
+    sqrt_mb = linalg.BondOperator(b.rows, b.cols, np.sqrt(sys.masses)[b.rows] * b.vals, b.shape)
     err_f = enm.factorization_error(sqrt_mb, sys.op_F)
     checks.append(("factorization-sqrtMB-equals-F", err_f <= 16 * eps * np.abs(sys.op_F.vals).max(),
                    f"max err {err_f:.2e}"))
@@ -389,12 +383,12 @@ def cmd_simulate(cfg, out: Path) -> int:
     # the t = 0 encoding raises on a zero-energy start before any file is written
     st0 = None if zero_ic else encoding.prepare_standard(sys, x0, xdot0)
     traj = enm.evolve_classical(sys, x0, xdot0, times)
-    enm.dump_trajectory_csv(traj, out / "trajectory.csv")
+    output.dump_trajectory_csv(traj, out / "trajectory.csv")
 
     if zero_ic:
         rows = [(t, 0, 0, 0) for t in times]
     else:
-        encoding.dump_state_csv(st0, out / "state_t0.csv")
+        output.dump_state_csv(st0, out / "state_t0.csv")
         series = encoding.jacobi_anger(st0, encoding.build_block_H(sys), times)
         rows = []
         # a block of samples at a time: one read of the series, one batched reference
@@ -406,8 +400,8 @@ def cmd_simulate(cfg, out: Path) -> int:
                 encoding.standard_amplitudes(sys, traj.x[start:stop], traj.xdot[start:stop])[0],
                 sys.n)
             rows += zip(times[start:stop].tolist(), dev.tolist(), kin.tolist(), pot.tolist())
-    measure.write_rows(out / "comparison.csv",
-                       "t,max_amplitude_deviation,kinetic_fraction,potential_fraction", rows)
+    output.write_rows(out / "comparison.csv",
+                      "t,max_amplitude_deviation,kinetic_fraction,potential_fraction", rows)
     print(f"wrote {out / 'trajectory.csv'} and {out / 'comparison.csv'}")
     return 0
 
@@ -421,14 +415,14 @@ def cmd_heat(cfg, out: Path) -> int:
         n_regions=cfg["regions"], temperature=cfg["physics"]["temperature"],
         kappa=cfg["physics"]["kappa"], mass=cfg["physics"]["mass"],
         k_B=cfg["physics"]["k_B"], seed=derive_seed(cfg["seed"], "bucket-key"))
-    measure.write_rows(out / "heat_search.csv", "t,found_region,classical_argmax,queries,match", (
+    output.write_rows(out / "heat_search.csv", "t,found_region,classical_argmax,queries,match", (
         (t, f, a, log.query_count, int(f == a)) for t, f, a, log in zip(
             result.times, result.found_regions, result.classical_argmax, result.search_logs)))
-    measure.dump_results_csv(out / "heat_queries.csv", (
-        (t, f"round{i}-{side}", f'"{",".join(map(str, rnd.region_indices))}"', frac, 0.0,
-         "exact-expectation")
+    output.dump_results_csv(out / "heat_queries.csv", (
+        (t, f"round{i}-{side}", f'"{",".join(map(str, half))}"', frac, 0.0, "exact-expectation")
         for t, log in zip(result.times, result.search_logs) for i, rnd in enumerate(log.rounds)
-        for side, frac in (("low", rnd.frac_low), ("high", rnd.frac_high))))
+        for side, half, frac in (("low", rnd.low, rnd.frac_low),
+                                 ("high", rnd.high, rnd.frac_high))))
     svgplot.series_svg(out / "heat_regions.svg", result.times,
                        {"search": np.array(result.found_regions, dtype=float),
                         "classical argmax": np.array(result.classical_argmax, dtype=float)},
@@ -453,8 +447,8 @@ def cmd_ripple(cfg, out: Path) -> int:
     disc = boltzmann.discretize_two_bucket(MBParams(
         m=cfg["physics"]["mass"], T=cfg["physics"]["temperature"],
         k_B=cfg["physics"]["k_B"], D=1))
-    _write_json(out / "bucket_spec.json", boltzmann.bucket_spec_json(disc))
-    measure.dump_results_csv(out / "ripple_msd.csv", (
+    output.write_json(out / "bucket_spec.json", boltzmann.bucket_spec_json(disc))
+    output.dump_results_csv(out / "ripple_msd.csv", (
         row for t, mq, mc in zip(result.times, result.msd, result.msd_classical)
         for row in ((t, "msd", "all", mq, 0, "exact-expectation"),
                     (t, "msd-classical", "all", mc, 0, "classical"))))
@@ -471,10 +465,10 @@ def cmd_scaling(cfg, out: Path, kind: str) -> int:
         # Sites cost time of their own: on a long narrow sheet lambda_max takes ~40
         # factorizations of n / BLOCK_SITES blocks each, and scaling cond at 13x1 (2^15
         # sites) takes 5.4 s, at 14x1 11 s.
-        if spec.n_total > 1 << 15 or enm.sheet_factor_entries(spec) > enm.FACTOR_ENTRIES:
+        if spec.n_total > 1 << 15 or linalg.sheet_factor_entries(spec) > linalg.FACTOR_ENTRIES:
             raise ConfigError(f"lattice {spec.n_r}x{spec.n_c} has {spec.n_total} sites; the "
                               f"exact block-tridiagonal solve is capped at {1 << 15} sites "
-                              f"and {enm.FACTOR_ENTRIES} entries per factor array")
+                              f"and {linalg.FACTOR_ENTRIES} entries per factor array")
         _require_physical(spec, "lattice", "scale")    # no cond(B) or Tr(A^+) of an empty spectrum
     records = []
     for spec in specs:
@@ -495,8 +489,8 @@ def cmd_scaling(cfg, out: Path, kind: str) -> int:
         fit = {"slope": float(slope), "intercept": float(intercept),
                "r_squared": 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0}
 
-    measure.write_rows(out / f"scaling_{kind}.csv", "n_physical,value", records)
-    _write_json(out / f"scaling_{kind}_fit.json", fit)
+    output.write_rows(out / f"scaling_{kind}.csv", "n_physical,value", records)
+    output.write_json(out / f"scaling_{kind}_fit.json", fit)
     svgplot.scatter_svg(
         out / f"scaling_{kind}.svg", ns, vals,
         title=("incidence condition number" if kind == "cond" else "pseudoinverse trace"),
@@ -560,7 +554,7 @@ def main(argv=None) -> int:
         # numpy's MemoryError names the size and shape of the array that did not fit
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
-    _write_json(out / "manifest.json", cfg)
+    output.write_json(out / "manifest.json", cfg)
     return code
 
 

@@ -28,7 +28,7 @@ Both are solutions of d/dt psi = -i H psi for the block Hamiltonian
 acting on the part (x) j (x) k space of dimension 2 N^2, where B' is the
 incidence matrix padded with zero columns on non-bonded pairs.  The active
 slots span an invariant subspace and H is zero on the rest, so H acts on
-``amps`` as the (N + P)-square -[[0, B], [B^T, 0]], an ``enm.BondOperator``
+``amps`` as the (N + P)-square -[[0, B], [B^T, 0]], a ``linalg.BondOperator``
 with at most three entries per row on a sheet.
 
 Evolution (``evolve_exact``) applies e^{-iHt} as the Jacobi-Anger series
@@ -66,7 +66,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import enm
+from . import enm, linalg
 from .enm import SystemMatrices
 from .lattice import SPARSITY
 
@@ -254,7 +254,7 @@ class BlockHamiltonian:
     evolution and structure checks on small systems.
     """
 
-    H: enm.BondOperator           # (N + P) square, real
+    H: linalg.BondOperator        # (N + P) square, real
     active: np.ndarray            # flat indices into the 2 N^2 space
     scale: float                  # sqrt(2 kappa/m d) >= ||H||
     n_nodes: int
@@ -286,8 +286,8 @@ def build_block_H(sys: SystemMatrices) -> BlockHamiltonian:
     kappa, mass, d = _uniform_coupling(sys)
     B = sys.op_B
     pairs = sys.n + B.cols          # the amps column of each bond
-    H = enm.BondOperator(np.concatenate([B.rows, pairs]), np.concatenate([pairs, B.rows]),
-                         -np.concatenate([B.vals, B.vals]), (sys.n + B.shape[1],) * 2)
+    H = linalg.BondOperator(np.concatenate([B.rows, pairs]), np.concatenate([pairs, B.rows]),
+                            -np.concatenate([B.vals, B.vals]), (sys.n + B.shape[1],) * 2)
     return BlockHamiltonian(H, active_slots(sys), math.sqrt(2.0 * (kappa / mass) * d), sys.n)
 
 
@@ -425,22 +425,3 @@ def doubled_mass_encoding(sys: SystemMatrices) -> SystemMatrices:
                                      np.tile(sys.coupling, 2), np.repeat(sys.masses, 2),
                                      np.repeat(sys.physical, 2))
 
-
-def dump_state_csv(state: EncodedState, path) -> None:
-    """Padded-layout rows (axis, part, j, k) of the amplitudes above 1e-12 in modulus."""
-    n = state.n
-    part, rest = np.divmod(active_slots(state.sys), n * n)
-    j, k = np.divmod(rest, n)
-    # one % per axis over a bytes row template of the kept slots; re and im are
-    # the rows of one enm.format_17g call per axis, the bytes of '%.17g' % x
-    slots = [f"%d,{p},{jj},{kk},%s,%s\n".encode()
-             for p, jj, kk in zip(part.tolist(), j.tolist(), k.tolist())]
-    with open(path, "wb") as fh:
-        fh.write(b"axis,part,j,k,re,im\n")
-        for a, row in enumerate(state.amps):
-            keep = np.flatnonzero(np.abs(row) > 1e-12)
-            fields = enm.format_17g(np.stack([row[keep].real, row[keep].imag], -1))[0].tolist()
-            vals = [a] * (3 * keep.size)
-            vals[1::3] = fields[0::2]
-            vals[2::3] = fields[1::2]
-            fh.write(b"".join([slots[i] for i in keep.tolist()]) % tuple(vals))

@@ -1,12 +1,10 @@
 """Classical coupled-oscillator reference dynamics and observables.
 
 The system is N point masses joined by harmonic springs, stored as its bond
-list (``SystemMatrices``).  Every matrix below is a ``BondOperator`` built
-from it: the (row, col, value) triples of its nonzeros, applied by
-gathering each row's entries, its diagonal and at most ``lattice.SPARSITY``
-bonds on a sheet.  So no command needs scipy; the CSR forms are views for
-the tests, and the dense forms exist only for the tests and the
-``spectral`` reference.
+list (``SystemMatrices``).  Every matrix below is a ``linalg.BondOperator``
+built from it, applied by gathering each row's entries.  So no command
+needs scipy; the CSR forms are views for the tests, and the dense forms
+exist only for the tests and the ``spectral`` reference.
 Newton's equation M x'' = -F x, with F the weighted graph Laplacian, becomes
 y'' = -A y in the mass-weighted coordinates y = sqrt(M) x, with
 A = sqrt(M)^-1 F sqrt(M)^-1 positive semidefinite.  Its solution
@@ -30,38 +28,21 @@ connected component of the bond graph, each unbonded site being its own
 component.  So the projector P onto range(A) is y - V0 (V0^T y).  Dropping
 the lowest site of every component leaves the grounded A, which is positive
 definite; its inverse, padded with zeros, is a generalized inverse X of A,
-so A^+ = P X P.  The grounded A is banded in the order of the bonded
-sites (node order or breadth-first level order, found once per system),
-and one block-tridiagonal factorization of its renumbered triples
-(``SystemMatrices._grounded``) gives A^+ v and Tr(A^+)
-exactly in O(N w^2) time and O(N w) memory.  Where that
-memory would pass FACTOR_ENTRIES (8x8 sheets), A^+ v is conjugate
+so A^+ = P X P.  One ``linalg`` block factorization of the grounded A
+(``SystemMatrices._grounded``) gives A^+ v and Tr(A^+) exactly; where it
+would pass ``linalg.FACTOR_ENTRIES`` (8x8 sheets), A^+ v is conjugate
 gradients on range(A), and Tr(A^+) and cond(B) refuse.
-
-Every eigenvalue question is answered by block factorizations of this kind.
-``pseudoinverse_trace`` reads Tr(A^+) from the diagonal blocks of X.
 ``inertia_certificate`` reads the semidefiniteness and the null count that
-``qenm validate`` checks off the same grounded factor, by Sylvester's law
-of inertia, with no other factorization and no Lanczos run.
-``extreme_eigenvalues`` finds the ends of the spectrum, for
-``condition_number_B`` and for ``validate`` where the certificate declines:
-lambda_max by Lanczos on (sigma - A)^-1, which bisection finishes on long
-narrow sheets, and the smallest eigenvalues by block Lanczos on
-(A - sigma)^-1, with the shift just below the spectrum, so that it sees a
-negative eigenvalue as surely as a zero.  ``eigenvalues``, a banded solve
-of the whole spectrum, is the tests' reference for all of them.
+``qenm validate`` checks off the same factor, by Sylvester's law of
+inertia.  ``extreme_eigenvalues`` finds the ends of the spectrum, for
+``condition_number_B`` and for ``validate`` where the certificate declines.
+``eigenvalues``, a banded solve of the whole spectrum, is the tests'
+reference for all of them.
 
 The weighted incidence matrix B has one column per bonded pair (j, k),
 j < k, ordered lexicographically, with entries +sqrt(kappa_jk/m_j) on row
 j and -sqrt(kappa_jk/m_k) on row k, so that B B^T = A and
 sqrt(M) B (sqrt(M) B)^T = F.
-
-The CSV writers' floats come from ``format_17g``: the bytes of Python's
-'%.17g' % v for a whole array, formatted in numpy.  Its 17 digits are those
-of CPython's correctly rounded conversion: |v| 10^(16-E) rounded to an
-integer.  Where 10^(16-E) is an exact double (-6 <= E <= 16, so
-10^-6 <= |v| < 10^17) Dekker's error-free product forms it exactly and ties
-go to even; Python formats every other value, NaN and the infinities.
 """
 
 from __future__ import annotations
@@ -69,92 +50,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
-from .boltzmann import prf_uniform
+from . import linalg
 from .lattice import LatticeSpec, adjacency, dummy_mask
+from .linalg import BondOperator
 
 RANK_RTOL = 1e-9  # eigenvalue/singular-value threshold relative to the largest
 CHEB_EPS = 1e-15  # bound on the truncated tail of each classical Chebyshev series
-RITZ_RTOL = 1e-13  # Lanczos stop: residual norm of the largest Ritz pair relative to its value
 CG_RTOL = 1e-14   # conjugate-gradient stop: residual norm relative to the right-hand side
-FACTOR_ENTRIES = 1 << 23  # most entries per array of a block factorization (64 MB of float64)
-BLOCK_SITES = 32  # narrowest block of a factorization: below it Python calls cost more than BLAS
-LANCZOS_STEPS = 64  # most Lanczos steps for lambda_max before bisection takes over
-SHIFT_RTOL = 1e-6  # how far each shift of ``extreme_eigenvalues`` lies outside the Gershgorin
-                   # interval, relative to the interval's upper end
-ENERGY_CHUNK_BYTES = 1 << 22  # most bytes of one gather in ``total_energy``'s op_F products,
-                              # through which many samples go a chunk at a time
-FORMAT_CHUNK = 8192  # values per pass of ``format_17g``, whose temporaries then peak near 0.9 MB
-
-
-class BondOperator:
-    """The matrix with ``vals`` at (``rows``, ``cols``), each position once, applied by gathers.
-
-    A row of A holds its diagonal and one entry per bond of its site, a row
-    of B one per bond, a row of B^T two: at most w = SPARSITY + 1 on a sheet.
-    So the triples are kept, for the factorization and the views, and on
-    the first product also as two (w, rows) tables: ``index[l, i]``, the
-    column of row i's l-th entry in ascending column order, and
-    ``weight[l, i]`` its value, 0 in the empty slots of shorter rows.
-    ``op @ x``, for a (cols,) vector or (cols, k) block, real or complex, is
-    one gather of every slot, one product with the weights, and a sum that
-    starts every row at 0 and adds its entries in column order, so it
-    rounds as a CSR product does.  ``apply`` makes the same product along
-    any axis of x, the last one for a block stacked site-last, with the
-    same bits for each row.
-    """
-
-    dtype = np.dtype(float)
-
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                 shape: tuple[int, int]):
-        self.rows, self.cols, self.vals, self.shape = rows, cols, vals, shape
-
-    @cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        # one distinct key per position, so sorting the keys gives lexsort's order; the
-        # stable sort (timsort) is the faster one on the ascending runs the triples hold
-        order = np.argsort(self.rows * self.shape[1] + self.cols, kind="stable")
-        rows = self.rows[order]
-        counts = np.bincount(rows, minlength=self.shape[0])
-        slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-        index = np.zeros((counts.max(initial=0), self.shape[0]), dtype=np.intp)
-        weight = np.zeros(index.shape)
-        index[slot, rows] = self.cols[order]
-        weight[slot, rows] = self.vals[order]
-        return index, weight
-
-    @property
-    def T(self) -> BondOperator:
-        return BondOperator(self.cols, self.rows, self.vals, self.shape[::-1])
-
-    def __matmul__(self, x) -> np.ndarray:
-        return self.apply(x)
-
-    def apply(self, x, axis: int = 0, out: np.ndarray | None = None) -> np.ndarray:
-        """The product with every 1-D slice of x along ``axis``, which becomes the rows
-        axis; written into ``out`` when it is given."""
-        x = np.asarray(x)
-        x = x.astype(np.result_type(x.dtype, self.dtype), copy=False)
-        axis %= x.ndim
-        index, weight = self._tables
-        terms = np.take(x, index, axis=axis, mode="clip")   # axis -> (w, rows); indices valid
-        terms *= weight.reshape(weight.shape + (1,) * (x.ndim - 1 - axis))
-        return terms.sum(axis=axis, initial=0.0, out=out)   # slot by slot, from 0
-
-    def diagonal(self) -> np.ndarray:
-        out = np.zeros(min(self.shape))
-        on = self.rows == self.cols
-        out[self.rows[on]] = self.vals[on]
-        return out
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        out[self.rows, self.cols] = self.vals
-        return out
 
 
 @dataclass
@@ -237,14 +143,14 @@ class SystemMatrices:
 
     @cached_property
     def _bonded_order(self) -> np.ndarray:
-        """The sites that have a bond, in the ``_narrow_order`` of A over them."""
+        """The sites that have a bond, in the ``linalg.narrow_order`` of A over them."""
         # not np.unique, whose first call imports numpy.ma (1.2 MB), which ripple never needs
         sites = np.flatnonzero(np.bincount(self.bonds.ravel(), minlength=self.n))
-        return sites[_narrow_order(_restricted(self.op_A, sites))]
+        return sites[linalg.narrow_order(linalg.restricted(self.op_A, sites))]
 
     @cached_property
-    def _grounded(self) -> tuple[np.ndarray, _BlockTridiagonal | None]:
-        """The sites of the grounded A, in ``_bonded_order``, and its ``_factor``.
+    def _grounded(self) -> tuple[np.ndarray, linalg.BlockTridiagonal | None]:
+        """The sites of the grounded A, in ``_bonded_order``, and its ``linalg.factor``.
 
         The grounded A keeps every site but the lowest of each component, so
         it drops every unbonded site and one site per bonded component: its
@@ -255,169 +161,7 @@ class SystemMatrices:
         lowest = np.zeros(self.n, dtype=bool)
         lowest[np.unique(self.components, return_index=True)[1]] = True
         sites = self._bonded_order[~lowest[self._bonded_order]]
-        return sites, _factor(_restricted(self.op_A, sites))
-
-
-def _restricted(m: BondOperator, sites: np.ndarray) -> BondOperator:
-    """The square ``m`` over ``sites`` alone, with its old site sites[i] as site i."""
-    rank = np.full(m.shape[0], -1)
-    rank[sites] = np.arange(len(sites))
-    rows, cols = rank[m.rows], rank[m.cols]
-    keep = (rows >= 0) & (cols >= 0)
-    return BondOperator(rows[keep], cols[keep], m.vals[keep], (len(sites), len(sites)))
-
-
-def _bandwidth(m: BondOperator) -> int:
-    return int(np.abs(m.rows - m.cols).max(initial=0))
-
-
-def _narrow_order(m: BondOperator) -> np.ndarray:
-    """An order of ``m``'s sites: node order, or breadth-first level order
-    where that has the smaller bandwidth.
-
-    Levels grow from the lowest site of each connected piece, and a bond
-    joins sites of one level or of two adjacent ones, so the bandwidth is
-    below two levels' width.  A sheet's levels run across its shorter side:
-    the bonded block of the 5x5 sheet has bandwidth 46 in level order and
-    63 in node order, 7x7 190 and 255, 2x9 4 and 1023.  One long bond
-    stays narrow.
-    """
-    n = m.shape[0]
-    width = _bandwidth(m)
-    if width <= BLOCK_SITES:        # no order makes the blocks narrower
-        return np.arange(n)
-    order = _level_order(m)
-    return order if _bandwidth(_restricted(m, order)) < width else np.arange(n)
-
-
-def _level_order(m: BondOperator) -> np.ndarray:
-    """``m``'s sites level by level, each level ascending, each connected piece
-    grown from its lowest site.
-
-    A level is one gather of its sites' slots in the (w, n) neighbour table
-    ``index`` of ``m._tables``, one mark array of the sites it reaches and
-    one ``flatnonzero`` of those not seen before, which comes out sorted and
-    once each (not np.unique, whose first call imports numpy.ma).  The empty
-    slots of short rows read site 0, which the first level has seen.
-    """
-    n = m.shape[0]
-    index = m._tables[0]
-    seen = np.zeros(n, dtype=bool)
-    levels, frontier, count = [], np.empty(0, dtype=np.intp), 0
-    while count < n:
-        if len(frontier) == 0:      # the next connected piece, from its lowest site
-            frontier = np.array([np.argmin(seen)])
-            seen[frontier] = True
-        levels.append(frontier)
-        count += len(frontier)
-        reached = np.zeros(n, dtype=bool)
-        reached[index[:, frontier]] = True
-        frontier = np.flatnonzero(reached > seen)
-        seen[frontier] = True
-    return np.concatenate(levels)
-
-
-def _factor(m: BondOperator) -> _BlockTridiagonal | None:
-    """``m``'s block factorization, or None when each of its arrays would hold
-    more than FACTOR_ENTRIES entries (the block width w is known before any
-    is allocated).  w is the bandwidth, but at least BLOCK_SITES.  In
-    ``_narrow_order`` a sheet's arrays fit through 7x7 (6.1e6 entries); at
-    8x8 each would hold about eight times that.
-    """
-    w = max(_bandwidth(m), BLOCK_SITES)
-    if -(-m.shape[0] // w) * w * w > FACTOR_ENTRIES:
-        return None
-    return _BlockTridiagonal(m, w)
-
-
-def sheet_factor_entries(spec: LatticeSpec) -> int:
-    """A bound on the entries of each array of ``_factor`` for the sheet ``spec``,
-    known before its system is built.
-
-    In ``_narrow_order`` a sheet's levels run across its shorter side, so
-    its bandwidth stays below 2^(min(n_r, n_c) + 1); with that width, at
-    least BLOCK_SITES, and all n_total sites, the count is ``_factor``'s.
-    7x7 fits in FACTOR_ENTRIES and 8x8 does not.
-    """
-    w = max(2 << min(spec.n_r, spec.n_c), BLOCK_SITES)
-    return -(-spec.n_total // w) * w * w
-
-
-def _fitted(factor: _BlockTridiagonal | None) -> _BlockTridiagonal:
-    """``factor``, for the exact Tr(A^+) and cond(B), which have no fallback."""
-    if factor is None:
-        raise ValueError(f"the block factorization of A would hold more than {FACTOR_ENTRIES} "
-                         f"entries per array")
-    return factor
-
-
-class _BlockTridiagonal:
-    """Block LDL^T factorization of a positive definite matrix of bandwidth at most w.
-
-    Cut into blocks of w consecutive sites, the matrix is block tridiagonal:
-    D_i on the diagonal and E_i = M[block i + 1, block i] below it.  The
-    Schur complements S_0 = D_0, S_i = D_i - E_{i-1} S_{i-1}^-1 E_{i-1}^T give
-    M = L diag(S_i) L^T, L_{i+1,i} = E_i S_i^-1.  ``inv`` holds the S_i^-1 and
-    ``low`` the E_i S_i^-1 (zero for the last block, which has no next one),
-    each (blocks, w, w): O(N w) memory and O(N w^2) time.  The last block is
-    padded with a unit diagonal that couples to nothing.
-    """
-
-    def __init__(self, m: BondOperator, w: int):
-        n = m.shape[0]
-        r, c = m.rows, m.cols
-        blocks = -(-n // w)
-        inv = np.zeros((blocks, w, w))
-        low = np.zeros((blocks, w, w))
-        same = r // w == c // w
-        inv[r[same] // w, r[same] % w, c[same] % w] = m.vals[same]
-        below = r // w == c // w + 1
-        low[c[below] // w, r[below] % w, c[below] % w] = m.vals[below]
-        pad = np.arange(n, blocks * w)
-        inv[pad // w, pad % w, pad % w] = 1.0
-        for i in range(blocks):
-            if i:
-                factor = low[i - 1] @ inv[i - 1]
-                inv[i] -= factor @ low[i - 1].T
-                low[i - 1] = factor
-            inv[i] = np.linalg.inv(inv[i])
-        self.n, self.inv, self.low = n, inv, low
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """M^-1 b for an (n,) vector or (n, k) block by block forward and back substitution."""
-        blocks, w, _ = self.inv.shape
-        x = np.zeros(((blocks + 1) * w, *b.shape[1:]))       # a zero block past the last
-        x[:self.n] = b
-        x = x.reshape(blocks + 1, w, *b.shape[1:])
-        for i in range(1, blocks):
-            x[i] -= self.low[i - 1] @ x[i - 1]
-        for i in reversed(range(blocks)):
-            x[i] = self.inv[i] @ x[i] - self.low[i].T @ x[i + 1]
-        return x.reshape((blocks + 1) * w, *b.shape[1:])[:self.n]
-
-    def positive_definite(self) -> bool:
-        """Whether M is positive definite: by Sylvester's law of inertia exactly
-        when every S_i is, so when every S_i^-1 has a Cholesky factor.  One
-        block at a time, so no copy of ``inv`` is made."""
-        try:
-            for block in self.inv:
-                np.linalg.cholesky(block)
-        except np.linalg.LinAlgError:
-            return False
-        return True
-
-    def inverse_trace(self) -> float:
-        """Tr M^-1 from the diagonal blocks G_i of M^-1.
-
-        G_last = S_last^-1 and G_i = S_i^-1 + L_{i+1,i}^T G_{i+1} L_{i+1,i}.
-        """
-        blocks, w, _ = self.inv.shape
-        diagonal = np.empty((blocks, w))
-        g = np.zeros((w, w))
-        for i in reversed(range(blocks)):
-            g = self.inv[i] + self.low[i].T @ g @ self.low[i]
-            diagonal[i] = g.diagonal()
-        return float(diagonal.reshape(-1)[:self.n].sum())
+        return sites, linalg.factor(linalg.restricted(self.op_A, sites))
 
 
 def _dense(m: BondOperator) -> np.ndarray:
@@ -568,13 +312,6 @@ def eigenvalues(sys: SystemMatrices) -> np.ndarray:
     return np.sort(np.concatenate([zeros, eig_banded(band, eigvals_only=True)]))
 
 
-def _gershgorin(m: BondOperator) -> tuple[float, float]:
-    """The ends [lo, hi] of the square ``m``'s Gershgorin interval."""
-    diag = m.diagonal()
-    radius = np.bincount(m.rows, np.abs(m.vals), m.shape[0]) - np.abs(diag)
-    return float((diag - radius).min()), float((diag + radius).max())
-
-
 def extreme_eigenvalues(sys: SystemMatrices) -> np.ndarray:
     """The c + 1 smallest and the largest eigenvalues of A, ascending, by shift-invert Lanczos.
 
@@ -582,71 +319,26 @@ def extreme_eigenvalues(sys: SystemMatrices) -> np.ndarray:
     every site without a bond adds an exact zero, as in ``eigenvalues``.  A
     correct A has exactly c null directions on those sites, so the result
     holds the null count and lambda_min^+; an A with more nulls saturates
-    the count at c + 1.  Both ends come from block factorizations of the
-    bonded block, each shifted outside its Gershgorin interval [lo, hi]:
-    the small ones from ``_smallest_eigenvalues``, shifted just below
-    min(lo, 0), so that a negative eigenvalue is found as surely as a zero,
-    and the largest from ``_largest_eigenvalue``, shifted just above hi.
-    Counter-based starts, uniforms on [-1, 1) from ``boltzmann.prf_uniform``
-    (the ``prf64`` mix of key 0), have a component along every eigenvector
-    and make every rerun identical, whatever numpy's generators have drawn.
-    It refuses where a factorization would pass FACTOR_ENTRIES, and so does
-    ``condition_number_B``, which reads it.
+    the count at c + 1.  Both ends are ``linalg``'s, of the bonded block:
+    ``smallest_eigenvalues``, whose shift lies below 0 too, so that a
+    negative eigenvalue is found as surely as a zero, and
+    ``largest_eigenvalue``.  It refuses where a factorization would pass
+    ``linalg.FACTOR_ENTRIES``, and so does ``condition_number_B``, which
+    reads it.
     """
-    # bincounts, not np.unique, whose first call imports numpy.ma (1.2 MB)
-    sites = np.flatnonzero(np.bincount(sys.bonds.ravel(), minlength=sys.n))
+    sites = sys._bonded_order
     zeros = np.zeros(sys.n - len(sites))
     if len(sites) == 0:
         return zeros
     A = _bonded(sys)
     k = min(np.count_nonzero(np.bincount(sys.components[sites])) + 1, len(sites) - 1)
-    return np.sort(np.concatenate([zeros, _smallest_eigenvalues(A, k), [_largest_eigenvalue(A)]]))
+    return np.sort(np.concatenate([zeros, linalg.smallest_eigenvalues(A, k),
+                                   [linalg.largest_eigenvalue(A)]]))
 
 
 def _bonded(sys: SystemMatrices) -> BondOperator:
-    """A over the sites that have a bond, in ``_narrow_order``."""
-    return _restricted(sys.op_A, sys._bonded_order)
-
-
-def _smallest_eigenvalues(A: BondOperator, k: int) -> np.ndarray:
-    """The k smallest eigenvalues of the symmetric ``A``, by block shift-invert Lanczos.
-
-    With sigma just below min(lo, 0) of A's Gershgorin interval [lo, hi],
-    A - sigma is positive definite and its inverse T has the eigenvalues
-    theta = 1 / (lambda - sigma): A's smallest become T's largest, standing
-    far above the rest (Ericsson and Ruhe, Math. Comp. 35, 1980).  From the
-    orthonormalized (n, k) block of ``prf_uniform(0, n, k)`` uniforms, each
-    step solves with the newest block of the basis Q and orthogonalizes the
-    result W twice against all of Q (full reorthogonalization); the first
-    pass's coefficients Q^T W are the new columns of H = Q^T T Q, and the
-    orthonormal basis of W, k vectors at most and never more than fill the
-    space, is the next block, so k equal eigenvalues are found as surely as
-    one.  Rayleigh-Ritz on H gives the Ritz pairs (theta, Q s), and as T Q
-    lies in the span of Q and W, the residual T Q s - theta Q s of each is
-    W times the newest block's rows of s.  The run stops when each of the k
-    largest Ritz pairs has a residual within RITZ_RTOL of theta_max, or when
-    Q spans the whole space and they are exact.
-    """
-    n = A.shape[0]
-    lo, hi = _gershgorin(A)
-    sigma = min(lo, 0.0) - SHIFT_RTOL * hi
-    shifted = BondOperator(A.rows, A.cols, A.vals - sigma * (A.rows == A.cols), A.shape)
-    solve = _fitted(_factor(shifted)).solve                         # (A - sigma)^-1
-    block = np.linalg.qr(prf_uniform(0, n, k))[0]
-    basis, h = np.empty((n, 0)), np.empty((0, 0))
-    while True:
-        w = solve(block)
-        basis = np.hstack([basis, block])
-        m, b = basis.shape[1], block.shape[1]
-        columns = basis.T @ w
-        h = np.block([[h, columns[:-b]], [columns.T]])
-        w -= basis @ columns
-        w -= basis @ (basis.T @ w)
-        theta, s = np.linalg.eigh(h)
-        theta, s = theta[-k:], s[:, -k:]
-        if m == n or np.all(np.linalg.norm(w @ s[-b:], axis=0) <= RITZ_RTOL * theta[-1]):
-            return sigma + 1.0 / theta
-        block = np.linalg.qr(w)[0][:, :n - m]
+    """A over the sites that have a bond, in ``linalg.narrow_order``."""
+    return linalg.restricted(sys.op_A, sys._bonded_order)
 
 
 def nonzero_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -1008,21 +700,14 @@ def total_energy(traj: Trajectory, ti):
     energy is a float, or an index array, whose energies come back as an array.
 
     The potential is (1/2) x^T F x per axis, the bond sum of
-    ``potential_energy``.  The samples go through ``op_F`` a chunk at a
-    time, so that no product's gather holds more than about
-    ENERGY_CHUNK_BYTES, whatever the number of samples.
+    ``potential_energy``, from one ``op_F`` product of every sample's axes.
     """
     sys, samples = traj.sys, np.atleast_1d(ti)
     _, d, n = traj.x.shape
-    F = sys.op_F
-    chunk = max(1, ENERGY_CHUNK_BYTES // (F._tables[0].nbytes * d))
-    energy = np.empty(len(samples))
-    for start in range(0, len(samples), chunk):
-        part = samples[start:start + chunk]
-        x = traj.x[part].reshape(-1, n).T                   # (N, samples * D)
-        potential = np.sum(x * (F @ x), axis=0).reshape(len(part), d).sum(axis=1)
-        kinetic = np.sum(sys.masses * traj.xdot[part] ** 2, axis=(1, 2))
-        energy[start:start + chunk] = 0.5 * (kinetic + potential)
+    x = traj.x[samples].reshape(-1, n).T                    # (N, samples * D)
+    potential = np.sum(x * (sys.op_F @ x), axis=0).reshape(len(samples), d).sum(axis=1)
+    kinetic = np.sum(sys.masses * traj.xdot[samples] ** 2, axis=(1, 2))
+    energy = 0.5 * (kinetic + potential)
     return energy if np.ndim(ti) else float(energy[0])
 
 
@@ -1048,7 +733,7 @@ def series_energies(sys: SystemMatrices, series: ChebyshevSeries) -> np.ndarray:
     F = sys.op_F
     flat = terms.reshape(k, d * n)
     gram_f, gram_m = np.zeros((k, k)), np.zeros((k, k))
-    rows = max(1, terms.nbytes // (2 * d * (F._tables[0].nbytes + 8 * n)))
+    rows = max(1, terms.nbytes // (2 * d * 8 * n * (F.slots + 1)))   # gather and product bytes
     for start in range(0, k, rows):
         stop = min(start + rows, k)
         part = terms[start:stop]
@@ -1100,35 +785,6 @@ def b_factor(msd_time_average: float) -> float:
     return 8.0 * np.pi**2 * msd_time_average
 
 
-def _largest_ritz_value(apply, start: np.ndarray, steps: int) -> tuple[float, bool]:
-    """Largest eigenvalue of the positive semidefinite operator ``apply`` by Lanczos.
-
-    Every new Krylov vector is orthogonalized twice against all earlier ones
-    (full reorthogonalization), so the basis stays orthonormal and no Ritz
-    value repeats.  The run stops when the residual |beta_k s_k| of the
-    largest Ritz pair is ``RITZ_RTOL`` of its value, which then lies within
-    that of an eigenvalue, or after ``steps`` steps.  It returns the largest
-    Ritz value, never above the largest eigenvalue, and whether it converged:
-    by that residual, or because ``len(start)`` steps span the whole space,
-    where the Ritz values are exact.
-    """
-    basis = [start / np.linalg.norm(start)]
-    alpha, beta = [], []
-    while True:
-        w = apply(basis[-1])
-        alpha.append(float(basis[-1] @ w))
-        q = np.array(basis)
-        w -= q.T @ (q @ w)
-        w -= q.T @ (q @ w)
-        b = float(np.linalg.norm(w))
-        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
-        converged = len(alpha) == len(start) or b * abs(s[-1, -1]) <= RITZ_RTOL * theta[-1]
-        if converged or len(alpha) == steps:
-            return float(theta[-1]), converged
-        beta.append(b)
-        basis.append(w / b)
-
-
 def pseudoinverse_trace(sys: SystemMatrices) -> float:
     """Tr(A^+) = Tr(P X P) = Tr X - sum_c v_c^T X v_c.
 
@@ -1137,7 +793,7 @@ def pseudoinverse_trace(sys: SystemMatrices) -> float:
     sites, and one block solve gives all their X v_c.
     """
     sites, factor = sys._grounded
-    factor = _fitted(factor)
+    factor = linalg.fitted(factor)
     bonded, labels = np.unique(sys.components[sites], return_inverse=True)
     v = np.zeros((len(sites), len(bonded)))
     v[np.arange(len(sites)), labels] = _null_vectors(sys)[sites]
@@ -1166,7 +822,7 @@ def inertia_certificate(sys: SystemMatrices) -> tuple[int, float] | None:
     most the 2-norm of one product of A with ``_null_vectors``.  The
     certificate holds when
 
-    (a) every S_i is positive definite (``_BlockTridiagonal.positive_definite``),
+    (a) every S_i is positive definite (``linalg.BlockTridiagonal.positive_definite``),
     (b) e <= min(N eps, RANK_RTOL) max_i A_ii, and
     (c) Tr(A_GG^-1) RANK_RTOL hi < 1, so tau > RANK_RTOL hi >= e.
 
@@ -1174,7 +830,7 @@ def inertia_certificate(sys: SystemMatrices) -> tuple[int, float] | None:
     semidefiniteness bound -N eps lambda_max, and exactly nulls = N - |G|
     eigenvalues fall under the cut RANK_RTOL lambda_max of
     ``nonzero_eigenvalues``.  It declines where the factor would pass
-    FACTOR_ENTRIES, where A is indefinite, and where an eigenvalue lies too
+    ``linalg.FACTOR_ENTRIES``, where A is indefinite, and where an eigenvalue lies too
     near the cut to tell, as behind a bond far weaker than the rest.
     """
     sites, factor = sys._grounded
@@ -1189,47 +845,9 @@ def inertia_certificate(sys: SystemMatrices) -> tuple[int, float] | None:
     spread = 2.0 * float(np.linalg.norm(A @ _null_vectors(sys)))
     if spread > min(sys.n * np.finfo(float).eps, RANK_RTOL) * A.diagonal().max(initial=0.0):
         return None
-    if factor.inverse_trace() * RANK_RTOL * _gershgorin(A)[1] >= 1.0:
+    if factor.inverse_trace() * RANK_RTOL * linalg.gershgorin(A)[1] >= 1.0:
         return None
     return sys.n - len(sites), spread
-
-
-def _shifted(m: BondOperator, mu: float) -> BondOperator:
-    """mu - m, for a square ``m`` that has every diagonal entry."""
-    return BondOperator(m.rows, m.cols, mu * (m.rows == m.cols) - m.vals, m.shape)
-
-
-def _largest_eigenvalue(A: BondOperator) -> float:
-    """lambda_max of the positive semidefinite ``A``, from Lanczos on (sigma - A)^-1
-    and, if need be, bisection.
-
-    ``A`` is the bonded block of ``_bonded``, and sigma lies just above its
-    Gershgorin interval, as in ``extreme_eigenvalues``.  On a sheet about as
-    wide as it is long, lambda_max lies close to sigma, so theta, the largest
-    eigenvalue of (sigma - A)^-1, stands far above the rest and Lanczos,
-    started from the ``prf_uniform(0, n)`` uniforms, gives
-    lambda_max = sigma - 1 / theta in 14-20 steps.  On a long narrow
-    sheet (2x7, 8x2, 10x1) lambda_max lies well below sigma and the top of
-    the spectrum is crowded, so Lanczos would need hundreds of steps (over
-    900 at 10x1, 60 s); after LANCZOS_STEPS it stops, and bisection between
-    its Ritz value, a lower bound, and sigma finds the least mu for which
-    mu - A is positive definite, one factorization per halving.
-    """
-    hi = _gershgorin(A)[1]
-    sigma = hi + SHIFT_RTOL * hi
-    shifted = _fitted(_factor(_shifted(A, sigma)))
-    theta, converged = _largest_ritz_value(
-        shifted.solve, prf_uniform(0, A.shape[0]), LANCZOS_STEPS)
-    if converged:
-        return sigma - 1.0 / theta
-    lower, upper = sigma - 1.0 / theta, sigma
-    while upper - lower > RITZ_RTOL * upper:
-        mid = 0.5 * (lower + upper)
-        if _factor(_shifted(A, mid)).positive_definite():
-            upper = mid
-        else:
-            lower = mid
-    return 0.5 * (lower + upper)
 
 
 def condition_number_B(sys: SystemMatrices) -> float:
@@ -1253,7 +871,7 @@ def pinv_apply(sys: SystemMatrices, vec: np.ndarray) -> np.ndarray:
     One block forward and back substitution with the cached factorization
     of the grounded A, between two projections onto range(A); a block of
     columns is one substitution with (w, k) blocks.  Where that
-    factorization would not fit in FACTOR_ENTRIES (8x8 sheets) it is
+    factorization would not fit in ``linalg.FACTOR_ENTRIES`` (8x8 sheets) it is
     conjugate gradients on range(A) instead: b = P vec lies in range(A),
     where A is positive definite, so CG from 0 stays there (up to roundoff,
     projected off at the end) and converges to A^+ vec.  Each step costs one
@@ -1296,255 +914,3 @@ def conserved_F(sys: SystemMatrices, y: np.ndarray, ydot: np.ndarray):
     """
     return (0.5 * np.sum(y * project_range(sys, y), axis=0)
             + 0.5 * np.sum(ydot * pinv_apply(sys, ydot), axis=0))
-
-
-_U = np.uint64
-_FORMS = 22      # layout classes: exponent E = -4..16 written fixed (E + 4), then exponent form
-_DIGITS = 18     # significant digits 0..17 (0 for a zero)
-_EXACT = (-6, 16)   # the E for which 10^(16 - E) is an exact double
-
-
-@cache
-def _decimal_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The two tables of ``format_17g``, built on its first call.
-
-    ``powers``: one column per p = 0..22, the exact double 10^p and its two
-    26-bit halves.  ``layouts``: one column per layout key
-    ``2 (form * _DIGITS + k) + sign``, the words of a row's mask of kept
-    digits (k, or E + 1 for a fixed-form integer), its mask of the bytes
-    before the decimal point, the point, the sign with the "0." and zeros
-    before a fixed-form value below 1, and that prefix's length in bits.
-    """
-    hi = np.array([float(10 ** p) for p in range(_EXACT[1] - _EXACT[0] + 1)])
-    c = hi * 134217729.0                    # 2^27 + 1: Dekker's split
-    hh = c - (c - hi)
-    layouts = []
-    for form in range(_FORMS):
-        for k in range(_DIGITS):
-            E = form - 4
-            if form == _FORMS - 1:
-                kept, point, zeros = k, 1, b""
-            elif E >= 0:
-                kept, point, zeros = max(k, E + 1), E + 1, b""
-            else:
-                kept, point, zeros = k, 24, b"0.000"[:1 - E]   # "0." and -E - 1 zeros
-            if kept <= point:
-                point = 24                                     # no fraction digits: no point
-            for sign in (b"", b"-"):
-                front = sign + zeros
-                layouts.append(b"\xff" * kept + bytes(24 - kept)
-                               + b"\xff" * point + bytes(24 - point)
-                               + (bytes(point) + b".")[:24].ljust(24, b"\0")
-                               + front.ljust(8, b"\0") + (8 * len(front)).to_bytes(8, "little"))
-    tables = (np.array([hi, hh, hi - hh]),
-              np.frombuffer(b"".join(layouts), "<u8").reshape(-1, 11).T.copy())
-    for t in tables:
-        t.flags.writeable = False
-    return tables
-
-
-def _seventeen_digits(a: np.ndarray, E: np.ndarray, powers: np.ndarray):
-    """The integer D nearest y = a 10^(16 - E), and y - D, for E in -6..16.
-
-    The power is an exact double there, and a times it is exactly ph + rest
-    by Dekker's product (the power split into halves in the table, a by
-    2^27 + 1), so D and y - D are exact.  ph is an even integer where D has
-    17 digits (10^16 > 2^53), so rint of the rest rounds y half to even, as
-    dtoa does.  Any other E takes the nearest power in the table.
-    """
-    hi, hh, hl = np.take(powers, 16 - E, axis=1, mode="clip")
-    ph = a * hi
-    ah = a * 134217729.0
-    ah -= ah - a
-    al = a - ah
-    rest = ah * hh
-    rest -= ph          # ((ah hh - ph) + ah hl + al hh) + al hl: a hi - ph, exactly
-    ah *= hl
-    rest += ah
-    hh *= al
-    rest += hh
-    al *= hl
-    rest += al
-    r = np.rint(rest)
-    rest -= r
-    D = ph.astype(np.int64)
-    D += r.astype(np.int64)
-    return D, rest
-
-
-def _settle(a: np.ndarray, E: np.ndarray, powers: np.ndarray):
-    """Exponent, 17-digit integer and certainty of values near a power of ten.
-
-    log10 may miss E by one there, and y may round up to 10^17; E moves until
-    10^16 <= y < 10^17, and a carry to 10^17 is 10^16 at E + 1.  A value is
-    certain where its E then lies in -6..16.
-    """
-    D, d = _seventeen_digits(a, E, powers)
-    for _ in range(3):
-        up = (D > 10 ** 17) | ((D == 10 ** 17) & (d >= 0))
-        down = (D < 10 ** 16) | ((D == 10 ** 16) & (d < 0))
-        if not (up | down).any():
-            break
-        E = E + up - down
-        D, d = _seventeen_digits(a, E, powers)
-    sure = ~(up | down) & (E >= _EXACT[0]) & (E <= _EXACT[1])
-    carry = D == 10 ** 17
-    return np.where(carry, 10 ** 16, D), E + carry, sure
-
-
-def _digit_words(m: np.ndarray) -> None:
-    """Integers below 10^8, in place, as words of their 8 decimal digits, first in byte 0.
-
-    Each word splits into two 4-digit, then four 2-digit, then eight 1-digit
-    lanes; multiply-and-shift divides every lane by 100 or 10 at once.
-    """
-    hi = m // _U(10000)
-    m <<= _U(32)
-    m -= hi * _U((10000 << 32) - 1)                   # (m - 10^4 hi) << 32 | hi
-    t = m * _U(10486)
-    t >>= _U(20)
-    t &= _U(0x7F0000007F)                             # each 4-digit lane // 100
-    m <<= _U(16)
-    m -= t * _U((100 << 16) - 1)                      # (m - 100 t) << 16 | t
-    t = m * _U(103)
-    t >>= _U(10)
-    t &= _U(0x000F000F000F000F)                       # each 2-digit lane // 10
-    m <<= _U(8)
-    m -= t * _U((10 << 8) - 1)                        # (m - 10 t) << 8 | t
-
-
-def _format_chunk(v: np.ndarray, out: np.ndarray):
-    """Rows of ``format_17g`` for at most FORMAT_CHUNK values, written into the
-    (n, 3) words ``out``; returns the positions left to Python, or None."""
-    powers, layouts = _decimal_tables()
-    a = np.abs(v)
-    E = np.floor(np.log10(a)).astype(np.int64)
-    D = _seventeen_digits(a, E, powers)[0]
-    # certain at once: E in -6..16, where y is exact, and 10^16 < D < 10^17
-    sure = (D - (10 ** 16 + 1)).view(_U) < _U(9 * 10 ** 16 - 1)
-    sure &= (E - _EXACT[0]).view(_U) <= _U(_EXACT[1] - _EXACT[0])
-    zero = a == 0
-    if zero.any():
-        D[zero] = 0
-        E[zero] = 0
-        sure |= zero
-    python = None
-    odd = np.flatnonzero(~sure)
-    if odd.size:
-        ao = a[odd]
-        near = (ao >= 1e-7) & (ao < 1e18)       # finite, and E within one of -6..16
-        Eo = np.where(near, np.clip(E[odd], *_EXACT), 0)   # log10 may have stepped out
-        Do, Eo, certain = _settle(np.where(near, ao, 1.0), Eo, powers)
-        left = ~(near & certain)
-        Do[left] = 10 ** 16
-        Eo[left] = 0
-        D[odd] = Do
-        E[odd] = Eo
-        if left.any():
-            python = odd[left]
-    del a
-    # digits 0-7, 8-15 and 16 of D, one byte each
-    g = np.empty((3, v.size), _U)
-    eights = g[:2].view(np.int64)
-    np.floor_divide(D, 10 ** 9, out=eights[0])
-    D -= eights[0] * 10 ** 9
-    np.floor_divide(D, 10, out=eights[1])
-    D -= eights[1] * 10
-    g[2] = D
-    del D
-    _digit_words(g[:2])
-    # significant digits k: 1 + the highest nonzero byte, read off the float exponent
-    # ((exponent + 1) // 8 - 127 of a nonzero word, -127 of a zero one)
-    top = g.astype(np.float64).view(np.int64)
-    top += 1 << 52
-    top >>= 55
-    top += np.array([[-127], [-119], [-111]])
-    k = np.maximum(top.max(axis=0), 0)
-    del top
-    form = np.minimum((E + 4).view(_U), _U(_FORMS - 1)).view(np.int64)
-    expo = np.flatnonzero(form == _FORMS - 1)
-    form *= 2 * _DIGITS
-    form += 2 * k
-    form += v.view(np.int64) < 0        # the layout key, sign bit last
-    g |= _U(0x3030303030303030)
-    g &= np.take(layouts[:3], form, axis=1)
-    if expo.size:                   # "e-05" or "e-06" after the k digits
-        tail = (48 - E[expo]).astype(_U) << _U(24)
-        tail |= _U(0x302D65)
-        b = k[expo].astype(_U) << _U(3)
-        bits = np.arange(3, dtype=_U)[:, None] << _U(6)
-        g[:, expo] |= (tail << (b - bits)) | (tail >> (bits - b))
-    # the point: the bytes from it on move up one
-    low = np.take(layouts[3:6], form, axis=1)
-    low &= g
-    g ^= low
-    low |= g << _U(8)
-    low[1:] |= g[:-1] >> _U(56)
-    low |= np.take(layouts[6:9], form, axis=1)
-    # the sign, "0." and zeros before it all
-    shift = np.take(layouts[10], form)
-    np.left_shift(low, shift, out=g)
-    g[1:] |= low[:-1] >> (_U(64) - shift)
-    g[0] |= np.take(layouts[9], form)
-    out[...] = g.T
-    return python
-
-
-def format_17g(values) -> tuple[np.ndarray, np.ndarray]:
-    """``'%.17g' % v`` for every float64 v, byte for byte, formatted in numpy.
-
-    Returns the rows as an ``S24`` array (NUL-padded, so ``tolist`` gives the
-    bytes) and a mask of the values it left to Python's own ``'%.17g' % v``.
-    The 17 significant digits are those of CPython's correctly rounded
-    conversion (Gay's dtoa): with E = floor(log10|v|), corrected by one where
-    the digits fall outside [10^16, 10^17), the integer nearest
-    y = |v| 10^(16 - E).  For -6 <= E <= 16, 10^(16 - E) is an exact double,
-    so Dekker's error-free product gives y exactly and ties go to even, as in
-    dtoa.  Python formats every other value (|v| below 10^-6 or from 10^17
-    up), NaN and the infinities; zeros and -0.0 are formatted here.  The
-    fixed (-4 <= E < 17) and exponent forms of %g are laid out as three
-    8-byte words a row, with trailing zeros stripped, FORMAT_CHUNK values at
-    a time.  The words are read as bytes in little-endian order, so on a
-    big-endian host Python formats every value.
-    """
-    v = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    words = np.empty((v.size, 3), _U)
-    left = []
-    if not np.little_endian:
-        left.append(np.arange(v.size))
-    else:
-        with np.errstate(all="ignore"):     # NaN, infinities and zeros take garbage until set
-            for s in range(0, v.size, FORMAT_CHUNK):
-                python = _format_chunk(v[s:s + FORMAT_CHUNK], words[s:s + FORMAT_CHUNK])
-                if python is not None:
-                    left.append(python + s)
-    rows = words.view("S24").ravel()
-    mask = np.zeros(v.size, dtype=bool)
-    if left:
-        idx = np.concatenate(left)
-        mask[idx] = True
-        rows[idx] = [b"%.17g" % x for x in v[idx].tolist()]
-    return rows, mask
-
-
-def dump_trajectory_csv(traj: Trajectory, path) -> None:
-    # One % per sample over a bytes row template whose node and axis columns are
-    # fixed text; the x and xdot fields are ``format_17g``'s rows, the bytes of
-    # '%.17g' % x.  Samples are formatted a block of FORMAT_CHUNK values (or one
-    # sample) at a time and turned into bytes objects one sample at a time, so
-    # the memory stays that of one block.
-    n = traj.x.shape[2]
-    template = "".join(f"%s,{j},{axis.replace('%', '%%')},%s,%s\n"
-                       for axis in traj.axes for j in range(n)).encode()
-    per = traj.x.shape[1] * n
-    step = max(1, FORMAT_CHUNK // max(2 * per, 1))
-    with open(path, "wb") as fh:
-        fh.write(b"t,node,axis,x,xdot\n")
-        for s in range(0, len(traj.times), step):
-            rows = format_17g(np.stack([traj.x[s:s + step], traj.xdot[s:s + step]], -1))[0]
-            for i, t in enumerate(traj.times[s:s + step].tolist()):
-                fields = rows[2 * i * per:2 * (i + 1) * per].tolist()
-                vals = [b"%.17g" % t] * (3 * per)
-                vals[1::3] = fields[0::2]
-                vals[2::3] = fields[1::2]
-                fh.write(template % tuple(vals))

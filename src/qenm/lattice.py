@@ -25,7 +25,6 @@ at ``x = sqrt(3) * (c - r0/2)``, ``y = 1.5 * r + s`` with bond length 1.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,21 +203,3 @@ def brute_force_adjacency(spec: LatticeSpec) -> np.ndarray:
     pairs = phys[np.stack([a[bonded], b[bonded]], axis=1)]
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
-
-def lattice_rows(spec: LatticeSpec) -> list[dict]:
-    """One record per node for the CSV dump."""
-    adj = adjacency(spec)
-    co = decode_index(np.arange(spec.n_total), spec)
-    columns = {"j": np.arange(spec.n_total), "r": co.r, "c": co.c, "s": co.s,
-               "dummy": dummy_mask(spec).astype(int),
-               **{f"neigh{l}": adj.neighbors[:, l] for l in range(SPARSITY)},
-               **{f"valid{l}": adj.valid[:, l].astype(int) for l in range(SPARSITY)}}
-    return [dict(zip(columns, row)) for row in zip(*(v.tolist() for v in columns.values()))]
-
-
-def dump_lattice_csv(spec: LatticeSpec, path) -> None:
-    rows = lattice_rows(spec)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)

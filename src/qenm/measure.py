@@ -182,7 +182,8 @@ def column_regions(spec: LatticeSpec, n_regions: int) -> list[tuple[int, ...]]:
 
 @dataclass
 class SearchRound:
-    region_indices: tuple[int, ...]
+    low: tuple[int, ...]               # the region indices of each half measured
+    high: tuple[int, ...]
     frac_low: float
     frac_high: float
     kept: str                          # "low" | "high"
@@ -223,7 +224,7 @@ def heat_binary_search(state: encoding.EncodedState,
             current, kept = high, "high"
         else:
             current, kept = low, "low"
-        rounds.append(SearchRound(current, frac_low, frac_high, kept))
+        rounds.append(SearchRound(low, high, frac_low, frac_high, kept))
     idx = current[0]
     return SearchResult(idx, regions[idx], rounds)
 
@@ -322,17 +323,3 @@ def ripple_msd(spec: LatticeSpec, times, temperature: float,
     mean = enm.time_average(msd_q, times)
     return RippleResult(times, msd_q, msd_c, mean, enm.b_factor(mean))
 
-
-def write_rows(path, header: str, rows) -> None:
-    """``header``, then one comma-joined line per row: floats (numpy float64
-    included) as ``%.17g``, every other value as ``str``."""
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.writelines(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
-                      + "\n" for row in rows)
-
-
-def dump_results_csv(path, rows) -> None:
-    """rows: iterables of (t, observable, subset_id, estimate, stderr, mode); a
-    subset id that holds commas must come quoted."""
-    write_rows(path, "t,observable,subset_id,estimate,stderr,mode", rows)

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import qenm
-from qenm import cli, encoding, enm, measure
+from qenm import cli, encoding, enm, linalg, measure, output
 from qenm.lattice import SHIFT_TABLE, LatticeSpec, dummy_mask
 
 
@@ -163,14 +164,14 @@ def test_simulate_refuses_a_zero_energy_start_before_writing(tmp_path, capsys):
 def test_simulate_formats_almost_every_value_in_numpy(tmp_path, monkeypatch, physics, seed):
     # simulate-4x4: at most 1 % of the values written may fall to Python's '%.17g'
     seen = []
-    format_17g = enm.format_17g
+    format_17g = output.format_17g
 
     def spy(values):
         rows, python = format_17g(values)
         seen.append(python)
         return rows, python
 
-    monkeypatch.setattr(enm, "format_17g", spy)
+    monkeypatch.setattr(output, "format_17g", spy)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lattice": {"n_r": 4, "n_c": 4}, "physics": physics,
                                "seed": seed}))
@@ -198,6 +199,39 @@ def test_heat_search_follows_the_moving_front(tmp_path):
             (tmp_path / "o" / "heat_search.csv").read_text().splitlines()[1:]]
     assert [r[1] for r in rows] == ["0", "0", "1", "1", "2"]
     assert all(r[4] == "1" for r in rows)
+
+
+def test_heat_queries_name_the_half_each_fraction_measures(tmp_path):
+    # each row's subset is the half whose kinetic fraction it holds: the two halves of a
+    # round split the half kept the round before, and that half's fraction is their sum
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"heat_lattice": {"n_r": 4, "n_c": 4}, "regions": 8,
+                               "probe_times": [0, 4.5, 15, 20, 40]}))
+    assert run(["heat", "--config", str(cfg), "--seed", "0",
+                "--out-dir", str(tmp_path / "o")]) == 0
+    found = [int(r.split(",")[1]) for r in
+             (tmp_path / "o" / "heat_search.csv").read_text().splitlines()[1:]]
+    with open(tmp_path / "o" / "heat_queries.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5 * 3 * 2
+    for probe in range(5):
+        kept, kept_fraction = list(range(8)), None
+        for i in range(3):
+            low, high = rows[6 * probe + 2 * i:6 * probe + 2 * i + 2]
+            assert (low["observable"], high["observable"]) == (f"round{i}-low", f"round{i}-high")
+            halves = [[int(v) for v in r["subset_id"].split(",")] for r in (low, high)]
+            assert halves == [kept[:len(kept) // 2], kept[len(kept) // 2:]]
+            fractions = [float(low["estimate"]), float(high["estimate"])]
+            if kept_fraction is not None:
+                assert sum(fractions) == pytest.approx(kept_fraction, rel=1e-12, abs=1e-30)
+            side = int(fractions[1] > fractions[0])
+            kept, kept_fraction = halves[side], fractions[side]
+        assert kept == [found[probe]]
+    # at t = 15 the last round measures region 0 against region 1, which it keeps
+    last = {r["observable"]: r for r in rows if r["t"] == "15"}
+    assert last["round2-low"]["subset_id"] == "0" and last["round2-high"]["subset_id"] == "1"
+    assert float(last["round2-low"]["estimate"]) == pytest.approx(0.14277, abs=1e-5)
+    assert float(last["round2-high"]["estimate"]) == pytest.approx(0.18063, abs=1e-5)
 
 
 def test_ripple_command(tmp_path):
@@ -559,14 +593,14 @@ def test_validate_builds_one_factorization_and_reads_no_spectral_ends(tmp_path, 
     def refuse(sys):
         raise AssertionError("validate read the ends of the spectrum")
 
-    built, init = [], enm._BlockTridiagonal.__init__
+    built, init = [], linalg.BlockTridiagonal.__init__
 
     def counted(self, m, w):
         built.append(m.shape)
         init(self, m, w)
 
     monkeypatch.setattr(enm, "extreme_eigenvalues", refuse)
-    monkeypatch.setattr(enm._BlockTridiagonal, "__init__", counted)
+    monkeypatch.setattr(linalg.BlockTridiagonal, "__init__", counted)
     assert _validate_4x4(tmp_path) == 0
     assert len(built) == 1
     assert "PASS A-positive-semidefinite: min eig >= -" in capsys.readouterr().out

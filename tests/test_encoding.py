@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from qenm import encoding, enm, oracles
+from qenm import encoding, enm, oracles, output
 from qenm.circuits import simulate
 from qenm.lattice import SPARSITY, LatticeSpec, neighbor
 
@@ -715,7 +715,7 @@ def test_state_dump(tmp_path, small_sheet):
     x0, xdot0 = thermalish_ics(small_sheet)
     st = encoding.prepare_standard(small_sheet, x0, xdot0)
     path = tmp_path / "state.csv"
-    encoding.dump_state_csv(st, path)
+    output.dump_state_csv(st, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "axis,part,j,k,re,im"
     assert len(lines) > 1

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qenm import boltzmann, encoding, enm
+from qenm import boltzmann, encoding, enm, linalg, output
 from qenm.lattice import LatticeSpec, adjacency, dummy_mask
 
 
@@ -118,10 +118,8 @@ def test_energy_conservation_long_run(sheet):
     assert drift / e0 <= 1e-9
 
 
-@pytest.mark.parametrize("chunk_bytes", [1, enm.ENERGY_CHUNK_BYTES], ids=["sample", "default"])
-def test_total_energy_of_many_samples_matches_the_bond_sums(chunk_bytes, monkeypatch):
-    # x^T F x over op_F products, a chunk of samples at a time, against the bond sums
-    monkeypatch.setattr(enm, "ENERGY_CHUNK_BYTES", chunk_bytes)
+def test_total_energy_of_many_samples_matches_the_bond_sums():
+    # x^T F x over one op_F product of every sample, against the bond sums
     sys = _masses_sheet()
     rng = np.random.default_rng(29)
     x0, xdot0 = rng.normal(0.0, 0.3, (2, 3, sys.n))
@@ -341,7 +339,7 @@ def test_lanczos_starts_are_identical_across_reruns(monkeypatch):
         starts.append(boltzmann.prf_uniform(key, *shape))
         return starts[-1]
 
-    monkeypatch.setattr(enm, "prf_uniform", recording)
+    monkeypatch.setattr(linalg, "prf_uniform", recording)
     runs = []
     for seed in (1, 2):
         np.random.seed(seed)
@@ -365,7 +363,7 @@ def test_factored_trace_and_condition_number_match_the_banded_solve(case):
 @pytest.mark.parametrize("case", sorted(EXTREME_CASES))
 def test_condition_number_by_bisection_matches_the_banded_solve(case, monkeypatch):
     # two Lanczos steps converge only where A has at most two bonded sites
-    monkeypatch.setattr(enm, "LANCZOS_STEPS", 2)
+    monkeypatch.setattr(linalg, "LANCZOS_STEPS", 2)
     sys = EXTREME_CASES[case]()
     nz = enm.nonzero_eigenvalues(enm.eigenvalues(sys))
     assert enm.condition_number_B(sys) == pytest.approx(np.sqrt(nz[-1] / nz[0]), rel=1e-10)
@@ -394,7 +392,7 @@ def test_sheet_factor_entries_bounds_the_grounded_factor():
     for shape in shapes:
         spec = LatticeSpec(*shape)
         factor = enm.build_system(spec)._grounded[1]
-        bound = enm.sheet_factor_entries(spec)
+        bound = linalg.sheet_factor_entries(spec)
         assert factor.inv.size <= bound and factor.low.size <= bound, shape
 
 
@@ -568,7 +566,7 @@ def test_conserved_F_constant_along_trajectory(sheet):
 def test_range_operators_on_blocks_match_each_column(case, cg, monkeypatch):
     # validate's F-conservation takes its ten states as one (N, 10) block
     if cg:
-        monkeypatch.setattr(enm, "FACTOR_ENTRIES", 0)
+        monkeypatch.setattr(linalg, "FACTOR_ENTRIES", 0)
     sys = EXTREME_CASES[case]()
     rng = np.random.default_rng(23)
     y, ydot = rng.normal(size=(2, sys.n, 5))
@@ -602,7 +600,7 @@ def test_trajectory_csv(tmp_path):
     sys = enm.system_from_bonds(2, [(0, 1)])
     traj = enm.evolve_classical(sys, [0.1, -0.1], [0.0, 0.0], [0.0, 1.0])
     path = tmp_path / "traj.csv"
-    enm.dump_trajectory_csv(traj, path)
+    output.dump_trajectory_csv(traj, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,node,axis,x,xdot"
     assert len(lines) == 1 + 2 * 2
@@ -627,7 +625,7 @@ def test_trajectory_csv_bytes_three_axes(tmp_path, sheet, times):
     traj = enm.evolve_classical(sheet, rng.normal(0.0, 1.0, (3, sheet.n)),
                                 rng.normal(0.0, 1.0, (3, sheet.n)), times)
     path = tmp_path / "traj.csv"
-    enm.dump_trajectory_csv(traj, path)
+    output.dump_trajectory_csv(traj, path)
     assert path.read_bytes() == _reference_trajectory_csv(traj)
     assert len(path.read_text().splitlines()) == 1 + len(times) * 3 * sheet.n
 
@@ -642,7 +640,7 @@ def test_trajectory_csv_bytes_of_edge_floats(tmp_path):
     traj = enm.Trajectory(times, np.repeat(x, 4, 0), np.repeat(-x, 4, 0), ("x", "y%"),
                           sys=None)                          # the writer reads no system
     path = tmp_path / "traj.csv"
-    enm.dump_trajectory_csv(traj, path)
+    output.dump_trajectory_csv(traj, path)
     data = path.read_bytes()
     assert data == _reference_trajectory_csv(traj)
     assert b"\n-0,0,x,-0,0\n" in data and b",4.9406564584124654e-324," in data
@@ -652,7 +650,7 @@ def test_trajectory_csv_of_no_samples(tmp_path):
     empty = np.zeros((0, 2, 3))
     traj = enm.Trajectory(np.zeros(0), empty, empty, ("x", "y"), sys=None)
     path = tmp_path / "traj.csv"
-    enm.dump_trajectory_csv(traj, path)
+    output.dump_trajectory_csv(traj, path)
     assert path.read_bytes() == b"t,node,axis,x,xdot\n"
 
 
@@ -664,7 +662,7 @@ def test_trajectory_csv_formats_one_sample_at_a_time():
     traj = enm.Trajectory(np.linspace(0.0, 10.0, 64), x, -x, ("x", "y"), sys=None)
     tracemalloc.start()
     try:
-        enm.dump_trajectory_csv(traj, os.devnull)
+        output.dump_trajectory_csv(traj, os.devnull)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -675,10 +673,10 @@ def test_trajectory_csv_memory_at_the_simulate_4x4_shape():
     # 51 samples x 2 axes x 512 sites: the formatter's temporaries and one block's rows
     x = np.random.default_rng(6).normal(0.0, 1.0, (51, 2, 512))
     traj = enm.Trajectory(np.linspace(0.0, 6.0, 51), x, -x, ("x", "y"), sys=None)
-    enm.dump_trajectory_csv(traj, os.devnull)        # the formatter's tables, built once
+    output.dump_trajectory_csv(traj, os.devnull)        # the formatter's tables, built once
     tracemalloc.start()
     try:
-        enm.dump_trajectory_csv(traj, os.devnull)
+        output.dump_trajectory_csv(traj, os.devnull)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -694,7 +692,7 @@ def test_format_17g_random_bit_patterns():
     # formats them itself, every 8th, to keep the test near 2 s
     bits = np.random.default_rng(17).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
     values = np.concatenate([bits.view(np.float64), [np.nan, -np.nan, np.inf, -np.inf]])
-    rows, python = enm.format_17g(values)
+    rows, python = output.format_17g(values)
     assert rows.dtype == np.dtype("S24") and rows.shape == values.shape
     a = np.abs(values)
     exact = (a >= 1e-6) & (a < 1e17)              # -6 <= E <= 16: every one in numpy
@@ -710,7 +708,7 @@ def test_format_17g_random_values_of_the_exact_range():
     rng = np.random.default_rng(18)
     values = 10.0 ** rng.uniform(-6.0, 17.0, 200_000) * rng.choice([-1.0, 1.0], 200_000)
     values = values[(np.abs(values) >= 1e-6) & (np.abs(values) < 1e17)]
-    rows, python = enm.format_17g(values)
+    rows, python = output.format_17g(values)
     assert np.array_equal(rows, _python_17g(values))
     assert not python.any()
 
@@ -729,13 +727,13 @@ def _with_neighbours(values):
      1.7976931348623157e308, -1.7976931348623157e308],
 ], ids=["powers-of-ten", "switch-points", "ties", "edges"])
 def test_format_17g_equals_python(values):
-    rows, python = enm.format_17g(values)
+    rows, python = output.format_17g(values)
     assert np.array_equal(rows, _python_17g(values))
     assert rows.tolist() == [b"%.17g" % v for v in np.ravel(values).tolist()]
 
 
 def test_format_17g_ties_go_to_even_and_zeros_stay_in_numpy():
-    rows, python = enm.format_17g([123456789012345.625, 123456789012345.875, 0.0, -0.0])
+    rows, python = output.format_17g([123456789012345.625, 123456789012345.875, 0.0, -0.0])
     assert rows.tolist() == [b"123456789012345.62", b"123456789012345.88", b"0", b"-0"]
     assert not python.any()
 
@@ -749,7 +747,7 @@ def test_format_17g_of_trajectories():
                                 rng.normal(0.0, 1.0, (2, sys.n)), np.linspace(0.0, 6.0, 20))
     for scale in (1.0, 1e-5, 1e-10):
         values = scale * np.stack([traj.x, traj.xdot])
-        rows, python = enm.format_17g(values)
+        rows, python = output.format_17g(values)
         assert np.array_equal(rows, _python_17g(values))
         a = np.abs(values).ravel()
         assert not python[(a >= 1e-6) & (a < 1e17)].any()
@@ -759,8 +757,8 @@ def test_format_17g_of_trajectories():
 
 def test_format_17g_leaves_everything_to_python_on_a_big_endian_host(monkeypatch):
     values = np.array([0.1, -2.5e-300, 7.0, np.nan])
-    monkeypatch.setattr(enm.np, "little_endian", False)
-    rows, python = enm.format_17g(values)
+    monkeypatch.setattr(output.np, "little_endian", False)
+    rows, python = output.format_17g(values)
     assert python.all()
     assert rows.tolist() == [b"0.10000000000000001", b"-2.5e-300", b"7", b"nan"]
 
@@ -970,7 +968,7 @@ def test_range_projection_and_pinv_match_eigh_on_spectrum_cases(case):
 @pytest.mark.filterwarnings("ignore:physical subgraph is disconnected")
 @pytest.mark.parametrize("case", sorted(EXTREME_CASES))
 def test_pinv_past_the_factor_bound_is_conjugate_gradients(case, monkeypatch):
-    monkeypatch.setattr(enm, "FACTOR_ENTRIES", 0)
+    monkeypatch.setattr(linalg, "FACTOR_ENTRIES", 0)
     sys = EXTREME_CASES[case]()
     _assert_range_ops_match_eigh(sys, 44)
     # the exact Tr(A^+) and cond(B) have no such fallback and refuse
@@ -1007,17 +1005,17 @@ def test_grounded_order_is_the_bonded_order_less_the_lowest_sites(n_r, n_c):
     assert np.array_equal(sites, order[~np.isin(order, lowest)])
     # dropping sites cannot widen the band, and the bonded order is as narrow as a fresh
     # _narrow_order of the grounded sites on every sheet; narrower on 2x7, 2x9 and 3x6
-    width = enm._bandwidth(enm._restricted(sys.op_A, sites))
-    grounded = enm._restricted(sys.op_A, np.sort(sites))
-    fresh = enm._bandwidth(enm._restricted(grounded, enm._narrow_order(grounded)))
-    assert width <= enm._bandwidth(enm._bonded(sys))
+    width = linalg.bandwidth(linalg.restricted(sys.op_A, sites))
+    grounded = linalg.restricted(sys.op_A, np.sort(sites))
+    fresh = linalg.bandwidth(linalg.restricted(grounded, linalg.narrow_order(grounded)))
+    assert width <= linalg.bandwidth(enm._bonded(sys))
     assert width <= fresh
     assert (width < fresh) == ((n_r, n_c) in {(2, 7), (2, 9), (3, 6)})
 
 
 def _queue_level_order(m):
     """Breadth-first levels by a plain queue, each piece from its lowest unseen site, each
-    level ascending: the reference for ``enm._level_order``."""
+    level ascending: the reference for ``linalg.level_order``."""
     n = m.shape[0]
     neighbours = [[] for _ in range(n)]
     for r, c in zip(m.rows.tolist(), m.cols.tolist()):
@@ -1053,7 +1051,7 @@ LEVEL_ORDER_CASES = {
 @pytest.mark.parametrize("case", sorted(LEVEL_ORDER_CASES))
 def test_level_order_matches_a_queue_bfs(case):
     m = LEVEL_ORDER_CASES[case]()
-    assert np.array_equal(enm._level_order(m), _queue_level_order(m))
+    assert np.array_equal(linalg.level_order(m), _queue_level_order(m))
 
 
 @pytest.mark.parametrize("mu", [0.5, 5.8, 5.95, 12.0])
@@ -1061,7 +1059,7 @@ def test_positive_definite_matches_the_dense_spectrum(mu):
     # mu - A on the 3x3 sheet, whose lambda_max is 5.87, tested one block at a time
     a = enm._bonded(enm.build_system(LatticeSpec(3, 3)))
     assert np.linalg.eigvalsh(a.toarray())[-1] == pytest.approx(5.87, abs=0.01)
-    assert enm._factor(enm._shifted(a, mu)).positive_definite() == (mu > 5.87)
+    assert linalg.factor(linalg.shifted(a, mu)).positive_definite() == (mu > 5.87)
 
 
 def test_positive_definite_copies_no_factor():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qenm import svgplot
+from qenm import output, svgplot
 from qenm.lattice import (LatticeSpec, NodeCoord, adjacency, brute_force_adjacency,
                           decode_index, dummy_mask, encode_coord, is_dummy,
-                          lattice_rows, neighbor, node_positions, shift_vector)
+                          neighbor, node_positions, shift_vector)
 
 SPECS = [LatticeSpec(2, 1), LatticeSpec(2, 2), LatticeSpec(3, 2), LatticeSpec(3, 3),
          LatticeSpec(4, 3)]
@@ -224,9 +224,10 @@ def test_lattice_svg_takes_each_minimum_once_whatever_the_sheet(tmp_path, monkey
     assert counts == [2, 2]
 
 
-def test_lattice_rows_schema(tmp_path):
+def test_lattice_csv_schema(tmp_path):
     spec = LatticeSpec(2, 1)
-    rows = lattice_rows(spec)
-    assert len(rows) == spec.n_total
-    assert list(rows[0].keys()) == ["j", "r", "c", "s", "dummy", "neigh0", "neigh1",
-                                    "neigh2", "valid0", "valid1", "valid2"]
+    output.dump_lattice_csv(spec, tmp_path / "lattice.csv")
+    rows = (tmp_path / "lattice.csv").read_bytes().split(b"\r\n")
+    assert len(rows) == 1 + spec.n_total + 1 and rows[-1] == b""
+    assert rows[0].split(b",") == [b"j", b"r", b"c", b"s", b"dummy", b"neigh0", b"neigh1",
+                                   b"neigh2", b"valid0", b"valid1", b"valid2"]

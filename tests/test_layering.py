@@ -1,8 +1,11 @@
 """Module boundaries inside the ``qenm`` package, read from the source with ``ast``.
 
 No module imports or reads another module's ``_``-prefixed name, and the
-amplitude layer (``encoding``) depends on no package module but ``enm`` and
-``lattice``: every circuit lives in ``circuits`` and ``oracles``.  Every
+amplitude layer (``encoding``) depends on no package module but ``enm``,
+``linalg`` and ``lattice``: every circuit lives in ``circuits`` and
+``oracles``.  ``linalg`` acts on bare operators and imports no package
+module but ``boltzmann``, and no numeric module imports ``output``, which
+writes every file.  Every
 circuit the program runs goes through the batched ``circuits.simulate_keys``,
 which no module but ``circuits`` calls: the others run circuits through
 ``postselect`` and ``permute_keys``.  The dict simulator (``simulate``,
@@ -17,7 +20,10 @@ import qenm
 
 PACKAGE_DIR = Path(qenm.__file__).parent
 MODULES = {path.stem for path in PACKAGE_DIR.glob("*.py")} - {"__init__"}
-ENCODING_DEPENDENCIES = {"enm", "lattice"}
+ENCODING_DEPENDENCIES = {"enm", "lattice", "linalg"}
+LINALG_DEPENDENCIES = {"boltzmann"}
+NUMERIC_MODULES = {"lattice", "boltzmann", "linalg", "enm", "circuits", "oracles", "encoding",
+                   "measure"}
 REFERENCE_SIMULATOR = {"simulate", "run_basis", "SparseState"}
 REFERENCE_HOLDERS = {"circuits", "__init__"}     # its module and the package's re-exports
 BATCH_SIMULATOR = {"simulate_keys"}
@@ -79,6 +85,11 @@ def layering_violations(name: str, source: str) -> list[str]:
     if name == "encoding":
         found += [f"encoding imports qenm.{m}"
                   for m in sorted(imported - ENCODING_DEPENDENCIES - {name})]
+    if name == "linalg":
+        found += [f"linalg imports qenm.{m}"
+                  for m in sorted(imported - LINALG_DEPENDENCIES - {name})]
+    if name in NUMERIC_MODULES and "output" in imported:
+        found.append(f"{name} imports qenm.output")
     return found
 
 
@@ -105,3 +116,14 @@ def test_batch_simulator_uses_are_found():
     assert layering_violations("__init__", "from .circuits import simulate_keys\n") == [
         "__init__ imports circuits.simulate_keys"]
     assert layering_violations("circuits", "def f():\n    return simulate_keys\n") == []
+
+
+def test_linalg_and_output_uses_are_found():
+    assert layering_violations("linalg", "from .boltzmann import prf_uniform\n") == []
+    assert layering_violations("linalg", "from . import enm\nfrom .lattice import SPARSITY\n") == [
+        "linalg imports qenm.enm", "linalg imports qenm.lattice"]
+    assert layering_violations("enm", "from .output import format_17g\n") == [
+        "enm imports qenm.output"]
+    assert layering_violations("measure", "from . import output\n") == [
+        "measure imports qenm.output"]
+    assert layering_violations("cli", "from . import output\n") == []

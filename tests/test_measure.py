@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qenm import encoding, enm, measure
+from qenm import encoding, enm, measure, output
 from qenm.lattice import LatticeSpec
 from qenm.measure import SubsetSelector
 
@@ -354,7 +354,7 @@ def test_ripple_short_window_warns():
 
 def test_results_csv(tmp_path):
     path = tmp_path / "results.csv"
-    measure.dump_results_csv(path, [(0.0, "kinetic", "V0", 0.5, 0.01, "shot-sampled")])
+    output.dump_results_csv(path, [(0.0, "kinetic", "V0", 0.5, 0.01, "shot-sampled")])
     lines = path.read_text().splitlines()
     assert lines[0] == "t,observable,subset_id,estimate,stderr,mode"
     assert len(lines) == 2
@@ -362,7 +362,7 @@ def test_results_csv(tmp_path):
 
 def test_write_rows_formats_floats_at_full_precision_and_the_rest_as_str(tmp_path):
     path = tmp_path / "rows.csv"
-    measure.write_rows(path, "t,n,label,zero,subset_id",
+    output.write_rows(path, "t,n,label,zero,subset_id",
                        [(np.float64(0.1), 3, "msd", -0.0, '"0,1"'),
                         (1.0 / 3.0, np.int64(-7), "all", 0.0, "all")])
     assert path.read_text() == ('t,n,label,zero,subset_id\n'
