@@ -5,10 +5,10 @@ Run:  python demos/03_thermal_buckets.py
 
 import numpy as np
 
-from qenm.boltzmann import (BucketKey, MBParams, bucket_assignment, cdf_table,
-                            discretize_k_bucket, discretize_two_bucket,
+from qenm.boltzmann import BucketKey, MBParams, discretize_two_bucket, prf64
+from qenm.reference import (bucket_assignment, cdf_table, discretize_k_bucket,
                             inverse_cdf_bucket, lemma1_rel_fluctuation,
-                            prf64, sample_kinetic_energies)
+                            sample_kinetic_energies)
 
 params = MBParams(m=1.0, T=1.0, k_B=1.0, D=2)
 two = discretize_two_bucket(params)

@@ -7,10 +7,10 @@ import numpy as np
 
 from qenm.boltzmann import BucketKey, MBParams, discretize_two_bucket, \
     bucket_velocities
-from qenm.circuits import circuit_text, run_basis
 from qenm.lattice import LatticeSpec
 from qenm.oracles import (connectivity_oracle, mass_oracle, oracle_mismatches,
                           ordered_swap, run_inequality_loader, run_velocity_loader)
+from qenm.reference import circuit_text, run_basis
 
 spec = LatticeSpec(3, 2)
 

@@ -5,7 +5,7 @@ Run:  python demos/05_quantum_vs_classical.py
 
 import numpy as np
 
-from qenm import encoding, enm, measure
+from qenm import encoding, enm, measure, reference
 from qenm.lattice import LatticeSpec
 from qenm.measure import SubsetSelector
 
@@ -45,7 +45,7 @@ print(f"e^(-iHt) as a Jacobi-Anger series in H/{bh.scale:.4f}, truncation error 
 ti = 12
 st, = encoding.evolve_exact(state0, bh, [times[ti]])
 subset = tuple(int(j) for j in phys[:3])
-frac = measure.energy_fraction(st, SubsetSelector("kinetic", subset))
+frac = reference.energy_fraction(st, SubsetSelector("kinetic", subset))
 classical = enm.kinetic_energy_subset(traj, ti, subset)
 print(f"K_V/E at t={times[ti]:.2f}: quantum {frac.estimate:.6f}, "
       f"classical {classical / state0.norm_constant:.6f}; "
@@ -53,7 +53,7 @@ print(f"K_V/E at t={times[ti]:.2f}: quantum {frac.estimate:.6f}, "
       f"delta={frac.delta})")
 
 # shot-sampled estimation converges binomially
-rep = measure.shot_sample(st, SubsetSelector("kinetic", subset), 50_000, seed=1)
+rep = reference.shot_sample(st, SubsetSelector("kinetic", subset), 50_000, seed=1)
 print(f"shot mode: {rep.estimate:.5f} ± {rep.stderr:.5f} ({rep.shots} shots)")
 
 # the displacement-exposing encoding tracks squared displacements instead
@@ -65,6 +65,6 @@ trajz = enm.evolve_classical(sys, z0, zdot0, times)
 sel = SubsetSelector("displacement", tuple(int(j) for j in phys))
 devs = []
 for ti, st in enumerate(encoding.evolve_exact(alt0, bh, times)):
-    devs.append(abs(measure.msd_fraction(st, sel).observable
+    devs.append(abs(reference.msd_fraction(st, sel).observable
                     - enm.msd_subset(trajz, ti, phys)))
 print(f"alternative encoding MSD vs classical: max deviation {max(devs):.2e}")

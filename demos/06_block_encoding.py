@@ -5,7 +5,7 @@ Run:  python demos/06_block_encoding.py
 
 import numpy as np
 
-from qenm import encoding, enm, oracles
+from qenm import encoding, enm, oracles, reference
 from qenm.lattice import LatticeSpec
 
 spec = LatticeSpec(2, 1)
@@ -31,20 +31,20 @@ print(f"incidence circuit: {circ.n_qubits} qubits, {len(circ.gates)} gates")
 bt = np.zeros((n * n, n))
 for c, (j, k) in enumerate(sys.pairs):
     bt[j * n + k] = sys.B[:, c]
-got = oracles.incidence_block(circ, spec, np.arange(n)).toarray()
+got = reference.incidence_block(circ, spec, np.arange(n)).toarray()
 worst = np.abs(got - bt / bh.scale).max()
 print(f"extracted block vs B^T / sqrt(2 kappa/m d): worst entry error {worst:.2e}")
 
 # the full Hamiltonian block encoding, entrywise over all 2 N^2 columns
 circ_h = oracles.hamiltonian_block_circuit(spec)
 part, j, k = np.unravel_index(np.arange(2 * n * n), (2, n, n))
-got = oracles.hamiltonian_block(circ_h, spec, part, j, k).toarray()
-worst = np.abs(got - bh.dense() / bh.scale).max()
+got = reference.hamiltonian_block(circ_h, spec, part, j, k).toarray()
+worst = np.abs(got - reference.dense_block_H(bh) / bh.scale).max()
 print(f"U_H block vs H / sqrt(2 kappa/m d) over {2 * n * n} columns: "
       f"worst entry error {worst:.2e}")
 
 # the doubled-mass axis layout is a verified alternative to the axis qubit
-doubled = encoding.doubled_mass_encoding(sys)
+doubled = reference.doubled_mass_encoding(sys)
 w2 = np.linalg.eigvalsh(doubled.A)
 print(f"doubled-mass spectrum = two copies of per-axis spectrum: "
       f"{np.allclose(np.sort(w2), np.sort(np.concatenate([lam, lam])), atol=1e-10)}")

@@ -5,12 +5,9 @@ circuits, block-encoded Hamiltonian evolution and observable extraction,
 cross-validated against each other at every seam.
 """
 
-from .boltzmann import (BucketKey, DiscretizedMB, MBParams, bucket_assignment,
-                        discretize_k_bucket, discretize_two_bucket,
-                        inverse_cdf_bucket, lemma1_rel_fluctuation)
-from .circuits import Circuit, SparseState, inverse, run_basis, simulate
-from .encoding import (BlockHamiltonian, EncodedState, build_block_H,
-                       doubled_mass_encoding, evolve_exact,
+from .boltzmann import BucketKey, DiscretizedMB, MBParams, discretize_two_bucket
+from .circuits import Circuit, inverse
+from .encoding import (BlockHamiltonian, EncodedState, build_block_H, evolve_exact,
                        prepare_alternative, prepare_standard)
 from .enm import (SystemMatrices, Trajectory, build_system, condition_number_B,
                   conserved_F, evolve_classical, pseudoinverse_trace,
@@ -18,9 +15,7 @@ from .enm import (SystemMatrices, Trajectory, build_system, condition_number_B,
 from .lattice import (Adjacency, LatticeSpec, NodeCoord, adjacency,
                       brute_force_adjacency, decode_index, encode_coord, is_dummy,
                       neighbor, shift_vector)
-from .measure import (EstimateReport, SubsetSelector, energy_fraction,
-                      heat_binary_search, heat_experiment, msd_fraction,
-                      ripple_msd, shot_sample)
+from .measure import SubsetSelector, heat_binary_search, heat_experiment, ripple_msd
 from .oracles import (comparator, connectivity_oracle, coord_adder,
                       hamiltonian_block_circuit, incidence_block_circuit,
                       inequality_test_loader, mass_oracle, oracle_mismatches,

@@ -1,23 +1,17 @@
 """Maxwell-Boltzmann discretization and randomized velocity bucketing.
 
 Each velocity component of a mass m at temperature T is Normal(0, k_B T/m).
-Loading one sample per node is replaced by a small set of velocity buckets:
-
-* ``discretize_two_bucket`` is the median split, two equiprobable buckets at
-  +/- sigma.  It reproduces the Gaussian's moments 0 through 3 (all odd
-  moments vanish by symmetry); the fourth moment is sigma^4 instead of
-  3 sigma^4, which is the expected residual of a two-point rule and is not
-  asserted anywhere.
-* ``discretize_k_bucket`` splits the Gaussian into k equiprobable quantile
-  intervals and takes each bucket velocity as the conditional mean, which
-  matches moments 0 and 1 exactly; the second-moment error shrinks with k.
+Loading one sample per node is replaced by a small set of velocity buckets.
+``discretize_two_bucket`` is the median split, two equiprobable buckets at
++/- sigma.  It reproduces the Gaussian's moments 0 through 3 (all odd
+moments vanish by symmetry); the fourth moment is sigma^4 instead of
+3 sigma^4, which is the expected residual of a two-point rule and is not
+asserted anywhere.  The k-bucket split and its loader are ``reference``'s.
 
 Node j lands in bucket (j . s) xor r over GF(2) for a random key (s, r);
 for a uniformly random key the assignment of any fixed node is uniform.
-The general k-bucket loader instead feeds a keyed 64-bit mix function
-through an inverse-CDF table; cryptographic strength is irrelevant at desk
-scale.  ``thermal_velocities`` is the one two-bucket thermal loader, called
-by the ``simulate`` initial state, the heat hotspot and the ripple sheet.
+``thermal_velocities`` is the one two-bucket thermal loader, called by the
+``simulate`` initial state, the heat hotspot and the ripple sheet.
 
 Commands draw without ``numpy.random``, whose import (with ``secrets``,
 ``hmac`` and OpenSSL's ``_hashlib``) costs a fresh process about 6 MB of
@@ -32,8 +26,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-
-TAIL_SIGMAS = 6.0
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -186,25 +178,6 @@ def discretize_two_bucket(params: MBParams) -> DiscretizedMB:
     return DiscretizedMB((0.5, 0.5), (s, -s), (0, 1, 2, 3))
 
 
-def discretize_k_bucket(params: MBParams, k: int) -> DiscretizedMB:
-    """k equiprobable quantile buckets with conditional-mean velocities."""
-    if k < 2:
-        raise ValueError("need k >= 2 buckets")
-    if params.T == 0:
-        return DiscretizedMB((1.0,), (0.0,), (0, 1, 2, 3))
-    from scipy.special import ndtri     # kept off the `import qenm.cli` path
-    # standardized quantile edges; int_a^b z phi(z) dz = phi(a) - phi(b)
-    z = np.clip(ndtri(np.linspace(0.0, 1.0, k + 1)), -TAIL_SIGMAS, TAIL_SIGMAS)
-    phi = np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
-    velocities = params.sigma * k * (phi[:-1] - phi[1:])
-    return DiscretizedMB(tuple(1.0 / k for _ in range(k)), tuple(velocities.tolist()), (0, 1))
-
-
-def bucket_assignment(j: int, key: BucketKey) -> int:
-    """GF(2) inner product of the bits of j with the key mask, xor offset."""
-    return (bin(j & key.s).count("1") + key.r) & 1
-
-
 def bucket_velocities(n_nodes: int, key: BucketKey, disc: DiscretizedMB) -> np.ndarray:
     """Velocity per node index under a two-bucket key assignment, for all nodes at once."""
     if disc.k == 1:
@@ -221,28 +194,6 @@ def thermal_velocities(params: MBParams, keys: list[BucketKey], n_nodes: int, si
     for row, key in zip(out, keys):
         row[sites] = bucket_velocities(n_nodes, key, disc)[sites]
     return out
-
-
-def lemma1_rel_fluctuation(D: int, N: int) -> float:
-    """Relative kinetic-energy fluctuation sqrt(2 / (D N))."""
-    return float(np.sqrt(2.0 / (D * N)))
-
-
-def mean_kinetic(params: MBParams, N: int) -> float:
-    """<K> = N D k_B T / 2."""
-    return 0.5 * N * params.D * params.k_B * params.T
-
-
-def alpha(params: MBParams, N: int) -> float:
-    """sqrt(2 <K>) = sqrt(N D k_B T) for the two-bucket distribution."""
-    return float(np.sqrt(N * params.D * params.k_B * params.T))
-
-
-def sample_kinetic_energies(params: MBParams, N: int, n_samples: int, seed: int) -> np.ndarray:
-    """Monte Carlo kinetic energies of N masses with Gaussian velocity components."""
-    rng = np.random.default_rng(seed)
-    v = rng.normal(0.0, params.sigma, size=(n_samples, N, params.D))
-    return 0.5 * params.m * np.sum(v**2, axis=(1, 2))
 
 
 def _mix64(z: int) -> int:
@@ -265,22 +216,6 @@ def prf_uniform(key: int, *shape: int) -> np.ndarray:
     of ``prf64(key, i)``, so each is a fixed function of (key, i)."""
     bits = prf64(key, np.arange(math.prod(shape), dtype=np.uint64))
     return ((bits >> 11) * 2.0**-52 - 1.0).reshape(shape)
-
-
-def cdf_table(probabilities, scale: int = 1 << 64) -> np.ndarray:
-    """Cumulative bucket boundaries on an integer grid; last entry = scale."""
-    cum = np.cumsum(np.asarray(probabilities, dtype=float))
-    table = np.floor(cum * scale).astype(object)
-    table[-1] = scale
-    return table
-
-
-def inverse_cdf_bucket(prf_output: int, cdf) -> int:
-    """Smallest j with prf_output < C(j); boundary hits go to the next bucket."""
-    for j, bound in enumerate(cdf):
-        if prf_output < bound:
-            return j
-    raise ValueError("prf output outside the CDF range")
 
 
 def bucket_spec_json(disc: DiscretizedMB) -> dict:

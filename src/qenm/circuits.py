@@ -1,4 +1,4 @@
-"""Gate-level circuit IR, a batched basis-key simulator and its dict reference.
+"""Gate-level circuit IR and a batched basis-key simulator.
 
 Registers are named runs of qubits, little-endian (bit 0 of a register is
 its least significant bit and lowest global qubit index).  Gates carry an
@@ -11,9 +11,9 @@ complex amplitude.  Each x, swap, add, sub, lt and lookup gate, with its
 controls, is a few array operations over all keys; z, s, sdg and gphase
 multiply the amplitudes of the entries they fire on; h and ry scale those
 entries, append a copy of each with the target flipped, then sum equal
-(row, key) entries and drop sums of modulus <= ``PRUNE_EPS``, the dict
-reference's rule.  ``postselect`` runs register values through it and
-keeps the outputs whose registers hold given values.
+(row, key) entries and drop sums of modulus <= ``PRUNE_EPS``.
+``postselect`` runs register values through it and keeps the outputs whose
+registers hold given values.
 
 ``permute_keys`` (and ``permute_basis``, with ``basis_keys`` and
 ``key_values`` around it) returns the batch's keys for basis-permutation
@@ -21,9 +21,8 @@ circuits, which keep one key per input, and rejects circuits whose h or ry
 gates leave an input in superposition.  Circuits wider than 64 qubits raise
 ``ValueError``.
 
-``simulate`` and ``run_basis`` keep the state as a dict {basis int:
-amplitude} of Python ints, so they reach any width.  They are the reference
-the tests compare the batch against, and no other module calls them.
+The tests check the batch against ``reference.simulate``, a dict simulator
+that reads the same ``gate_phase`` and ``gate_matrix``.
 
 Reversible arithmetic (`add`, `sub`, `lt`) and table lookups execute
 functionally on the keys; `expand_composites` rewrites them into a
@@ -165,162 +164,30 @@ def controlled_gates(gates, extra_controls) -> list[Gate]:
     return [replace(g, controls=g.controls + extra) for g in gates]
 
 
+# no command inverts a whole circuit; the paper's circuit algebra, which gate-level
+# evolution is to build on
 def inverse(circ: Circuit) -> Circuit:
     inv = circ.blank()
     inv.gates = inverted_gates(circ.gates)
     return inv
 
 
-# -- reference dict simulator ---------------------------------------------
+# -- gate semantics -------------------------------------------------------
 
-def _gather(key: int, bits) -> int:
-    v = 0
-    for i, q in enumerate(bits):
-        v |= ((key >> q) & 1) << i
-    return v
-
-
-def _scatter(key: int, bits, value: int) -> int:
-    for i, q in enumerate(bits):
-        if (value >> i) & 1:
-            key |= 1 << q
-        else:
-            key &= ~(1 << q)
-    return key
-
-
-class SparseState:
-    """Statevector as {basis int: amplitude} over a circuit's registers."""
-
-    def __init__(self, circuit: Circuit, amps: dict[int, complex]):
-        self.circuit = circuit
-        self.amps = amps
-
-    @classmethod
-    def from_basis(cls, circuit: Circuit, init: dict[str, int] | None = None):
-        key = 0
-        for name, value in (init or {}).items():
-            reg = circuit.registers[name]
-            if not 0 <= value < (1 << reg.width):
-                raise ValueError(f"{value} does not fit register {name}[{reg.width}]")
-            key = _scatter(key, reg.bits, value)
-        return cls(circuit, {key: 1.0 + 0.0j})
-
-    def value(self, key: int, name: str) -> int:
-        return _gather(key, self.circuit.registers[name].bits)
-
-    def assignment(self, key: int) -> dict[str, int]:
-        return {name: _gather(key, reg.bits) for name, reg in self.circuit.registers.items()}
-
-    def amplitude(self, assign: dict[str, int]) -> complex:
-        key = 0
-        for name, value in assign.items():
-            key = _scatter(key, self.circuit.registers[name].bits, value)
-        return self.amps.get(key, 0.0 + 0.0j)
-
-
-def _phase(gate: Gate) -> complex:
+def gate_phase(gate: Gate) -> complex:
     """The factor a z, s, sdg or gphase gate puts on the states it acts on."""
     if gate.kind == "gphase":
         return complex(math.cos(gate.theta), math.sin(gate.theta))
     return {"z": -1.0, "s": 1j, "sdg": -1j}[gate.kind]
 
 
-def _matrix(gate: Gate) -> tuple[float, float, float, float]:
+def gate_matrix(gate: Gate) -> tuple[float, float, float, float]:
     """(m00, m01, m10, m11) of an h or ry gate on its target qubit."""
     if gate.kind == "h":
         r = 1.0 / math.sqrt(2.0)
         return r, r, r, -r
     cth, sth = math.cos(gate.theta / 2.0), math.sin(gate.theta / 2.0)
     return cth, -sth, sth, cth
-
-
-def _apply(gate: Gate, amps: dict[int, complex]) -> dict[int, complex]:
-    kind = gate.kind
-    ctrl = gate.controls
-
-    def ok(key):
-        return all((key >> q) & 1 == v for q, v in ctrl)
-
-    if kind in ("x", "swap", "add", "sub", "lt", "lookup"):
-        out = {}
-        for key, amp in amps.items():
-            if not ok(key):
-                out[key] = amp
-                continue
-            if kind == "x":
-                key ^= 1 << gate.targets[0]
-            elif kind == "swap":
-                q1, q2 = gate.targets
-                b1, b2 = (key >> q1) & 1, (key >> q2) & 1
-                if b1 != b2:
-                    key ^= (1 << q1) | (1 << q2)
-            elif kind in ("add", "sub"):
-                w = len(gate.b)
-                src = _gather(key, gate.a)
-                dst = _gather(key, gate.b)
-                dst = (dst + src) % (1 << w) if kind == "add" else (dst - src) % (1 << w)
-                key = _scatter(key, gate.b, dst)
-            elif kind == "lt":
-                if _gather(key, gate.a) < _gather(key, gate.b):
-                    key ^= 1 << gate.targets[0]
-            else:  # lookup
-                key = _scatter(key, gate.b,
-                               _gather(key, gate.b) ^ gate.table[_gather(key, gate.a)])
-            out[key] = amp
-        return out
-
-    if kind in ("z", "s", "sdg", "gphase"):
-        phase = _phase(gate)
-        out = {}
-        for key, amp in amps.items():
-            if ok(key) and (kind == "gphase" or (key >> gate.targets[0]) & 1):
-                amp = amp * phase
-            out[key] = amp
-        return out
-
-    if kind in ("h", "ry"):
-        t = gate.targets[0]
-        m00, m01, m10, m11 = _matrix(gate)
-        out: dict[int, complex] = {}
-        for key, amp in amps.items():
-            if not ok(key):
-                out[key] = out.get(key, 0.0) + amp
-                continue
-            k0, k1 = key & ~(1 << t), key | (1 << t)
-            if (key >> t) & 1:
-                out[k0] = out.get(k0, 0.0) + amp * m01
-                out[k1] = out.get(k1, 0.0) + amp * m11
-            else:
-                out[k0] = out.get(k0, 0.0) + amp * m00
-                out[k1] = out.get(k1, 0.0) + amp * m10
-        return {k: a for k, a in out.items() if abs(a) > PRUNE_EPS}
-
-    raise ValueError(f"unknown gate kind {kind!r}")
-
-
-def simulate(circ: Circuit, init: dict[str, int] | None = None) -> SparseState:
-    state = SparseState.from_basis(circ, init)
-    amps = state.amps
-    for gate in circ.gates:
-        amps = _apply(gate, amps)
-    state.amps = amps
-    return state
-
-
-def run_basis(circ: Circuit, init: dict[str, int] | None = None) -> dict[str, int]:
-    """Apply a permutation-style circuit to a basis input.
-
-    Asserts the output is a single basis state of unit magnitude and
-    returns its register values.
-    """
-    state = simulate(circ, init)
-    if len(state.amps) != 1:
-        raise AssertionError(f"not a basis permutation: {len(state.amps)} output keys")
-    key, amp = next(iter(state.amps.items()))
-    if abs(abs(amp) - 1.0) > 1e-9:
-        raise AssertionError(f"output magnitude {abs(amp)} != 1")
-    return state.assignment(key)
 
 
 # -- batched simulation ---------------------------------------------------
@@ -397,14 +264,14 @@ def _phase_gate(gate: Gate, keys: np.ndarray, amps: np.ndarray) -> np.ndarray:
     hits = _fires(keys, gate.controls)
     if gate.kind != "gphase":
         hits = hits & (((keys >> gate.targets[0]) & 1) == 1)
-    return np.where(hits, amps * _phase(gate), amps)
+    return np.where(hits, amps * gate_phase(gate), amps)
 
 
 def _superpose_gate(gate: Gate, rows: np.ndarray, keys: np.ndarray, amps: np.ndarray):
     """An h or ry gate: each entry it fires on keeps its key with the diagonal coefficient
     and gains a copy, target flipped, with the off-diagonal one; then ``_merge``."""
     t = gate.targets[0]
-    m00, m01, m10, m11 = _matrix(gate)
+    m00, m01, m10, m11 = gate_matrix(gate)
     fires = np.broadcast_to(_fires(keys, gate.controls), keys.shape)
     one = ((keys >> t) & 1) == 1
     copies = amps[fires] * np.where(one[fires], m01, m10)
@@ -501,7 +368,7 @@ def permute_keys(circ: Circuit, keys: np.ndarray) -> np.ndarray:
 
 
 def permute_basis(circ: Circuit, inputs: dict[str, object]) -> dict[str, np.ndarray]:
-    """Batched ``run_basis``: register value arrays in, every register's value array out."""
+    """Basis-permutation circuits on register value arrays: every register's value array out."""
     return key_values(circ, permute_keys(circ, basis_keys(circ, inputs)))
 
 
@@ -562,6 +429,8 @@ def _lookup_expansion(index_bits, value_bits, table, controls) -> list[Gate]:
     return gates
 
 
+# no command expands a circuit; the paper's elementary-gate form, which resource counts
+# are to be read off
 def expand_composites(circ: Circuit) -> Circuit:
     """Rewrite add/sub/lt/lookup into elementary gates (one scratch qubit)."""
     out = circ.blank()
@@ -581,25 +450,3 @@ def expand_composites(circ: Circuit) -> Circuit:
             out.gates.append(g)
     return out
 
-
-# -- text dump -------------------------------------------------------------
-
-def circuit_text(circ: Circuit) -> str:
-    """Stable line-oriented dump for golden-file comparisons."""
-    lines = [f"reg {r.name} {r.offset} {r.width}" for r in circ.registers.values()]
-    for g in circ.gates:
-        parts = [g.kind]
-        if g.controls:
-            parts.append("c=" + ",".join(f"{'+' if v else '-'}{q}" for q, v in g.controls))
-        if g.targets:
-            parts.append("t=" + ",".join(str(q) for q in g.targets))
-        if g.a:
-            parts.append("a=" + ",".join(str(q) for q in g.a))
-        if g.b:
-            parts.append("b=" + ",".join(str(q) for q in g.b))
-        if g.kind in ("ry", "gphase"):
-            parts.append(f"theta={g.theta:.17g}")
-        if g.table:
-            parts.append("table=" + ",".join(str(t) for t in g.table))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"

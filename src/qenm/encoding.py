@@ -13,9 +13,7 @@ per axis can be nonzero, so a state is stored compactly as ``amps`` of shape
   ``sys.pairs``: bond block, amplitude i sqrt(kappa_jk) (x_j - x_k) / sqrt(2E)
 
 ``standard_amplitudes`` forms these ``amps`` for any number of states at
-once, and ``prepare_standard`` is it for one.  ``EncodedState.tensor``
-scatters ``amps`` into the padded (D, 2, N, N) register layout on access,
-for structure checks.
+once, and ``prepare_standard`` is it for one.
 
 The alternative encoding reuses the same layout for one axis: the node
 columns hold P y (null-space-projected mass-weighted displacements), the
@@ -50,9 +48,9 @@ it as an ``EncodedState``, ``evolve_grid`` reads every sample at once, for
 observables read over the whole grid, and ``cli``'s simulate reads the
 series of ``jacobi_anger`` a block of ``sample_blocks`` at a time, at least
 two samples, with ``evolve_grid``'s bits, beside ``standard_amplitudes`` of
-the block's classical samples.  ``evolve_dense``, the
-eigendecomposition of the dense active block, is kept only as the reference
-the tests compare against.  The gate-level block encoding of H / alpha
+the block's classical samples.  The tests compare them against
+``reference.evolve_dense``, the eigendecomposition of the dense active
+block.  The gate-level block encoding of H / alpha
 (``oracles.hamiltonian_block_circuit``) is verified against ``build_block_H``
 by amplitude extraction and is never used for time evolution.
 """
@@ -109,6 +107,8 @@ class EncodedState:
         """(D, N) velocity (standard) or displacement (alternative) block."""
         return self.amps[:, :self.n]
 
+    # no command reads pair_amps or tensor: heat runs measure.subset_probability, whose
+    # potential-energy branch reads pair_amps, and benchmarks/layers.py counts tensor's bytes
     @property
     def pair_amps(self) -> np.ndarray:
         """(D, P) bond block, column c for ``sys.pairs[c]``."""
@@ -123,9 +123,6 @@ class EncodedState:
         out = out.reshape(self.axes, 2, n, n)
         out.flags.writeable = False
         return out
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
 
 def _uniform_coupling(sys: SystemMatrices) -> tuple[float, float, int]:
@@ -146,7 +143,7 @@ def sparsity(sys: SystemMatrices) -> int:
 
 def aa_rounds(sys: SystemMatrices, alpha: float, beta: float,
               energy: float | None = None) -> int:
-    """Amplitude-amplification rounds ceil(sqrt((m_max a^2 + 2 k_max d b^2) / 2E))."""
+    """Amplitude-amplification rounds ceil(sqrt((m_max a^2 + 2 k_max d b^2) / 2E)), finite."""
     m_max = float(sys.masses.max())
     k_max = float(sys.coupling.max(initial=0.0))
     d = sparsity(sys)
@@ -156,8 +153,11 @@ def aa_rounds(sys: SystemMatrices, alpha: float, beta: float,
         energy = 0.5 * m_max * alpha**2
     if energy <= 0.0:
         raise ValueError("zero-energy state has no encoding")
-    return math.ceil(math.sqrt((m_max * alpha**2 + 2.0 * k_max * d * beta**2)
-                               / (2.0 * energy)))
+    rounds = math.sqrt((m_max * alpha**2 + 2.0 * k_max * d * beta**2) / (2.0 * energy))
+    if not math.isfinite(rounds):
+        raise ValueError(f"the amplitude-amplification round count is {rounds}: "
+                         f"mass or kappa is too extreme for the encoding")
+    return math.ceil(rounds)
 
 
 def standard_amplitudes(sys: SystemMatrices, x, xdot) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +166,7 @@ def standard_amplitudes(sys: SystemMatrices, x, xdot) -> tuple[np.ndarray, np.nd
 
     Node column j holds sqrt(m_j) xdot_j and pair column N + c holds i sqrt(kappa_c)
     (x_j - x_k), both over sqrt(2E), E being the kinetic plus the potential energy
-    (``enm.potential_energy``).  ``prepare_standard`` is this formula for one state, and
+    (``reference.potential_energy``).  ``prepare_standard`` is this formula for one state, and
     ``cli``'s check against the classical trajectory takes it for a block of samples, with
     the same bits for each sample.
     """
@@ -177,7 +177,7 @@ def standard_amplitudes(sys: SystemMatrices, x, xdot) -> tuple[np.ndarray, np.nd
         raise ValueError("initial conditions must be (D, N) matching the system")
     j, k = sys.bonds.T
     # the bond differences laid out (..., P, D), as numpy lays out one state's gather x[:, j],
-    # so that each energy sums its terms in the order of enm.potential_energy
+    # so that each energy sums its terms in the order of reference.potential_energy
     sites = np.swapaxes(x, -1, -2)
     diff = np.take(sites, j, axis=-2) - np.take(sites, k, axis=-2)
     kinetic = 0.5 * np.sum(sys.masses * xdot**2, axis=(-2, -1))
@@ -248,10 +248,7 @@ class BlockHamiltonian:
     The padded matrix is block diagonal: the active subspace (node slots
     (j, 0) and bonded pair slots) is invariant under H and every other row
     and column is identically zero.  ``H`` is the active block over
-    the ``amps`` columns, ``active`` the flat padded index of each.  The
-    dense ``H_active``, its cached eigendecomposition ``eig()`` and the
-    full 2N^2 matrix ``dense()`` are built on demand for reference
-    evolution and structure checks on small systems.
+    the ``amps`` columns, ``active`` the flat padded index of each.
     """
 
     H: linalg.BondOperator        # (N + P) square, real
@@ -259,6 +256,7 @@ class BlockHamiltonian:
     scale: float                  # sqrt(2 kappa/m d) >= ||H||
     n_nodes: int
 
+    # no command reads H_active or eig: benchmarks/spans.py's TRACED_METHODS wraps eig
     @property
     def H_active(self) -> np.ndarray:
         if self.H.shape[0] > DESK_DIM_LIMIT:
@@ -271,15 +269,6 @@ class BlockHamiltonian:
 
     def eig(self):
         return self._eigh
-
-    def dense(self) -> np.ndarray:
-        dim = 2 * self.n_nodes * self.n_nodes
-        if dim > DESK_DIM_LIMIT:
-            raise ValueError(f"dense block Hamiltonian {dim} exceeds the desk limit")
-        H = np.zeros((dim, dim))
-        rows = self.active[:, None]
-        H[rows, self.active[None, :]] = self.H_active
-        return H
 
 
 def build_block_H(sys: SystemMatrices) -> BlockHamiltonian:
@@ -398,30 +387,3 @@ def sample_blocks(samples: int, sample_bytes: int) -> list[tuple[int, int]]:
     count = max(min(-(-samples // size), samples // 2), min(samples, 1))
     bounds = [samples * i // max(count, 1) for i in range(count + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
-
-
-def evolve_dense(state: EncodedState, bh: BlockHamiltonian, t: float) -> EncodedState:
-    """Reference exp(-iHt) through the eigendecomposition of the dense active block."""
-    if bh.n_nodes != state.n:
-        raise ValueError("Hamiltonian and state sizes differ")
-    w, v = bh.eig()
-    out = (v @ (np.exp(-1j * w * t)[:, None] * (v.T @ state.amps.T))).T
-    return replace(state, amps=out)
-
-
-def doubled_mass_encoding(sys: SystemMatrices) -> SystemMatrices:
-    """Axis doubling: 2N interleaved masses, x on even slots, y on odd.
-
-    Each bond (j, k) becomes (2j, 2k) and (2j + 1, 2k + 1) with its coupling;
-    no bond crosses the axes, so the doubled spectrum is two copies of the
-    per-axis one.
-    """
-    import warnings
-    with warnings.catch_warnings():
-        # the two per-axis copies are disconnected from each other by design
-        warnings.simplefilter("ignore")
-        return enm.system_from_bonds(2 * sys.n,
-                                     np.concatenate([2 * sys.bonds, 2 * sys.bonds + 1]),
-                                     np.tile(sys.coupling, 2), np.repeat(sys.masses, 2),
-                                     np.repeat(sys.physical, 2))
-

@@ -2,9 +2,8 @@
 
 The system is N point masses joined by harmonic springs, stored as its bond
 list (``SystemMatrices``).  Every matrix below is a ``linalg.BondOperator``
-built from it, applied by gathering each row's entries.  So no command
-needs scipy; the CSR forms are views for the tests, and the dense forms
-exist only for the tests and the ``spectral`` reference.
+built from it, applied by gathering each row's entries, so no command
+needs scipy.
 Newton's equation M x'' = -F x, with F the weighted graph Laplacian, becomes
 y'' = -A y in the mass-weighted coordinates y = sqrt(M) x, with
 A = sqrt(M)^-1 F sqrt(M)^-1 positive semidefinite.  Its solution
@@ -18,10 +17,9 @@ Chebyshev series in the bond operator and needs no eigenvectors; zero modes
 reader forms a run of samples as one matrix product.  ``classical_series``
 builds it once, and ``series_energies`` reads the energy of every sample
 off two Gram matrices of its terms, so a caller that needs only the
-energies never forms a sample.  ``spectral`` and
-``evolve_spectral`` (one eigenmode at a time) are the dense references the
-tests compare it with.  Everything downstream, quantum included, is
-validated against these trajectories.
+energies never forms a sample.  Everything downstream, quantum included,
+is validated against these trajectories, and they against
+``reference.evolve_spectral``, the dense solution one eigenmode at a time.
 
 The null space of A is known without a solve: one sqrt(m) vector per
 connected component of the bond graph, each unbonded site being its own
@@ -36,8 +34,8 @@ gradients on range(A), and Tr(A^+) and cond(B) refuse.
 ``qenm validate`` checks off the same factor, by Sylvester's law of
 inertia.  ``extreme_eigenvalues`` finds the ends of the spectrum, for
 ``condition_number_B`` and for ``validate`` where the certificate declines.
-``eigenvalues``, a banded solve of the whole spectrum, is the tests'
-reference for all of them.
+``reference.eigenvalues``, a banded solve of the whole spectrum, is the
+tests' check of all of them.
 
 The weighted incidence matrix B has one column per bonded pair (j, k),
 j < k, ordered lexicographically, with entries +sqrt(kappa_jk/m_j) on row
@@ -69,10 +67,8 @@ class SystemMatrices:
 
     Every matrix is built from these arrays on first access and cached: the
     ``BondOperator`` forms ``op_F``, ``op_A``, ``op_L`` = M^-1 F and ``op_B``
-    that the program uses; the CSR ``sparse_F``, ``sparse_A`` and
-    ``sparse_B`` that only the tests read, which import scipy; and the
-    read-only dense ``kappa``, ``F``, ``A`` and ``B`` that only tests, demos
-    and the ``spectral`` reference read.
+    that the program uses, and the read-only dense ``kappa``, ``F``, ``A``
+    and ``B``.
     """
 
     masses: np.ndarray          # (N,)
@@ -86,6 +82,7 @@ class SystemMatrices:
     def n(self) -> int:
         return len(self.masses)
 
+    # no command reads ``pairs`` or the dense views below: benchmarks/layers.py counts them
     @cached_property
     def pairs(self) -> list[tuple[int, int]]:
         return [tuple(p) for p in self.bonds.tolist()]
@@ -128,18 +125,11 @@ class SystemMatrices:
                             np.concatenate([root_kappa * inv_sqrt_m[j],
                                             -root_kappa * inv_sqrt_m[k]]), (self.n, len(j)))
 
-    sparse_F = cached_property(lambda self: _csr(self.op_F))
-    sparse_A = cached_property(lambda self: _csr(self.op_A))
-    sparse_B = cached_property(lambda self: _csr(self.op_B))
     kappa = cached_property(lambda self: _dense(self._symmetric(self.coupling,
                                                                 np.zeros(self.n))))
     F = cached_property(lambda self: _dense(self.op_F))
     A = cached_property(lambda self: _dense(self.op_A))
     B = cached_property(lambda self: _dense(self.op_B))
-
-    @cached_property
-    def _spectral(self):
-        return np.linalg.eigh(self.A)
 
     @cached_property
     def _bonded_order(self) -> np.ndarray:
@@ -168,11 +158,6 @@ def _dense(m: BondOperator) -> np.ndarray:
     out = m.toarray()
     out.flags.writeable = False
     return out
-
-
-def _csr(m: BondOperator):
-    from scipy import sparse        # only the tests read the CSR views
-    return sparse.csr_array((m.vals, (m.rows, m.cols)), shape=m.shape)
 
 
 def _system(masses, bonds, coupling, physical, spec=None) -> SystemMatrices:
@@ -220,6 +205,7 @@ def _components(n: int, bonds: np.ndarray) -> np.ndarray:
         root = new
 
 
+# no command builds a network from a bond list; tests, demos and the reference build on it
 def system_from_bonds(n, bonds, kappa=1.0, mass=1.0, physical=None) -> SystemMatrices:
     """Ad-hoc oscillator network from an explicit bond list.
 
@@ -243,15 +229,6 @@ def build_system(spec: LatticeSpec, kappa=1.0, mass=1.0) -> SystemMatrices:
     j, l = np.nonzero(adj.valid)
     return _system(np.full(spec.n_total, float(mass)), np.stack([j, adj.neighbors[j, l]], axis=1),
                    float(kappa), ~dummy_mask(spec), spec)
-
-
-def spectral(sys: SystemMatrices):
-    """numpy's ``eigh`` of the dense A, cached; the reference for the sparse paths.
-
-    The result has ascending ``eigenvalues`` and the matching ``eigenvectors``
-    as columns.
-    """
-    return sys._spectral
 
 
 def gershgorin_bound(sys: SystemMatrices) -> float:
@@ -289,34 +266,11 @@ def project_range(sys: SystemMatrices, y: np.ndarray) -> np.ndarray:
     return y - v * np.bincount(sys.components, weights=v * y)[sys.components]
 
 
-def eigenvalues(sys: SystemMatrices) -> np.ndarray:
-    """Eigenvalues of A, ascending, without eigenvectors; the tests' reference.
-
-    A is banded in the node order (a sheet's bonds span at most 2 cols + 1
-    indices), so one eigenvalues-only banded solve over the sites that have
-    a bond gives the spectrum; every site without a bond adds an exact zero.
-    The solve costs O(N^2 w), so no command calls it.
-    """
-    from scipy.linalg import eig_banded     # kept off the `import qenm.cli` path
-
-    sites = np.unique(sys.bonds)
-    zeros = np.zeros(sys.n - len(sites))
-    if len(sites) == 0:
-        return zeros
-    j, k = np.searchsorted(sites, sys.bonds).T      # bond ends, renumbered
-    width = int((k - j).max())
-    band = np.zeros((width + 1, len(sites)))        # upper: band[width + j - k, k] = A[j, k]
-    A = sys.op_A        # its first P values are those of the bonds (j, k)
-    band[width] = A.diagonal()[sites]
-    band[width + j - k, k] = A.vals[:len(sys.bonds)]
-    return np.sort(np.concatenate([zeros, eig_banded(band, eigvals_only=True)]))
-
-
 def extreme_eigenvalues(sys: SystemMatrices) -> np.ndarray:
     """The c + 1 smallest and the largest eigenvalues of A, ascending, by shift-invert Lanczos.
 
     c counts the connected components of the sites that have a bond, and
-    every site without a bond adds an exact zero, as in ``eigenvalues``.  A
+    every site without a bond adds an exact zero.  A
     correct A has exactly c null directions on those sites, so the result
     holds the null count and lambda_min^+; an A with more nulls saturates
     the count at c + 1.  Both ends are ``linalg``'s, of the bonded block:
@@ -392,7 +346,7 @@ def time_grid(times) -> np.ndarray:
     return times
 
 
-def _initial_state(sys, x0, xdot0, times, axes):
+def initial_state(sys, x0, xdot0, times, axes):
     """Checked (D, N) initial conditions, 1-D time grid and axis names."""
     times = time_grid(times)
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
@@ -412,11 +366,15 @@ def bessel_tail_degree(tau: float, eps: float) -> int:
     terms of that bound shrink by at least half, so 2 sum_{k>K} |J_k(tau)|
     <= eps: the cut of a Jacobi-Anger series at degree K.  From K + 2 >=
     |tau| on, each step shrinks the bound, so the test is monotone in K and
-    doubling steps then bisection find K in O(log |tau|) tests.
+    doubling steps then bisection find K in O(log |tau|) tests.  A tau that
+    is not finite, as where kappa / mass overflows, raises ValueError.
     """
     a = abs(tau)
     if a == 0.0:
         return 0
+    if not math.isfinite(a):
+        raise ValueError(f"a series over a phase of {tau} has no finite degree: "
+                         f"kappa / mass, or the time span, is too large")
     log_half, log_eps = math.log(a / 2.0), math.log(eps / 4.0)
 
     def above(k: int) -> bool:
@@ -551,7 +509,7 @@ def classical_series(sys, x0, xdot0, times) -> ChebyshevSeries:
     in x rather than y = sqrt(M) x keeps T_0 the identity, so x(0) = x0 and
     xdot(0) = xdot0 exactly.
     """
-    x0, xdot0, times, _ = _initial_state(sys, x0, xdot0, times, None)
+    x0, xdot0, times, _ = initial_state(sys, x0, xdot0, times, None)
     d, n = x0.shape[0], sys.n
     lam_bar = gershgorin_bound(sys) or 1.0        # without bonds any interval holds {0}
     nodes = chebyshev_degree(lam_bar, float(np.abs(times).max())) + 1
@@ -582,59 +540,9 @@ def classical_series(sys, x0, xdot0, times) -> ChebyshevSeries:
 def evolve_classical(sys, x0, xdot0, times, axes=None) -> Trajectory:
     """Solution of M x'' = -F x from x(0), xdot(0), without eigenvectors:
     every sample of ``classical_series`` in one ``read``."""
-    x0, xdot0, times, axes = _initial_state(sys, x0, xdot0, times, axes)
+    x0, xdot0, times, axes = initial_state(sys, x0, xdot0, times, axes)
     samples = classical_series(sys, x0, xdot0, times).read(0, times.size)
     return Trajectory(times, samples[:, 0], samples[:, 1], axes, sys)
-
-
-def evolve_spectral(sys, x0, xdot0, times, axes=None) -> Trajectory:
-    """Reference for ``evolve_classical`` through the dense eigendecomposition of A.
-
-    Per eigenmode with frequency w = sqrt(lambda): y_k(t) = cos(w t) y_k(0)
-    + sin(w t)/w ydot_k(0), with sin(w t)/w = t sinc(w t / pi) -> t on the
-    zero modes, so no eigenvalue needs a zero-mode cut.
-    """
-    x0, xdot0, times, axes = _initial_state(sys, x0, xdot0, times, axes)
-    d = x0.shape[0]
-    sp = spectral(sys)
-    omega = np.sqrt(np.maximum(sp.eigenvalues, 0.0))[:, None]
-    sqrt_m = np.sqrt(sys.masses)
-
-    # modal coefficients for every (mode, time) at once: y = c_y cy + c_v cv and
-    # ydot = d_y cy + c_y cv
-    wt = omega * times
-    c_y = np.cos(wt)
-    d_y = -omega * np.sin(wt)
-    c_v = times * np.sinc(wt / np.pi)
-
-    xs = np.empty((times.size, d, sys.n))
-    vs = np.empty((times.size, d, sys.n))
-    for a in range(d):
-        cy = (sp.eigenvectors.T @ (sqrt_m * x0[a]))[:, None]
-        cv = (sp.eigenvectors.T @ (sqrt_m * xdot0[a]))[:, None]
-        # one (N, N) @ (N, T) product each for positions and velocities
-        xs[:, a] = (sp.eigenvectors @ (c_y * cy + c_v * cv)).T / sqrt_m
-        vs[:, a] = (sp.eigenvectors @ (d_y * cy + c_y * cv)).T / sqrt_m
-    return Trajectory(times, xs, vs, axes, sys)
-
-
-def velocity_verlet(sys: SystemMatrices, x0, xdot0, dt: float, steps: int) -> Trajectory:
-    """Second-order symplectic integrator; only a cross-check for the spectral path."""
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    xdot0 = np.atleast_2d(np.asarray(xdot0, dtype=float))
-    d = x0.shape[0]
-    times = np.arange(steps + 1) * dt
-    xs = np.empty((steps + 1, d, sys.n))
-    vs = np.empty((steps + 1, d, sys.n))
-    xs[0], vs[0] = x0, xdot0
-    inv_m = 1.0 / sys.masses
-    acc = -(sys.op_F @ xs[0].T).T * inv_m
-    for i in range(steps):
-        xs[i + 1] = xs[i] + dt * vs[i] + 0.5 * dt * dt * acc
-        acc_new = -(sys.op_F @ xs[i + 1].T).T * inv_m
-        vs[i + 1] = vs[i] + 0.5 * dt * (acc + acc_new)
-        acc = acc_new
-    return Trajectory(times, xs, vs, ("x", "y", "z")[:d], sys)
 
 
 def kinetic_energy_subset(traj: Trajectory, ti, nodes=None):
@@ -655,24 +563,7 @@ def kinetic_energy_subset(traj: Trajectory, ti, nodes=None):
     return energy if np.ndim(ti) else float(energy[0])
 
 
-def potential_energy(sys: SystemMatrices, x: np.ndarray, bonds=None) -> float:
-    """(1/2) sum over bonds of kappa_jk (x_j - x_k)^2, summed over the axes of x.
-
-    ``x`` is (N,) or (D, N); ``bonds`` is a sequence of (j, k) pairs in
-    either orientation, defaulting to every bonded pair.  A pair that is no
-    bond has kappa_jk = 0.
-    """
-    if bonds is None:
-        jk, kappa = sys.bonds, sys.coupling
-    else:
-        jk = np.asarray(bonds, dtype=int).reshape(-1, 2)
-        # pair_index -1, no bond, reads the appended 0
-        kappa = np.append(sys.coupling, 0.0)[pair_index(sys, np.sort(jk, axis=1))]
-    x = np.atleast_2d(x)
-    diff = x[:, jk[:, 0]] - x[:, jk[:, 1]]
-    return 0.5 * float(np.sum(kappa * diff**2))
-
-
+# heat runs measure.subset_probability, whose potential-energy branch reads pair_index
 def pair_index(sys: SystemMatrices, bonds) -> np.ndarray:
     """Index into ``sys.pairs`` of each (j, k) in ``bonds``; -1 where it is absent.
 
@@ -690,29 +581,8 @@ def pair_index(sys: SystemMatrices, bonds) -> np.ndarray:
     return np.where(hit, pos, -1)
 
 
-def potential_energy_subset(traj: Trajectory, ti: int, bonds=None) -> float:
-    """(1/2) sum over bonds of kappa_jk (x_j - x_k)^2, all axes."""
-    return potential_energy(traj.sys, traj.x[ti], bonds)
-
-
-def total_energy(traj: Trajectory, ti):
-    """Kinetic plus potential energy, all axes, at sample ``ti``: one index, whose
-    energy is a float, or an index array, whose energies come back as an array.
-
-    The potential is (1/2) x^T F x per axis, the bond sum of
-    ``potential_energy``, from one ``op_F`` product of every sample's axes.
-    """
-    sys, samples = traj.sys, np.atleast_1d(ti)
-    _, d, n = traj.x.shape
-    x = traj.x[samples].reshape(-1, n).T                    # (N, samples * D)
-    potential = np.sum(x * (sys.op_F @ x), axis=0).reshape(len(samples), d).sum(axis=1)
-    kinetic = np.sum(sys.masses * traj.xdot[samples] ** 2, axis=(1, 2))
-    energy = 0.5 * (kinetic + potential)
-    return energy if np.ndim(ti) else float(energy[0])
-
-
 def series_energies(sys: SystemMatrices, series: ChebyshevSeries) -> np.ndarray:
-    """``total_energy`` of every sample of a ``classical_series``, without forming a sample.
+    """The total energy of every sample of a ``classical_series``, without forming a sample.
 
     Sample i's x and xdot mix the terms by its coefficient columns c_x and
     c_xdot, so its energy is the quadratic form (1/2) (c_x^T G_F c_x +

@@ -7,12 +7,8 @@ encoding exposes squared displacements: the first-block weight of V is
 sum_V (P y)_i^2 / 2F with y = sqrt(m) x, so the subset MSD is (2F/|V|)
 times that weight with each node's term divided by its mass m_i.
 
-Exact-expectation mode reads the probabilities off the statevector; shot
-mode Bernoulli-samples subset membership and reports the binomial standard
-error.  A report's ``estimate``, the fraction itself, is also its
-detectability ratio (a subset exponentially smaller than E is formally
-measurable but needs exponentially many estimation calls,
-~log(1/delta)/epsilon per the amplitude-estimation contract).
+``subset_probability`` reads such a fraction off the statevector exactly;
+the estimate reports of the amplitude-estimation contract are ``reference``'s.
 
 Heat transfer: a boundary hotspot gets thermal velocities, the rest of the
 sheet starts cold, and a classical binary search over column bands tracks
@@ -27,11 +23,11 @@ The two experiments read the one Jacobi-Anger series of ``encoding``, an
 ``enm.ChebyshevSeries``, through its one reader, a sample or a whole grid
 at a time; ``cli``'s simulate reads it a block of samples at a time and
 reduces each block with ``standard_comparison``: the largest deviation from
-the classical reference's amplitudes and ``energy_fraction``'s kinetic and
-potential fractions of every sample.  Heat searches state by state, so it
-walks ``encoding.evolve_exact``; rippling reads ``msd_fraction``'s MSD at every
-sample, so it takes the whole grid from ``encoding.evolve_grid`` and reduces
-the node block once, with the same formula.  Their classical references
+the classical reference's amplitudes and the kinetic and potential fractions
+of every sample.  Heat searches state by state, so it walks
+``encoding.evolve_exact``; rippling reads the MSD of ``amplitude_msd`` at
+every sample, so it takes the whole grid from ``encoding.evolve_grid`` and
+reduces the node block once.  Their classical references
 are one reduction over the time grid too: a (probes, regions) table of
 ``enm.kinetic_energy_subset`` for the argmax region, ``enm.msd_subset``
 over every sample for the MSD.
@@ -40,7 +36,7 @@ over every sample for the MSD.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,28 +49,6 @@ class SubsetSelector:
     target: str                       # "kinetic" | "potential" | "displacement"
     nodes: tuple[int, ...] = ()
     bonds: tuple[tuple[int, int], ...] = ()
-
-
-@dataclass
-class EstimateReport:
-    estimate: float                   # fraction of the conserved constant
-    mode: str                         # "exact-expectation" | "shot-sampled"
-    shots: int | None = None
-    stderr: float = 0.0
-    observable: float | None = None   # rescaled physical value when defined
-    epsilon: float = 0.01
-    delta: float = 0.05
-    oracle_calls: int = field(init=False)
-
-    def __post_init__(self):
-        self.oracle_calls = oracle_call_estimate(self.epsilon, self.delta)
-
-
-def oracle_call_estimate(epsilon: float, delta: float) -> int:
-    """Amplitude-estimation call count O(log(1/delta)/epsilon)."""
-    if epsilon <= 0 or not 0 < delta < 1:
-        raise ValueError("need epsilon > 0 and 0 < delta < 1")
-    return math.ceil(math.log(1.0 / delta) / epsilon)
 
 
 def subset_probability(state: encoding.EncodedState, sel: SubsetSelector) -> float:
@@ -121,50 +95,18 @@ def standard_comparison(amps: np.ndarray, reference: np.ndarray,
     """For each sample of a block of standard-encoding ``amps`` (samples, D, N + P), N = ``n``:
     the largest |amps - reference| and the kinetic and potential fractions.
 
-    The fractions are ``energy_fraction``'s over all nodes and over all bonds, summed by
+    The fractions are those over all nodes and over all bonds, summed by
     ``subset_probability``'s rule, so each equals that of the sample's ``EncodedState``.
     """
     deviation = np.abs(amps - reference).reshape(len(amps), -1).max(axis=1)
     return deviation, _weight(amps[..., :n]), _weight(amps[..., n:])
 
 
-def energy_fraction(state: encoding.EncodedState, sel: SubsetSelector) -> EstimateReport:
-    """K_V/E (or U_V/E) as an exact expectation over the standard encoding."""
-    if state.tag != "standard":
-        raise ValueError("energy fractions require the standard encoding")
-    frac = subset_probability(state, sel)
-    return EstimateReport(frac, "exact-expectation", observable=frac * state.norm_constant)
-
-
-def msd_fraction(state: encoding.EncodedState, sel: SubsetSelector) -> EstimateReport:
-    """Subset MSD fraction and the MSD (2F/|V|) sum_V |amp_j|^2 / m_j, alternative encoding."""
-    if state.tag != "alternative":
-        raise ValueError("MSD requires the alternative encoding")
-    frac = subset_probability(state, SubsetSelector("displacement", sel.nodes))
-    nodes = np.asarray(sel.nodes, dtype=int)
-    msd = float(_msd(state.node_amps[0, nodes], state.sys.masses[nodes], state.norm_constant))
-    return EstimateReport(frac, "exact-expectation", observable=msd)
-
-
-def _msd(node_amps: np.ndarray, masses: np.ndarray, f_const: float) -> np.ndarray:
+def amplitude_msd(node_amps: np.ndarray, masses: np.ndarray, f_const: float) -> np.ndarray:
     """(2F/|V|) sum_V |amp_j|^2 / m_j over the last axis of the alternative
     encoding's amplitudes ``node_amps`` of V, whose masses are ``masses``."""
     weight = np.sum(np.abs(node_amps) ** 2 / masses, axis=-1)
     return 2.0 * f_const * weight / node_amps.shape[-1]
-
-
-def shot_sample(state: encoding.EncodedState, sel: SubsetSelector, shots: int,
-                seed: int) -> EstimateReport:
-    """Bernoulli sampling of subset membership; binomial standard error."""
-    if shots < 1:
-        raise ValueError("need at least one shot")
-    p = subset_probability(state, sel)
-    rng = np.random.default_rng(seed)
-    hits = int(rng.binomial(shots, min(max(p, 0.0), 1.0)))
-    est = hits / shots
-    stderr = math.sqrt(max(est * (1.0 - est), 0.0) / shots)
-    return EstimateReport(est, "shot-sampled", shots=shots, stderr=stderr,
-                          observable=est * state.norm_constant)
 
 
 # -- heat transfer -------------------------------------------------------------
@@ -289,8 +231,8 @@ def ripple_msd(spec: LatticeSpec, times, temperature: float,
     The z axis reuses the in-plane harmonic machinery (axes are uncoupled).
     Velocities are median-split thermal samples with the center-of-mass
     drift projected out, zero displacements; the quantum path evolves the
-    alternative encoding over the whole grid and reads ``msd_fraction``'s
-    MSD at every sample, the classical path is ``enm.evolve_classical``'s.
+    alternative encoding over the whole grid and reads ``amplitude_msd``
+    at every sample, the classical path is ``enm.evolve_classical``'s.
     """
     times = np.asarray(times, dtype=float)
     sys = enm.build_system(spec, kappa=kappa, mass=mass)
@@ -317,8 +259,8 @@ def ripple_msd(spec: LatticeSpec, times, temperature: float,
                            np.arange(times.size), phys)
     st0 = encoding.prepare_alternative(sys, z0, zdot0)
     bh = encoding.build_block_H(sys)
-    # msd_fraction's observable at every sample, read off the grid's node block at once
-    msd_q = _msd(encoding.evolve_grid(st0, bh, times)[:, 0, phys], sys.masses[phys],
+    # the MSD of every sample, read off the grid's node block at once
+    msd_q = amplitude_msd(encoding.evolve_grid(st0, bh, times)[:, 0, phys], sys.masses[phys],
                  st0.norm_constant)
     mean = enm.time_average(msd_q, times)
     return RippleResult(times, msd_q, msd_c, mean, enm.b_factor(mean))

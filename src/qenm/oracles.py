@@ -36,18 +36,14 @@ Circuit block encodings (uniform mass and coupling):
   that the |0>-ancilla block is H / sqrt(2 kappa/m d), the block
   Hamiltonian of ``encoding.build_block_H`` over its scale.
 
-``incidence_block`` and ``hamiltonian_block`` extract whole blocks: every
-requested column is one basis input of a single ``circuits.postselect``
-batch that keeps the outputs with every ancilla at |0>, and the block comes
-back as a CSR matrix with one column per input and its rows in the flat
-``part N^2 + j N + k`` index of ``encoding.active_slots`` (``j N + k`` for
-the incidence block).  The velocity loaders postselect the same way.
+No command runs the stage circuits, the loaders (which postselect through
+``circuits.postselect``) or the block encodings: they are the paper's
+circuits, which resource counts and gate-level evolution are to build on.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -56,9 +52,6 @@ from .circuits import (Circuit, Gate, Register, basis_keys, controlled_gates, in
                        key_values, permute_keys, postselect)
 from .lattice import (SHIFT_TABLE, SPARSITY, Adjacency, LatticeSpec, NodeCoord, adjacency,
                       decode_index, encode_coord)
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 
 def _twos(value: int, width: int) -> int:
@@ -217,10 +210,10 @@ def oracle_mismatches(circ: Circuit, spec: LatticeSpec) -> tuple[int, int, np.nd
     """
     adj = adjacency(spec)
     j = np.repeat(np.arange(spec.n_total), SPARSITY)
-    src = _node_assign(spec, j, primed=False)
+    src = node_assign(spec, j, primed=False)
     slots = np.tile(np.arange(SPARSITY), spec.n_total)
     keys = permute_keys(circ, basis_keys(circ, {**src, "ell": slots}))
-    expected = basis_keys(circ, {**src, **_node_assign(spec, adj.neighbors.ravel(), primed=True),
+    expected = basis_keys(circ, {**src, **node_assign(spec, adj.neighbors.ravel(), primed=True),
                                  "f": (~adj.valid.ravel()).astype(np.int64)})
     out = key_values(circ, keys)
     k = encode_coord(NodeCoord(out["rp"], out["cp"], out["sp"]), spec).astype(np.int64)
@@ -228,7 +221,7 @@ def oracle_mismatches(circ: Circuit, spec: LatticeSpec) -> tuple[int, int, np.nd
     return len(keys), int(np.count_nonzero(keys != expected)), bonds
 
 
-def _node_assign(spec: LatticeSpec, j, primed: bool) -> dict:
+def node_assign(spec: LatticeSpec, j, primed: bool) -> dict:
     """Register values {r, c, s} (or the primed names) of node j, an int or an int array."""
     co = decode_index(j, spec)
     return {"rp": co.r, "cp": co.c, "sp": co.s} if primed else {"r": co.r, "c": co.c, "s": co.s}
@@ -454,35 +447,3 @@ def hamiltonian_block_circuit(spec: LatticeSpec) -> Circuit:
     circ.gphase(math.pi)
     return circ
 
-
-# -- block extraction ---------------------------------------------------------
-
-
-def _block(circ: Circuit, spec: LatticeSpec, inputs: dict) -> sparse.csr_array:
-    """Run every input as one batch and project all qubits outside the node
-    registers and the part qubit p, where the circuit has one, onto |0>: one
-    column per input, row (p, j, k) flattened as p N^2 + j N + k."""
-    from scipy import sparse        # only the block-encoding checks extract blocks
-    kept = ("r", "c", "s", "rp", "cp", "sp", "p")
-    cols, out, amps = postselect(circ, inputs, {name: 0 for name in circ.registers
-                                                if name not in kept})
-    n = spec.n_total
-    rows = ((out.get("p", 0) * n + encode_coord(NodeCoord(out["r"], out["c"], out["s"]), spec))
-            * n + encode_coord(NodeCoord(out["rp"], out["cp"], out["sp"]), spec))
-    n_parts = 2 if "p" in circ.registers else 1
-    return sparse.csr_array((amps, (rows.astype(np.int64), cols)),
-                            shape=(n_parts * n * n, np.broadcast(*inputs.values()).size))
-
-
-def incidence_block(circ: Circuit, spec: LatticeSpec, j) -> sparse.csr_array:
-    """Columns j (an int array) of the postselected block B^T / sqrt(2 kappa/m d),
-    rows j' N + k'."""
-    return _block(circ, spec, _node_assign(spec, np.asarray(j), primed=False))
-
-
-def hamiltonian_block(circ: Circuit, spec: LatticeSpec, part, j, k) -> sparse.csr_array:
-    """Columns (part, j, k) (int arrays, broadcast together) of the postselected
-    block H / sqrt(2 kappa/m d), rows part' N^2 + j' N + k'."""
-    part, j, k = np.broadcast_arrays(part, j, k)
-    return _block(circ, spec, {"p": part, **_node_assign(spec, j, primed=False),
-                               **_node_assign(spec, k, primed=True)})

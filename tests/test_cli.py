@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qenm
-from qenm import cli, encoding, enm, linalg, measure, output
+from qenm import cli, encoding, enm, linalg, measure, output, reference
 from qenm.lattice import SHIFT_TABLE, LatticeSpec, dummy_mask
 
 
@@ -99,8 +99,8 @@ def _per_sample_comparison(cfg):
     for ti, st in enumerate(encoding.evolve_exact(st0, encoding.build_block_H(sys), times)):
         ref = encoding.prepare_standard(sys, traj.x[ti], traj.xdot[ti])
         rows.append((times[ti], float(np.abs(st.amps - ref.amps).max()),
-                     measure.energy_fraction(st, kinetic).estimate,
-                     measure.energy_fraction(st, potential).estimate))
+                     reference.energy_fraction(st, kinetic).estimate,
+                     reference.energy_fraction(st, potential).estimate))
     return np.array(rows)
 
 
@@ -272,17 +272,33 @@ def test_manifest_written_everywhere(tmp_path):
         assert manifest["lattice"] == {"n_r": 2, "n_c": 1}
 
 
-def test_byte_identical_reruns(tmp_path):
-    for sub in ("a", "b"):
-        assert run(["simulate", "--seed", "3", "--time-steps", "6",
+# the thermal-4x4 benchmark workload's config, whose every run repeats each command in-process
+THERMAL_4X4 = {"lattice": {"n_r": 4, "n_c": 4},
+               "physics": {"units": "reduced", "kappa": 1.0, "mass": 1.0, "temperature": 1.0,
+                           "k_B": 1.0},
+               "times": {"start": 0.0, "stop": 6.0, "steps": 50},
+               "heat_lattice": {"n_r": 4, "n_c": 4}, "regions": 8,
+               "probe_times": [0.0, 1.0, 2.0, 3.0, 4.0, 4.5]}
+
+
+@pytest.mark.parametrize("command", ["simulate", "heat", "ripple"])
+def test_byte_identical_reruns(tmp_path, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(THERMAL_4X4))
+    subs = ("a", "b", "c")
+    for sub in subs:
+        assert run([command, "--config", str(cfg), "--seed", "3",
                     "--out-dir", str(tmp_path / sub)]) == 0
-    for name in ("trajectory.csv", "comparison.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-    manifests = [json.loads((tmp_path / sub / "manifest.json").read_text())
-                 for sub in ("a", "b")]
+    names = sorted(path.name for path in (tmp_path / "a").glob("*.csv"))
+    assert names
+    for sub in subs[1:]:
+        assert sorted(path.name for path in (tmp_path / sub).glob("*.csv")) == names
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / sub / name).read_bytes()
+    manifests = [json.loads((tmp_path / sub / "manifest.json").read_text()) for sub in subs]
     for m in manifests:
         m.pop("out_dir")
-    assert manifests[0] == manifests[1]
+    assert manifests[0] == manifests[1] == manifests[2]
 
 
 def test_seed_changes_outputs(tmp_path):
@@ -410,6 +426,53 @@ SCIPY_LOADED = ("print(sorted(m for m in sys.modules\n"
                 "             if m == 'scipy' or m.startswith('scipy.')))")
 
 
+# makes every import of scipy, or of a scipy submodule, raise ImportError in a child process
+BLOCK_SCIPY = ("import sys\n"
+               "class NoScipy:\n"
+               "    def find_spec(self, name, path=None, target=None):\n"
+               "        if name == 'scipy' or name.startswith('scipy.'):\n"
+               "            raise ImportError(f'{name} is blocked')\n"
+               "sys.meta_path.insert(0, NoScipy())\n"
+               "try:\n"
+               "    import scipy.sparse\n"
+               "except ImportError:\n"
+               "    pass\n"
+               "else:\n"
+               "    raise SystemExit('scipy is not blocked')\n")
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"n_r": 3, "n_c": 2},
+                               "heat_lattice": {"n_r": 3, "n_c": 2}, "regions": 4,
+                               "sizes": [[3, 2], [3, 3]]}))
+    commands = (["lattice"], ["validate"], ["simulate"], ["heat"], ["ripple"],
+                ["scaling", "cond"], ["scaling", "trace"])
+    for argv in commands:
+        assert run([*argv, "--config", str(cfg), "--out-dir",
+                    str(tmp_path / "open" / "-".join(argv))]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(qenm.__file__).resolve().parents[1])}
+    code = (BLOCK_SCIPY + "from qenm import cli\n"
+            f"for argv in {[list(argv) for argv in commands]!r}:\n"
+            f"    assert cli.main([*argv, '--config', {str(cfg)!r}, '--out-dir', "
+            f"{str(tmp_path / 'blocked')!r} + '/' + '-'.join(argv)]) == 0\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    for argv in commands:
+        opened, blocked = (tmp_path / side / "-".join(argv) for side in ("open", "blocked"))
+        names = sorted(path.name for path in opened.iterdir())
+        assert sorted(path.name for path in blocked.iterdir()) == names
+        for name in names:
+            if name == "manifest.json":
+                manifests = [json.loads((d / name).read_text()) for d in (opened, blocked)]
+                for m in manifests:
+                    m.pop("out_dir")
+                assert manifests[0] == manifests[1]
+            else:
+                assert (opened / name).read_bytes() == (blocked / name).read_bytes(), name
+
+
 def test_cli_import_skips_heavy_scipy_modules():
     # any scipy module loads scipy._lib._util, whose array-API shim loads numpy.f2py,
     # numpy.testing, numpy.ma and numpy.random: about half of the import; none is needed
@@ -437,6 +500,19 @@ def test_config_list_entries_must_be_numbers(tmp_path, capsys, command, config, 
     cfg.write_text(json.dumps({"lattice": {"n_r": 2, "n_c": 1}, **config}))
     assert run([command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
     assert f"config error: {key} entries must be finite numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("physics", [{"kappa": 1e308}, {"mass": 1e-308}], ids=["kappa", "mass"])
+@pytest.mark.parametrize("command", ["validate", "simulate", "heat", "ripple"])
+def test_extreme_kappa_or_mass_is_a_config_error(tmp_path, capsys, command, physics):
+    # math.ceil(inf) of the series degree or of the round count raised OverflowError, and a
+    # NaN round count ended in "cannot convert float NaN to integer"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"physics": physics}))
+    assert run([command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line.startswith("config error: ") for line in err.splitlines()].count(True) == 1
 
 
 def test_scaling_sizes_must_not_be_empty(tmp_path, capsys):

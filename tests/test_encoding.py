@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from qenm import encoding, enm, oracles, output
-from qenm.circuits import simulate
+from qenm import encoding, enm, oracles, output, reference
+from qenm.reference import simulate
 from qenm.lattice import SPARSITY, LatticeSpec, neighbor
 
 
@@ -33,7 +33,7 @@ def test_standard_velocity_only_population(small_sheet):
     _, xdot0 = thermalish_ics(sys, displaced=0)
     st = encoding.prepare_standard(sys, np.zeros_like(xdot0), xdot0)
     assert np.all(st.tensor[:, 1] == 0)
-    assert st.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(st.amps) == pytest.approx(1.0, abs=1e-12)
     assert st.aa_round_estimate == 1      # no amplification needed
 
 
@@ -45,7 +45,7 @@ def test_standard_single_stretched_bond():
     assert st.norm_constant == pytest.approx(energy)
     amp = st.tensor[0, 1, 0, 1]
     assert amp == pytest.approx(1j * math.sqrt(kappa) * delta / math.sqrt(2 * energy))
-    assert st.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(st.amps) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_standard_rejects_zero_energy(small_sheet):
@@ -69,9 +69,10 @@ def test_standard_matches_eq6_layout(small_sheet):
 
 def _standard_of_one_state(sys, x0, xdot0):
     """The amplitudes and energy of one (D, N) state by the formula ``prepare_standard``
-    had before it took ``standard_amplitudes``: its energy through ``enm.potential_energy``."""
+    had before it took ``standard_amplitudes``: its energy through
+    ``reference.potential_energy``."""
     kinetic = 0.5 * float(np.sum(sys.masses * xdot0**2))
-    energy = kinetic + enm.potential_energy(sys, x0)
+    energy = kinetic + reference.potential_energy(sys, x0)
     j, k = sys.bonds.T
     amps = np.empty((len(x0), sys.n + len(j)), dtype=complex)
     amps[:, :sys.n] = np.sqrt(sys.masses) * xdot0
@@ -149,7 +150,7 @@ def test_series_evolution_matches_dense_reference(spec, tag):
     worst = 0.0
     ts = np.linspace(-5.0, 40.0, 46)
     for t, got in zip(ts, encoding.evolve_exact(st0, bh, ts)):
-        ref = encoding.evolve_dense(st0, bh, t).amps
+        ref = reference.evolve_dense(st0, bh, t).amps
         worst = max(worst, float(np.abs(got.amps - ref).max()))
     assert worst <= SERIES_TOL
 
@@ -178,7 +179,7 @@ def test_evolve_exact_grid_matches_dense_reference(small_sheet, grid, tag):
     assert len(states) == len(grid)
     for t, st in zip(grid, states):
         assert st.amps.shape == st0.amps.shape and st.tag == tag
-        assert np.abs(st.amps - encoding.evolve_dense(st0, bh, t).amps).max() <= SERIES_TOL
+        assert np.abs(st.amps - reference.evolve_dense(st0, bh, t).amps).max() <= SERIES_TOL
 
 
 class CountingMatrix:
@@ -450,7 +451,7 @@ def test_block_H_matches_csr_bmat():
             sys = enm.build_system(LatticeSpec(n_r, n_c))
             if len(sys.bonds) == 0:
                 continue
-            B = sys.sparse_B
+            B = reference.csr(sys.op_B)
             want_H = -sparse.bmat([[None, B], [B.T, None]], format="csr")
             H = encoding.build_block_H(sys).H
             assert H.shape == want_H.shape
@@ -485,7 +486,7 @@ def test_norm_preserved_over_many_times(small_sheet):
     x0, xdot0 = thermalish_ics(small_sheet, seed=8)
     st0 = encoding.prepare_standard(small_sheet, x0, xdot0)
     bh = encoding.build_block_H(small_sheet)
-    drift = max(abs(st.norm() - 1.0)
+    drift = max(abs(np.linalg.norm(st.amps) - 1.0)
                 for st in encoding.evolve_exact(st0, bh, np.linspace(0.0, 40.0, 1000)))
     assert drift <= 1e-10
 
@@ -502,7 +503,7 @@ def test_schrodinger_finite_difference_order(small_sheet, tag):
     bh = encoding.build_block_H(sys)
     t0 = 1.0
     psi_t, = encoding.evolve_exact(st0, bh, [t0])
-    Hd = bh.dense()
+    Hd = reference.dense_block_H(bh)
     rhs = np.concatenate([-1j * (Hd @ psi_t.tensor[a].reshape(-1))
                           for a in range(psi_t.axes)])
     errors = []
@@ -520,7 +521,7 @@ def test_schrodinger_finite_difference_order(small_sheet, tag):
 
 def test_block_h_hermitian_and_entries(small_sheet):
     bh = encoding.build_block_H(small_sheet)
-    Hd = bh.dense()
+    Hd = reference.dense_block_H(bh)
     assert np.abs(Hd - Hd.T).max() <= 1e-12
     nz = np.abs(Hd[np.abs(Hd) > 0])
     assert np.allclose(nz, 1.0)   # kappa = m = 1
@@ -637,7 +638,7 @@ def test_aa_rounds_requires_energy_with_displacements(small_sheet):
 # -- doubled-mass axis encoding --------------------------------------------------------
 
 def test_doubled_mass_spectrum_and_dynamics(small_sheet):
-    doubled = encoding.doubled_mass_encoding(small_sheet)
+    doubled = reference.doubled_mass_encoding(small_sheet)
     assert doubled.n == 2 * small_sheet.n
     assert np.all(doubled.kappa[0::2, 1::2] == 0)
     assert np.all(doubled.kappa[1::2, 0::2] == 0)
@@ -672,7 +673,7 @@ def test_incidence_block_matches_expected(spec):
             if valid:
                 expect[min(j, k) * n + max(j, k), j] += ((1.0 if k >= j else -1.0)
                                                         / math.sqrt(2.0 * SPARSITY))
-    got = oracles.incidence_block(oracles.incidence_block_circuit(spec), spec, np.arange(n))
+    got = reference.incidence_block(oracles.incidence_block_circuit(spec), spec, np.arange(n))
     assert np.abs(got.toarray() - expect).max() <= 1e-10
 
 
@@ -686,7 +687,7 @@ def test_incidence_block_matches_dense_b(small_sheet):
         bt[j * n + k, j] = small_sheet.B[j, col]
         bt[j * n + k, k] = small_sheet.B[k, col]
     bt /= bh.scale
-    got = oracles.incidence_block(circ, spec, np.arange(n))
+    got = reference.incidence_block(circ, spec, np.arange(n))
     assert np.abs(got.toarray() - bt).max() <= 1e-10
 
 
@@ -707,8 +708,8 @@ def test_hamiltonian_block_full_entrywise(small_sheet):
     bh = encoding.build_block_H(small_sheet)
     circ = oracles.hamiltonian_block_circuit(spec)
     part, j, k = np.unravel_index(np.arange(2 * n * n), (2, n, n))
-    got = oracles.hamiltonian_block(circ, spec, part, j, k)
-    assert np.abs(got.toarray() - bh.dense() / bh.scale).max() <= 1e-10
+    got = reference.hamiltonian_block(circ, spec, part, j, k)
+    assert np.abs(got.toarray() - reference.dense_block_H(bh) / bh.scale).max() <= 1e-10
 
 
 def test_state_dump(tmp_path, small_sheet):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qenm import boltzmann, encoding, enm, linalg, output
+from qenm import boltzmann, encoding, enm, linalg, output, reference
 from qenm.lattice import LatticeSpec, adjacency, dummy_mask
 
 
@@ -68,9 +68,10 @@ def test_potential_energy_matches_bond_loop(sheet):
         loop = 0.0
         for j, k in (sheet.pairs if subset is None else subset):
             loop += 0.5 * sheet.kappa[j, k] * float(np.sum((x[:, j] - x[:, k]) ** 2))
-        assert enm.potential_energy(sheet, x, subset) == pytest.approx(loop, rel=1e-13, abs=0.0)
-    assert enm.potential_energy(sheet, x[0]) == pytest.approx(
-        enm.potential_energy(sheet, x[:1]), rel=1e-15)
+        assert reference.potential_energy(sheet, x, subset) == pytest.approx(loop, rel=1e-13,
+                                                                             abs=0.0)
+    assert reference.potential_energy(sheet, x[0]) == pytest.approx(
+        reference.potential_energy(sheet, x[:1]), rel=1e-15)
 
 
 def test_disconnected_warning():
@@ -113,8 +114,8 @@ def test_energy_conservation_long_run(sheet):
     xdot0[:, phys] = rng.normal(0, 1.0, (2, phys.size))
     ts = np.linspace(0.0, 50.0, 1000)
     traj = enm.evolve_classical(sheet, x0, xdot0, ts)
-    e0 = enm.total_energy(traj, 0)
-    drift = max(abs(enm.total_energy(traj, ti) - e0) for ti in range(0, 1000, 37))
+    e0 = reference.total_energy(traj, 0)
+    drift = max(abs(reference.total_energy(traj, ti) - e0) for ti in range(0, 1000, 37))
     assert drift / e0 <= 1e-9
 
 
@@ -124,12 +125,12 @@ def test_total_energy_of_many_samples_matches_the_bond_sums():
     rng = np.random.default_rng(29)
     x0, xdot0 = rng.normal(0.0, 0.3, (2, 3, sys.n))
     traj = enm.evolve_classical(sys, x0, xdot0, np.linspace(0.0, 5.0, 70))
-    energy = enm.total_energy(traj, np.arange(70))
-    ref = [enm.kinetic_energy_subset(traj, ti) + enm.potential_energy_subset(traj, ti)
+    energy = reference.total_energy(traj, np.arange(70))
+    ref = [enm.kinetic_energy_subset(traj, ti) + reference.potential_energy(traj.sys, traj.x[ti])
            for ti in range(70)]
     assert energy.shape == (70,) and energy == pytest.approx(ref, rel=1e-13)
-    assert isinstance(enm.total_energy(traj, 7), float)
-    assert enm.total_energy(traj, 7) == pytest.approx(ref[7], rel=1e-13)
+    assert isinstance(reference.total_energy(traj, 7), float)
+    assert reference.total_energy(traj, 7) == pytest.approx(ref[7], rel=1e-13)
 
 
 def test_null_space_linear_motion():
@@ -147,7 +148,7 @@ def test_velocity_verlet_cross_check(sheet):
     xdot0[0, phys] = rng.normal(0, 1.0, phys.size)
     x0 = np.zeros((1, sheet.n))
     dt, steps = 1e-3, 2000
-    vv = enm.velocity_verlet(sheet, x0, xdot0, dt, steps)
+    vv = reference.velocity_verlet(sheet, x0, xdot0, dt, steps)
     sp = enm.evolve_classical(sheet, x0, xdot0, vv.times)
     assert np.abs(vv.x - sp.x).max() <= 1e-4
 
@@ -158,15 +159,15 @@ def test_kinetic_subset_values():
     assert enm.kinetic_energy_subset(traj, 0, [0]) == pytest.approx(0.5 * 3.0 * 4.0)
     assert enm.kinetic_energy_subset(traj, 0, [1]) == pytest.approx(0.0, abs=1e-30)
     # zero displacements: K over all nodes equals the total energy
-    assert enm.kinetic_energy_subset(traj, 0) == pytest.approx(enm.total_energy(traj, 0))
+    assert enm.kinetic_energy_subset(traj, 0) == pytest.approx(reference.total_energy(traj, 0))
 
 
 def test_potential_subset_values():
     sys = enm.system_from_bonds(2, [(0, 1)], kappa=5.0)
     traj = enm.evolve_classical(sys, [0.3, 0.0], [0.0, 0.0], [0.0])
-    assert enm.potential_energy_subset(traj, 0) == pytest.approx(0.5 * 5.0 * 0.09)
+    assert reference.potential_energy(traj.sys, traj.x[0]) == pytest.approx(0.5 * 5.0 * 0.09)
     traj0 = enm.evolve_classical(sys, [0.0, 0.0], [1.0, 0.0], [0.0])
-    assert enm.potential_energy_subset(traj0, 0) == 0.0
+    assert reference.potential_energy(traj0.sys, traj0.x[0]) == 0.0
 
 
 def test_subset_partition_conserves_energy(sheet):
@@ -177,13 +178,13 @@ def test_subset_partition_conserves_energy(sheet):
     xdot0[:, phys] = rng.normal(0, 1.0, (2, phys.size))
     ts = np.linspace(0.0, 9.0, 12)
     traj = enm.evolve_classical(sheet, x0, xdot0, ts)
-    e0 = enm.total_energy(traj, 0)
+    e0 = reference.total_energy(traj, 0)
     half = phys[: phys.size // 2]
     rest = phys[phys.size // 2:]
     for ti in range(len(ts)):
         total = (enm.kinetic_energy_subset(traj, ti, half)
                  + enm.kinetic_energy_subset(traj, ti, rest)
-                 + enm.potential_energy_subset(traj, ti))
+                 + reference.potential_energy(traj.sys, traj.x[ti]))
         assert total == pytest.approx(e0, rel=1e-10)
 
 
@@ -270,7 +271,7 @@ def spectrum_system(request):
 
 
 def test_eigenvalues_match_dense_eigvalsh(spectrum_system):
-    w = enm.eigenvalues(spectrum_system)
+    w = reference.eigenvalues(spectrum_system)
     ref = np.linalg.eigvalsh(spectrum_system.A)
     assert w.shape == ref.shape and np.all(np.diff(w) >= 0)
     assert np.abs(w - ref).max() <= 1e-12 * ref[-1]
@@ -291,7 +292,7 @@ def test_pseudoinverse_trace_matches_dense(spectrum_system):
 def test_eigenvalues_without_bonds_are_zero():
     with pytest.warns(UserWarning, match="disconnected"):
         sys = enm.system_from_bonds(5, [])
-    assert enm.eigenvalues(sys).tolist() == [0.0] * 5
+    assert reference.eigenvalues(sys).tolist() == [0.0] * 5
     assert enm.pseudoinverse_trace(sys) == 0.0
     assert enm.extreme_eigenvalues(sys).tolist() == [0.0] * 5
     assert enm.pinv_apply(sys, np.arange(1.0, 6.0)).tolist() == [0.0] * 5
@@ -322,7 +323,7 @@ def test_extreme_eigenvalues_match_the_banded_solve(case):
     components = len(np.unique(sys.components[bonded]))
     k = min(components + 1, len(bonded) - 1)
     unbonded = sys.n - len(bonded)
-    w, ends = enm.eigenvalues(sys), enm.extreme_eigenvalues(sys)
+    w, ends = reference.eigenvalues(sys), enm.extreme_eigenvalues(sys)
     assert ends.shape == (unbonded + k + 1,) and np.all(np.diff(ends) >= 0)
     assert np.abs(ends[:-1] - w[:unbonded + k]).max() <= 1e-10 * w[-1]
     assert abs(ends[-1] - w[-1]) <= 1e-10 * w[-1]
@@ -354,7 +355,7 @@ def test_lanczos_starts_are_identical_across_reruns(monkeypatch):
 @pytest.mark.parametrize("case", sorted(EXTREME_CASES))
 def test_factored_trace_and_condition_number_match_the_banded_solve(case):
     sys = EXTREME_CASES[case]()
-    nz = enm.nonzero_eigenvalues(enm.eigenvalues(sys))
+    nz = enm.nonzero_eigenvalues(reference.eigenvalues(sys))
     assert enm.pseudoinverse_trace(sys) == pytest.approx(np.sum(1.0 / nz), rel=1e-10)
     assert enm.condition_number_B(sys) == pytest.approx(np.sqrt(nz[-1] / nz[0]), rel=1e-10)
 
@@ -365,7 +366,7 @@ def test_condition_number_by_bisection_matches_the_banded_solve(case, monkeypatc
     # two Lanczos steps converge only where A has at most two bonded sites
     monkeypatch.setattr(linalg, "LANCZOS_STEPS", 2)
     sys = EXTREME_CASES[case]()
-    nz = enm.nonzero_eigenvalues(enm.eigenvalues(sys))
+    nz = enm.nonzero_eigenvalues(reference.eigenvalues(sys))
     assert enm.condition_number_B(sys) == pytest.approx(np.sqrt(nz[-1] / nz[0]), rel=1e-10)
 
 
@@ -374,7 +375,7 @@ def test_condition_number_of_long_narrow_sheets_matches_the_banded_solve(shape):
     # the top of the spectrum is crowded: Lanczos for lambda_max stops after LANCZOS_STEPS
     # (it would need 74 steps at 2x6 and over 150 at 8x1) and bisection finishes it
     sys = enm.build_system(LatticeSpec(*shape))
-    nz = enm.nonzero_eigenvalues(enm.eigenvalues(sys))
+    nz = enm.nonzero_eigenvalues(reference.eigenvalues(sys))
     assert enm.condition_number_B(sys) == pytest.approx(np.sqrt(nz[-1] / nz[0]), rel=1e-10)
     assert enm.pseudoinverse_trace(sys) == pytest.approx(np.sum(1.0 / nz), rel=1e-10)
 
@@ -417,7 +418,7 @@ def test_chebyshev_coefficients_match_the_cosine_matrix(nodes):
 
 def _evolve_per_sample(sys, x0, xdot0, times):
     # reference: mode amplitudes at one time, then two eigenvector mat-vecs, per sample and axis
-    sp = enm.spectral(sys)
+    sp = reference.spectral(sys)
     omega = np.sqrt(np.maximum(sp.eigenvalues, 0.0))
     zero = sp.eigenvalues <= enm.RANK_RTOL * sp.eigenvalues[-1]
     sqrt_m = np.sqrt(sys.masses)
@@ -489,9 +490,9 @@ def test_series_energies_match_total_energy_of_the_samples(shape, grid):
         # moving and displaced, at rest (validate's start: no x0 rows), and displaced alone
         for x0, xdot0 in ((x, v), (0.0 * x, v), (x, 0.0 * v)):
             energy = enm.series_energies(sys, enm.classical_series(sys, x0, xdot0, times))
-            ref = enm.total_energy(enm.evolve_classical(sys, x0, xdot0, times),
+            ref = reference.total_energy(enm.evolve_classical(sys, x0, xdot0, times),
                                    np.arange(times.size))
-            e0 = enm.total_energy(enm.evolve_classical(sys, x0, xdot0, [0.0]), 0)
+            e0 = reference.total_energy(enm.evolve_classical(sys, x0, xdot0, [0.0]), 0)
             assert energy.shape == (times.size,)
             assert np.abs(energy - ref).max() <= 1e-13 * e0
 
@@ -806,9 +807,10 @@ def test_bond_operators_match_csr(case):
     from scipy import sparse
     sys = OPERATOR_CASES[case]()
     rng = np.random.default_rng(13)
-    pairs = [(sys.op_A, sys.sparse_A), (sys.op_L, sparse.diags_array(1.0 / sys.masses)
-                                        @ sys.sparse_F),
-             (sys.op_F, sys.sparse_F), (sys.op_B, sys.sparse_B), (sys.op_B.T, sys.sparse_B.T)]
+    pairs = [(sys.op_A, reference.csr(sys.op_A)),
+             (sys.op_L, sparse.diags_array(1.0 / sys.masses) @ reference.csr(sys.op_F)),
+             (sys.op_F, reference.csr(sys.op_F)), (sys.op_B, reference.csr(sys.op_B)),
+             (sys.op_B.T, reference.csr(sys.op_B).T)]
     for op, csr in pairs:
         assert op.shape == csr.shape
         for shape in ((op.shape[1],), (op.shape[1], 4)):
@@ -836,8 +838,8 @@ def test_factorization_error_matches_csr(case):
     b = sys.op_B
     noise = np.random.default_rng(17).uniform(1.0 - 1e-3, 1.0 + 1e-3, len(b.vals))
     for vals in (b.vals, b.vals * noise):
-        for scale, target, ref in ((np.ones(sys.n), sys.op_A, sys.sparse_A),
-                                   (np.sqrt(sys.masses), sys.op_F, sys.sparse_F)):
+        for scale, target, ref in ((np.ones(sys.n), sys.op_A, reference.csr(sys.op_A)),
+                                   (np.sqrt(sys.masses), sys.op_F, reference.csr(sys.op_F))):
             op = enm.BondOperator(b.rows, b.cols, scale[b.rows] * vals, b.shape)
             csr = sparse.csr_array((op.vals, (op.rows, op.cols)), shape=op.shape)
             assert enm.factorization_error(op, target) == float(abs(csr @ csr.T - ref).max())
@@ -848,7 +850,7 @@ def _assert_matches_spectral(sys, times, seed, tol):
     x0 = rng.normal(0.0, 0.2, (2, sys.n))
     xdot0 = rng.normal(0.0, 1.0, (2, sys.n))
     traj = enm.evolve_classical(sys, x0, xdot0, times)
-    ref = enm.evolve_spectral(sys, x0, xdot0, times)
+    ref = reference.evolve_spectral(sys, x0, xdot0, times)
     assert np.abs(traj.x - ref.x).max() <= tol * np.abs(ref.x).max()
     assert np.abs(traj.xdot - ref.xdot).max() <= tol * np.abs(ref.xdot).max()
     assert np.array_equal(traj.x[times == 0.0][0], x0)
@@ -921,17 +923,17 @@ def test_evolve_classical_physical_units_ripple_window():
     zdot0 = np.where(sys.physical, rng.choice([-0.26, 0.26], sys.n), 0.0)
     zdot0 = enm.project_range(sys, sqrt_m * zdot0) / sqrt_m
     traj = enm.evolve_classical(sys, np.zeros(sys.n), zdot0, times, axes=("z",))
-    ref = enm.evolve_spectral(sys, np.zeros(sys.n), zdot0, times, axes=("z",))
+    ref = reference.evolve_spectral(sys, np.zeros(sys.n), zdot0, times, axes=("z",))
     assert np.abs(traj.x - ref.x).max() <= 3e-11 * np.abs(ref.x).max()
     assert np.abs(traj.xdot - ref.xdot).max() <= 3e-11 * np.abs(ref.xdot).max()
 
 
 def test_gershgorin_bound_holds(spectrum_system):
-    assert enm.eigenvalues(spectrum_system)[-1] <= enm.gershgorin_bound(spectrum_system)
+    assert reference.eigenvalues(spectrum_system)[-1] <= enm.gershgorin_bound(spectrum_system)
 
 
 def _eigh_null_and_pinv(sys):
-    sp = enm.spectral(sys)
+    sp = reference.spectral(sys)
     nz = sp.eigenvalues > enm.RANK_RTOL * sp.eigenvalues[-1]
     v0 = sp.eigenvectors[:, ~nz]
     vr = sp.eigenvectors[:, nz]
@@ -991,7 +993,7 @@ def test_pinv_with_one_long_bond_stays_within_memory():
         tracemalloc.stop()
     assert peak < 8 << 20
     b = enm.project_range(sys, vec)
-    assert np.abs(sys.sparse_A @ x - b).max() <= 1e-10 * np.abs(b).max()
+    assert np.abs(reference.csr(sys.op_A) @ x - b).max() <= 1e-10 * np.abs(b).max()
     assert np.abs(enm.project_range(sys, x) - x).max() <= 1e-12 * np.abs(x).max()
 
 
@@ -1229,7 +1231,7 @@ def test_bond_list_system_matches_dense_assembly(case):
     for subset in (None, pairs):
         jk = bonds if subset is None else np.array(subset)
         ref = 0.5 * float(np.sum(km[jk[:, 0], jk[:, 1]] * (x[:, jk[:, 0]] - x[:, jk[:, 1]]) ** 2))
-        assert enm.potential_energy(sys, x, subset) == pytest.approx(ref, rel=1e-14, abs=0.0)
+        assert reference.potential_energy(sys, x, subset) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_system_without_bonds_keeps_zero_coupling():
@@ -1240,7 +1242,7 @@ def test_system_without_bonds_keeps_zero_coupling():
     assert encoding.sparsity(sys) == 0
     # k_max = 0: the displacement term adds nothing, so a = 1 at energy 1/2 is one round
     assert encoding.aa_rounds(sys, 1.0, 5.0, energy=0.5) == 1
-    assert enm.potential_energy(sys, np.ones(3), [(0, 1), (2, 1)]) == 0.0
+    assert reference.potential_energy(sys, np.ones(3), [(0, 1), (2, 1)]) == 0.0
 
 
 def test_bond_endpoints_outside_the_system_raise():

@@ -8,12 +8,15 @@ module but ``boltzmann``, and no numeric module imports ``output``, which
 writes every file.  Every
 circuit the program runs goes through the batched ``circuits.simulate_keys``,
 which no module but ``circuits`` calls: the others run circuits through
-``postselect`` and ``permute_keys``.  The dict simulator (``simulate``,
-``run_basis``, ``SparseState``) is the tests' reference, used by no module
-but ``circuits``.  The package's ``__init__`` re-exports it and calls nothing.
+``postselect`` and ``permute_keys``.  No module but ``reference``, which
+holds what only tests and demos run, imports ``reference``, scipy or
+``numpy.random``, inside a function or not, so no command loads them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qenm
@@ -24,9 +27,8 @@ ENCODING_DEPENDENCIES = {"enm", "lattice", "linalg"}
 LINALG_DEPENDENCIES = {"boltzmann"}
 NUMERIC_MODULES = {"lattice", "boltzmann", "linalg", "enm", "circuits", "oracles", "encoding",
                    "measure"}
-REFERENCE_SIMULATOR = {"simulate", "run_basis", "SparseState"}
-REFERENCE_HOLDERS = {"circuits", "__init__"}     # its module and the package's re-exports
 BATCH_SIMULATOR = {"simulate_keys"}
+REFERENCE_ONLY = ("scipy", "numpy.random")      # external packages that only ``reference`` uses
 
 
 def _package_module(node: ast.ImportFrom) -> str | None:
@@ -39,21 +41,29 @@ def _package_module(node: ast.ImportFrom) -> str | None:
 
 def _restricted(name: str, module: str, attr: str) -> bool:
     """Whether module ``name`` may not use ``circuits``' simulator entry ``attr``."""
-    return module == "circuits" and (
-        (attr in REFERENCE_SIMULATOR and name not in REFERENCE_HOLDERS)
-        or (attr in BATCH_SIMULATOR and name != "circuits"))
+    return module == "circuits" and attr in BATCH_SIMULATOR and name != "circuits"
+
+
+def _reference_only(dotted: str) -> bool:
+    """Whether the dotted external name is, or lies in, a package that only ``reference`` uses."""
+    return any(dotted == pkg or dotted.startswith(pkg + ".") for pkg in REFERENCE_ONLY)
 
 
 def layering_violations(name: str, source: str) -> list[str]:
     """Each breach of the package's module boundaries in module ``name``."""
     found = []
     module_aliases = {}         # local name -> qenm module it is bound to
+    numpy_aliases = set()       # local names bound to numpy
     imported = set()
+    external = []               # dotted names imported from outside the package
     nodes = list(ast.walk(ast.parse(source)))
     for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 parts = alias.name.split(".")
+                external.append(alias.name)
+                if alias.name == "numpy":
+                    numpy_aliases.add(alias.asname or "numpy")
                 if parts[0] == "qenm" and len(parts) > 1:
                     imported.add(parts[1])
                     if alias.asname:
@@ -61,6 +71,7 @@ def layering_violations(name: str, source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom):
             module = _package_module(node)
             if module is None:
+                external += [f"{node.module}.{alias.name}" for alias in node.names]
                 continue
             for alias in node.names:
                 if module == "" and alias.name in MODULES:      # from . import enm
@@ -73,7 +84,14 @@ def layering_violations(name: str, source: str) -> list[str]:
                     found.append(f"{name} imports {module or 'qenm'}.{alias.name}")
                 if _restricted(name, module, alias.name):
                     found.append(f"{name} imports circuits.{alias.name}")
+    for dotted in external:
+        if _reference_only(dotted) and name != "reference":
+            found.append(f"{name} imports {dotted}")
     for node in nodes:
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in numpy_aliases and node.attr == "random"
+                and name != "reference"):
+            found.append(f"{name} reads numpy.random")
         if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in module_aliases):
             continue
@@ -90,6 +108,8 @@ def layering_violations(name: str, source: str) -> list[str]:
                   for m in sorted(imported - LINALG_DEPENDENCIES - {name})]
     if name in NUMERIC_MODULES and "output" in imported:
         found.append(f"{name} imports qenm.output")
+    if name != "reference" and "reference" in imported:
+        found.append(f"{name} imports qenm.reference")
     return found
 
 
@@ -101,11 +121,30 @@ def test_no_module_crosses_a_layer_boundary():
 
 
 def test_reference_simulator_uses_are_found():
-    assert layering_violations("oracles", "from .circuits import Circuit, simulate\n") == [
-        "oracles imports circuits.simulate"]
-    assert layering_violations("cli", "from . import circuits\ncircuits.run_basis(c)\n") == [
-        "cli reads circuits.run_basis"]
-    assert layering_violations("circuits", "def f():\n    return simulate\n") == []
+    assert layering_violations("oracles", "from .reference import simulate\n") == [
+        "oracles imports qenm.reference"]
+    assert layering_violations("cli", "def f():\n    from qenm import reference\n") == [
+        "cli imports qenm.reference"]
+    assert layering_violations("__init__", "import qenm.reference\n") == [
+        "__init__ imports qenm.reference"]
+    assert layering_violations("enm", "def f():\n    from scipy.linalg import eig_banded\n") == [
+        "enm imports scipy.linalg.eig_banded"]
+    assert layering_violations("oracles", "import scipy.sparse as sp\n") == [
+        "oracles imports scipy.sparse"]
+    assert layering_violations("boltzmann", "from numpy import random\n") == [
+        "boltzmann imports numpy.random"]
+    assert layering_violations("measure", "import numpy as np\nnp.random.default_rng(0)\n") == [
+        "measure reads numpy.random"]
+    assert layering_violations("reference", "from scipy import sparse\nimport numpy as np\n"
+                                            "from . import enm\nnp.random.default_rng(0)\n") == []
+
+
+def test_cli_import_loads_no_reference():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    code = "import sys, qenm.cli\nprint('qenm.cli' in sys.modules, 'qenm.reference' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.split() == ["True", "False"]
 
 
 def test_batch_simulator_uses_are_found():

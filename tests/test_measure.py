@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qenm import encoding, enm, measure, output
+from qenm import encoding, enm, measure, output, reference
 from qenm.lattice import LatticeSpec
 from qenm.measure import SubsetSelector
+from qenm.reference import energy_fraction
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,7 @@ def test_full_kinetic_fraction_is_one_for_velocity_only():
     xdot0 = np.zeros((2, sys.n))
     xdot0[:, phys] = 1.0
     st = encoding.prepare_standard(sys, np.zeros_like(xdot0), xdot0)
-    frac = measure.energy_fraction(st, SubsetSelector("kinetic", tuple(range(sys.n))))
+    frac = reference.energy_fraction(st, SubsetSelector("kinetic", tuple(range(sys.n))))
     assert frac.estimate == pytest.approx(1.0, abs=1e-12)
     assert frac.mode == "exact-expectation" and frac.stderr == 0.0
 
@@ -45,7 +46,7 @@ def test_energy_fraction_matches_classical(evolved_sheet):
     for ti in range(len(ts)):
         for _ in range(5):
             subset = tuple(int(j) for j in rng.choice(phys, 3, replace=False))
-            got = measure.energy_fraction(states[ti], SubsetSelector("kinetic", subset))
+            got = reference.energy_fraction(states[ti], SubsetSelector("kinetic", subset))
             ref = enm.kinetic_energy_subset(traj, ti, subset) / energy
             assert got.estimate == pytest.approx(ref, abs=1e-8)
 
@@ -55,8 +56,8 @@ def test_potential_fraction_matches_classical(evolved_sheet):
     energy = states[0].norm_constant
     bonds = tuple(sys.pairs[:4])
     for ti in (2, 5, 9):
-        got = measure.energy_fraction(states[ti], SubsetSelector("potential", bonds=bonds))
-        ref = enm.potential_energy_subset(traj, ti, bonds) / energy
+        got = reference.energy_fraction(states[ti], SubsetSelector("potential", bonds=bonds))
+        ref = reference.potential_energy(traj.sys, traj.x[ti], bonds) / energy
         assert got.estimate == pytest.approx(ref, abs=1e-8)
 
 
@@ -85,9 +86,9 @@ def test_complement_law(evolved_sheet):
     half = phys[: len(phys) // 2]
     rest = phys[len(phys) // 2:]
     st = states[4]
-    total = (measure.energy_fraction(st, SubsetSelector("kinetic", half)).estimate
-             + measure.energy_fraction(st, SubsetSelector("kinetic", rest)).estimate
-             + measure.energy_fraction(st, SubsetSelector("potential")).estimate)
+    total = (reference.energy_fraction(st, SubsetSelector("kinetic", half)).estimate
+             + reference.energy_fraction(st, SubsetSelector("kinetic", rest)).estimate
+             + reference.energy_fraction(st, SubsetSelector("potential")).estimate)
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -112,8 +113,8 @@ def test_standard_comparison_is_each_samples_energy_fraction(shape):
     for ti in range(len(times)):
         st = replace(st0, amps=grid[ti])
         assert dev[ti] == np.abs(grid[ti] - reference[ti]).max()
-        assert kin[ti] == measure.energy_fraction(st, SubsetSelector("kinetic", nodes)).estimate
-        assert pot[ti] == measure.energy_fraction(st, SubsetSelector("potential")).estimate
+        assert kin[ti] == energy_fraction(st, SubsetSelector("kinetic", nodes)).estimate
+        assert pot[ti] == energy_fraction(st, SubsetSelector("potential")).estimate
         assert pot[ti] == sum(np.sum(np.abs(row) ** 2) for row in st.pair_amps)
 
 
@@ -133,14 +134,14 @@ def test_subset_probability_sums_each_axis_as_one_row():
 def test_displacement_under_standard_rejected(evolved_sheet):
     _, _, states, _ = evolved_sheet
     with pytest.raises(ValueError, match="kappa_jj"):
-        measure.energy_fraction(states[0], SubsetSelector("displacement", (1,)))
+        reference.energy_fraction(states[0], SubsetSelector("displacement", (1,)))
 
 
 def test_oracle_call_mapping_monotone():
-    calls = [measure.oracle_call_estimate(eps, 0.05) for eps in (0.1, 0.05, 0.01, 0.001)]
+    calls = [reference.oracle_call_estimate(eps, 0.05) for eps in (0.1, 0.05, 0.01, 0.001)]
     assert all(a < b for a, b in zip(calls, calls[1:]))
     with pytest.raises(ValueError):
-        measure.oracle_call_estimate(0.0, 0.5)
+        reference.oracle_call_estimate(0.0, 0.5)
 
 
 def test_msd_fraction_matches_classical():
@@ -161,7 +162,7 @@ def test_msd_fraction_matches_classical():
     bh = encoding.build_block_H(sys)
     subset = tuple(int(j) for j in phys)
     for ti, st in enumerate(encoding.evolve_exact(st0, bh, ts)):
-        got = measure.msd_fraction(st, SubsetSelector("displacement", subset))
+        got = reference.msd_fraction(st, SubsetSelector("displacement", subset))
         assert got.observable == pytest.approx(enm.msd_subset(traj, ti, subset), abs=1e-8)
 
 
@@ -174,7 +175,7 @@ def test_msd_zero_at_t0_for_velocity_only():
     sqm = np.sqrt(sys.masses)
     xdot0 = enm.project_range(sys, sqm * xdot0) / sqm
     st = encoding.prepare_alternative(sys, np.zeros(sys.n), xdot0)
-    got = measure.msd_fraction(st, SubsetSelector("displacement", tuple(phys)))
+    got = reference.msd_fraction(st, SubsetSelector("displacement", tuple(phys)))
     assert got.observable == pytest.approx(0.0, abs=1e-12)
 
 
@@ -185,7 +186,7 @@ def test_b_factor_scaling():
 def test_shot_sampling_zero_fraction(evolved_sheet):
     sys, _, states, _ = evolved_sheet
     dummies = tuple(int(j) for j in np.flatnonzero(~sys.physical))[:3]
-    rep = measure.shot_sample(states[0], SubsetSelector("kinetic", dummies), 1000, seed=0)
+    rep = reference.shot_sample(states[0], SubsetSelector("kinetic", dummies), 1000, seed=0)
     assert rep.estimate == 0.0 and rep.shots == 1000
 
 
@@ -193,9 +194,9 @@ def test_shot_sampling_three_sigma(evolved_sheet):
     sys, _, states, _ = evolved_sheet
     phys = tuple(int(j) for j in np.flatnonzero(sys.physical))
     sel = SubsetSelector("kinetic", phys[:4])
-    exact = measure.energy_fraction(states[3], sel).estimate
+    exact = reference.energy_fraction(states[3], sel).estimate
     shots = 100_000
-    rep = measure.shot_sample(states[3], sel, shots, seed=11)
+    rep = reference.shot_sample(states[3], sel, shots, seed=11)
     sigma = np.sqrt(exact * (1 - exact) / shots)
     assert abs(rep.estimate - exact) <= 3.0 * sigma
     assert rep.mode == "shot-sampled"
@@ -205,11 +206,11 @@ def test_shot_error_scales_inverse_sqrt(evolved_sheet):
     sys, _, states, _ = evolved_sheet
     phys = tuple(int(j) for j in np.flatnonzero(sys.physical))
     sel = SubsetSelector("kinetic", phys[:4])
-    exact = measure.energy_fraction(states[3], sel).estimate
+    exact = reference.energy_fraction(states[3], sel).estimate
     shot_grid = [100, 1_000, 10_000, 100_000]
     errors = []
     for shots in shot_grid:
-        devs = [abs(measure.shot_sample(states[3], sel, shots, seed=s).estimate - exact)
+        devs = [abs(reference.shot_sample(states[3], sel, shots, seed=s).estimate - exact)
                 for s in range(40)]
         errors.append(np.mean(devs))
     slope = np.polyfit(np.log10(shot_grid), np.log10(errors), 1)[0]
@@ -306,7 +307,7 @@ def test_ripple_grid_msd_is_msd_fraction_of_each_state(monkeypatch, shape, mass,
                              mass=mass, seed=seed)
     (st0, bh, times), _ = grids[0]
     sel = SubsetSelector("displacement", tuple(np.flatnonzero(st0.sys.physical).tolist()))
-    want = np.array([measure.msd_fraction(st, sel).observable
+    want = np.array([reference.msd_fraction(st, sel).observable
                      for st in encoding.evolve_exact(st0, bh, times)])
     assert np.abs(res.msd - want).max() <= 1e-14 * want.max()
 

@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from qenm.boltzmann import BucketKey, bucket_assignment, bucket_velocities, \
-    discretize_two_bucket, MBParams
-from qenm.circuits import (Circuit, expand_composites, inverse, permute_basis, run_basis,
-                           simulate)
+from qenm.boltzmann import BucketKey, bucket_velocities, discretize_two_bucket, MBParams
+from qenm.circuits import Circuit, expand_composites, inverse, permute_basis
 from qenm.lattice import SHIFT_TABLE, LatticeSpec, brute_force_adjacency, decode_index
 from qenm.oracles import (comparator, connectivity_oracle, coord_adder,
                           emit_slot_superposition, inequality_test_loader,
                           mass_oracle, oracle_mismatches, ordered_swap,
                           run_inequality_loader, run_velocity_loader, shift_init,
                           velocity_loader_two_bucket)
+from qenm.reference import bucket_assignment, run_basis, simulate
 
 
 def signed(value: int, width: int) -> int:
