@@ -160,6 +160,13 @@ def _validate_config(cfg: dict) -> None:
     for key in ("kappa", "mass", "k_B"):
         if not (_is_number(phys[key]) and phys[key] > 0):
             raise ConfigError(f"physics.{key} must be a finite number > 0, got {phys[key]!r}")
+    # F's largest diagonal entry and A's Gershgorin bound must be finite, and A not vanish
+    kappa, mass = float(phys["kappa"]), float(phys["mass"])
+    if not (_is_number(SPARSITY * kappa) and _is_number(2 * SPARSITY * kappa / mass)
+            and kappa / mass >= _sys.float_info.min):
+        raise ConfigError(f"physics.kappa and physics.mass must keep {SPARSITY} kappa and "
+                          f"{2 * SPARSITY} kappa / mass finite and kappa / mass at least "
+                          f"{_sys.float_info.min!r}, got {kappa!r} and {mass!r}")
     if not (_is_number(phys["temperature"]) and phys["temperature"] >= 0):
         raise ConfigError(f"physics.temperature must be a finite number >= 0, "
                           f"got {phys['temperature']!r}")

@@ -6,8 +6,8 @@ block-tridiagonally (``factor``) in O(N w^2) time and O(N w) memory, for
 M^-1 b, Tr M^-1 and, by Sylvester's law of inertia, whether it is positive
 definite; ``factor`` refuses where an array would pass FACTOR_ENTRIES.
 The ends of a symmetric operator's spectrum come from such factorizations
-shifted outside its Gershgorin interval, by Lanczos runs whose starts are
-``boltzmann.prf_uniform`` uniforms, so every rerun is identical.
+shifted outside its Gershgorin interval, by one block Lanczos loop whose
+starts are ``boltzmann.prf_uniform`` uniforms, so every rerun is identical.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ RITZ_RTOL = 1e-13  # Lanczos stop: residual norm of the largest Ritz pair relati
 FACTOR_ENTRIES = 1 << 23  # most entries per array of a block factorization (64 MB of float64)
 BLOCK_SITES = 32  # narrowest block of a factorization: below it Python calls cost more than BLAS
 LANCZOS_STEPS = 64  # most Lanczos steps for lambda_max before bisection takes over
+RITZ_ROOM = 16  # Lanczos basis columns first allocated per start column; doubled when full
 SHIFT_RTOL = 1e-6  # how far each shift of the spectral ends lies outside the Gershgorin
                    # interval, relative to the interval's upper end
 
@@ -267,79 +268,64 @@ def gershgorin(m: BondOperator) -> tuple[float, float]:
     return float((diag - radius).min()), float((diag + radius).max())
 
 
-def shifted(m: BondOperator, mu: float) -> BondOperator:
-    """mu - m, for a square ``m`` that has every diagonal entry."""
-    return BondOperator(m.rows, m.cols, mu * (m.rows == m.cols) - m.vals, m.shape)
+def shifted(m: BondOperator, mu: float, sign: float = 1.0) -> BondOperator:
+    """sign (mu - m), for a square ``m`` that has every diagonal entry."""
+    return BondOperator(m.rows, m.cols, sign * (mu * (m.rows == m.cols) - m.vals), m.shape)
+
+
+def _top_ritz_values(solve, start: np.ndarray, cap: int) -> tuple[np.ndarray, bool]:
+    """The k largest Ritz values, ascending, of the positive definite T that ``solve``
+    applies, by block Lanczos from the span of the (n, k) ``start``, and whether
+    they converged.
+
+    Each block of the basis Q is the orthonormal basis of the last W (W over its
+    norm when k = 1), cut to n or ``cap`` columns in all, so k equal eigenvalues
+    are found as surely as one (Golub and Underwood, 1977).  W is T times that
+    block, orthogonalized twice against all of Q; the first pass's coefficients
+    Q^T W are the new columns of H = Q^T T Q.  A Ritz value of H never lies above
+    the eigenvalue it approaches, and the residual of its pair (theta, Q s) is W
+    times the newest block's rows of s.  The run has converged when the k
+    residuals are within RITZ_RTOL of theta_max, or when Q spans the space;
+    otherwise it stops at ``cap`` columns.
+    """
+    n, k = start.shape
+    cap = min(cap, n)
+    room = min(RITZ_ROOM * k, cap)
+    basis, h, w, m = np.empty((n, room)), np.empty((room, room)), start, 0
+    while True:
+        block = (np.linalg.qr(w)[0] if k > 1 else w / np.linalg.norm(w))[:, :cap - m]
+        b = block.shape[1]
+        if m + b > len(h):      # Q and H are full: twice the room, up to cap columns
+            room = min(2 * (m + b), cap) - len(h)
+            basis, h = np.pad(basis, ((0, 0), (0, room))), np.pad(h, (0, room))
+        basis[:, m:m + b] = block
+        m += b
+        q = basis[:, :m]
+        w = solve(block)
+        columns = q.T @ w
+        h[:m, m - b:m] = columns
+        h[m - b:m, :m] = columns.T
+        w -= q @ columns
+        w -= q @ (q.T @ w)
+        theta, s = np.linalg.eigh(h[:m, :m])
+        residual = np.linalg.norm(w @ s[-b:, -k:], axis=0).max()
+        converged = bool(m == n or residual <= RITZ_RTOL * theta[-1])
+        if converged or m == cap:
+            return theta[-k:], converged
 
 
 def smallest_eigenvalues(A: BondOperator, k: int) -> np.ndarray:
-    """The k smallest eigenvalues of the symmetric ``A``, by block shift-invert Lanczos.
+    """The k smallest eigenvalues of the symmetric ``A``, descending, by shift-invert Lanczos.
 
-    With sigma just below min(lo, 0) of A's Gershgorin interval [lo, hi],
-    A - sigma is positive definite and its inverse T has the eigenvalues
-    theta = 1 / (lambda - sigma): A's smallest become T's largest, standing
-    far above the rest (Ericsson and Ruhe, Math. Comp. 35, 1980).  From the
-    orthonormalized (n, k) block of ``prf_uniform(0, n, k)`` uniforms, each
-    step solves with the newest block of the basis Q and orthogonalizes the
-    result W twice against all of Q (full reorthogonalization); the first
-    pass's coefficients Q^T W are the new columns of H = Q^T T Q, and the
-    orthonormal basis of W, k vectors at most and never more than fill the
-    space, is the next block, so k equal eigenvalues are found as surely as
-    one.  Rayleigh-Ritz on H gives the Ritz pairs (theta, Q s), and as T Q
-    lies in the span of Q and W, the residual T Q s - theta Q s of each is
-    W times the newest block's rows of s.  The run stops when each of the k
-    largest Ritz pairs has a residual within RITZ_RTOL of theta_max, or when
-    Q spans the whole space and they are exact.
+    sigma lies just below min(lo, 0) of A's Gershgorin interval [lo, hi], so A's
+    smallest eigenvalues give the largest, theta = 1 / (lambda - sigma), of the
+    positive definite (A - sigma)^-1, far above the rest (Ericsson and Ruhe, Math.
+    Comp. 35, 1980).  The run starts from ``prf_uniform(0, n, k)`` and has no cap.
     """
-    n = A.shape[0]
     lo, hi = gershgorin(A)
     sigma = min(lo, 0.0) - SHIFT_RTOL * hi
-    a_minus_sigma = BondOperator(A.rows, A.cols, A.vals - sigma * (A.rows == A.cols), A.shape)
-    solve = fitted(factor(a_minus_sigma)).solve                     # (A - sigma)^-1
-    block = np.linalg.qr(prf_uniform(0, n, k))[0]
-    basis, h = np.empty((n, 0)), np.empty((0, 0))
-    while True:
-        w = solve(block)
-        basis = np.hstack([basis, block])
-        m, b = basis.shape[1], block.shape[1]
-        columns = basis.T @ w
-        h = np.block([[h, columns[:-b]], [columns.T]])
-        w -= basis @ columns
-        w -= basis @ (basis.T @ w)
-        theta, s = np.linalg.eigh(h)
-        theta, s = theta[-k:], s[:, -k:]
-        if m == n or np.all(np.linalg.norm(w @ s[-b:], axis=0) <= RITZ_RTOL * theta[-1]):
-            return sigma + 1.0 / theta
-        block = np.linalg.qr(w)[0][:, :n - m]
-
-
-def largest_ritz_value(apply, start: np.ndarray, steps: int) -> tuple[float, bool]:
-    """Largest eigenvalue of the positive semidefinite operator ``apply`` by Lanczos.
-
-    Every new Krylov vector is orthogonalized twice against all earlier ones
-    (full reorthogonalization), so the basis stays orthonormal and no Ritz
-    value repeats.  The run stops when the residual |beta_k s_k| of the
-    largest Ritz pair is ``RITZ_RTOL`` of its value, which then lies within
-    that of an eigenvalue, or after ``steps`` steps.  It returns the largest
-    Ritz value, never above the largest eigenvalue, and whether it converged:
-    by that residual, or because ``len(start)`` steps span the whole space,
-    where the Ritz values are exact.
-    """
-    basis = [start / np.linalg.norm(start)]
-    alpha, beta = [], []
-    while True:
-        w = apply(basis[-1])
-        alpha.append(float(basis[-1] @ w))
-        q = np.array(basis)
-        w -= q.T @ (q @ w)
-        w -= q.T @ (q @ w)
-        b = float(np.linalg.norm(w))
-        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
-        converged = len(alpha) == len(start) or b * abs(s[-1, -1]) <= RITZ_RTOL * theta[-1]
-        if converged or len(alpha) == steps:
-            return float(theta[-1]), converged
-        beta.append(b)
-        basis.append(w / b)
+    solve = fitted(factor(shifted(A, sigma, -1.0))).solve
+    return sigma + 1.0 / _top_ritz_values(solve, prf_uniform(0, A.shape[0], k), A.shape[0])[0]
 
 
 def largest_eigenvalue(A: BondOperator) -> float:
@@ -348,22 +334,21 @@ def largest_eigenvalue(A: BondOperator) -> float:
 
     sigma lies just above A's Gershgorin interval.  On a sheet about as wide
     as it is long, lambda_max lies close to sigma, so theta, the largest
-    eigenvalue of (sigma - A)^-1, stands far above the rest and Lanczos,
-    started from the ``prf_uniform(0, n)`` uniforms, gives
-    lambda_max = sigma - 1 / theta in 14-20 steps.  On a long narrow
-    sheet (2x7, 8x2, 10x1) lambda_max lies well below sigma and the top of
-    the spectrum is crowded, so Lanczos would need hundreds of steps (over
-    900 at 10x1, 60 s); after LANCZOS_STEPS it stops, and bisection between
-    its Ritz value, a lower bound, and sigma finds the least mu for which
-    mu - A is positive definite, one factorization per halving.
+    eigenvalue of (sigma - A)^-1, stands far above the rest, and one column of
+    ``prf_uniform(0, n)`` uniforms gives lambda_max = sigma - 1 / theta in 14-20
+    steps.  On a long narrow sheet (2x7, 8x2, 10x1) the top of the spectrum is
+    crowded, so Lanczos would need hundreds of steps (over 900 at 10x1, 60 s);
+    it stops at LANCZOS_STEPS columns, and bisection between its Ritz value, a
+    lower bound, and sigma finds the least mu for which mu - A is positive
+    definite, one factorization per halving.
     """
     hi = gershgorin(A)[1]
     sigma = hi + SHIFT_RTOL * hi
-    theta, converged = largest_ritz_value(
-        fitted(factor(shifted(A, sigma))).solve, prf_uniform(0, A.shape[0]), LANCZOS_STEPS)
+    solve = fitted(factor(shifted(A, sigma))).solve
+    theta, converged = _top_ritz_values(solve, prf_uniform(0, A.shape[0])[:, None], LANCZOS_STEPS)
+    lower, upper = sigma - 1.0 / theta[0], sigma
     if converged:
-        return sigma - 1.0 / theta
-    lower, upper = sigma - 1.0 / theta, sigma
+        return lower
     while upper - lower > RITZ_RTOL * upper:
         mid = 0.5 * (lower + upper)
         if factor(shifted(A, mid)).positive_definite():

@@ -502,17 +502,24 @@ def test_config_list_entries_must_be_numbers(tmp_path, capsys, command, config, 
     assert f"config error: {key} entries must be finite numbers" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("physics", [{"kappa": 1e308}, {"mass": 1e-308}], ids=["kappa", "mass"])
-@pytest.mark.parametrize("command", ["validate", "simulate", "heat", "ripple"])
-def test_extreme_kappa_or_mass_is_a_config_error(tmp_path, capsys, command, physics):
-    # math.ceil(inf) of the series degree or of the round count raised OverflowError, and a
-    # NaN round count ended in "cannot convert float NaN to integer"
+@pytest.mark.parametrize("physics", [{"kappa": 1e308}, {"mass": 1e-308},
+                                     {"kappa": 1e300, "mass": 1e-10},
+                                     {"kappa": 1e-300, "mass": 1e300}],
+                         ids=["kappa", "mass", "ratio-overflow", "ratio-underflow"])
+@pytest.mark.parametrize("command", ["validate", "simulate", "heat", "ripple", "scaling cond"])
+def test_extreme_kappa_or_mass_is_a_config_error(tmp_path, capsys, recwarn, command, physics):
+    # refused before any operator is built: math.ceil(inf) of the series degree raised
+    # OverflowError, Lanczos ran on infinities ("Eigenvalues did not converge"), and with
+    # kappa / mass below the smallest normal float A was zero ("Singular matrix", a phase of
+    # nan, or simulate and heat exiting 0)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"physics": physics}))
-    assert run([command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert run([*command.split(), "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert [line.startswith("config error: ") for line in err.splitlines()].count(True) == 1
+    assert "config error: physics.kappa and physics.mass must keep" in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_scaling_sizes_must_not_be_empty(tmp_path, capsys):
@@ -888,10 +895,11 @@ def test_no_command_loads_numpy_random(tmp_path):
 
 
 def test_scaling_reruns_are_identical_after_unseeded_draws(tmp_path, capsys):
-    # the Lanczos start vectors are seeded, so the global numpy generator cannot move them
+    # the Lanczos start vectors are seeded, so the global numpy generator cannot move them;
+    # at 2x6 the lambda_max run stops at LANCZOS_STEPS and bisection finishes it
     for name in ("first", "second"):
         np.random.uniform(size=3)
-        assert run(["scaling", "cond", "--sizes", "3x2,4x4",
+        assert run(["scaling", "cond", "--sizes", "3x2,2x6,4x4",
                     "--out-dir", str(tmp_path / name)]) == 0
     first, second = ((tmp_path / name / "scaling_cond.csv").read_bytes()
                      for name in ("first", "second"))

@@ -351,6 +351,27 @@ def test_lanczos_starts_are_identical_across_reruns(monkeypatch):
     assert np.array_equal(runs[0], runs[1])
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_top_ritz_values_of_a_doubled_top_eigenvalue(k):
+    # T = diag(1, ..., 11, 11): one start column spans one direction of the eigenvalue 11, so
+    # its Krylov space is invariant after 11 columns; a block of two finds both copies
+    spectrum = np.append(np.arange(1.0, 12.0), 11.0)
+    n = len(spectrum)
+    start = boltzmann.prf_uniform(0, n, k)
+
+    def solve(x):
+        return spectrum[:, None] * x
+
+    theta, converged = linalg._top_ritz_values(solve, start, n)
+    assert converged and theta == pytest.approx([11.0] * k, abs=1e-13)
+    for cap in range(k, n + 1):
+        theta, converged = linalg._top_ritz_values(solve, start, cap)
+        assert theta.shape == (k,) and np.all(np.diff(theta) >= 0)
+        # a lower bound for the bisection of largest_eigenvalue, to rounding
+        assert np.all(theta <= spectrum[-k:] * (1.0 + 4 * np.finfo(float).eps))
+        assert converged == (cap >= {1: 11, 2: 12}[k])
+
+
 @pytest.mark.filterwarnings("ignore:physical subgraph is disconnected")
 @pytest.mark.parametrize("case", sorted(EXTREME_CASES))
 def test_factored_trace_and_condition_number_match_the_banded_solve(case):
